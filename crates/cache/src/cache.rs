@@ -3,7 +3,7 @@
 use crate::{CacheConfig, LevelStats};
 #[cfg(test)]
 use hvc_types::LineAddr;
-use hvc_types::{Asid, BlockName, Permissions, PAGE_SHIFT};
+use hvc_types::{Asid, BlockName, Permissions, LINE_SHIFT, PAGE_SHIFT};
 
 /// An evicted line returned to the caller for writeback handling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -17,7 +17,7 @@ pub struct Victim {
 /// Per-line state other than the name, in unpacked form. In the slab it
 /// is packed into one metadata word per way (see the `META_*` layout
 /// constants); this struct is the working representation handed to
-/// `retain_update` callbacks. `sharers` is used only by the LLC level of
+/// `update_range` callbacks. `sharers` is used only by the LLC level of
 /// a multi-core [`crate::Hierarchy`] to track which private caches hold
 /// the block (MESI-style directory-in-LLC).
 #[derive(Clone, Copy, Debug)]
@@ -66,6 +66,18 @@ fn meta_perm(w: u128) -> Permissions {
 /// with the physical tag word (0) for any ASID.
 const VIRT_TAG: u64 = 1 << 16;
 
+/// High key word of physically-named blocks.
+const PHYS_TAG: u64 = 0;
+
+/// Lines per 4 KB page: a page's lines are `vpage * PAGE_LINES ..` on.
+const PAGE_LINES: u64 = 1 << (PAGE_SHIFT - LINE_SHIFT);
+
+/// High key word of the virtually-named blocks of `asid`.
+#[inline]
+fn virt_tag(asid: Asid) -> u64 {
+    VIRT_TAG | asid.as_u16() as u64
+}
+
 /// Key filler for invalid slots. The high word is `u64::MAX`, which no
 /// encodable [`BlockName`] produces (physical names encode 0 there,
 /// virtual names at most `VIRT_TAG | 0xFFFF`), so an invalid slot can
@@ -81,9 +93,7 @@ const EMPTY_KEY: u128 = u128::MAX;
 fn key_of(name: BlockName) -> u128 {
     match name {
         BlockName::Phys(line) => line.as_u64() as u128,
-        BlockName::Virt(asid, line) => {
-            (line.as_u64() as u128) | (((VIRT_TAG | asid.as_u16() as u64) as u128) << 64)
-        }
+        BlockName::Virt(asid, line) => (line.as_u64() as u128) | ((virt_tag(asid) as u128) << 64),
     }
 }
 
@@ -92,7 +102,7 @@ fn key_of(name: BlockName) -> u128 {
 fn name_of(key: u128) -> BlockName {
     let line = hvc_types::LineAddr::new(key as u64);
     let tag = (key >> 64) as u64;
-    if tag == 0 {
+    if tag == PHYS_TAG {
         BlockName::Phys(line)
     } else {
         BlockName::Virt(Asid::new(tag as u16), line)
@@ -539,31 +549,54 @@ impl Cache {
 
     /// Downgrades the cached permissions of every line of the given
     /// virtual page to read-only (the paper's content-sharing transition).
+    /// One-page form of [`Cache::downgrade_pages_read_only`].
     pub fn downgrade_page_read_only(&mut self, asid: Asid, vpage: u64) {
-        self.retain_update(|name, meta| {
-            if page_of(name) == Some((asid, vpage)) {
+        self.downgrade_pages_read_only(asid, vpage, 1);
+    }
+
+    /// Downgrades every line of the `count` virtual pages starting at
+    /// `first` to read-only. Small ranges probe each line's own set,
+    /// large ones sweep the cache once (see `update_range`); the result
+    /// is identical either way.
+    pub fn downgrade_pages_read_only(&mut self, asid: Asid, first: u64, count: u64) {
+        self.update_range(
+            virt_tag(asid),
+            first * PAGE_LINES,
+            count * PAGE_LINES,
+            |_, meta| {
                 meta.perm = meta.perm.downgraded_read_only();
-            }
-            true
-        });
+                true
+            },
+        );
     }
 
     /// Invalidates every line belonging to the virtual page `(asid,
     /// vpage)`, appending dirty victims to `victims` (a reusable scratch
-    /// buffer the caller clears between flushes).
+    /// buffer the caller clears between flushes). One-page form of
+    /// [`Cache::flush_virt_pages`].
     pub fn flush_virt_page(&mut self, asid: Asid, vpage: u64, victims: &mut Vec<Victim>) {
-        let before = victims.len();
-        self.retain_update(|name, meta| {
-            if page_of(name) == Some((asid, vpage)) {
-                if meta.dirty {
-                    victims.push(Victim { name, dirty: true });
-                }
-                false
-            } else {
-                true
-            }
-        });
-        self.stats.invalidations += (victims.len() - before) as u64;
+        self.flush_virt_pages(asid, vpage, 1, victims);
+    }
+
+    /// Invalidates every line of the `count` virtual pages of `asid`
+    /// starting at `first`, appending dirty victims to `victims`. A range
+    /// with fewer lines than the cache has sets probes each line's key in
+    /// its own set; a larger one sweeps every set once with a range test.
+    /// Contents, statistics, and the victim multiset are identical either
+    /// way, and identical to `count` one-page flushes.
+    pub fn flush_virt_pages(
+        &mut self,
+        asid: Asid,
+        first: u64,
+        count: u64,
+        victims: &mut Vec<Victim>,
+    ) {
+        self.flush_range(
+            virt_tag(asid),
+            first * PAGE_LINES,
+            count * PAGE_LINES,
+            victims,
+        );
     }
 
     /// Invalidates every physically-named line of the frame whose base
@@ -571,34 +604,22 @@ impl Cache {
     /// The OS requests this when a freed synonym frame goes back to the
     /// allocator — physically-tagged lines survive every per-space flush.
     pub fn flush_phys_frame(&mut self, frame_base: u64, victims: &mut Vec<Victim>) {
-        let before = victims.len();
-        self.retain_update(|name, meta| {
-            let of_frame = matches!(name, BlockName::Phys(line)
-                if line.base_raw() >> PAGE_SHIFT == frame_base >> PAGE_SHIFT);
-            if of_frame {
-                if meta.dirty {
-                    victims.push(Victim { name, dirty: true });
-                }
-                false
-            } else {
-                true
-            }
-        });
-        self.stats.invalidations += (victims.len() - before) as u64;
+        self.flush_range(
+            PHYS_TAG,
+            (frame_base >> PAGE_SHIFT) * PAGE_LINES,
+            PAGE_LINES,
+            victims,
+        );
     }
 
     /// Invalidates every line of an address space (process teardown),
-    /// appending dirty victims to `victims`.
+    /// appending dirty victims to `victims`. Always a full sweep.
     pub fn flush_asid(&mut self, asid: Asid, victims: &mut Vec<Victim>) {
-        self.retain_update(|name, meta| {
-            if name.asid() == Some(asid) {
-                if meta.dirty {
-                    victims.push(Victim { name, dirty: true });
-                }
-                false
-            } else {
-                true
+        self.update_range(virt_tag(asid), 0, u64::MAX, |name, meta| {
+            if meta.dirty {
+                victims.push(Victim { name, dirty: true });
             }
+            false
         });
     }
 
@@ -644,26 +665,79 @@ impl Cache {
         })
     }
 
-    /// Visits every live line in slot order; lines for which `f` returns
-    /// `false` are invalidated (their valid bit cleared).
-    fn retain_update(&mut self, mut f: impl FnMut(BlockName, &mut Meta) -> bool) {
+    /// Invalidates the lines `update_range` selects, appending the dirty
+    /// ones to `victims` and counting them as invalidations.
+    fn flush_range(&mut self, tag: u64, first: u64, lines: u64, victims: &mut Vec<Victim>) {
+        let before = victims.len();
+        self.update_range(tag, first, lines, |name, meta| {
+            if meta.dirty {
+                victims.push(Victim { name, dirty: true });
+            }
+            false
+        });
+        self.stats.invalidations += (victims.len() - before) as u64;
+    }
+
+    /// The set-range primitive behind every flush and downgrade: visits
+    /// each live line whose key has tag word `tag` and line address in
+    /// `[first, first + lines)`, and invalidates those for which `f`
+    /// returns `false`.
+    ///
+    /// `set_index` is `line & set_mask`, so consecutive lines sit in
+    /// consecutive sets. A range of fewer lines than the cache has sets
+    /// is therefore served by one keyed probe per line (as
+    /// `Tlb::flush_page` probes one set); anything larger is one sweep of
+    /// every set with a range test. Each line is visited at most once
+    /// either way, and `f` sees only that line, so both strategies leave
+    /// identical contents.
+    fn update_range(
+        &mut self,
+        tag: u64,
+        first: u64,
+        lines: u64,
+        mut f: impl FnMut(BlockName, &mut Meta) -> bool,
+    ) {
+        if lines <= self.set_mask as u64 {
+            for line in first..first + lines {
+                let set = line as usize & self.set_mask;
+                if let Some(way) = self.find(set, (line as u128) | ((tag as u128) << 64)) {
+                    self.update_way(set, way, &mut f);
+                }
+            }
+            return;
+        }
         for set in 0..=self.set_mask {
-            let row = set * self.stride;
+            let row = self.row(set);
             let mut live = self.rows[row] as u64;
             while live != 0 {
                 let w = live.trailing_zeros() as usize;
                 live &= live - 1;
-                let ki = row + 1 + w;
-                let mi = row + 1 + self.ways + w;
-                let mut meta = unpack_meta(self.rows[mi]);
-                if f(name_of(self.rows[ki]), &mut meta) {
-                    self.rows[mi] = pack_meta(meta);
-                } else {
-                    self.rows[row] &= !(1u128 << w);
-                    self.rows[ki] = EMPTY_KEY;
-                    self.rows[mi] = 0;
+                let key = self.rows[row + 1 + w];
+                if (key >> 64) as u64 == tag && (key as u64).wrapping_sub(first) < lines {
+                    self.update_way(set, w, &mut f);
                 }
             }
+        }
+    }
+
+    /// Applies an `update_range` callback to one live way.
+    #[inline]
+    fn update_way(
+        &mut self,
+        set: usize,
+        way: usize,
+        f: &mut impl FnMut(BlockName, &mut Meta) -> bool,
+    ) {
+        let row = self.row(set);
+        let ki = row + 1 + way;
+        let mi = row + 1 + self.ways + way;
+        let mut meta = unpack_meta(self.rows[mi]);
+        if f(name_of(self.rows[ki]), &mut meta) {
+            self.rows[mi] = pack_meta(meta);
+        } else {
+            self.rows[row] &= !(1u128 << way);
+            self.rows[ki] = EMPTY_KEY;
+            self.rows[mi] = 0;
         }
     }
 }
@@ -684,24 +758,11 @@ impl Iterator for BitIter {
     }
 }
 
-/// Returns the `(asid, virtual page number)` of a virtually-named block.
-#[inline]
-fn page_of(name: BlockName) -> Option<(Asid, u64)> {
-    match name {
-        BlockName::Virt(asid, line) => {
-            Some((asid, line.as_u64() >> (PAGE_SHIFT - hvc_types::LINE_SHIFT)))
-        }
-        BlockName::Phys(_) => None,
-    }
-}
-
 /// Returns the block names of all 64 lines of a virtual page — a helper
 /// for page-granularity operations on physical names.
 #[cfg(test)]
 pub(crate) fn lines_of_virt_page(asid: Asid, vpage: u64) -> impl Iterator<Item = BlockName> {
-    let lines_per_page = 1u64 << (PAGE_SHIFT - hvc_types::LINE_SHIFT);
-    (0..lines_per_page)
-        .map(move |i| BlockName::Virt(asid, LineAddr::new(vpage * lines_per_page + i)))
+    (0..PAGE_LINES).map(move |i| BlockName::Virt(asid, LineAddr::new(vpage * PAGE_LINES + i)))
 }
 
 #[cfg(test)]

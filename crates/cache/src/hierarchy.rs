@@ -312,56 +312,72 @@ impl Hierarchy {
 
     /// Flushes all lines of virtual page `(asid, vpage)` hierarchy-wide;
     /// returns the number of dirty lines written back to memory. Used by
-    /// the OS for unmap / remap / synonym-status transitions.
+    /// the OS for unmap / remap / synonym-status transitions. One-page
+    /// form of [`Hierarchy::flush_virt_pages`].
     pub fn flush_virt_page(&mut self, asid: Asid, vpage: u64) -> u64 {
-        let mut victims = std::mem::take(&mut self.scratch);
-        victims.clear();
-        for c in self.l1i.iter_mut().chain(&mut self.l1d).chain(&mut self.l2) {
-            c.flush_virt_page(asid, vpage, &mut victims);
-        }
-        self.llc.flush_virt_page(asid, vpage, &mut victims);
-        let dirty = victims.len() as u64;
-        self.scratch = victims;
-        self.memory_writebacks += dirty;
-        dirty
+        self.flush_virt_pages(asid, vpage, 1)
+    }
+
+    /// Flushes all lines of the `count` virtual pages of `asid` starting
+    /// at `first` from every level; returns the number of dirty lines
+    /// written back. Each level picks its own strategy by size — keyed
+    /// probes of the range's sets when the range has fewer lines than the
+    /// level has sets, otherwise one sweep ([`Cache::flush_virt_pages`]) —
+    /// and the outcome (contents, per-level statistics, dirty count) is
+    /// identical to `count` calls of [`Hierarchy::flush_virt_page`].
+    pub fn flush_virt_pages(&mut self, asid: Asid, first: u64, count: u64) -> u64 {
+        self.flush_each(|c, victims| c.flush_virt_pages(asid, first, count, victims))
     }
 
     /// Flushes all physically-named lines of the frame at `frame_base`
     /// hierarchy-wide; returns the number of dirty lines written back.
     /// Used by the OS when a synonym page's frame is freed for reuse.
     pub fn flush_phys_frame(&mut self, frame_base: u64) -> u64 {
-        let mut victims = std::mem::take(&mut self.scratch);
-        victims.clear();
-        for c in self.l1i.iter_mut().chain(&mut self.l1d).chain(&mut self.l2) {
-            c.flush_phys_frame(frame_base, &mut victims);
-        }
-        self.llc.flush_phys_frame(frame_base, &mut victims);
-        let dirty = victims.len() as u64;
-        self.scratch = victims;
-        self.memory_writebacks += dirty;
-        dirty
+        self.flush_each(|c, victims| c.flush_phys_frame(frame_base, victims))
     }
 
     /// Downgrades cached permissions of a virtual page to read-only in
     /// every level (content-based-sharing transition; no flush needed).
+    /// One-page form of [`Hierarchy::downgrade_pages_read_only`].
     pub fn downgrade_page_read_only(&mut self, asid: Asid, vpage: u64) {
+        self.downgrade_pages_read_only(asid, vpage, 1);
+    }
+
+    /// Downgrades the `count` virtual pages of `asid` starting at `first`
+    /// to read-only in every level, choosing probes or a sweep per level
+    /// by size exactly as [`Hierarchy::flush_virt_pages`] does; identical
+    /// to `count` calls of [`Hierarchy::downgrade_page_read_only`].
+    pub fn downgrade_pages_read_only(&mut self, asid: Asid, first: u64, count: u64) {
         self.may_cache_readonly = true;
-        for c in self.l1i.iter_mut().chain(&mut self.l1d).chain(&mut self.l2) {
-            c.downgrade_page_read_only(asid, vpage);
+        for c in self.caches_mut() {
+            c.downgrade_pages_read_only(asid, first, count);
         }
-        self.llc.downgrade_page_read_only(asid, vpage);
     }
 
     /// Flushes every line of an address space (process exit).
     pub fn flush_asid(&mut self, asid: Asid) -> u64 {
-        let mut victims = std::mem::take(&mut self.scratch);
-        victims.clear();
-        for c in self.l1i.iter_mut().chain(&mut self.l1d).chain(&mut self.l2) {
-            c.flush_asid(asid, &mut victims);
-        }
-        self.llc.flush_asid(asid, &mut victims);
         // Every appended victim is dirty by the `Cache::flush_asid`
         // contract, so the buffer length is the writeback count.
+        self.flush_each(|c, victims| c.flush_asid(asid, victims))
+    }
+
+    /// Every level: the private caches of each core, then the LLC.
+    fn caches_mut(&mut self) -> impl Iterator<Item = &mut Cache> {
+        self.l1i
+            .iter_mut()
+            .chain(&mut self.l1d)
+            .chain(&mut self.l2)
+            .chain(std::iter::once(&mut self.llc))
+    }
+
+    /// Runs one flush on every level, collecting dirty victims in the
+    /// reusable scratch buffer; returns (and counts) the writebacks.
+    fn flush_each(&mut self, mut flush: impl FnMut(&mut Cache, &mut Vec<Victim>)) -> u64 {
+        let mut victims = std::mem::take(&mut self.scratch);
+        victims.clear();
+        for c in self.caches_mut() {
+            flush(c, &mut victims);
+        }
         let dirty = victims.len() as u64;
         self.scratch = victims;
         self.memory_writebacks += dirty;
@@ -384,10 +400,9 @@ impl Hierarchy {
     /// Resets statistics on every level (contents kept — useful for
     /// warm-up phases).
     pub fn reset_stats(&mut self) {
-        for c in self.l1i.iter_mut().chain(&mut self.l1d).chain(&mut self.l2) {
+        for c in self.caches_mut() {
             c.reset_stats();
         }
-        self.llc.reset_stats();
         self.coherence_invalidations = 0;
         self.memory_writebacks = 0;
         self.lookup_latency = LatencyHistogram::default();

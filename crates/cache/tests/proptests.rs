@@ -246,10 +246,10 @@ impl RefCache {
         victims
     }
 
-    fn downgrade_page(&mut self, asid: Asid, vpage: u64) {
+    fn downgrade_pages(&mut self, asid: Asid, first: u64, count: u64) {
         for lines in &mut self.sets {
             for l in lines.iter_mut() {
-                if ref_page_of(l.name) == Some((asid, vpage)) {
+                if in_pages(l.name, asid, first, count) {
                     l.perm = l.perm.downgraded_read_only();
                 }
             }
@@ -270,6 +270,12 @@ fn ref_page_of(name: BlockName) -> Option<(Asid, u64)> {
     }
 }
 
+/// Whether `name` is a line of one of the `count` virtual pages of
+/// `asid` starting at `first`.
+fn in_pages(name: BlockName, asid: Asid, first: u64, count: u64) -> bool {
+    matches!(ref_page_of(name), Some((a, p)) if a == asid && (first..first + count).contains(&p))
+}
+
 /// Total order on names for comparing victim sets (flush order is a slot
 /// -layout artifact neither model pins down).
 fn name_key(name: BlockName) -> (u8, u16, u64) {
@@ -285,7 +291,8 @@ fn sorted_victims(mut v: Vec<Victim>) -> Vec<Victim> {
 }
 
 /// The operation alphabet of the differential test — every hot-path
-/// entry point of `Cache` plus the flush/maintenance surface.
+/// entry point of `Cache` plus the flush/maintenance surface, in both
+/// its one-page and page-range forms.
 #[derive(Clone, Debug)]
 enum CacheOp {
     Access(BlockName, bool),
@@ -297,15 +304,20 @@ enum CacheOp {
     AddSharer(BlockName, usize),
     RemoveSharer(BlockName, usize),
     FlushPage(u16, u64),
+    FlushPages(u16, u64, u64),
     FlushFrame(u64),
     FlushAsid(u16),
     DowngradePage(u16, u64),
+    DowngradePages(u16, u64, u64),
 }
 
-fn model_name() -> impl Strategy<Value = BlockName> {
+/// Names over the first `pages` 4 KB pages of two ASIDs and of
+/// physical memory.
+fn model_name(pages: u64) -> impl Strategy<Value = BlockName> {
+    let lines = pages << (PAGE_SHIFT - LINE_SHIFT);
     prop_oneof![
-        (1u16..3, 0u64..128).prop_map(|(a, l)| BlockName::Virt(Asid::new(a), LineAddr::new(l))),
-        (0u64..128).prop_map(|l| BlockName::Phys(LineAddr::new(l))),
+        (1u16..3, 0..lines).prop_map(|(a, l)| BlockName::Virt(Asid::new(a), LineAddr::new(l))),
+        (0..lines).prop_map(|l| BlockName::Phys(LineAddr::new(l))),
     ]
 }
 
@@ -313,23 +325,120 @@ fn perm_strategy() -> impl Strategy<Value = Permissions> {
     prop_oneof![Just(Permissions::RW), Just(Permissions::READ)]
 }
 
-fn cache_op() -> impl Strategy<Value = CacheOp> {
+/// Ops over the name space of [`model_name`]; range ops cover up to
+/// `max_count` pages.
+fn cache_op(pages: u64, max_count: u64) -> impl Strategy<Value = CacheOp> {
     prop_oneof![
-        (model_name(), any::<bool>()).prop_map(|(n, w)| CacheOp::Access(n, w)),
-        (model_name(), any::<bool>()).prop_map(|(n, w)| CacheOp::AccessPerm(n, w)),
-        (model_name(), any::<bool>(), 0usize..4)
+        (model_name(pages), any::<bool>()).prop_map(|(n, w)| CacheOp::Access(n, w)),
+        (model_name(pages), any::<bool>()).prop_map(|(n, w)| CacheOp::AccessPerm(n, w)),
+        (model_name(pages), any::<bool>(), 0usize..4)
             .prop_map(|(n, w, c)| CacheOp::AccessSharing(n, w, c)),
-        (model_name(), any::<bool>(), perm_strategy()).prop_map(|(n, d, p)| CacheOp::Fill(n, d, p)),
-        (model_name(), any::<bool>(), perm_strategy(), 0usize..4)
+        (model_name(pages), any::<bool>(), perm_strategy())
+            .prop_map(|(n, d, p)| CacheOp::Fill(n, d, p)),
+        (model_name(pages), any::<bool>(), perm_strategy(), 0usize..4)
             .prop_map(|(n, d, p, c)| CacheOp::FillUnshare(n, d, p, c)),
-        model_name().prop_map(CacheOp::Invalidate),
-        (model_name(), 0usize..4).prop_map(|(n, c)| CacheOp::AddSharer(n, c)),
-        (model_name(), 0usize..4).prop_map(|(n, c)| CacheOp::RemoveSharer(n, c)),
-        (1u16..3, 0u64..2).prop_map(|(a, p)| CacheOp::FlushPage(a, p)),
-        (0u64..2).prop_map(|f| CacheOp::FlushFrame(f << PAGE_SHIFT)),
+        model_name(pages).prop_map(CacheOp::Invalidate),
+        (model_name(pages), 0usize..4).prop_map(|(n, c)| CacheOp::AddSharer(n, c)),
+        (model_name(pages), 0usize..4).prop_map(|(n, c)| CacheOp::RemoveSharer(n, c)),
+        (1u16..3, 0..pages).prop_map(|(a, p)| CacheOp::FlushPage(a, p)),
+        (1u16..3, 0..pages, 1..=max_count).prop_map(|(a, p, n)| CacheOp::FlushPages(a, p, n)),
+        (0..pages).prop_map(|f| CacheOp::FlushFrame(f << PAGE_SHIFT)),
         (1u16..3).prop_map(CacheOp::FlushAsid),
-        (1u16..3, 0u64..2).prop_map(|(a, p)| CacheOp::DowngradePage(a, p)),
+        (1u16..3, 0..pages).prop_map(|(a, p)| CacheOp::DowngradePage(a, p)),
+        (1u16..3, 0..pages, 1..=max_count).prop_map(|(a, p, n)| CacheOp::DowngradePages(a, p, n)),
     ]
+}
+
+/// Applies `op` to the flat cache and the model, checking that they
+/// return the same results.
+fn apply_op(flat: &mut Cache, model: &mut RefCache, scratch: &mut Vec<Victim>, op: CacheOp) {
+    match op {
+        CacheOp::Access(n, w) => {
+            prop_assert_eq!(flat.access(n, w), model.access(n, w), "access {:?}", n);
+        }
+        CacheOp::AccessPerm(n, w) => {
+            prop_assert_eq!(flat.access_perm(n, w), model.access_perm(n, w));
+        }
+        CacheOp::AccessSharing(n, w, c) => {
+            prop_assert_eq!(flat.access_sharing(n, w, c), model.access_sharing(n, w, c));
+        }
+        CacheOp::Fill(n, d, p) => {
+            prop_assert_eq!(flat.fill(n, d, p), model.fill(n, d, p), "fill {:?}", n);
+        }
+        CacheOp::FillUnshare(n, d, p, c) => {
+            prop_assert_eq!(
+                flat.fill_unshare(n, d, p, c),
+                model.fill_unshare(n, d, p, c)
+            );
+        }
+        CacheOp::Invalidate(n) => {
+            prop_assert_eq!(flat.invalidate(n), model.invalidate(n));
+        }
+        CacheOp::AddSharer(n, c) => {
+            flat.add_sharer(n, c);
+            model.set_sharer(n, c, true);
+        }
+        CacheOp::RemoveSharer(n, c) => {
+            flat.remove_sharer(n, c);
+            model.set_sharer(n, c, false);
+        }
+        CacheOp::FlushPage(a, p) => {
+            scratch.clear();
+            flat.flush_virt_page(Asid::new(a), p, scratch);
+            let expect = model.flush_matching(|n| in_pages(n, Asid::new(a), p, 1));
+            prop_assert_eq!(sorted_victims(scratch.clone()), sorted_victims(expect));
+        }
+        CacheOp::FlushPages(a, p, count) => {
+            scratch.clear();
+            let before = flat.stats().invalidations;
+            flat.flush_virt_pages(Asid::new(a), p, count, scratch);
+            let expect = model.flush_matching(|n| in_pages(n, Asid::new(a), p, count));
+            prop_assert_eq!(
+                flat.stats().invalidations - before,
+                expect.len() as u64,
+                "a range flush counts its dirty victims as invalidations"
+            );
+            prop_assert_eq!(sorted_victims(scratch.clone()), sorted_victims(expect));
+        }
+        CacheOp::FlushFrame(base) => {
+            scratch.clear();
+            flat.flush_phys_frame(base, scratch);
+            let expect = model.flush_matching(|n| {
+                matches!(n, BlockName::Phys(line)
+                if line.base_raw() >> PAGE_SHIFT == base >> PAGE_SHIFT)
+            });
+            prop_assert_eq!(sorted_victims(scratch.clone()), sorted_victims(expect));
+        }
+        CacheOp::FlushAsid(a) => {
+            scratch.clear();
+            flat.flush_asid(Asid::new(a), scratch);
+            let expect = model.flush_matching(|n| n.asid() == Some(Asid::new(a)));
+            prop_assert_eq!(sorted_victims(scratch.clone()), sorted_victims(expect));
+        }
+        CacheOp::DowngradePage(a, p) => {
+            flat.downgrade_page_read_only(Asid::new(a), p);
+            model.downgrade_pages(Asid::new(a), p, 1);
+        }
+        CacheOp::DowngradePages(a, p, count) => {
+            flat.downgrade_pages_read_only(Asid::new(a), p, count);
+            model.downgrade_pages(Asid::new(a), p, count);
+        }
+    }
+}
+
+/// End-of-run audit: identical resident sets and per-line state.
+fn assert_same_contents(flat: &mut Cache, model: &mut RefCache) {
+    let mut flat_names: Vec<_> = flat.resident_names().collect();
+    flat_names.sort_by_key(|n| name_key(*n));
+    prop_assert_eq!(&flat_names, &model.resident(), "resident sets differ");
+    prop_assert_eq!(flat.occupancy(), flat_names.len());
+    for &n in &flat_names {
+        let line = model.find(n).expect("model agrees on residency");
+        prop_assert_eq!(flat.permissions(n), Some(line.perm));
+        prop_assert_eq!(flat.sharers(n), line.sharers, "sharers of {:?}", n);
+        // `invalidate` is the only way to observe the dirty bit.
+        prop_assert_eq!(flat.invalidate(n).unwrap().dirty, line.dirty);
+    }
 }
 
 proptest! {
@@ -339,92 +448,128 @@ proptest! {
     /// bits, permissions, sharer bitmaps and flush victim sets.
     #[test]
     fn flat_cache_matches_naive_model(
-        ops in prop::collection::vec(cache_op(), 1..300),
+        ops in prop::collection::vec(cache_op(2, 2), 1..300),
     ) {
         // 8 sets × 2 ways over a 128-line name space: plenty of
-        // evictions, set conflicts and cross-ASID aliasing.
+        // evictions, set conflicts and cross-ASID aliasing. Every page
+        // spans all 8 sets, so page operations always sweep.
         let mut flat = Cache::new(CacheConfig::new(8 * 2 * 64, 2, Cycles::new(1)));
         let mut model = RefCache::new(8, 2);
         let mut scratch = Vec::new();
         for op in ops {
+            apply_op(&mut flat, &mut model, &mut scratch, op);
+        }
+        assert_same_contents(&mut flat, &mut model);
+    }
+
+    /// The same differential check on a geometry where a page covers a
+    /// quarter of the sets: ranges of up to three pages (< 256 lines)
+    /// take the keyed per-set probes, longer ones the sweep, and a range
+    /// starting at page 3 or 7 wraps from set 255 back to set 0.
+    #[test]
+    fn flat_cache_matches_naive_model_on_set_directed_ranges(
+        ops in prop::collection::vec(cache_op(8, 5), 1..400),
+    ) {
+        let mut flat = Cache::new(CacheConfig::new(256 * 4 * 64, 4, Cycles::new(1)));
+        let mut model = RefCache::new(256, 4);
+        let mut scratch = Vec::new();
+        for op in ops {
+            apply_op(&mut flat, &mut model, &mut scratch, op);
+        }
+        assert_same_contents(&mut flat, &mut model);
+    }
+}
+
+/// A two-core hierarchy whose levels straddle the probe/sweep threshold
+/// for one- and two-page ranges: 64-set L1s, 128-set L2s, a 256-set LLC.
+fn straddling_hierarchy() -> Hierarchy {
+    Hierarchy::new(HierarchyConfig {
+        cores: 2,
+        l1i: CacheConfig::new(64 * 2 * 64, 2, Cycles::new(1)),
+        l1d: CacheConfig::new(64 * 2 * 64, 2, Cycles::new(1)),
+        l2: CacheConfig::new(128 * 4 * 64, 4, Cycles::new(3)),
+        llc: CacheConfig::new(256 * 4 * 64, 4, Cycles::new(9)),
+    })
+}
+
+#[derive(Clone, Debug)]
+enum HierOp {
+    Access(usize, BlockName, AccessKind),
+    FlushPages(u16, u64, u64),
+    DowngradePages(u16, u64, u64),
+}
+
+/// Three accesses for every range operation.
+fn hier_op() -> impl Strategy<Value = HierOp> {
+    let kind = prop_oneof![
+        Just(AccessKind::Read),
+        Just(AccessKind::Write),
+        Just(AccessKind::Fetch)
+    ];
+    (
+        0u8..8,
+        0usize..2,
+        model_name(8),
+        kind,
+        1u16..3,
+        0u64..8,
+        1u64..6,
+    )
+        .prop_map(|(pick, core, name, kind, a, first, count)| match pick {
+            0 => HierOp::FlushPages(a, first, count),
+            1 => HierOp::DowngradePages(a, first, count),
+            _ => HierOp::Access(core, name, kind),
+        })
+}
+
+proptest! {
+    /// A hierarchy range operation equals the loop of one-page
+    /// operations it replaces: the same dirty count, the same per-level
+    /// statistics, and the same contents — checked directly (resident
+    /// names, cached permissions) and through every later access.
+    #[test]
+    fn hierarchy_range_ops_equal_one_page_loops(
+        ops in prop::collection::vec(hier_op(), 1..300),
+    ) {
+        let mut ranged = straddling_hierarchy();
+        let mut looped = straddling_hierarchy();
+        for op in ops {
             match op {
-                CacheOp::Access(n, w) => {
-                    prop_assert_eq!(flat.access(n, w), model.access(n, w), "access {:?}", n);
-                }
-                CacheOp::AccessPerm(n, w) => {
-                    prop_assert_eq!(flat.access_perm(n, w), model.access_perm(n, w));
-                }
-                CacheOp::AccessSharing(n, w, c) => {
+                HierOp::Access(core, name, kind) => {
                     prop_assert_eq!(
-                        flat.access_sharing(n, w, c),
-                        model.access_sharing(n, w, c)
+                        ranged.access(core, name, kind),
+                        looped.access(core, name, kind),
+                        "access {:?}", name
                     );
                 }
-                CacheOp::Fill(n, d, p) => {
-                    prop_assert_eq!(flat.fill(n, d, p), model.fill(n, d, p), "fill {:?}", n);
+                HierOp::FlushPages(a, first, count) => {
+                    let dirty = ranged.flush_virt_pages(Asid::new(a), first, count);
+                    let expect: u64 = (first..first + count)
+                        .map(|p| looped.flush_virt_page(Asid::new(a), p))
+                        .sum();
+                    prop_assert_eq!(dirty, expect);
                 }
-                CacheOp::FillUnshare(n, d, p, c) => {
-                    prop_assert_eq!(
-                        flat.fill_unshare(n, d, p, c),
-                        model.fill_unshare(n, d, p, c)
-                    );
-                }
-                CacheOp::Invalidate(n) => {
-                    prop_assert_eq!(flat.invalidate(n), model.invalidate(n));
-                }
-                CacheOp::AddSharer(n, c) => {
-                    flat.add_sharer(n, c);
-                    model.set_sharer(n, c, true);
-                }
-                CacheOp::RemoveSharer(n, c) => {
-                    flat.remove_sharer(n, c);
-                    model.set_sharer(n, c, false);
-                }
-                CacheOp::FlushPage(a, p) => {
-                    scratch.clear();
-                    flat.flush_virt_page(Asid::new(a), p, &mut scratch);
-                    let expect = model.flush_matching(|n| ref_page_of(n) == Some((Asid::new(a), p)));
-                    prop_assert_eq!(
-                        sorted_victims(scratch.clone()),
-                        sorted_victims(expect)
-                    );
-                }
-                CacheOp::FlushFrame(base) => {
-                    scratch.clear();
-                    flat.flush_phys_frame(base, &mut scratch);
-                    let expect = model.flush_matching(|n| matches!(n, BlockName::Phys(line)
-                        if line.base_raw() >> PAGE_SHIFT == base >> PAGE_SHIFT));
-                    prop_assert_eq!(
-                        sorted_victims(scratch.clone()),
-                        sorted_victims(expect)
-                    );
-                }
-                CacheOp::FlushAsid(a) => {
-                    scratch.clear();
-                    flat.flush_asid(Asid::new(a), &mut scratch);
-                    let expect = model.flush_matching(|n| n.asid() == Some(Asid::new(a)));
-                    prop_assert_eq!(
-                        sorted_victims(scratch.clone()),
-                        sorted_victims(expect)
-                    );
-                }
-                CacheOp::DowngradePage(a, p) => {
-                    flat.downgrade_page_read_only(Asid::new(a), p);
-                    model.downgrade_page(Asid::new(a), p);
+                HierOp::DowngradePages(a, first, count) => {
+                    ranged.downgrade_pages_read_only(Asid::new(a), first, count);
+                    for p in first..first + count {
+                        looped.downgrade_page_read_only(Asid::new(a), p);
+                    }
                 }
             }
+            prop_assert_eq!(ranged.stats(), looped.stats());
         }
-        // End-of-run audit: identical resident sets and per-line state.
-        let mut flat_names: Vec<_> = flat.resident_names().collect();
-        flat_names.sort_by_key(|n| name_key(*n));
-        prop_assert_eq!(&flat_names, &model.resident(), "resident sets differ");
-        prop_assert_eq!(flat.occupancy(), flat_names.len());
-        for &n in &flat_names {
-            let line = model.find(n).expect("model agrees on residency");
-            prop_assert_eq!(flat.permissions(n), Some(line.perm));
-            prop_assert_eq!(flat.sharers(n), line.sharers, "sharers of {:?}", n);
-            // `invalidate` is the only way to observe the dirty bit.
-            prop_assert_eq!(flat.invalidate(n).unwrap().dirty, line.dirty);
+        let mut names: Vec<_> = ranged.resident_names().collect();
+        let mut expect: Vec<_> = looped.resident_names().collect();
+        names.sort_by_key(|n| name_key(*n));
+        expect.sort_by_key(|n| name_key(*n));
+        prop_assert_eq!(&names, &expect);
+        for &n in &names {
+            for core in 0..2 {
+                prop_assert_eq!(
+                    ranged.cached_permissions(core, n),
+                    looped.cached_permissions(core, n)
+                );
+            }
         }
     }
 }

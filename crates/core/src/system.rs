@@ -1165,7 +1165,10 @@ impl SystemSim {
     /// core a space is placed on, so no other core can hold its entries.
     /// An unplaced space has no entries anywhere (its flushes are
     /// broadcast defensively but cost nothing). Shared structures — the
-    /// hierarchy and the post-LLC delayed TLB — are always maintained.
+    /// hierarchy and the post-LLC delayed TLB — are always maintained;
+    /// the hierarchy receives each run of page-consecutive requests as
+    /// one range operation ([`Hierarchy::flush_virt_pages`]), which is
+    /// identical to flushing the pages one by one.
     ///
     /// Cost model (after the Linux shootdown measurements of
     /// arXiv 1701.07517): the batch's distinct home cores other than the
@@ -1194,82 +1197,80 @@ impl SystemSim {
                 }
             }
         };
-        for req in reqs {
-            match req {
+        let mut at = 0;
+        while at < reqs.len() {
+            // The hierarchy takes each run of page-consecutive requests
+            // as one range operation (in request order); TLBs and
+            // responder marking stay per request.
+            let run = page_run(&reqs[at..]);
+            match reqs[at] {
                 FlushRequest::Page(asid, vpn) => {
-                    self.hierarchy.flush_virt_page(asid, vpn);
-                    let vp = hvc_types::VirtPage::new(vpn);
-                    let home = self.home_of(asid);
-                    mark(home);
-                    match home {
-                        Some(h) => {
-                            self.syn_tlb[h].flush_page(asid, vp);
-                            self.dtlb[h].flush_page(asid, vp);
-                        }
-                        None => {
-                            for t in &mut self.syn_tlb {
-                                t.flush_page(asid, vp);
-                            }
-                            for t in &mut self.dtlb {
-                                t.flush_page(asid, vp);
-                            }
-                        }
-                    }
-                    self.delayed_tlb.flush_page(asid, vp);
+                    self.hierarchy.flush_virt_pages(asid, vpn, run as u64);
+                }
+                FlushRequest::DowngradeRo(asid, vpn) => {
+                    self.hierarchy
+                        .downgrade_pages_read_only(asid, vpn, run as u64);
                 }
                 FlushRequest::Space(asid) => {
                     self.hierarchy.flush_asid(asid);
-                    let home = self.home_of(asid);
-                    mark(home);
-                    match home {
-                        Some(h) => {
-                            self.syn_tlb[h].flush_asid(asid);
-                            self.dtlb[h].flush_asid(asid);
-                            self.walker[h].flush_asid(asid);
-                        }
-                        None => {
-                            for t in &mut self.syn_tlb {
-                                t.flush_asid(asid);
-                            }
-                            for t in &mut self.dtlb {
-                                t.flush_asid(asid);
-                            }
-                            for w in &mut self.walker {
-                                w.flush_asid(asid);
-                            }
-                        }
-                    }
-                    self.delayed_tlb.flush_asid(asid);
-                }
-                FlushRequest::DowngradeRo(asid, vpn) => {
-                    self.hierarchy.downgrade_page_read_only(asid, vpn);
-                    let vp = hvc_types::VirtPage::new(vpn);
-                    let home = self.home_of(asid);
-                    mark(home);
-                    match home {
-                        Some(h) => {
-                            self.syn_tlb[h].flush_page(asid, vp);
-                            self.dtlb[h].flush_page(asid, vp);
-                        }
-                        None => {
-                            for t in &mut self.syn_tlb {
-                                t.flush_page(asid, vp);
-                            }
-                            for t in &mut self.dtlb {
-                                t.flush_page(asid, vp);
-                            }
-                        }
-                    }
-                    self.delayed_tlb.flush_page(asid, vp);
                 }
                 FlushRequest::Frame(base) => {
-                    // TLB entries for the freed page die with the Page or
-                    // Space request the kernel queues alongside; only the
-                    // physically-tagged cache lines need flushing here —
-                    // no per-core interrupt, so no responder.
                     self.hierarchy.flush_phys_frame(base);
                 }
             }
+            for &req in &reqs[at..at + run] {
+                match req {
+                    FlushRequest::Page(asid, vpn) | FlushRequest::DowngradeRo(asid, vpn) => {
+                        let vp = hvc_types::VirtPage::new(vpn);
+                        let home = self.home_of(asid);
+                        mark(home);
+                        match home {
+                            Some(h) => {
+                                self.syn_tlb[h].flush_page(asid, vp);
+                                self.dtlb[h].flush_page(asid, vp);
+                            }
+                            None => {
+                                for t in &mut self.syn_tlb {
+                                    t.flush_page(asid, vp);
+                                }
+                                for t in &mut self.dtlb {
+                                    t.flush_page(asid, vp);
+                                }
+                            }
+                        }
+                        self.delayed_tlb.flush_page(asid, vp);
+                    }
+                    FlushRequest::Space(asid) => {
+                        let home = self.home_of(asid);
+                        mark(home);
+                        match home {
+                            Some(h) => {
+                                self.syn_tlb[h].flush_asid(asid);
+                                self.dtlb[h].flush_asid(asid);
+                                self.walker[h].flush_asid(asid);
+                            }
+                            None => {
+                                for t in &mut self.syn_tlb {
+                                    t.flush_asid(asid);
+                                }
+                                for t in &mut self.dtlb {
+                                    t.flush_asid(asid);
+                                }
+                                for w in &mut self.walker {
+                                    w.flush_asid(asid);
+                                }
+                            }
+                        }
+                        self.delayed_tlb.flush_asid(asid);
+                    }
+                    // TLB entries for the freed page die with the Page or
+                    // Space request the kernel queues alongside; only the
+                    // physically-tagged cache lines need flushing — no
+                    // per-core interrupt, so no responder.
+                    FlushRequest::Frame(_) => {}
+                }
+            }
+            at += run;
         }
         let n = responders.count_ones() as u64;
         let cost = self.shoot.round(n as usize);
@@ -1322,6 +1323,25 @@ impl SystemSim {
         let now = self.core.now();
         self.dram.access(now, pa, true);
     }
+}
+
+/// Length of the maximal run at the head of `reqs` that one hierarchy
+/// range operation can serve: `Page(a, v), Page(a, v + 1), …` or the same
+/// for `DowngradeRo`. Every other request is a run of one.
+fn page_run(reqs: &[FlushRequest]) -> usize {
+    let page = |req: &FlushRequest| match *req {
+        FlushRequest::Page(asid, vpn) => Some((false, asid, vpn)),
+        FlushRequest::DowngradeRo(asid, vpn) => Some((true, asid, vpn)),
+        FlushRequest::Space(_) | FlushRequest::Frame(_) => None,
+    };
+    let Some((kind, asid, first)) = page(&reqs[0]) else {
+        return 1;
+    };
+    1 + reqs[1..]
+        .iter()
+        .zip(first + 1..)
+        .take_while(|&(req, vpn)| page(req) == Some((kind, asid, vpn)))
+        .count()
 }
 
 /// Per-scheme monomorphization hooks for the batched pipeline: each

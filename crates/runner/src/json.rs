@@ -201,11 +201,17 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parses a JSON document.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a body of a few hundred thousand
+/// `[` bytes would overflow the stack; deeper input is an `Err`.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document. Nesting deeper than [`MAX_DEPTH`] is rejected.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -219,6 +225,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -260,8 +268,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -483,6 +502,27 @@ mod tests {
         assert!(parse("\"open").is_err());
         assert!(parse("{} extra").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let hostile = "[".repeat(1 << 20);
+        let err = parse(&hostile).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let too_deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&too_deep).is_err());
+    }
+
+    #[test]
+    fn nesting_at_the_depth_limit_still_parses() {
+        let arrays = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let mut v = parse(&arrays).unwrap();
+        for _ in 1..MAX_DEPTH {
+            v = v.as_array().unwrap()[0].clone();
+        }
+        assert_eq!(v, Value::Array(vec![]));
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
     }
 
     #[test]

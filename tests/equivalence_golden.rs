@@ -8,6 +8,13 @@
 //! step loop must reproduce that file **byte for byte**: every counter,
 //! derived rate, latency percentile and attribution bucket.
 //!
+//! A second golden pins the kernel-churn paths the hot-path grid never
+//! reaches: the five churn workloads (COW fork storms, shm broadcast
+//! remaps, worker recycling, KSM dedup, r/w↔r/o shm rotation) under the
+//! hybrid delayed-TLB scheme, both filter strategies, on one and two
+//! cores. Every unmap, COW break, and synonym-status change flows
+//! through the hierarchy's page flushes and shootdown accounting here.
+//!
 //! Regenerate with `HVC_BLESS=1 cargo test --test equivalence_golden`
 //! after an *intentional* behavior change — never to paper over an
 //! unexplained diff.
@@ -19,6 +26,7 @@ use hvc::runner::{run_cell, run_cell_mc, run_report_value, Experiment};
 use hvc::virt::Hypervisor;
 
 const GOLDEN_PATH: &str = "tests/goldens/hotpath_equivalence.json";
+const CHURN_GOLDEN_PATH: &str = "tests/goldens/churn_equivalence.json";
 
 fn object(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(
@@ -132,14 +140,83 @@ fn virt_cells() -> Vec<Value> {
         .collect()
 }
 
-fn current_document() -> Value {
-    let mut cells = native_cells(&native_grid());
-    cells.extend(native_cells(&native_mc_grid()));
-    cells.extend(virt_cells());
+/// The churn grid: every kernel-churn workload under `dtlb:1024` with
+/// both filter strategies, on `cores` cores.
+fn churn_grid(cores: usize) -> Experiment {
+    Experiment {
+        name: format!("golden-churn-{cores}c"),
+        workloads: vec![
+            "cow_storm".into(),
+            "shm_heavy".into(),
+            "fork_storm".into(),
+            "ksm_dedup".into(),
+            "shm_rotate".into(),
+        ],
+        schemes: vec!["dtlb:1024".into()],
+        filters: vec!["bloom".into(), "rlt".into()],
+        seeds: vec![42],
+        llc_bytes: vec![2 << 20],
+        refs: 12_000,
+        warm: 4_000,
+        mem: 64 << 20,
+        cores,
+        shards: 1,
+        ifetch: false,
+        replay: None,
+        obs: true,
+    }
+}
+
+fn document(cells: Vec<Value>) -> Value {
     object(vec![
         ("schema", Value::Str("hvc-golden/1".into())),
         ("cells", Value::Array(cells)),
     ])
+}
+
+fn current_document() -> Value {
+    let mut cells = native_cells(&native_grid());
+    cells.extend(native_cells(&native_mc_grid()));
+    cells.extend(virt_cells());
+    document(cells)
+}
+
+fn churn_document() -> Value {
+    let mut cells = native_cells(&churn_grid(1));
+    cells.extend(native_cells(&churn_grid(2)));
+    document(cells)
+}
+
+/// Compares `doc` byte for byte with the golden at `path`, or rewrites
+/// the golden when `HVC_BLESS` is set.
+fn assert_matches_golden(path: &str, doc: &Value) {
+    let text = doc.to_pretty();
+    if std::env::var_os("HVC_BLESS").is_some() {
+        std::fs::create_dir_all("tests/goldens").expect("mkdir goldens");
+        std::fs::write(path, &text).expect("write golden");
+        eprintln!("blessed {path} ({} bytes)", text.len());
+        return;
+    }
+    let golden = std::fs::read_to_string(path)
+        .expect("golden file missing — run HVC_BLESS=1 cargo test --test equivalence_golden");
+    if text != golden {
+        // Point at the first divergence instead of dumping both docs.
+        let byte = text
+            .bytes()
+            .zip(golden.bytes())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| text.len().min(golden.len()));
+        let line = golden[..byte.min(golden.len())].lines().count();
+        let ctx_from = byte.saturating_sub(120);
+        panic!(
+            "report diverges from {path} at byte {byte} (line ~{line}).\n\
+             golden: …{}…\n\
+             got:    …{}…\n\
+             If the change is intentional, re-bless with HVC_BLESS=1.",
+            &golden[ctx_from..(byte + 120).min(golden.len())],
+            &text[ctx_from..(byte + 120).min(text.len())],
+        );
+    }
 }
 
 /// The multi-core driver at `--cores 1` must be a bitwise no-op: one
@@ -191,31 +268,10 @@ fn forced_mc_shards_merge_to_the_whole_run() {
 
 #[test]
 fn hot_path_reports_match_the_blessed_goldens() {
-    let text = current_document().to_pretty();
-    if std::env::var_os("HVC_BLESS").is_some() {
-        std::fs::create_dir_all("tests/goldens").expect("mkdir goldens");
-        std::fs::write(GOLDEN_PATH, &text).expect("write golden");
-        eprintln!("blessed {GOLDEN_PATH} ({} bytes)", text.len());
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden file missing — run HVC_BLESS=1 cargo test --test equivalence_golden");
-    if text != golden {
-        // Point at the first divergence instead of dumping both docs.
-        let byte = text
-            .bytes()
-            .zip(golden.bytes())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| text.len().min(golden.len()));
-        let line = golden[..byte.min(golden.len())].lines().count();
-        let ctx_from = byte.saturating_sub(120);
-        panic!(
-            "hot-path report diverges from {GOLDEN_PATH} at byte {byte} (line ~{line}).\n\
-             golden: …{}…\n\
-             got:    …{}…\n\
-             If the change is intentional, re-bless with HVC_BLESS=1.",
-            &golden[ctx_from..(byte + 120).min(golden.len())],
-            &text[ctx_from..(byte + 120).min(text.len())],
-        );
-    }
+    assert_matches_golden(GOLDEN_PATH, &current_document());
+}
+
+#[test]
+fn churn_reports_match_the_blessed_goldens() {
+    assert_matches_golden(CHURN_GOLDEN_PATH, &churn_document());
 }

@@ -224,6 +224,34 @@ fn repeated_sweep_is_served_entirely_from_cache() {
     server.shutdown();
 }
 
+/// A body nested far past the JSON depth limit is a 400, not a stack
+/// overflow that takes the server down: the same server then runs a
+/// normal sweep.
+#[test]
+fn deeply_nested_body_is_rejected_and_the_server_keeps_serving() {
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.addr();
+
+    let hostile = "[".repeat(1 << 20);
+    let (status, body) = roundtrip(addr, &sweep_request(&hostile));
+    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+    assert!(
+        String::from_utf8_lossy(&body).contains("nesting deeper than"),
+        "{}",
+        String::from_utf8_lossy(&body)
+    );
+
+    let events = sweep(addr, SMOKE_BODY);
+    assert_eq!(
+        sources(&events).0,
+        2,
+        "the smoke sweep simulates both cells"
+    );
+    assert!(events.iter().any(|e| event_name(e) == "done"));
+
+    server.shutdown();
+}
+
 /// A 6-cell grid slow enough that a shutdown after two streamed cells
 /// lands mid-sweep (jobs = 1 serializes the cells).
 const RESUME_BODY: &str = r#"{"workloads": ["gups"], "schemes": ["baseline", "ideal", "dtlb:1024"],
