@@ -603,24 +603,31 @@ impl Cache {
     /// byte address is `frame_base`, appending dirty victims to `victims`.
     /// The OS requests this when a freed synonym frame goes back to the
     /// allocator — physically-tagged lines survive every per-space flush.
+    /// One-frame form of [`Cache::flush_phys_frames`].
     pub fn flush_phys_frame(&mut self, frame_base: u64, victims: &mut Vec<Victim>) {
+        self.flush_phys_frames(frame_base, 1, victims);
+    }
+
+    /// Invalidates every physically-named line of the `count` frames
+    /// starting at byte address `frame_base`, appending dirty victims to
+    /// `victims`; probes or sweeps by size as [`Cache::flush_virt_pages`]
+    /// does, and identical to `count` one-frame flushes.
+    pub fn flush_phys_frames(&mut self, frame_base: u64, count: u64, victims: &mut Vec<Victim>) {
         self.flush_range(
             PHYS_TAG,
             (frame_base >> PAGE_SHIFT) * PAGE_LINES,
-            PAGE_LINES,
+            count * PAGE_LINES,
             victims,
         );
     }
 
     /// Invalidates every line of an address space (process teardown),
-    /// appending dirty victims to `victims`. Always a full sweep.
+    /// appending dirty victims to `victims`. Always a full sweep. Like
+    /// every flush it counts its dirty victims as invalidations, so this
+    /// and a page flush of the same space count the same in total
+    /// whichever runs first.
     pub fn flush_asid(&mut self, asid: Asid, victims: &mut Vec<Victim>) {
-        self.update_range(virt_tag(asid), 0, u64::MAX, |name, meta| {
-            if meta.dirty {
-                victims.push(Victim { name, dirty: true });
-            }
-            false
-        });
+        self.flush_range(virt_tag(asid), 0, u64::MAX, victims);
     }
 
     /// Number of resident lines (for tests and occupancy reporting).

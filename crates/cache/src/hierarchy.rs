@@ -3,7 +3,7 @@
 
 use crate::{Cache, CacheStats, HierarchyConfig, Victim};
 use hvc_obs::LatencyHistogram;
-use hvc_types::{AccessKind, Asid, BlockName, Cycles, Permissions};
+use hvc_types::{AccessKind, Asid, BlockName, Cycles, Permissions, PAGE_SHIFT};
 
 /// The outcome of one hierarchy access.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -24,6 +24,35 @@ impl AccessResult {
     /// `true` if the access missed the entire on-chip hierarchy.
     pub fn llc_miss(&self) -> bool {
         self.hit_level.is_none()
+    }
+}
+
+/// One page-granular operation of a flush batch
+/// ([`Hierarchy::apply_batch`]). The variant order is the batch's sort
+/// order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum FlushOp {
+    /// Invalidate the virtually named lines of page `vpage` of the space.
+    VirtPage(Asid, u64),
+    /// Downgrade the virtually named lines of page `vpage` to read-only.
+    DowngradeRo(Asid, u64),
+    /// Invalidate the physically named lines of the frame at this byte
+    /// address.
+    PhysFrame(u64),
+    /// Invalidate every virtually named line of the space.
+    Space(Asid),
+}
+
+impl FlushOp {
+    /// The same op `n` pages (or frames) further on; `None` for a whole
+    /// space, which never joins a run.
+    fn step(self, n: u64) -> Option<FlushOp> {
+        match self {
+            FlushOp::VirtPage(asid, vpage) => Some(FlushOp::VirtPage(asid, vpage + n)),
+            FlushOp::DowngradeRo(asid, vpage) => Some(FlushOp::DowngradeRo(asid, vpage + n)),
+            FlushOp::PhysFrame(base) => Some(FlushOp::PhysFrame(base + (n << PAGE_SHIFT))),
+            FlushOp::Space(_) => None,
+        }
     }
 }
 
@@ -332,8 +361,18 @@ impl Hierarchy {
     /// Flushes all physically-named lines of the frame at `frame_base`
     /// hierarchy-wide; returns the number of dirty lines written back.
     /// Used by the OS when a synonym page's frame is freed for reuse.
+    /// One-frame form of [`Hierarchy::flush_phys_frames`].
     pub fn flush_phys_frame(&mut self, frame_base: u64) -> u64 {
-        self.flush_each(|c, victims| c.flush_phys_frame(frame_base, victims))
+        self.flush_phys_frames(frame_base, 1)
+    }
+
+    /// Flushes all physically-named lines of the `count` frames starting
+    /// at byte address `frame_base` from every level, choosing probes or
+    /// a sweep per level as [`Hierarchy::flush_virt_pages`] does; returns
+    /// the dirty count. Identical to `count` calls of
+    /// [`Hierarchy::flush_phys_frame`].
+    pub fn flush_phys_frames(&mut self, frame_base: u64, count: u64) -> u64 {
+        self.flush_each(|c, victims| c.flush_phys_frames(frame_base, count, victims))
     }
 
     /// Downgrades cached permissions of a virtual page to read-only in
@@ -359,6 +398,47 @@ impl Hierarchy {
         // Every appended victim is dirty by the `Cache::flush_asid`
         // contract, so the buffer length is the writeback count.
         self.flush_each(|c, victims| c.flush_asid(asid, victims))
+    }
+
+    /// Applies one drained shootdown's flushes as a set and leaves `ops`
+    /// empty (capacity kept); returns the number of dirty lines written
+    /// back.
+    ///
+    /// The ops are sorted in place by (kind, space, page), duplicates are
+    /// dropped, and each run of consecutive pages (or frames) becomes one
+    /// range operation. That is exact because no fill happens inside a
+    /// batch and every flush or downgrade decides a line's fate from that
+    /// line's own name: a line is gone if any invalidating op covers it,
+    /// read-only if it survives and a downgrade covers it, and each level
+    /// counts every dirty line it drops once, as an invalidation and as a
+    /// memory writeback. So contents, per-level statistics, and
+    /// `memory_writebacks` equal applying the ops one by one in any order.
+    pub fn apply_batch(&mut self, ops: &mut Vec<FlushOp>) -> u64 {
+        ops.sort_unstable();
+        ops.dedup();
+        let mut dirty = 0;
+        let mut rest = &ops[..];
+        while let Some((&head, tail)) = rest.split_first() {
+            let run = 1 + tail
+                .iter()
+                .zip(1..)
+                .take_while(|&(&op, i)| Some(op) == head.step(i))
+                .count();
+            let count = run as u64;
+            match head {
+                FlushOp::VirtPage(asid, first) => {
+                    dirty += self.flush_virt_pages(asid, first, count)
+                }
+                FlushOp::DowngradeRo(asid, first) => {
+                    self.downgrade_pages_read_only(asid, first, count)
+                }
+                FlushOp::PhysFrame(base) => dirty += self.flush_phys_frames(base, count),
+                FlushOp::Space(asid) => dirty += self.flush_asid(asid),
+            }
+            rest = &rest[run..];
+        }
+        ops.clear();
+        dirty
     }
 
     /// Every level: the private caches of each core, then the LLC.

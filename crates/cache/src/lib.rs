@@ -13,7 +13,8 @@
 //! * [`Hierarchy`] — per-core L1I/L1D/L2 backed by a shared inclusive LLC
 //!   with MESI-style sharer tracking,
 //! * page-granularity flush operations used by the OS substrate for
-//!   remaps, permission changes and synonym-status transitions.
+//!   remaps, permission changes and synonym-status transitions, applied
+//!   one drained shootdown at a time as an order-free [`FlushOp`] batch.
 //!
 //! # Examples
 //!
@@ -39,5 +40,5 @@ mod stats;
 
 pub use cache::{Cache, Victim};
 pub use config::{CacheConfig, HierarchyConfig};
-pub use hierarchy::{AccessResult, Hierarchy};
+pub use hierarchy::{AccessResult, FlushOp, Hierarchy};
 pub use stats::{CacheStats, LevelStats};

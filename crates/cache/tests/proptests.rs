@@ -2,7 +2,7 @@
 //! differential check of the flat slab storage against a naive
 //! `Vec<Vec<_>>` reference model.
 
-use hvc_cache::{Cache, CacheConfig, Hierarchy, HierarchyConfig, Victim};
+use hvc_cache::{Cache, CacheConfig, FlushOp, Hierarchy, HierarchyConfig, Victim};
 use hvc_types::{
     AccessKind, Asid, BlockName, Cycles, LineAddr, Permissions, LINE_SHIFT, PAGE_SHIFT,
 };
@@ -571,6 +571,83 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// A chunk of one drained shootdown: a single one-page op, or the
+/// interleaved `frame, page, frame, page, …` run a munmap of synonym
+/// pages queues. Names stay inside `model_name(8)`, so chunks collide,
+/// repeat, and overlap one another.
+fn batch_chunk() -> impl Strategy<Value = Vec<FlushOp>> {
+    prop_oneof![
+        (1u16..3, 0u64..8).prop_map(|(a, p)| vec![FlushOp::VirtPage(Asid::new(a), p)]),
+        (1u16..3, 0u64..8).prop_map(|(a, p)| vec![FlushOp::DowngradeRo(Asid::new(a), p)]),
+        (0u64..8).prop_map(|f| vec![FlushOp::PhysFrame(f << PAGE_SHIFT)]),
+        (1u16..3).prop_map(|a| vec![FlushOp::Space(Asid::new(a))]),
+        (1u16..3, 0u64..8, 0u64..8, 1u64..6).prop_map(|(a, page, frame, n)| {
+            (0..n)
+                .flat_map(|i| {
+                    [
+                        FlushOp::PhysFrame(((frame + i) % 8) << PAGE_SHIFT),
+                        FlushOp::VirtPage(Asid::new(a), (page + i) % 8),
+                    ]
+                })
+                .collect()
+        }),
+    ]
+}
+
+/// The one-page hierarchy call a [`FlushOp`] stands for.
+fn apply_one(h: &mut Hierarchy, op: FlushOp) -> u64 {
+    match op {
+        FlushOp::VirtPage(asid, vpage) => h.flush_virt_page(asid, vpage),
+        FlushOp::DowngradeRo(asid, vpage) => {
+            h.downgrade_page_read_only(asid, vpage);
+            0
+        }
+        FlushOp::PhysFrame(base) => h.flush_phys_frame(base),
+        FlushOp::Space(asid) => h.flush_asid(asid),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A flush batch is a set: applying a shuffled batch through
+    /// `apply_batch` (sorted, deduplicated, coalesced into range calls)
+    /// equals applying the same one-page ops one by one in their original
+    /// order — the same dirty count, per-level statistics and
+    /// `memory_writebacks`, and the same resident names with their dirty
+    /// bits, permissions, sharers and LRU stamps in every level.
+    #[test]
+    fn shuffled_batches_equal_in_order_one_page_ops(
+        warm in prop::collection::vec((0usize..2, model_name(8), 0u8..3), 1..400),
+        chunks in prop::collection::vec(batch_chunk(), 1..24),
+        keys in prop::collection::vec(any::<u64>(), 256..257),
+    ) {
+        let mut stepped = straddling_hierarchy();
+        for (core, name, kind) in warm {
+            let kind = [AccessKind::Read, AccessKind::Write, AccessKind::Fetch][kind as usize];
+            stepped.access(core, name, kind);
+        }
+        let mut batched = stepped.clone();
+        // 256 sort keys cover the longest batch (23 chunks of at most
+        // 10 ops each), so the sort by key is a uniform shuffle.
+        let ops: Vec<FlushOp> = chunks.into_iter().flatten().collect();
+        let mut shuffled: Vec<(u64, FlushOp)> = keys.into_iter().zip(ops.iter().copied()).collect();
+        shuffled.sort_by_key(|&(key, _)| key);
+        let mut batch: Vec<FlushOp> = shuffled.into_iter().map(|(_, op)| op).collect();
+
+        let dirty = batched.apply_batch(&mut batch);
+        let expect: u64 = ops.iter().map(|&op| apply_one(&mut stepped, op)).sum();
+        prop_assert!(batch.is_empty(), "apply_batch leaves the batch empty");
+        prop_assert_eq!(dirty, expect);
+        prop_assert_eq!(batched.stats(), stepped.stats());
+        // An empty flush on both clears the victim scratch buffer, so the
+        // debug dump compares nothing but the levels' slabs and counters.
+        batched.flush_phys_frame(1 << 40);
+        stepped.flush_phys_frame(1 << 40);
+        prop_assert_eq!(format!("{batched:?}"), format!("{stepped:?}"));
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::config::{SystemConfig, TranslationScheme};
 use crate::core_model::CoreModel;
 use crate::stats::{PerCoreStats, RunReport, TranslationCounters};
-use hvc_cache::Hierarchy;
+use hvc_cache::{FlushOp, Hierarchy};
 use hvc_mem::Dram;
 use hvc_obs::{Component, CycleAttribution, EventTracer, ObsReport, TraceEvent};
 use hvc_os::{FlushRequest, Kernel, KernelStats, Pte, ShootdownModel};
@@ -77,6 +77,9 @@ pub struct SystemSim {
     /// `warm_up`, `run_trace`), so batching allocates nothing per
     /// reference or per window.
     batch_scratch: Vec<TraceItem>,
+    /// Reusable hierarchy batch for [`SystemSim::apply_flushes`], so a
+    /// drain allocates nothing on the steady state.
+    flush_batch: Vec<FlushOp>,
 }
 
 impl SystemSim {
@@ -132,6 +135,7 @@ impl SystemSim {
             responder_stalls: vec![0; cores],
             hooks: None,
             batch_scratch: Vec::with_capacity(BATCH_WINDOW),
+            flush_batch: Vec::new(),
         }
     }
 
@@ -1166,9 +1170,9 @@ impl SystemSim {
     /// An unplaced space has no entries anywhere (its flushes are
     /// broadcast defensively but cost nothing). Shared structures — the
     /// hierarchy and the post-LLC delayed TLB — are always maintained;
-    /// the hierarchy receives each run of page-consecutive requests as
-    /// one range operation ([`Hierarchy::flush_virt_pages`]), which is
-    /// identical to flushing the pages one by one.
+    /// the hierarchy receives the whole drain as one order-free batch
+    /// ([`Hierarchy::apply_batch`]), which is identical to flushing
+    /// request by request.
     ///
     /// Cost model (after the Linux shootdown measurements of
     /// arXiv 1701.07517): the batch's distinct home cores other than the
@@ -1185,7 +1189,6 @@ impl SystemSim {
         if reqs.is_empty() {
             return;
         }
-        let count = reqs.len();
         let mut initiator = initiator;
         let mut responders: u128 = 0;
         let mut mark = |home: Option<usize>| {
@@ -1197,80 +1200,66 @@ impl SystemSim {
                 }
             }
         };
-        let mut at = 0;
-        while at < reqs.len() {
-            // The hierarchy takes each run of page-consecutive requests
-            // as one range operation (in request order); TLBs and
-            // responder marking stay per request.
-            let run = page_run(&reqs[at..]);
-            match reqs[at] {
-                FlushRequest::Page(asid, vpn) => {
-                    self.hierarchy.flush_virt_pages(asid, vpn, run as u64);
-                }
-                FlushRequest::DowngradeRo(asid, vpn) => {
-                    self.hierarchy
-                        .downgrade_pages_read_only(asid, vpn, run as u64);
+        // The hierarchy takes the whole drain as one order-free batch;
+        // TLBs and responder marking go request by request.
+        self.flush_batch.extend(reqs.iter().map(|&req| match req {
+            FlushRequest::Page(asid, vpn) => FlushOp::VirtPage(asid, vpn),
+            FlushRequest::DowngradeRo(asid, vpn) => FlushOp::DowngradeRo(asid, vpn),
+            FlushRequest::Space(asid) => FlushOp::Space(asid),
+            FlushRequest::Frame(base) => FlushOp::PhysFrame(base),
+        }));
+        self.hierarchy.apply_batch(&mut self.flush_batch);
+        for &req in &reqs {
+            match req {
+                FlushRequest::Page(asid, vpn) | FlushRequest::DowngradeRo(asid, vpn) => {
+                    let vp = hvc_types::VirtPage::new(vpn);
+                    let home = self.home_of(asid);
+                    mark(home);
+                    match home {
+                        Some(h) => {
+                            self.syn_tlb[h].flush_page(asid, vp);
+                            self.dtlb[h].flush_page(asid, vp);
+                        }
+                        None => {
+                            for t in &mut self.syn_tlb {
+                                t.flush_page(asid, vp);
+                            }
+                            for t in &mut self.dtlb {
+                                t.flush_page(asid, vp);
+                            }
+                        }
+                    }
+                    self.delayed_tlb.flush_page(asid, vp);
                 }
                 FlushRequest::Space(asid) => {
-                    self.hierarchy.flush_asid(asid);
-                }
-                FlushRequest::Frame(base) => {
-                    self.hierarchy.flush_phys_frame(base);
-                }
-            }
-            for &req in &reqs[at..at + run] {
-                match req {
-                    FlushRequest::Page(asid, vpn) | FlushRequest::DowngradeRo(asid, vpn) => {
-                        let vp = hvc_types::VirtPage::new(vpn);
-                        let home = self.home_of(asid);
-                        mark(home);
-                        match home {
-                            Some(h) => {
-                                self.syn_tlb[h].flush_page(asid, vp);
-                                self.dtlb[h].flush_page(asid, vp);
+                    let home = self.home_of(asid);
+                    mark(home);
+                    match home {
+                        Some(h) => {
+                            self.syn_tlb[h].flush_asid(asid);
+                            self.dtlb[h].flush_asid(asid);
+                            self.walker[h].flush_asid(asid);
+                        }
+                        None => {
+                            for t in &mut self.syn_tlb {
+                                t.flush_asid(asid);
                             }
-                            None => {
-                                for t in &mut self.syn_tlb {
-                                    t.flush_page(asid, vp);
-                                }
-                                for t in &mut self.dtlb {
-                                    t.flush_page(asid, vp);
-                                }
+                            for t in &mut self.dtlb {
+                                t.flush_asid(asid);
+                            }
+                            for w in &mut self.walker {
+                                w.flush_asid(asid);
                             }
                         }
-                        self.delayed_tlb.flush_page(asid, vp);
                     }
-                    FlushRequest::Space(asid) => {
-                        let home = self.home_of(asid);
-                        mark(home);
-                        match home {
-                            Some(h) => {
-                                self.syn_tlb[h].flush_asid(asid);
-                                self.dtlb[h].flush_asid(asid);
-                                self.walker[h].flush_asid(asid);
-                            }
-                            None => {
-                                for t in &mut self.syn_tlb {
-                                    t.flush_asid(asid);
-                                }
-                                for t in &mut self.dtlb {
-                                    t.flush_asid(asid);
-                                }
-                                for w in &mut self.walker {
-                                    w.flush_asid(asid);
-                                }
-                            }
-                        }
-                        self.delayed_tlb.flush_asid(asid);
-                    }
-                    // TLB entries for the freed page die with the Page or
-                    // Space request the kernel queues alongside; only the
-                    // physically-tagged cache lines need flushing — no
-                    // per-core interrupt, so no responder.
-                    FlushRequest::Frame(_) => {}
+                    self.delayed_tlb.flush_asid(asid);
                 }
+                // TLB entries for the freed page die with the Page or
+                // Space request the kernel queues alongside; only the
+                // physically-tagged cache lines need flushing — no
+                // per-core interrupt, so no responder.
+                FlushRequest::Frame(_) => {}
             }
-            at += run;
         }
         let n = responders.count_ones() as u64;
         let cost = self.shoot.round(n as usize);
@@ -1284,7 +1273,7 @@ impl SystemSim {
             self.responder_stalls[r] += cost.per_responder;
         }
         if let Some(h) = &mut self.hooks {
-            h.flushes_applied(count);
+            h.flushes_applied(reqs.len());
         }
     }
 
@@ -1323,25 +1312,6 @@ impl SystemSim {
         let now = self.core.now();
         self.dram.access(now, pa, true);
     }
-}
-
-/// Length of the maximal run at the head of `reqs` that one hierarchy
-/// range operation can serve: `Page(a, v), Page(a, v + 1), …` or the same
-/// for `DowngradeRo`. Every other request is a run of one.
-fn page_run(reqs: &[FlushRequest]) -> usize {
-    let page = |req: &FlushRequest| match *req {
-        FlushRequest::Page(asid, vpn) => Some((false, asid, vpn)),
-        FlushRequest::DowngradeRo(asid, vpn) => Some((true, asid, vpn)),
-        FlushRequest::Space(_) | FlushRequest::Frame(_) => None,
-    };
-    let Some((kind, asid, first)) = page(&reqs[0]) else {
-        return 1;
-    };
-    1 + reqs[1..]
-        .iter()
-        .zip(first + 1..)
-        .take_while(|&(req, vpn)| page(req) == Some((kind, asid, vpn)))
-        .count()
 }
 
 /// Per-scheme monomorphization hooks for the batched pipeline: each

@@ -116,7 +116,11 @@ impl Server {
                     let Ok(stream) = stream else { continue };
                     let shared = Arc::clone(&shared);
                     let handle = std::thread::spawn(move || handle_connection(stream, &shared));
-                    handlers.lock().unwrap().push(handle);
+                    // Reap finished handlers first, so the list tracks the
+                    // live connections rather than the server's uptime.
+                    let mut live = handlers.lock().unwrap();
+                    live.retain(|h| !h.is_finished());
+                    live.push(handle);
                 }
             })
         };
@@ -576,6 +580,30 @@ fn strip_obs(stats: &Value) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
+
+    #[test]
+    fn finished_handlers_are_reaped_between_connections() {
+        const REQUESTS: usize = 64;
+        let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        for _ in 0..REQUESTS {
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            stream
+                .write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+                .expect("send");
+            let mut response = String::new();
+            stream.read_to_string(&mut response).expect("receive");
+            assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+        }
+        // Each request ran to completion before the next connected, so
+        // only handlers still exiting can remain alongside the last one.
+        let held = server.handlers.lock().unwrap().len();
+        assert!(
+            held <= REQUESTS / 4,
+            "{held} handles held after {REQUESTS} requests"
+        );
+        server.shutdown();
+    }
 
     #[test]
     fn strip_obs_removes_only_the_observability_sections() {

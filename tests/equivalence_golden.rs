@@ -15,6 +15,10 @@
 //! cores. Every unmap, COW break, and synonym-status change flows
 //! through the hierarchy's page flushes and shootdown accounting here.
 //!
+//! A third golden runs `cow_storm` long enough to reach its break-back
+//! munmaps, whose flush drains interleave the physically named lines of
+//! freed synonym frames with the virtually named lines of the arena.
+//!
 //! Regenerate with `HVC_BLESS=1 cargo test --test equivalence_golden`
 //! after an *intentional* behavior change — never to paper over an
 //! unexplained diff.
@@ -27,6 +31,7 @@ use hvc::virt::Hypervisor;
 
 const GOLDEN_PATH: &str = "tests/goldens/hotpath_equivalence.json";
 const CHURN_GOLDEN_PATH: &str = "tests/goldens/churn_equivalence.json";
+const UNMAP_GOLDEN_PATH: &str = "tests/goldens/unmap_equivalence.json";
 
 fn object(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(
@@ -167,6 +172,18 @@ fn churn_grid(cores: usize) -> Experiment {
     }
 }
 
+/// The unmap grid: `cow_storm` run long enough (24k refs) to reach its
+/// break-back munmaps, whose drains interleave synonym-frame and page
+/// flushes. The churn grid stops before the first one.
+fn unmap_grid(cores: usize) -> Experiment {
+    Experiment {
+        name: format!("golden-unmap-{cores}c"),
+        workloads: vec!["cow_storm".into()],
+        refs: 24_000,
+        ..churn_grid(cores)
+    }
+}
+
 fn document(cells: Vec<Value>) -> Value {
     object(vec![
         ("schema", Value::Str("hvc-golden/1".into())),
@@ -184,6 +201,12 @@ fn current_document() -> Value {
 fn churn_document() -> Value {
     let mut cells = native_cells(&churn_grid(1));
     cells.extend(native_cells(&churn_grid(2)));
+    document(cells)
+}
+
+fn unmap_document() -> Value {
+    let mut cells = native_cells(&unmap_grid(1));
+    cells.extend(native_cells(&unmap_grid(2)));
     document(cells)
 }
 
@@ -274,4 +297,9 @@ fn hot_path_reports_match_the_blessed_goldens() {
 #[test]
 fn churn_reports_match_the_blessed_goldens() {
     assert_matches_golden(CHURN_GOLDEN_PATH, &churn_document());
+}
+
+#[test]
+fn unmap_reports_match_the_blessed_goldens() {
+    assert_matches_golden(UNMAP_GOLDEN_PATH, &unmap_document());
 }
