@@ -7,8 +7,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod hotpath;
-
 use hvc_core::{RunReport, SystemConfig, SystemSim, TranslationScheme};
 use hvc_os::{AllocPolicy, Kernel};
 use hvc_workloads::WorkloadSpec;

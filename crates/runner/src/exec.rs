@@ -1,37 +1,24 @@
-//! The parallel sweep and sliced single-run executors.
+//! The parallel sweep executor.
 //!
 //! Cells are pushed onto a shared queue and claimed by `--jobs` worker
 //! threads (work stealing degenerates to work sharing with a single
 //! global deque, which is all a sweep of independent, similarly-sized
-//! cells needs). Every cell runs in its own [`SystemSim`] with a seed
-//! derived from the grid position, so the reported statistics are a
-//! pure function of the experiment — identical whatever the job count
-//! or completion order.
-//!
-//! # The sliced single-run engine
-//!
-//! A simulated reference stream is serially dependent (every access
-//! mutates the caches the next one probes), so one run cannot be
-//! parallelized *in place*. Instead, a cell's measurement is **defined**
-//! as the merge of `K` independent deterministic slices (see
-//! [`slice_plan`]): slice `s` builds a fresh kernel and workload from
-//! [`shard_seed`]`(cell.seed, s)`, warms up fully, measures its share of
-//! the references, and the per-slice reports merge in slice order with
-//! [`MergeStats`]. `K` is a pure function of the reference count —
-//! **never** of the shard/thread count — so the merged report is
-//! bitwise identical whether the slices run on one thread or eight
-//! ([`Experiment::shards`] only sizes the worker pool). Short runs
-//! (`refs <` [`MIN_SLICE`]`× 2`) keep a single slice and are exactly the
-//! historical continuous run, which the golden equivalence gate pins.
+//! cells needs). Every cell is one continuous run — one warm-up, then
+//! one measured window — on its own [`SystemSim`] (or [`McSim`] for
+//! multi-core cells) with a seed derived from the grid position, so the
+//! reported statistics are a pure function of the experiment: identical
+//! whatever the job count or completion order. A simulated reference
+//! stream is serially dependent (every access mutates the caches the
+//! next one probes), so cross-cell `--jobs` is the only parallelism.
 
 use crate::grid::{Cell, Experiment};
 use crate::params;
-use hvc_core::{RunReport, SystemConfig, SystemSim};
+use hvc_core::{RunReport, SystemConfig, SystemSim, TranslationScheme};
 use hvc_mc::McSim;
-use hvc_os::Kernel;
-use hvc_types::{Cycles, MergeStats, TraceItem};
+use hvc_os::{AllocPolicy, FilterKind, Kernel};
+use hvc_types::{Cycles, TraceItem};
+use hvc_workloads::{WorkloadInstance, WorkloadSpec};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -39,10 +26,7 @@ use std::time::{Duration, Instant};
 /// these must not influence the reported statistics).
 #[derive(Clone, Debug)]
 pub struct RunOptions {
-    /// Worker threads claiming whole cells. When the grid has fewer
-    /// cells than workers, the spare capacity is redistributed as
-    /// intra-cell slice threads (idle-core pickup) — execution detail
-    /// only, the reports never change.
+    /// Worker threads claiming whole cells.
     pub jobs: usize,
     /// Re-run every cell through the `hvc-check` differential oracle
     /// after measuring it and fail the sweep on any invariant violation.
@@ -65,12 +49,11 @@ impl Default for RunOptions {
 pub struct CellResult {
     /// The grid cell that produced this result.
     pub cell: Cell,
-    /// Merged statistics over all shards of the cell.
+    /// Statistics of the cell's measured window.
     pub report: RunReport,
     /// End-of-run synonym-filter occupancy per address space, sorted by
     /// ASID. A gauge, not a counter: it is sampled from the final kernel
-    /// state rather than merged across shards (merging saturations is
-    /// meaningless), so it lives outside the [`RunReport`].
+    /// state, so it lives outside the [`RunReport`].
     pub filters: Vec<FilterOccupancy>,
 }
 
@@ -108,10 +91,7 @@ pub struct SweepOutcome {
     pub wall: Duration,
 }
 
-/// Runs every cell of `exp` on `opts.jobs` threads. When the grid has
-/// fewer cells than workers, each cell's slice pool widens to soak up
-/// the idle capacity (`jobs / cells` threads per cell, at least
-/// `exp.shards`); the cell reports are unaffected either way.
+/// Runs every cell of `exp` on `opts.jobs` threads.
 pub fn run_sweep(exp: &Experiment, opts: &RunOptions) -> Result<SweepOutcome, String> {
     exp.validate()?;
     if opts.jobs == 0 {
@@ -124,8 +104,6 @@ pub fn run_sweep(exp: &Experiment, opts: &RunOptions) -> Result<SweepOutcome, St
 
     let cells = exp.cells();
     let n = cells.len();
-    let spare = opts.jobs.checked_div(n).unwrap_or(1);
-    let threads = exp.shards.max(spare).max(1);
     let queue: Mutex<VecDeque<Cell>> = Mutex::new(cells.into());
     let slots: Vec<Mutex<Option<Result<CellResult, String>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
@@ -138,12 +116,13 @@ pub fn run_sweep(exp: &Experiment, opts: &RunOptions) -> Result<SweepOutcome, St
                     return;
                 };
                 let index = cell.index;
-                let outcome = run_cell(exp, &cell, threads, replay_items.as_deref(), opts.check)
-                    .map(|(report, filters)| CellResult {
+                let outcome = run_cell(exp, &cell, replay_items.as_deref(), opts.check).map(
+                    |(report, filters)| CellResult {
                         cell,
                         report,
                         filters,
-                    });
+                    },
+                );
                 *slots[index].lock().unwrap() = Some(outcome);
             });
         }
@@ -161,221 +140,145 @@ pub fn run_sweep(exp: &Experiment, opts: &RunOptions) -> Result<SweepOutcome, St
     Ok(SweepOutcome { results, wall })
 }
 
-/// References below which a run is never sliced: slices shorter than
-/// this spend more wall-clock on their private warm-up than they save,
-/// and keeping short runs single-sliced makes them exactly the
-/// historical continuous run (the golden gate depends on it).
-pub const MIN_SLICE: usize = 1 << 16;
-
-/// Upper bound on slices per run. The slice count is a pure function of
-/// the reference count, so it must stay small enough that every slice
-/// still amortizes its warm-up even on a single thread.
-pub const MAX_SLICES: usize = 8;
-
-/// The deterministic slice plan for a run of `refs` measured references:
-/// `clamp(refs / MIN_SLICE, 1, MAX_SLICES)` near-equal windows (first
-/// windows absorb the remainder). Depends on nothing but `refs` — in
-/// particular not on [`Experiment::shards`] — so the merged report is a
-/// pure function of the experiment.
-pub fn slice_plan(refs: usize) -> Vec<usize> {
-    window_sizes(refs, (refs / MIN_SLICE).clamp(1, MAX_SLICES))
-}
-
-/// The workload seed of slice `slice` of a cell seeded with `seed`.
-/// Slice 0 keeps the cell seed unchanged (a single-slice run is
-/// bit-for-bit the historical continuous run); later slices decorrelate
-/// with the same SplitMix64 round as [`Cell::derive_seed`].
-pub fn shard_seed(seed: u64, slice: usize) -> u64 {
-    if slice == 0 {
-        seed
-    } else {
-        Cell::derive_seed(seed, slice)
-    }
-}
-
-/// Runs one cell: measure `exp.refs` references as the merge of the
-/// [`slice_plan`] slices, executed on up to `threads` host threads.
-/// Alongside the merged report, returns the end-of-run filter-occupancy
-/// gauges of the final slice (sorted by ASID for deterministic
-/// serialization). Trace replay stays on the continuous single-slice
-/// path — a recorded stream has one fixed order, so there is nothing to
-/// re-seed per slice.
+/// Runs one cell as one continuous run: a fresh kernel and workload
+/// seeded with `cell.seed`, `exp.warm` unmeasured warm-up references,
+/// then `exp.refs` measured ones — on the plain engine, or on the
+/// multi-core driver when `exp.cores > 1`. With `replay`, the recorded
+/// stream replaces the workload's references (warm-up eating its head).
+/// Alongside the report, returns the end-of-run filter-occupancy gauges
+/// (sorted by ASID for deterministic serialization).
 pub fn run_cell(
     exp: &Experiment,
     cell: &Cell,
-    threads: usize,
     replay: Option<&[TraceItem]>,
     check: bool,
 ) -> Result<(RunReport, Vec<FilterOccupancy>), String> {
     if check && replay.is_some() {
         return Err("--check does not support trace replay (the oracle needs the workload)".into());
     }
-    // Resolve names once up front so a bad cell fails before any slice
-    // thread spawns.
-    params::workload_by_name(&cell.workload, exp.mem)
-        .ok_or_else(|| format!("unknown workload '{}'", cell.workload))?;
-    let (scheme, policy) = params::parse_scheme(&cell.scheme)
-        .ok_or_else(|| format!("unknown scheme '{}'", cell.scheme))?;
-    params::parse_filter(&cell.filter)
-        .ok_or_else(|| format!("unknown filter strategy '{}'", cell.filter))?;
-
+    let setup = CellSetup::resolve(exp, cell)?;
     if let Some(items) = replay {
         if exp.cores > 1 {
             return Err("trace replay drives a single core (re-run with --cores 1)".into());
         }
-        return run_cell_replay(exp, cell, items);
+        return run_replay(exp, cell, &setup, items);
     }
 
-    let result = run_cell_with_plan(exp, cell, &slice_plan(exp.refs), threads)?;
-    // The functional `--check` oracle runs on the plain engine over the
-    // continuous stream — it verifies translation results, which neither
-    // timing quanta nor the slice split can change.
+    let result = run_continuous(exp, cell, &setup, exp.cores > 1)?;
+    // The functional `--check` oracle runs on the plain engine — it
+    // verifies translation results, which timing quanta cannot change.
     if check {
-        check_cell(exp, cell, scheme, policy)?;
+        check_cell(exp, cell, &setup)?;
     }
     Ok(result)
 }
 
-/// Runs a cell over an explicit slice plan on up to `threads` host
-/// threads, merging the per-slice reports in slice order. Hidden: the
-/// public entry points derive the plan with [`slice_plan`]; tests use
-/// this to exercise multi-slice merging with small reference counts.
-#[doc(hidden)]
-pub fn run_cell_with_plan(
+/// References a core executes per scheduling turn of the multi-core
+/// driver. Part of the experiment definition (it shapes how cores
+/// interleave on the shared LLC), so it is fixed rather than a CLI
+/// knob; [`crate::key::KEY_SCHEMA`] must be bumped if it changes.
+pub const MC_QUANTUM: usize = 64;
+
+/// Runs one cell on the multi-core driver: the same continuous run as
+/// [`run_cell`], as one feed-and-drain `McSim` run. Public so the
+/// single-core equivalence gate can force a `cores = 1` cell through
+/// this path and compare bitwise.
+pub fn run_cell_mc(
     exp: &Experiment,
     cell: &Cell,
-    plan: &[usize],
-    threads: usize,
 ) -> Result<(RunReport, Vec<FilterOccupancy>), String> {
-    run_sliced(exp, cell, plan, threads, exp.cores > 1)
+    run_continuous(exp, cell, &CellSetup::resolve(exp, cell)?, true)
 }
 
-/// What one slice hands back: its merged-ready report plus the filter
-/// occupancy gauges it ended on, or the error that stopped it.
-type SliceOutcome = Result<(RunReport, Vec<FilterOccupancy>), String>;
+/// A cell's names resolved against the parameter tables, plus its
+/// system configuration — shared by the measured run, the replay path
+/// and the `--check` oracle pass, which must agree exactly.
+struct CellSetup {
+    spec: WorkloadSpec,
+    scheme: TranslationScheme,
+    policy: AllocPolicy,
+    filter: FilterKind,
+    config: SystemConfig,
+}
 
-/// The slice executor: fan the plan out over a scoped pool, then merge
-/// in slice order so the result is independent of the thread count.
-fn run_sliced(
-    exp: &Experiment,
-    cell: &Cell,
-    plan: &[usize],
-    threads: usize,
-    mc: bool,
-) -> Result<(RunReport, Vec<FilterOccupancy>), String> {
-    let n = plan.len();
-    if n == 0 {
-        return Err("no measurement windows".into());
-    }
-    let threads = threads.clamp(1, n);
-    let mut outcomes: Vec<Option<SliceOutcome>> = if threads == 1 {
-        plan.iter()
-            .enumerate()
-            .map(|(s, &window)| Some(run_slice(exp, cell, s, window, mc)))
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<SliceOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let s = next.fetch_add(1, Ordering::Relaxed);
-                    if s >= n {
-                        return;
-                    }
-                    let outcome = run_slice(exp, cell, s, plan[s], mc);
-                    *slots[s].lock().unwrap() = Some(outcome);
-                });
+impl CellSetup {
+    fn resolve(exp: &Experiment, cell: &Cell) -> Result<Self, String> {
+        let spec = params::workload_by_name(&cell.workload, exp.mem)
+            .ok_or_else(|| format!("unknown workload '{}'", cell.workload))?;
+        let (scheme, policy) = params::parse_scheme(&cell.scheme)
+            .ok_or_else(|| format!("unknown scheme '{}'", cell.scheme))?;
+        let filter = params::parse_filter(&cell.filter)
+            .ok_or_else(|| format!("unknown filter strategy '{}'", cell.filter))?;
+        let mut config = SystemConfig::isca2016();
+        config.hierarchy = hvc_cache::HierarchyConfig::isca2016(exp.cores.max(1));
+        if cell.llc_bytes != config.hierarchy.llc.size_bytes {
+            if !params::valid_llc(cell.llc_bytes) {
+                return Err(format!("invalid LLC capacity {}", cell.llc_bytes));
             }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap())
-            .collect()
-    };
-    let mut merged: Option<RunReport> = None;
-    let mut filters = Vec::new();
-    for (s, outcome) in outcomes.iter_mut().enumerate() {
-        let (report, f) = outcome
-            .take()
-            .ok_or_else(|| format!("slice {s} was never executed"))?
-            .map_err(|e| format!("slice {s}: {e}"))?;
-        match &mut merged {
-            Some(m) => m.merge_from(&report),
-            None => merged = Some(report),
+            config.hierarchy.llc = hvc_cache::CacheConfig::new(cell.llc_bytes, 16, Cycles::new(27));
         }
-        filters = f;
+        config.model_ifetch = exp.ifetch;
+        Ok(CellSetup {
+            spec,
+            scheme,
+            policy,
+            filter,
+            config,
+        })
     }
-    let report = merged.ok_or_else(|| String::from("no measurement windows"))?;
-    Ok((report, filters))
+
+    /// A fresh kernel with the cell's workload instantiated from `seed`.
+    fn instantiate(&self, seed: u64) -> Result<(Kernel, WorkloadInstance), String> {
+        let mut kernel = Kernel::new(16 << 30, self.policy);
+        kernel.set_filter_kind(self.filter);
+        let wl = self
+            .spec
+            .instantiate(&mut kernel, seed)
+            .map_err(|e| format!("workload setup failed: {e}"))?;
+        Ok((kernel, wl))
+    }
 }
 
-/// Runs one slice end to end: fresh kernel and workload from the
-/// slice's seed, full warm-up, then `window` measured references on the
-/// plain engine (or the multi-core driver when `mc` is set).
-fn run_slice(
+/// One warm-up, then `exp.refs` measured references on the plain engine
+/// (or the multi-core driver when `mc` is set).
+fn run_continuous(
     exp: &Experiment,
     cell: &Cell,
-    slice: usize,
-    window: usize,
+    setup: &CellSetup,
     mc: bool,
 ) -> Result<(RunReport, Vec<FilterOccupancy>), String> {
-    let spec = params::workload_by_name(&cell.workload, exp.mem)
-        .ok_or_else(|| format!("unknown workload '{}'", cell.workload))?;
-    let (scheme, policy) = params::parse_scheme(&cell.scheme)
-        .ok_or_else(|| format!("unknown scheme '{}'", cell.scheme))?;
-    let filter = params::parse_filter(&cell.filter)
-        .ok_or_else(|| format!("unknown filter strategy '{}'", cell.filter))?;
-    let config = cell_config(exp, cell)?;
-
-    let mut kernel = Kernel::new(16 << 30, policy);
-    kernel.set_filter_kind(filter);
-    let mut wl = spec
-        .instantiate(&mut kernel, shard_seed(cell.seed, slice))
-        .map_err(|e| format!("workload setup failed: {e}"))?;
-
+    let (kernel, mut wl) = setup.instantiate(cell.seed)?;
+    let sim = SystemSim::new(kernel, setup.config.clone(), setup.scheme);
     if mc {
-        let mut sim = McSim::new(SystemSim::new(kernel, config, scheme), MC_QUANTUM);
+        let mut sim = McSim::new(sim, MC_QUANTUM);
         if exp.warm > 0 {
             sim.warm_up(&mut wl, exp.warm);
         }
-        sim.feed(&mut wl, window);
+        sim.feed(&mut wl, exp.refs);
         sim.drain();
-        let report = sim.report();
-        Ok((report, filter_occupancy(sim.sim())))
+        Ok((sim.report(), filter_occupancy(sim.sim())))
     } else {
-        let mut sim = SystemSim::new(kernel, config, scheme);
+        let mut sim = sim;
         if exp.warm > 0 {
             sim.warm_up(&mut wl, exp.warm);
         }
-        let report = sim.run(&mut wl, window);
+        let report = sim.run(&mut wl, exp.refs);
         Ok((report, filter_occupancy(&sim)))
     }
 }
 
-/// The continuous trace-replay path: one simulator consumes the
-/// recorded stream in order, warm-up eating the head of the trace as a
-/// real recorded execution would.
-fn run_cell_replay(
+/// The trace-replay path: one simulator consumes the recorded stream in
+/// order, warm-up eating the head of the trace as a real recorded
+/// execution would.
+fn run_replay(
     exp: &Experiment,
     cell: &Cell,
+    setup: &CellSetup,
     items: &[TraceItem],
 ) -> Result<(RunReport, Vec<FilterOccupancy>), String> {
-    let spec = params::workload_by_name(&cell.workload, exp.mem)
-        .ok_or_else(|| format!("unknown workload '{}'", cell.workload))?;
-    let (scheme, policy) = params::parse_scheme(&cell.scheme)
-        .ok_or_else(|| format!("unknown scheme '{}'", cell.scheme))?;
-    let filter = params::parse_filter(&cell.filter)
-        .ok_or_else(|| format!("unknown filter strategy '{}'", cell.filter))?;
-    let config = cell_config(exp, cell)?;
-
-    let mut kernel = Kernel::new(16 << 30, policy);
-    kernel.set_filter_kind(filter);
-    let wl = spec
-        .instantiate(&mut kernel, cell.seed)
-        .map_err(|e| format!("workload setup failed: {e}"))?;
+    let (kernel, wl) = setup.instantiate(cell.seed)?;
     let mlp = wl.mlp();
-    let mut sim = SystemSim::new(kernel, config, scheme);
+    let mut sim = SystemSim::new(kernel, setup.config.clone(), setup.scheme);
 
     let mut pos = 0usize;
     if exp.warm > 0 {
@@ -389,63 +292,20 @@ fn run_cell_replay(
     Ok((report, filter_occupancy(&sim)))
 }
 
-/// References a core executes per scheduling turn of the multi-core
-/// driver. Part of the experiment definition (it shapes how cores
-/// interleave on the shared LLC), so it is fixed rather than a CLI
-/// knob; [`crate::key::KEY_SCHEMA`] must be bumped if it changes.
-pub const MC_QUANTUM: usize = 64;
-
-/// Runs one cell on the multi-core driver: the same [`slice_plan`] /
-/// merge protocol as [`run_cell`], with every slice a complete
-/// feed-and-drain `McSim` run. Public so the single-core equivalence
-/// gate can force a `cores = 1` cell through this path and compare
-/// bitwise; `threads` sizes the slice pool only.
-pub fn run_cell_mc(
-    exp: &Experiment,
-    cell: &Cell,
-    threads: usize,
-) -> Result<(RunReport, Vec<FilterOccupancy>), String> {
-    run_sliced(exp, cell, &slice_plan(exp.refs), threads, true)
-}
-
-/// Builds the per-cell system configuration (shared by the measurement
-/// run and the `--check` oracle pass, which must agree exactly).
-fn cell_config(exp: &Experiment, cell: &Cell) -> Result<SystemConfig, String> {
-    let mut config = SystemConfig::isca2016();
-    config.hierarchy = hvc_cache::HierarchyConfig::isca2016(exp.cores.max(1));
-    if cell.llc_bytes != config.hierarchy.llc.size_bytes {
-        if !params::valid_llc(cell.llc_bytes) {
-            return Err(format!("invalid LLC capacity {}", cell.llc_bytes));
-        }
-        config.hierarchy.llc = hvc_cache::CacheConfig::new(cell.llc_bytes, 16, Cycles::new(27));
-    }
-    config.model_ifetch = exp.ifetch;
-    Ok(config)
-}
-
 /// Re-runs the cell through the `hvc-check` differential oracle: the
 /// identical workload, seed and configuration on the scheme under test
 /// and a physically-addressed reference machine in lockstep, with
 /// whole-machine invariant sweeps along the way.
-fn check_cell(
-    exp: &Experiment,
-    cell: &Cell,
-    scheme: hvc_core::TranslationScheme,
-    policy: hvc_os::AllocPolicy,
-) -> Result<(), String> {
-    let spec = params::workload_by_name(&cell.workload, exp.mem)
-        .ok_or_else(|| format!("unknown workload '{}'", cell.workload))?;
-    let filter = params::parse_filter(&cell.filter)
-        .ok_or_else(|| format!("unknown filter strategy '{}'", cell.filter))?;
+fn check_cell(exp: &Experiment, cell: &Cell, setup: &CellSetup) -> Result<(), String> {
     let (mut harness, mut wl) = hvc_check::DiffHarness::new(
-        cell_config(exp, cell)?,
-        scheme,
+        setup.config.clone(),
+        setup.scheme,
         hvc_check::CheckConfig::default(),
         16 << 30,
-        policy,
+        setup.policy,
         |k| {
-            k.set_filter_kind(filter);
-            spec.instantiate(k, cell.seed)
+            k.set_filter_kind(setup.filter);
+            setup.spec.instantiate(k, cell.seed)
         },
     )
     .map_err(|e| format!("check setup failed: {e}"))?;
@@ -492,18 +352,6 @@ fn filter_occupancy(sim: &SystemSim) -> Vec<FilterOccupancy> {
     out
 }
 
-/// Splits `refs` into `shards` near-equal window sizes (the first
-/// windows absorb the remainder); empty windows are dropped.
-fn window_sizes(refs: usize, shards: usize) -> Vec<usize> {
-    let shards = shards.max(1);
-    let base = refs / shards;
-    let extra = refs % shards;
-    (0..shards)
-        .map(|i| base + usize::from(i < extra))
-        .filter(|&w| w > 0)
-        .collect()
-}
-
 fn load_trace(path: &str) -> Result<Vec<TraceItem>, String> {
     // Bulk window reads (`read_batch`) instead of one 16-byte read per
     // item; the window also bounds pre-allocation against a corrupt
@@ -527,43 +375,6 @@ fn load_trace(path: &str) -> Result<Vec<TraceItem>, String> {
 mod tests {
     use super::*;
     use crate::presets::preset;
-
-    #[test]
-    fn window_sizes_partition_refs() {
-        assert_eq!(window_sizes(10, 3), vec![4, 3, 3]);
-        assert_eq!(window_sizes(9, 3), vec![3, 3, 3]);
-        assert_eq!(window_sizes(2, 4), vec![1, 1]);
-        assert_eq!(window_sizes(0, 4), Vec::<usize>::new());
-        assert_eq!(window_sizes(5, 1), vec![5]);
-    }
-
-    #[test]
-    fn slice_plan_is_a_pure_function_of_refs() {
-        // Short runs never slice — the continuous-run guarantee.
-        assert_eq!(slice_plan(1), vec![1]);
-        assert_eq!(slice_plan(40_000), vec![40_000]);
-        assert_eq!(slice_plan(MIN_SLICE), vec![MIN_SLICE]);
-        assert_eq!(slice_plan(2 * MIN_SLICE - 1), vec![2 * MIN_SLICE - 1]);
-        // From two slices' worth on, the plan widens…
-        assert_eq!(slice_plan(2 * MIN_SLICE).len(), 2);
-        // …up to the cap, and always partitions the refs exactly.
-        for refs in [2 * MIN_SLICE, 500_000, 1_000_000, 10_000_000] {
-            let plan = slice_plan(refs);
-            assert!(plan.len() <= MAX_SLICES);
-            assert_eq!(plan.iter().sum::<usize>(), refs, "refs = {refs}");
-        }
-        assert_eq!(slice_plan(1_000_000).len(), MAX_SLICES);
-    }
-
-    #[test]
-    fn shard_seed_keeps_slice_zero_and_decorrelates_the_rest() {
-        assert_eq!(shard_seed(42, 0), 42);
-        assert_ne!(shard_seed(42, 1), 42);
-        assert_ne!(shard_seed(42, 1), shard_seed(42, 2));
-        assert_ne!(shard_seed(42, 1), shard_seed(43, 1));
-        // Pure function of (seed, slice).
-        assert_eq!(shard_seed(42, 3), shard_seed(42, 3));
-    }
 
     fn tiny() -> Experiment {
         let mut exp = preset("smoke").unwrap();
@@ -600,80 +411,6 @@ mod tests {
             assert_eq!(a.report.cache, b.report.cache);
             assert_eq!(a.report.dram, b.report.dram);
             assert_eq!(a.report.minor_faults, b.report.minor_faults);
-        }
-    }
-
-    #[test]
-    fn sharded_run_merges_to_the_unsharded_report() {
-        let exp = tiny();
-        let mut wide = tiny();
-        wide.shards = 4;
-        let whole = run_sweep(&exp, &RunOptions::default()).unwrap();
-        let sharded = run_sweep(&wide, &RunOptions::default()).unwrap();
-        for (a, b) in whole.results.iter().zip(sharded.results.iter()) {
-            assert_eq!(a.report.instructions, b.report.instructions);
-            assert_eq!(a.report.cycles, b.report.cycles);
-            assert_eq!(a.report.refs, b.report.refs);
-            assert_eq!(a.report.translation, b.report.translation);
-            assert_eq!(a.report.baseline_tlb_misses, b.report.baseline_tlb_misses);
-            assert_eq!(a.report.cache, b.report.cache);
-            assert_eq!(a.report.dram, b.report.dram);
-            assert_eq!(a.report.minor_faults, b.report.minor_faults);
-        }
-    }
-
-    #[test]
-    fn slice_threads_do_not_change_the_merged_report() {
-        let exp = tiny();
-        let cell = &exp.cells()[0];
-        // A small explicit multi-slice plan keeps the test fast while
-        // still exercising real fan-out, out-of-order completion, and
-        // in-order merging.
-        let plan = [1_500usize, 1_300, 1_200];
-        let (one, one_filters) = run_cell_with_plan(&exp, cell, &plan, 1).unwrap();
-        for threads in [2, 3, 8] {
-            let (many, many_filters) = run_cell_with_plan(&exp, cell, &plan, threads).unwrap();
-            assert_eq!(
-                format!("{one:?}"),
-                format!("{many:?}"),
-                "merged report diverged at {threads} threads"
-            );
-            assert_eq!(one_filters, many_filters, "gauges diverged at {threads}");
-        }
-        // And the sliced result differs from the continuous run (the
-        // slices are genuinely independent re-seeded machines).
-        let (continuous, _) = run_cell_with_plan(&exp, cell, &[4_000], 1).unwrap();
-        assert_eq!(continuous.refs, one.refs);
-        assert_ne!(format!("{continuous:?}"), format!("{one:?}"));
-    }
-
-    #[test]
-    fn idle_sweep_workers_pick_up_slice_work() {
-        // 1 cell, 4 jobs: the spare workers become intra-cell slice
-        // threads; the report must match the single-job sweep exactly.
-        let mut exp = tiny();
-        exp.refs = 140_000; // two slices
-        exp.warm = 500;
-        let narrow = run_sweep(
-            &exp,
-            &RunOptions {
-                jobs: 1,
-                check: false,
-            },
-        )
-        .unwrap();
-        let wide = run_sweep(
-            &exp,
-            &RunOptions {
-                jobs: 4,
-                check: false,
-            },
-        )
-        .unwrap();
-        for (a, b) in narrow.results.iter().zip(wide.results.iter()) {
-            assert_eq!(a.report.cycles, b.report.cycles);
-            assert_eq!(a.report.refs, b.report.refs);
-            assert_eq!(a.report.translation, b.report.translation);
         }
     }
 
@@ -722,7 +459,52 @@ mod tests {
     fn check_refuses_trace_replay() {
         let exp = tiny();
         let cell = &exp.cells()[0];
-        let err = run_cell(&exp, cell, 1, Some(&[]), true).unwrap_err();
+        let err = run_cell(&exp, cell, Some(&[]), true).unwrap_err();
         assert!(err.contains("replay"), "unexpected error: {err}");
+    }
+
+    /// A run of 140,000 refs (more than twice 65,536) is one warm-up and
+    /// one measured window on one machine, on one core and on two: the
+    /// cell report equals a hand-built run of the same engine.
+    #[test]
+    fn long_runs_are_one_continuous_run() {
+        let mut exp = tiny();
+        exp.schemes = vec!["dtlb:1024".into()];
+        exp.refs = 140_000;
+        exp.warm = 2_000;
+        for cores in [1, 2] {
+            exp.cores = cores;
+            let cell = &exp.cells()[0];
+            let (report, _) = run_cell(&exp, cell, None, false).unwrap();
+
+            let (scheme, policy) = params::parse_scheme(&cell.scheme).unwrap();
+            let mut kernel = Kernel::new(16 << 30, policy);
+            kernel.set_filter_kind(FilterKind::Bloom);
+            let mut wl = params::workload_by_name("gups", exp.mem)
+                .unwrap()
+                .instantiate(&mut kernel, cell.seed)
+                .unwrap();
+            let mut config = SystemConfig::isca2016();
+            config.hierarchy = hvc_cache::HierarchyConfig::isca2016(cores);
+            // The cell's LLC axis (2 MB) sizes the shared LLC.
+            config.hierarchy.llc = hvc_cache::CacheConfig::new(cell.llc_bytes, 16, Cycles::new(27));
+            let mut sim = SystemSim::new(kernel, config, scheme);
+            let expected = if cores == 1 {
+                sim.warm_up(&mut wl, exp.warm);
+                sim.run(&mut wl, exp.refs)
+            } else {
+                let mut mc = McSim::new(sim, MC_QUANTUM);
+                mc.warm_up(&mut wl, exp.warm);
+                mc.feed(&mut wl, exp.refs);
+                mc.drain();
+                mc.report()
+            };
+            assert_eq!(report.refs, exp.refs as u64);
+            assert_eq!(
+                format!("{report:?}"),
+                format!("{expected:?}"),
+                "{cores}-core run diverges from the hand-built continuous run"
+            );
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Crash-safe file output.
 //!
-//! Report writers (`hvcsim sweep --out`, `hvcsim bench --out`, the
-//! experiment server's result spool) must never leave a truncated file
+//! Report writers (`hvcsim sweep --out`, the experiment server's result
+//! spool) must never leave a truncated file
 //! behind: a half-written JSON document is worse than none, because
 //! downstream tooling — and the server's restart-resume path — trusts
 //! whatever parses. [`write_atomic`] gives all of them the standard

@@ -2,11 +2,6 @@
 
 use crate::params;
 
-/// Upper bound on [`Experiment::shards`]: more worker threads than this
-/// never helps (the slice plan tops out at `exec::MAX_SLICES` slices),
-/// and an absurd value usually means a units mistake on the CLI.
-pub const MAX_SHARDS: usize = 64;
-
 /// A full experiment: the cartesian product of workloads × schemes ×
 /// synonym-filter strategies × base seeds × LLC capacities, with shared
 /// reference counts and machine configuration.
@@ -38,11 +33,6 @@ pub struct Experiment {
     pub mem: u64,
     /// Cores simulated per cell.
     pub cores: usize,
-    /// Host worker threads per cell for the sliced single-run engine
-    /// (see `exec::slice_plan`). Purely an execution knob: reports are
-    /// bitwise identical for every value, so it is excluded from the
-    /// cell cache key (like `obs`).
-    pub shards: usize,
     /// Model the instruction-fetch stream.
     pub ifetch: bool,
     /// Replay this HVCT trace instead of generating references (the
@@ -67,7 +57,6 @@ impl Default for Experiment {
             warm: 250_000,
             mem: 512 << 20,
             cores: 1,
-            shards: 1,
             ifetch: false,
             replay: None,
             obs: false,
@@ -129,15 +118,6 @@ impl Experiment {
                 "cores must be a power of two (the shared-LLC geometry splits \
                  sets per core), got {}",
                 self.cores
-            ));
-        }
-        if self.shards == 0 {
-            return Err("shards must be positive".into());
-        }
-        if self.shards > MAX_SHARDS {
-            return Err(format!(
-                "shards must be at most {MAX_SHARDS}, got {}",
-                self.shards
             ));
         }
         for w in &self.workloads {
@@ -286,26 +266,5 @@ mod tests {
         let mut bad = Experiment::default();
         bad.seeds.clear();
         assert!(bad.validate().unwrap_err().contains("empty axis"));
-    }
-
-    #[test]
-    fn validation_bounds_shards() {
-        let bad = Experiment {
-            shards: 0,
-            ..Default::default()
-        };
-        assert!(bad.validate().unwrap_err().contains("shards"));
-        let bad = Experiment {
-            shards: MAX_SHARDS + 1,
-            ..Default::default()
-        };
-        assert!(bad.validate().unwrap_err().contains("shards"));
-        for shards in [1, 2, 8, MAX_SHARDS] {
-            let ok = Experiment {
-                shards,
-                ..Default::default()
-            };
-            assert!(ok.validate().is_ok(), "shards = {shards}");
-        }
     }
 }

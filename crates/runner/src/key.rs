@@ -17,10 +17,6 @@
 //!
 //! Deliberately **excluded** from the key:
 //!
-//! * `shards` — purely the slice-thread pool size. The slice plan is a
-//!   pure function of `refs` (which *is* hashed), and merged reports
-//!   are bitwise identical at every thread count (tested in `exec.rs`),
-//!   so the knob cannot change the result.
 //! * `obs` — statistics collection is always on; the flag only widens
 //!   the JSON serialization (see [`Experiment::obs`]), and consumers
 //!   strip the observability sections at serialization time.
@@ -45,11 +41,12 @@ use crate::grid::{Cell, Experiment};
 /// clocks, quantum scheduling, shootdown costs), changing their stats.
 /// `/3`: the synonym-filter strategy (`filter=bloom|rlt`) became a grid
 /// axis and entered the canonical form.
-/// `/4`: long runs (`refs ≥ 2 × exec::MIN_SLICE`) moved to the sliced
-/// single-run engine (independent re-seeded slices merged in order),
-/// changing their statistics; short runs are unchanged but share the
-/// bump so no spool mixes engines.
-pub const KEY_SCHEMA: &str = "hvc-cell-key/4";
+/// `/4`: long runs (`refs ≥ 131,072`) were measured as independent
+/// re-seeded slices merged in order, changing their statistics; short
+/// runs were unchanged but shared the bump so no spool mixed engines.
+/// `/5`: long runs are continuous again; their `/4` spools hold sliced
+/// statistics and must never alias.
+pub const KEY_SCHEMA: &str = "hvc-cell-key/5";
 
 /// The stable 64-bit key of one grid cell under its experiment.
 ///
@@ -186,11 +183,6 @@ mod tests {
         e.obs = true;
         e.name = "renamed".into();
         assert_eq!(base, cell_key(&e, &cell));
-        for shards in [2, 8, 64] {
-            let mut e = exp.clone();
-            e.shards = shards;
-            assert_eq!(base, cell_key(&e, &cell), "shards = {shards}");
-        }
     }
 
     #[test]

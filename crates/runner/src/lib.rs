@@ -7,15 +7,11 @@
 //!
 //! * [`Experiment`] — the grid type, with [`presets`] for the paper's
 //!   figures and tables (`fig9`, `table2`, …),
-//! * [`run_sweep`] — the parallel executor; every cell runs in its own
-//!   [`hvc_core::SystemSim`] with a seed derived from the grid
+//! * [`run_sweep`] — the parallel executor; every cell is one
+//!   continuous run ([`run_cell`]: one warm-up, one measured window) in
+//!   its own [`hvc_core::SystemSim`] with a seed derived from the grid
 //!   position, so results are a pure function of the experiment and do
 //!   not depend on `--jobs` or scheduling order,
-//! * the sliced single-run engine — a cell's measurement is the
-//!   [`hvc_types::MergeStats`] merge of [`slice_plan`]-many independent
-//!   deterministic slices, so one long run can fan out over
-//!   [`Experiment::shards`] host threads without changing a single
-//!   reported bit,
 //! * [`sweep_report`] — a self-describing JSON document (schema
 //!   [`report::SCHEMA`]) with exact `u64` counters, written and parsed
 //!   by the dependency-free [`json`] module,
@@ -52,10 +48,10 @@ pub mod presets;
 pub mod report;
 
 pub use exec::{
-    run_cell, run_cell_mc, run_cell_with_plan, run_sweep, shard_seed, slice_plan, CellResult,
-    FilterOccupancy, RunOptions, SweepOutcome, MAX_SLICES, MC_QUANTUM, MIN_SLICE,
+    run_cell, run_cell_mc, run_sweep, CellResult, FilterOccupancy, RunOptions, SweepOutcome,
+    MC_QUANTUM,
 };
 pub use fsio::write_atomic;
-pub use grid::{Cell, Experiment, MAX_SHARDS};
+pub use grid::{Cell, Experiment};
 pub use key::{cell_key, cell_key_hex, KEY_SCHEMA};
 pub use report::{run_report_value, sweep_report, trace_events_json};

@@ -1,17 +1,18 @@
 //! JSON sweep reports.
 //!
-//! # Schema `hvc-sweep-report/5`
+//! # Schema `hvc-sweep-report/6`
 //!
 //! `/4` adds multi-core output: `stats.per_core` (one entry per
 //! simulated core) and the `os.shootdown_*` counters of the TLB
 //! shootdown cost model. `/5` adds the synonym-filter strategy axis:
 //! `experiment.filters`, the per-cell `filter` name, the
 //! `os.host_filter_rebuilds` counter, and the per-space occupancy
-//! columns `strategy`, `rlt_entries`, `rlt_overflowed`.
+//! columns `strategy`, `rlt_entries`, `rlt_overflowed`. `/6` drops the
+//! top-level `shards` key: every cell is one continuous run.
 //!
 //! ```text
 //! {
-//!   "schema": "hvc-sweep-report/5",
+//!   "schema": "hvc-sweep-report/6",
 //!   "simulator": { "name": "hvc", "version": "<crate version>" },
 //!   "experiment": {
 //!     "name", "workloads" [], "schemes" [], "filters" [], "seeds" [],
@@ -20,7 +21,6 @@
 //!     "obs"
 //!   },
 //!   "jobs": <worker threads>,
-//!   "shards": <windows merged per cell>,
 //!   "wall_ms": <wall-clock of the parallel phase>,
 //!   "cells": [
 //!     {
@@ -73,7 +73,7 @@
 //! `wall_ms` is the only field that varies between invocations, and it
 //! lives outside the per-cell objects on purpose. Percentiles are
 //! computed from the merged log₂ histogram buckets with integer rank
-//! arithmetic, which keeps them `--jobs`- and shard-invariant too.
+//! arithmetic, which keeps them `--jobs`-invariant too.
 
 use crate::exec::{CellResult, FilterOccupancy, RunOptions, SweepOutcome};
 use crate::grid::Experiment;
@@ -86,7 +86,7 @@ use hvc_obs::{Component, CycleAttribution, LatencyHistogram, TraceEvent};
 use hvc_os::KernelStats;
 
 /// The schema identifier written into every report.
-pub const SCHEMA: &str = "hvc-sweep-report/5";
+pub const SCHEMA: &str = "hvc-sweep-report/6";
 
 fn object(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(
@@ -110,7 +110,6 @@ pub fn sweep_report(exp: &Experiment, opts: &RunOptions, outcome: &SweepOutcome)
         ),
         ("experiment", experiment_value(exp)),
         ("jobs", Value::UInt(opts.jobs as u64)),
-        ("shards", Value::UInt(exp.shards as u64)),
         ("wall_ms", Value::UInt(outcome.wall.as_millis() as u64)),
         (
             "cells",
@@ -174,7 +173,7 @@ fn cell_value(result: &CellResult, obs: bool) -> Value {
 
 /// Serializes one run's statistics exactly as a sweep cell's `stats`
 /// object. Public so equivalence harnesses (golden-report tests, the
-/// hot-path bench) can pin a `RunReport` bitwise without going through a
+/// benchmark's report digests) can pin a `RunReport` bitwise without going through a
 /// full sweep; the byte-identical guarantee of the module doc applies.
 pub fn run_report_value(
     r: &RunReport,

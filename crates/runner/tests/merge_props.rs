@@ -1,10 +1,10 @@
 //! Property tests for the `MergeStats` algebra.
 //!
-//! Shard merging is only sound if merge behaves like elementwise
-//! addition: **commutative** (shards finish in any order) and
-//! **associative** (shards can be combined pairwise in any grouping),
-//! with the default value as identity. These laws are checked here for
-//! every stats struct the sweep pipeline merges.
+//! Merging run statistics is only sound if merge behaves like
+//! elementwise addition: **commutative** (parts finish in any order)
+//! and **associative** (parts can be combined pairwise in any
+//! grouping), with the default value as identity. These laws are
+//! checked here for every stats struct that merges.
 
 use hvc_cache::{CacheStats, LevelStats};
 use hvc_core::{PerCoreStats, RunReport, TranslationCounters};

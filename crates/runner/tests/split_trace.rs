@@ -1,7 +1,6 @@
-//! Shard-knob identity on a recorded trace: replay always runs on the
-//! continuous single-machine path (a recorded stream has one fixed
-//! order), so the `shards` execution knob must be completely inert —
-//! identical statistics at every value.
+//! Sweeps over a recorded trace: replay runs each cell as one simulator
+//! consuming the stream in order, so the worker count must be
+//! completely inert — identical statistics at every `--jobs` value.
 
 use hvc_os::{AllocPolicy, Kernel};
 use hvc_runner::{run_sweep, sweep_report, Experiment, RunOptions};
@@ -34,10 +33,15 @@ fn split_replay_merges_to_the_whole_run() {
         ..Default::default()
     };
 
-    let whole = run_sweep(&exp, &RunOptions::default()).expect("whole run");
-    let mut wide = exp.clone();
-    wide.shards = 5;
-    let split = run_sweep(&wide, &RunOptions::default()).expect("split run");
+    let whole = run_sweep(&exp, &RunOptions::default()).expect("serial run");
+    let split = run_sweep(
+        &exp,
+        &RunOptions {
+            jobs: 2,
+            check: false,
+        },
+    )
+    .expect("parallel run");
 
     assert_eq!(whole.results.len(), split.results.len());
     for (a, b) in whole.results.iter().zip(split.results.iter()) {
@@ -97,17 +101,15 @@ fn obs_invariants(ifetch: bool) {
         jobs: 4,
         check: false,
     };
-    let mut wide = exp.clone();
-    wide.shards = 2;
     let serial = run_sweep(&exp, &serial_opts).expect("serial run");
-    let parallel = run_sweep(&wide, &parallel_opts).expect("parallel run");
+    let parallel = run_sweep(&exp, &parallel_opts).expect("parallel run");
 
     let a = sweep_report(&exp, &serial_opts, &serial);
-    let b = sweep_report(&wide, &parallel_opts, &parallel);
+    let b = sweep_report(&exp, &parallel_opts, &parallel);
     assert_eq!(
         a.get("cells").unwrap().to_pretty(),
         b.get("cells").unwrap().to_pretty(),
-        "obs-enabled cells must serialize identically across --jobs/--shards"
+        "obs-enabled cells must serialize identically across --jobs"
     );
 
     for cell in &serial.results {

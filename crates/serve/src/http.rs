@@ -12,7 +12,7 @@
 //! Anything larger — or not a complete, well-formed request — is an
 //! error the caller turns into a 4xx.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{BufRead, Write};
 use std::net::TcpStream;
 
 /// Maximum request line + headers the server will buffer.
@@ -31,9 +31,10 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-/// Reads one request from the stream. `Err` values are client-facing
-/// messages; the caller wraps them in a 400.
-pub fn read_request(stream: &mut BufReader<TcpStream>) -> Result<Request, String> {
+/// Reads one request from a buffered byte source (the server passes its
+/// `BufReader<TcpStream>`). `Err` values are client-facing messages; the
+/// caller wraps them in a 400.
+pub fn read_request<R: BufRead>(stream: &mut R) -> Result<Request, String> {
     let head = read_head(stream)?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
@@ -74,7 +75,7 @@ pub fn read_request(stream: &mut BufReader<TcpStream>) -> Result<Request, String
 /// Reads up to and including the `\r\n\r\n` head terminator, byte by
 /// byte (the reader is buffered; a byte loop keeps us from consuming
 /// body bytes past the terminator).
-fn read_head(stream: &mut BufReader<TcpStream>) -> Result<String, String> {
+fn read_head<R: BufRead>(stream: &mut R) -> Result<String, String> {
     let mut head = Vec::new();
     let mut byte = [0u8; 1];
     while !head.ends_with(b"\r\n\r\n") {
@@ -134,21 +135,12 @@ fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
     use std::net::TcpListener;
 
-    /// Runs `read_request` against raw client bytes via a loopback pair.
-    fn parse_bytes(bytes: &[u8]) -> Result<Request, String> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let bytes = bytes.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut c = TcpStream::connect(addr).unwrap();
-            c.write_all(&bytes).unwrap();
-        });
-        let (server_side, _) = listener.accept().unwrap();
-        let result = read_request(&mut BufReader::new(server_side));
-        writer.join().unwrap();
-        result
+    /// Runs `read_request` against raw client bytes.
+    fn parse_bytes(mut bytes: &[u8]) -> Result<Request, String> {
+        read_request(&mut bytes)
     }
 
     #[test]

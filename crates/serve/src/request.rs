@@ -13,7 +13,7 @@
 //!   "filters": ["bloom", "rlt"],
 //!   "seeds": [42], "llc_bytes": [2097152],
 //!   "refs": 20000, "warm": 5000, "mem": 16777216,
-//!   "cores": 1, "shards": 1, "ifetch": false, "obs": false }
+//!   "cores": 1, "ifetch": false, "obs": false }
 //! ```
 //!
 //! Unknown fields are rejected rather than ignored — a typo like
@@ -56,7 +56,6 @@ pub fn parse_sweep_request(body: &[u8]) -> Result<Experiment, String> {
             "warm" => exp.warm = usize_field(field, value)?,
             "mem" => exp.mem = u64_field(field, value)?,
             "cores" => exp.cores = usize_field(field, value)?,
-            "shards" => exp.shards = usize_field(field, value)?,
             "ifetch" => exp.ifetch = bool_field(field, value)?,
             "obs" => exp.obs = bool_field(field, value)?,
             "replay" => {
@@ -151,9 +150,7 @@ mod tests {
             (br#"{"schemes": ["bogus"]}"#, "scheme"),
             (br#"{"filters": ["cuckoo"]}"#, "filter"),
             (br#"{"refs": 0}"#, "refs"),
-            (br#"{"shards": 0}"#, "shards"),
-            (br#"{"shards": 65}"#, "shards"),
-            (br#"{"shards": "many"}"#, "shards"),
+            (br#"{"shards": 8}"#, "unknown field"),
         ] {
             let err = parse_sweep_request(body).expect_err(&format!("{body:?} accepted"));
             assert!(
@@ -161,13 +158,6 @@ mod tests {
                 "error {err:?} does not mention {needle:?}"
             );
         }
-    }
-
-    #[test]
-    fn shards_is_accepted_as_an_execution_knob() {
-        let exp =
-            parse_sweep_request(br#"{"preset": "smoke", "shards": 8}"#).expect("valid request");
-        assert_eq!(exp.shards, 8);
     }
 
     #[test]

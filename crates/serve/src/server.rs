@@ -386,7 +386,7 @@ fn stream_sweep(stream: &mut TcpStream, shared: &Arc<Shared>, exp: Experiment) {
         let tx = tx.clone();
         let job_shared = Arc::clone(shared);
         let accepted = shared.pool.submit(move || {
-            let outcome = run_cell(&exp, &cell, 1, None, false).map(|(report, filters)| {
+            let outcome = run_cell(&exp, &cell, None, false).map(|(report, filters)| {
                 // Memoize the widest serialization; `obs: false`
                 // responses strip the observability sections later.
                 let stats = run_report_value(&report, &filters, &cell.scheme, true);

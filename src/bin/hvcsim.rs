@@ -14,8 +14,7 @@ use hvc::check::{stress, CheckConfig, VirtDiffHarness};
 use hvc::core::{EnergyModel, SystemConfig, SystemSim, VirtScheme};
 use hvc::os::{AllocPolicy, Kernel};
 use hvc::runner::{
-    params, presets, run_cell, run_sweep, slice_plan, sweep_report, write_atomic, Cell, Experiment,
-    RunOptions,
+    params, presets, run_cell, run_sweep, sweep_report, write_atomic, Cell, Experiment, RunOptions,
 };
 use hvc::serve::{ServeConfig, Server};
 use hvc::virt::Hypervisor;
@@ -28,7 +27,6 @@ USAGE:
     hvcsim [OPTIONS]                 run one simulation
     hvcsim sweep [SWEEP OPTIONS]     run an experiment grid in parallel
     hvcsim check [CHECK OPTIONS]     run the correctness checker
-    hvcsim bench [BENCH OPTIONS]     measure simulator throughput (refs/sec)
     hvcsim serve [SERVE OPTIONS]     run the HTTP experiment server
 
 OPTIONS:
@@ -43,14 +41,12 @@ OPTIONS:
     --mem <size>         gups table size, e.g. 256M, 1G       [default: 512M]
     --llc <size>         LLC capacity: 2M or 8M               [default: 2M]
     --cores <n>          number of cores                      [default: 1]
-    --shards <n>         host threads for the sliced single-run engine;
-                         results are bitwise identical at any value
-                         (incompatible with trace options)    [default: 1]
     --ifetch             model the instruction-fetch stream
     --obs                print latency percentiles and cycle attribution
     --trace-events <p>   write a Chrome trace_event JSON of the run
     --save-trace <path>  write the measured reference stream to a file
     --replay <path>      replay a saved trace instead of generating one
+                         (trace options need --cores 1)
     --list               list workload profiles and exit
     --help               show this help
 
@@ -64,8 +60,6 @@ SWEEP OPTIONS:
     --llc <a,b>          comma-separated LLC-capacity axis    [default: 2M]
     --refs / --warm / --mem / --cores / --ifetch / --replay   as above
     --jobs <n>           worker threads                       [default: 1]
-    --shards <n>         slice threads per cell (idle --jobs workers are
-                         redistributed automatically)         [default: 1]
     --check              verify every cell with the hvc-check oracle
     --out <path>         write the JSON report here (default: stdout)
     --list-presets       list presets and exit
@@ -77,23 +71,6 @@ CHECK OPTIONS:
     --seed-range <a..b>  randomized stress-script seeds       [default: 0..4]
     --stress-ops <n>     operations per stress script         [default: 400]
     --native-only        skip the virtualized (nested) harnesses
-
-BENCH OPTIONS:
-    --refs <n>           measured references per case (also honours the
-                         HVC_REFS environment variable)       [default: 1000000]
-    --warm <n>           unmeasured warm-up references        [default: 250000]
-    --mem <size>         workload memory, e.g. 256M, 1G       [default: 512M]
-    --seed <n>           workload RNG seed                    [default: 42]
-    --cores <a,b>        comma-separated core counts; 1 runs the plain
-                         engine, >1 the multi-core driver     [default: 1,2,4]
-    --shards <a,b>       comma-separated shard counts for the cores=1
-                         matrix; 1 times the measured window on the
-                         continuous engine, >1 the whole sliced parallel
-                         run (warm-ups included)              [default: 1,8]
-    --filters <a,b>      comma-separated synonym-filter strategies; each
-                         hybrid-scheme case runs once per strategy,
-                         filterless schemes once       [default: bloom]
-    --out <path>         JSON report path       [default: BENCH_hotpath.json]
 
 SERVE OPTIONS:
     --addr <host:port>   listen address (port 0 = ephemeral)
@@ -110,7 +87,6 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("sweep") => sweep_main(&args[1..]),
         Some("check") => check_main(&args[1..]),
-        Some("bench") => bench_main(&args[1..]),
         Some("serve") => serve_main(&args[1..]),
         _ => single_main(&args),
     }
@@ -128,7 +104,6 @@ fn sweep_main(args: &[String]) -> ExitCode {
     let mut warm: Option<usize> = None;
     let mut mem: Option<u64> = None;
     let mut cores: Option<usize> = None;
-    let mut shards: Option<usize> = None;
     let mut ifetch = false;
     let mut obs = false;
     let mut replay: Option<String> = None;
@@ -222,10 +197,6 @@ fn sweep_main(args: &[String]) -> ExitCode {
                 Some(v) if v > 0 => opts.jobs = v,
                 _ => return bad(),
             },
-            "--shards" => match next(&mut i).and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0 => shards = Some(v),
-                _ => return bad(),
-            },
             "--check" => opts.check = true,
             "--out" => match next(&mut i) {
                 Some(v) => out = Some(v),
@@ -267,9 +238,6 @@ fn sweep_main(args: &[String]) -> ExitCode {
     }
     if let Some(v) = cores {
         exp.cores = v;
-    }
-    if let Some(v) = shards {
-        exp.shards = v;
     }
     if ifetch {
         exp.ifetch = true;
@@ -443,7 +411,7 @@ fn check_main(args: &[String]) -> ExitCode {
     let cells = exp.cells();
     eprintln!("checking {} native cell(s)…", cells.len());
     for cell in &cells {
-        match run_cell(&exp, cell, 1, None, true) {
+        match run_cell(&exp, cell, None, true) {
             Ok(_) => eprintln!(
                 "  ok   {} / {} / {} / seed {}",
                 cell.workload, cell.scheme, cell.filter, cell.seed
@@ -522,158 +490,6 @@ fn check_main(args: &[String]) -> ExitCode {
         eprintln!("all checks passed");
         ExitCode::SUCCESS
     }
-}
-
-/// `hvcsim bench ...`: measure simulator throughput over the fixed
-/// hot-path matrices and write a `hvc-bench/4` JSON report.
-fn bench_main(args: &[String]) -> ExitCode {
-    use hvc::bench::hotpath;
-
-    let mut config = hotpath::BenchConfig::default();
-    let mut out = "BENCH_hotpath.json".to_string();
-
-    let mut i = 0;
-    let next = |i: &mut usize| -> Option<String> {
-        *i += 1;
-        args.get(*i - 1).cloned()
-    };
-    while i < args.len() {
-        let arg = args[i].clone();
-        i += 1;
-        let bad = || {
-            eprintln!("invalid or missing value for {arg}\n\n{USAGE}");
-            ExitCode::FAILURE
-        };
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            "--refs" => match next(&mut i).and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0 => config.refs = v,
-                _ => return bad(),
-            },
-            "--warm" => match next(&mut i).and_then(|v| v.parse().ok()) {
-                Some(v) => config.warm = v,
-                None => return bad(),
-            },
-            "--mem" => match next(&mut i).and_then(|v| params::parse_size(&v)) {
-                Some(v) => config.mem = v,
-                None => return bad(),
-            },
-            "--seed" => match next(&mut i).and_then(|v| v.parse().ok()) {
-                Some(v) => config.seed = v,
-                None => return bad(),
-            },
-            "--out" => match next(&mut i) {
-                Some(v) => out = v,
-                None => return bad(),
-            },
-            "--cores" => {
-                let parsed: Option<Vec<usize>> = next(&mut i).and_then(|v| {
-                    v.split(',')
-                        .map(|c| {
-                            c.trim()
-                                .parse()
-                                .ok()
-                                .filter(|&n| n > 0 && usize::is_power_of_two(n))
-                        })
-                        .collect()
-                });
-                match parsed {
-                    Some(cores) if !cores.is_empty() => config.cores = cores,
-                    _ => return bad(),
-                }
-            }
-            "--shards" => {
-                let parsed: Option<Vec<usize>> = next(&mut i).and_then(|v| {
-                    v.split(',')
-                        .map(|s| {
-                            s.trim()
-                                .parse()
-                                .ok()
-                                .filter(|&n| n > 0 && n <= hvc::runner::MAX_SHARDS)
-                        })
-                        .collect()
-                });
-                match parsed {
-                    Some(shards) if !shards.is_empty() => config.shards = shards,
-                    _ => return bad(),
-                }
-            }
-            "--filters" => {
-                let parsed: Option<Vec<String>> = next(&mut i).and_then(|v| {
-                    v.split(',')
-                        .map(|f| {
-                            let f = f.trim();
-                            params::parse_filter(f).map(|_| f.to_string())
-                        })
-                        .collect()
-                });
-                match parsed {
-                    Some(filters) if !filters.is_empty() => config.filters = filters,
-                    _ => return bad(),
-                }
-            }
-            _ => {
-                eprintln!("unknown option {arg}\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let expanded = |matrix: &[(&str, &str)]| -> usize {
-        matrix
-            .iter()
-            .map(|&(_, s)| {
-                let hybrid = params::parse_scheme(s).is_some_and(|(ts, _)| ts.is_hybrid());
-                if hybrid {
-                    config.filters.len()
-                } else {
-                    1
-                }
-            })
-            .sum()
-    };
-    let case_count: usize = config
-        .cores
-        .iter()
-        .map(|&c| {
-            if c <= 1 {
-                expanded(hotpath::MATRIX) * config.shards.len()
-            } else {
-                expanded(hotpath::MC_MATRIX)
-            }
-        })
-        .sum();
-    eprintln!(
-        "benchmarking {case_count} cases × {} refs ({} warm-up each)…",
-        config.refs, config.warm
-    );
-    let cases = hotpath::run_matrix(&config);
-    println!(
-        "{:<10}  {:<12}  {:<6}  {:>5}  {:>6}  {:>10}  {:>12}",
-        "workload", "scheme", "filter", "cores", "shards", "wall ms", "M refs/s"
-    );
-    for c in &cases {
-        println!(
-            "{:<10}  {:<12}  {:<6}  {:>5}  {:>6}  {:>10.1}  {:>12.3}",
-            c.workload,
-            c.scheme,
-            c.filter.as_deref().unwrap_or("-"),
-            c.cores,
-            c.shards,
-            c.wall_ms,
-            c.refs_per_sec / 1e6
-        );
-    }
-    let doc = hotpath::bench_report(&config, &cases);
-    if let Err(e) = write_atomic(&out, doc.to_pretty()) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {out}");
-    ExitCode::SUCCESS
 }
 
 /// `hvcsim serve ...`: run the HTTP experiment server until killed.
@@ -787,8 +603,8 @@ fn check_virt_workload(
     }
 }
 
-/// Prints the human-readable summary of one run (shared by the sliced,
-/// trace-replay and multi-core single-run paths).
+/// Prints the human-readable summary of one run (shared by the plain and
+/// trace single-run paths).
 fn print_report(
     name: &str,
     scheme: hvc::core::TranslationScheme,
@@ -877,7 +693,6 @@ fn single_main(args: &[String]) -> ExitCode {
     let mut mem = 512u64 << 20;
     let mut llc = 2u64 << 20;
     let mut cores = 1usize;
-    let mut shards = 1usize;
     let mut ifetch = false;
     let mut obs = false;
     let mut trace_events: Option<String> = None;
@@ -955,10 +770,6 @@ fn single_main(args: &[String]) -> ExitCode {
                 }
                 None => return bad(),
             },
-            "--shards" => match next(&mut i).and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0 => shards = v,
-                _ => return bad(),
-            },
             "--ifetch" => ifetch = true,
             "--obs" => obs = true,
             "--trace-events" => match next(&mut i) {
@@ -995,19 +806,16 @@ fn single_main(args: &[String]) -> ExitCode {
 
     let warm = warm.unwrap_or(refs / 2);
     let trace_mode = replay.is_some() || save_trace.is_some() || trace_events.is_some();
-    if shards > 1 && trace_mode {
+    if trace_mode && cores > 1 {
         eprintln!(
-            "--shards drives the sliced parallel engine; trace options \
-             (--replay / --save-trace / --trace-events) need the continuous \
-             single-machine run (re-run with --shards 1)"
+            "trace options (--replay / --save-trace / --trace-events) drive a \
+             single core (re-run with --cores 1)"
         );
         return ExitCode::FAILURE;
     }
 
-    // Plain runs (no trace options) go through the sliced single-run
-    // engine: for short runs it is exactly the continuous run, and for
-    // long runs it fans the slices out over `--shards` host threads
-    // without changing a reported bit.
+    // Plain runs (no trace options) go through the runner's cell path,
+    // the same continuous run a sweep cell makes (multi-core included).
     if !trace_mode {
         let exp = Experiment {
             name: "single".into(),
@@ -1020,7 +828,6 @@ fn single_main(args: &[String]) -> ExitCode {
             warm,
             mem,
             cores,
-            shards,
             ifetch,
             replay: None,
             obs,
@@ -1040,14 +847,12 @@ fn single_main(args: &[String]) -> ExitCode {
             seed,
             llc_bytes: llc,
         };
-        let slices = slice_plan(refs).len();
         eprintln!(
-            "running {workload} under {parsed_scheme:?} ({slices} slice(s) × \
-             {warm} warm-up, {refs} measured references, {} thread(s))…",
-            shards.min(slices)
+            "running {workload} under {parsed_scheme:?} ({warm} warm-up + {refs} \
+             measured references)…"
         );
         let start = std::time::Instant::now();
-        let (report, _filters) = match run_cell(&exp, &cell, shards, None, false) {
+        let (report, _filters) = match run_cell(&exp, &cell, None, false) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("run failed: {e}");
@@ -1058,13 +863,12 @@ fn single_main(args: &[String]) -> ExitCode {
         print_report(&workload, parsed_scheme, &report, obs);
         println!(
             "simulated {:.2} M refs/s",
-            (warm * slices + refs) as f64 / wall.as_secs_f64() / 1e6
+            (warm + refs) as f64 / wall.as_secs_f64() / 1e6
         );
         return ExitCode::SUCCESS;
     }
 
     let mut config = SystemConfig::isca2016();
-    config.hierarchy = hvc::cache::HierarchyConfig::isca2016(cores.max(1));
     if llc != 2 << 20 {
         if !params::valid_llc(llc) {
             eprintln!(
@@ -1097,34 +901,7 @@ fn single_main(args: &[String]) -> ExitCode {
         warm,
         refs
     );
-    let sim = SystemSim::new(kernel, config, parsed_scheme);
-
-    // More than one core: the multi-core driver gives every core its
-    // own clock and prices TLB-shootdown rounds between them.
-    if cores > 1 {
-        if replay.is_some() || save_trace.is_some() {
-            eprintln!("--replay and --save-trace drive a single core (re-run with --cores 1)");
-            return ExitCode::FAILURE;
-        }
-        let mut mc = hvc::mc::McSim::new(sim, hvc::runner::MC_QUANTUM);
-        if warm > 0 {
-            mc.warm_up(&mut wl, warm);
-        }
-        let start = std::time::Instant::now();
-        let report = mc.run_to_completion(&mut wl, refs);
-        let wall = start.elapsed();
-        print_report(wl.name(), parsed_scheme, &report, obs);
-        if trace_events.is_some() {
-            eprintln!("--trace-events is single-core only; no trace written");
-        }
-        println!(
-            "simulated {:.2} M refs/s",
-            (warm + refs) as f64 / wall.as_secs_f64() / 1e6
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let mut sim = sim;
+    let mut sim = SystemSim::new(kernel, config, parsed_scheme);
     if warm > 0 {
         sim.warm_up(&mut wl, warm);
     }

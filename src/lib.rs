@@ -28,7 +28,6 @@
 //! | [`check`] | differential oracle + invariant checking |
 //! | [`runner`] | parallel experiment sweeps + JSON reports |
 //! | [`serve`] | HTTP experiment server: memoizing cache + resumable sweeps |
-//! | [`mod@bench`] | figure/table harnesses + simulator-throughput bench |
 //!
 //! # Quickstart
 //!
@@ -53,7 +52,6 @@
 //! # }
 //! ```
 
-pub use hvc_bench as bench;
 pub use hvc_cache as cache;
 pub use hvc_check as check;
 pub use hvc_core as core;

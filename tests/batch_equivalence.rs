@@ -13,7 +13,6 @@
 use hvc::core::{RunReport, SystemConfig, SystemSim, TranslationScheme};
 use hvc::mc::McSim;
 use hvc::os::{AllocPolicy, FilterKind, Kernel};
-use hvc::runner::{run_cell_with_plan, Experiment};
 use hvc::types::PAGE_SIZE;
 use hvc::workloads::{AccessPattern, ChurnKind, ChurnSpec, RegionSpec, SharingSpec, WorkloadSpec};
 use proptest::prelude::*;
@@ -209,43 +208,4 @@ proptest! {
         assert_reports_identical(&whole_report, &chunked_report, "mc chunked vs whole");
     }
 
-    /// The sliced single-run engine's host-thread count is invisible:
-    /// for any slice plan, running its slices on 1, 2, 4, or 8 threads
-    /// merges to Debug-identical reports and filter gauges, across
-    /// every scheme × filter combination. (The *plan* changes the
-    /// statistics — thread placement never does.)
-    #[test]
-    fn slice_thread_count_is_invisible(
-        workload in prop_oneof![Just("gups"), Just("postgres"), Just("fork_storm")],
-        scheme in prop_oneof![
-            Just("baseline"), Just("ideal"), Just("dtlb:256"),
-            Just("manyseg"), Just("enigma:256"),
-        ],
-        filter in prop_oneof![Just("bloom"), Just("rlt")],
-        seed in 0u64..100,
-        plan in prop::collection::vec(300usize..900, 1..4),
-    ) {
-        let exp = Experiment {
-            name: "shard-prop".into(),
-            workloads: vec![workload.into()],
-            schemes: vec![scheme.into()],
-            filters: vec![filter.into()],
-            seeds: vec![seed],
-            refs: plan.iter().sum(),
-            warm: 300,
-            mem: 16 << 20,
-            ..Default::default()
-        };
-        let cell = exp.cells().remove(0);
-        let (base_report, base_filters) = run_cell_with_plan(&exp, &cell, &plan, 1).unwrap();
-        for threads in [2usize, 4, 8] {
-            let (report, filters) = run_cell_with_plan(&exp, &cell, &plan, threads).unwrap();
-            assert_reports_identical(
-                &base_report,
-                &report,
-                &format!("{workload}/{scheme}/{filter} at {threads} threads"),
-            );
-            assert_eq!(base_filters, filters, "filter gauges at {threads} threads");
-        }
-    }
 }

@@ -38,7 +38,6 @@ fn non_power_of_two_cores_fail_cleanly_without_panicking() {
         vec!["--workload", "gups", "--cores", "3", "--refs", "1000"],
         vec!["sweep", "--preset", "smoke", "--cores", "3"],
         vec!["sweep", "--preset", "smoke", "--cores", "0"],
-        vec!["bench", "--cores", "1,3"],
     ] {
         let out = hvcsim().args(&args).output().expect("spawn");
         assert!(!out.status.success(), "{args:?} should fail");
@@ -48,80 +47,32 @@ fn non_power_of_two_cores_fail_cleanly_without_panicking() {
 }
 
 #[test]
-fn shards_bounds_and_trace_conflicts_fail_cleanly() {
-    let trace = std::env::temp_dir().join(format!("hvcsim-shards-{}.hvct", std::process::id()));
+fn trace_options_with_multiple_cores_fail_cleanly() {
+    let trace = std::env::temp_dir().join(format!("hvcsim-mc-trace-{}.json", std::process::id()));
     let trace = trace.to_string_lossy().into_owned();
-    for args in [
-        vec!["--workload", "gups", "--refs", "1000", "--shards", "0"],
-        vec!["--workload", "gups", "--refs", "1000", "--shards", "65"],
-        vec!["sweep", "--preset", "smoke", "--shards", "0"],
-        vec!["sweep", "--preset", "smoke", "--shards", "65"],
-        vec!["--workload", "gups", "--refs", "1000", "--shards"], // missing value
-        // Trace capture and replay are continuous-path only.
-        vec![
+    for option in ["--trace-events", "--save-trace", "--replay"] {
+        let args = [
             "--workload",
             "gups",
             "--refs",
             "1000",
-            "--shards",
+            "--mem",
+            "16M",
+            "--cores",
             "2",
-            "--save-trace",
+            option,
             &trace,
-        ],
-        vec![
-            "--workload",
-            "gups",
-            "--refs",
-            "1000",
-            "--shards",
-            "2",
-            "--replay",
-            &trace,
-        ],
-    ] {
-        let out = hvcsim().args(&args).output().expect("spawn");
+        ];
+        let out = hvcsim().args(args).output().expect("spawn");
         assert!(!out.status.success(), "{args:?} should fail");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        assert!(stderr.contains("--cores 1"), "{args:?}: {stderr}");
     }
-}
-
-#[test]
-fn single_run_report_is_shards_invariant() {
-    let run = |shards: &str| {
-        let out = hvcsim()
-            .args([
-                "--workload",
-                "gups",
-                "--scheme",
-                "dtlb:1024",
-                "--refs",
-                "4000",
-                "--warm",
-                "500",
-                "--mem",
-                "16M",
-                "--shards",
-                shards,
-            ])
-            .output()
-            .expect("spawn");
-        assert!(
-            out.status.success(),
-            "--shards {shards} stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        // Everything above the wall-clock throughput line is simulated
-        // statistics and must be bitwise identical at any shard count.
-        String::from_utf8_lossy(&out.stdout)
-            .lines()
-            .filter(|l| !l.contains("refs/s"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    let narrow = run("1");
-    let wide = run("8");
-    assert_eq!(narrow, wide, "simulated stats must not depend on --shards");
+    assert!(
+        !std::path::Path::new(&trace).exists(),
+        "a rejected run must not write its trace"
+    );
 }
 
 #[test]
@@ -302,7 +253,7 @@ fn sweep_reports_every_cell_and_is_jobs_invariant() {
         .expect("report parses as JSON");
     assert_eq!(
         doc.get("schema").unwrap().as_str(),
-        Some("hvc-sweep-report/5")
+        Some("hvc-sweep-report/6")
     );
     let cells = doc.get("cells").unwrap().as_array().unwrap();
     assert_eq!(cells.len(), 2, "one cell per scheme");

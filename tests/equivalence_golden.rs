@@ -29,7 +29,7 @@ use hvc::runner::json::Value;
 use hvc::runner::{run_cell, run_cell_mc, run_report_value, Experiment};
 use hvc::virt::Hypervisor;
 
-const GOLDEN_PATH: &str = "tests/goldens/hotpath_equivalence.json";
+const GOLDEN_PATH: &str = "tests/goldens/hot_path_equivalence.json";
 const CHURN_GOLDEN_PATH: &str = "tests/goldens/churn_equivalence.json";
 const UNMAP_GOLDEN_PATH: &str = "tests/goldens/unmap_equivalence.json";
 
@@ -61,7 +61,6 @@ fn native_grid() -> Experiment {
         warm: 10_000,
         mem: 64 << 20,
         cores: 1,
-        shards: 1,
         ifetch: false,
         replay: None,
         obs: true,
@@ -81,7 +80,6 @@ fn native_mc_grid() -> Experiment {
         warm: 5_000,
         mem: 64 << 20,
         cores: 2,
-        shards: 1,
         ifetch: true,
         replay: None,
         obs: true,
@@ -92,8 +90,7 @@ fn native_cells(exp: &Experiment) -> Vec<Value> {
     exp.cells()
         .iter()
         .map(|cell| {
-            let (report, filters) =
-                run_cell(exp, cell, 1, None, false).expect("golden cell must run");
+            let (report, filters) = run_cell(exp, cell, None, false).expect("golden cell must run");
             object(vec![
                 ("experiment", Value::Str(exp.name.clone())),
                 ("workload", Value::Str(cell.workload.clone())),
@@ -165,7 +162,6 @@ fn churn_grid(cores: usize) -> Experiment {
         warm: 4_000,
         mem: 64 << 20,
         cores,
-        shards: 1,
         ifetch: false,
         replay: None,
         obs: true,
@@ -253,8 +249,8 @@ fn forced_single_core_mc_runs_are_bitwise_identical_to_the_plain_engine() {
     let exp = native_grid();
     for cell in &exp.cells() {
         let (plain_report, plain_filters) =
-            run_cell(&exp, cell, 1, None, false).expect("plain cell must run");
-        let (mc_report, mc_filters) = run_cell_mc(&exp, cell, 1).expect("mc cell must run");
+            run_cell(&exp, cell, None, false).expect("plain cell must run");
+        let (mc_report, mc_filters) = run_cell_mc(&exp, cell).expect("mc cell must run");
         assert_eq!(
             run_report_value(&plain_report, &plain_filters, &cell.scheme, exp.obs).to_pretty(),
             run_report_value(&mc_report, &mc_filters, &cell.scheme, exp.obs).to_pretty(),
@@ -265,26 +261,6 @@ fn forced_single_core_mc_runs_are_bitwise_identical_to_the_plain_engine() {
         assert_eq!(
             mc_report.os.shootdown_ipis, 0,
             "a single-core run must never issue shootdown IPIs"
-        );
-    }
-}
-
-/// Sharding a forced-mc run must merge to the whole-run report (same
-/// windowing protocol as the plain engine: drain only before the final
-/// window so the split cannot perturb the schedule).
-#[test]
-fn forced_mc_shards_merge_to_the_whole_run() {
-    let mut exp = native_mc_grid();
-    exp.name = "golden-mc-shards".into();
-    for cell in &exp.cells() {
-        let (whole, whole_filters) = run_cell_mc(&exp, cell, 1).expect("whole run");
-        let (sharded, sharded_filters) = run_cell_mc(&exp, cell, 3).expect("sharded run");
-        assert_eq!(
-            run_report_value(&whole, &whole_filters, &cell.scheme, exp.obs).to_pretty(),
-            run_report_value(&sharded, &sharded_filters, &cell.scheme, exp.obs).to_pretty(),
-            "{}/{} diverges between 1 and 3 shards",
-            cell.workload,
-            cell.scheme
         );
     }
 }

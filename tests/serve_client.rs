@@ -185,34 +185,6 @@ fn repeated_sweep_is_served_entirely_from_cache() {
     assert!(cell0.get("stats").unwrap().get("latency").is_some());
     assert!(report_bytes(&first) != report_bytes(&with_obs));
 
-    // `shards` is an execution knob, not a configuration axis: the same
-    // grid at any shard count keys identically, hits the cache, and
-    // reports byte-identical statistics.
-    let sharded = sweep(
-        addr,
-        r#"{"preset": "smoke", "refs": 4000, "warm": 1000, "shards": 8}"#,
-    );
-    let (simulated, cached, _) = sources(&sharded);
-    assert_eq!((simulated, cached), (0, 2), "shard count must not miss");
-    // The report echoes the requested shard count as metadata, but the
-    // per-cell statistics are byte-identical.
-    let cells_of = |events: &[Value]| {
-        events
-            .iter()
-            .find(|e| event_name(e) == "done")
-            .unwrap()
-            .get("report")
-            .unwrap()
-            .get("cells")
-            .unwrap()
-            .to_compact()
-    };
-    assert_eq!(
-        cells_of(&first),
-        cells_of(&sharded),
-        "sharded cells must be byte-identical to the cached ones"
-    );
-
     let (_, stats) = get(addr, "/stats");
     let hits = stats
         .get("cache")

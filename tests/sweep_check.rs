@@ -65,7 +65,6 @@ fn native_grid_passes_the_oracle() {
         warm: 2_000,
         mem: 64 << 20,
         cores: 1,
-        shards: 1,
         ifetch: false,
         replay: None,
         obs: false,
@@ -85,7 +84,6 @@ fn multicore_ifetch_grid_passes_the_oracle() {
         warm: 1_000,
         mem: 64 << 20,
         cores: 2,
-        shards: 1,
         ifetch: true,
         replay: None,
         obs: false,
@@ -109,7 +107,6 @@ fn fork_storm_grid_passes_the_oracle_on_four_cores() {
         warm: 2_000,
         mem: 64 << 20,
         cores: 4,
-        shards: 1,
         ifetch: false,
         replay: None,
         obs: false,
@@ -134,7 +131,6 @@ fn synonym_stress_grid_passes_the_oracle_under_both_filters() {
         warm: 2_000,
         mem: 64 << 20,
         cores: 1,
-        shards: 1,
         ifetch: false,
         replay: None,
         obs: false,
@@ -154,7 +150,6 @@ fn shm_heavy_grid_passes_the_oracle_on_four_cores() {
         warm: 2_000,
         mem: 64 << 20,
         cores: 4,
-        shards: 1,
         ifetch: false,
         replay: None,
         obs: false,
