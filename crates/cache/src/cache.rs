@@ -271,28 +271,6 @@ impl Cache {
         self.find_simd(self.set_index(name), key_of(name))
     }
 
-    /// Touches the row `name` indexes into, pulling it toward the host
-    /// caches ahead of the timing pass (the batched pipeline's software
-    /// prefetch). Read-only: no LRU, statistics, or content effects, so
-    /// issuing it never perturbs simulated state.
-    #[inline]
-    pub fn prefetch_set(&self, name: BlockName) {
-        // Slabs smaller than this stay resident in the host's near
-        // caches on their own; touching them would be pure overhead.
-        const PREFETCH_MIN_BYTES: usize = 1 << 18;
-        if self.rows.len() * std::mem::size_of::<u128>() < PREFETCH_MIN_BYTES {
-            return;
-        }
-        // The row is contiguous — occupancy word, keys, and metadata in
-        // one span — so one touch per 64-byte host line covers all of it.
-        let base = self.row(self.set_index(name));
-        let mut i = 0;
-        while i < self.stride {
-            std::hint::black_box(self.rows[base + i]);
-            i += 4;
-        }
-    }
-
     /// Looks up `name`; on a hit updates LRU and (for writes) the dirty
     /// bit, and returns `true`.
     #[inline]

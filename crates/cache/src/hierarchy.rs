@@ -210,27 +210,6 @@ impl Hierarchy {
         self.access_with_perm(core, name, kind, Permissions::RW)
     }
 
-    /// Touches the tag rows `name` indexes into on `core`'s probe path,
-    /// pulling them toward the host caches ahead of the timing pass —
-    /// the batched pipeline's software prefetch. Only the LLC slab is
-    /// touched: it is the one level whose row arrays outgrow the host's
-    /// near caches (the simulated L1/L2 slabs are tens of kilobytes and
-    /// stay resident on their own). Read-only: no LRU, statistics, or
-    /// content effects.
-    #[inline]
-    pub fn prefetch_sets(&self, _core: usize, name: BlockName) {
-        self.llc.prefetch_set(name);
-    }
-
-    /// Whether `name` is resident in the shared LLC. The hierarchy is
-    /// inclusive, so this is residency anywhere on chip; read-only (the
-    /// batched pre-pass uses it to predict LLC misses without touching
-    /// LRU or statistics).
-    #[inline]
-    pub fn llc_resident(&self, name: BlockName) -> bool {
-        self.llc.contains(name)
-    }
-
     /// Probes the hierarchy without filling on a complete miss — the
     /// system simulator uses this so the fill can carry the permissions
     /// produced by delayed translation ([`Hierarchy::fill_miss`]).

@@ -15,7 +15,7 @@ use hvc_types::{
 };
 use hvc_workloads::{ChurnOps, WorkloadInstance};
 
-/// References decoded and pre-passed per window by the batched pipeline
+/// References decoded and stepped per window by the batched pipeline
 /// ([`SystemSim::step_batch`] callers). Matches the multi-core dispatch
 /// quantum so batching never spans a scheduling boundary.
 pub const BATCH_WINDOW: usize = 64;
@@ -373,26 +373,14 @@ impl SystemSim {
         self.report()
     }
 
-    /// How far ahead of the timing pass the pre-pass touches tag rows.
-    /// Far enough that the touched lines arrive before [`SystemSim::step`]
-    /// needs them, close enough that they are not evicted again before
-    /// use (the pre-pass touches a handful of lines per reference).
-    const PREFETCH_AHEAD: usize = 8;
-
-    /// Simulates a window of trace items through the batched pipeline,
-    /// software-pipelined: while the timing pass replays item `i` with
-    /// [`SystemSim::step`], a read-only functional pre-pass classifies
-    /// item `i + PREFETCH_AHEAD` the way the timing pass will (scheme
-    /// dispatch + synonym-filter probe) and touches the tag rows and
-    /// kernel structures it will consult — the host overlaps those loads
-    /// with the current item's stalls. The pre-pass mutates nothing, so
-    /// statistics are bitwise identical to unbatched stepping.
+    /// Simulates a window of trace items: the same as calling
+    /// [`SystemSim::step`] on each in order.
     ///
     /// The translation scheme is fixed for a simulation's lifetime, so
     /// the scheme branch is hoisted out of the per-reference loop: one
     /// dispatch per window selects a `SchemeOps`-monomorphized inner
-    /// loop whose timing and pre-pass calls inline the scheme's
-    /// implementation directly.
+    /// loop whose timing calls inline the scheme's implementation
+    /// directly.
     pub fn step_batch(&mut self, items: &[TraceItem], mlp: u32) {
         match self.scheme {
             TranslationScheme::Baseline => self.step_batch_mono::<BaselineOps>(items, mlp),
@@ -408,161 +396,8 @@ impl SystemSim {
     /// The scheme-specialized window loop behind [`SystemSim::step_batch`].
     #[inline]
     fn step_batch_mono<D: SchemeOps>(&mut self, items: &[TraceItem], mlp: u32) {
-        for ahead in items.iter().take(Self::PREFETCH_AHEAD) {
-            self.prefetch_item_mono::<D>(ahead);
-        }
-        for (i, &item) in items.iter().enumerate() {
-            if let Some(ahead) = items.get(i + Self::PREFETCH_AHEAD) {
-                self.prefetch_item_mono::<D>(ahead);
-            }
+        for &item in items {
             self.step_mono::<D>(item, mlp);
-        }
-    }
-
-    /// Reads the current translation of `(asid, vpage)` without faulting
-    /// anything in: the pre-pass peek behind [`SystemSim::prefetch_item`].
-    /// Also probes the space's touched-page set read-only, warming the
-    /// hash bucket `Kernel::touch` will hit on this page.
-    #[inline]
-    fn peek_pte(&self, asid: Asid, vpage: hvc_types::VirtPage) -> Option<Pte> {
-        let space = self.kernel.space(asid)?;
-        std::hint::black_box(space.was_touched(vpage));
-        space.page_table().lookup(vpage)
-    }
-
-    /// Touches the LLC tag rows of the page-table entry lines a charged
-    /// walk of `(asid, vpage)` would read (`PageTable::walk_path` is
-    /// read-only, and walks are accounted through the physically-addressed
-    /// hierarchy). Called by the pre-pass only when its read-only probes
-    /// predict the timing pass will actually walk.
-    #[inline]
-    fn prefetch_walk(&self, core: usize, asid: Asid, vpage: hvc_types::VirtPage) {
-        if let Some(space) = self.kernel.space(asid) {
-            for addr in space.page_table().walk_path(vpage) {
-                self.hierarchy
-                    .prefetch_sets(core, BlockName::Phys(addr.line()));
-            }
-        }
-    }
-
-    /// Touches the tag rows a physically-named access of `pa` will probe:
-    /// its own LLC set and — when the line looks like an LLC miss — the
-    /// set of the following line, which the simulated next-line
-    /// prefetcher ([`SystemSim::prefetch_phys`]) probes and fills on
-    /// every miss. Read-only.
-    #[inline]
-    fn prefetch_phys_sets(&self, core: usize, pa: PhysAddr) {
-        let name = BlockName::Phys(pa.line());
-        self.hierarchy.prefetch_sets(core, name);
-        let next = pa + hvc_types::LINE_SIZE;
-        if self.config.prefetch_next_line
-            && next.page_offset() != 0
-            && !self.hierarchy.llc_resident(name)
-        {
-            self.hierarchy
-                .prefetch_sets(core, BlockName::Phys(next.line()));
-        }
-    }
-
-    /// Functional pre-pass for one upcoming reference: touch the
-    /// TLB/cache tag rows the timing pass will probe so they are already
-    /// in the host's caches when it runs. Strictly read-only — `step`
-    /// must behave bitwise identically with or without it — so it uses
-    /// [`SystemSim::home_of`] (no placement side effect) and skips
-    /// references whose space has not run yet or whose page is unmapped
-    /// (those miss everywhere regardless).
-    #[inline]
-    fn prefetch_item_mono<D: SchemeOps>(&self, item: &TraceItem) {
-        let MemRef { asid, vaddr, .. } = item.mref;
-        let Some(core) = self.home_of(asid) else {
-            return;
-        };
-        D::prefetch(self, core, asid, vaddr);
-    }
-
-    /// Baseline pre-pass: DTLB set, physical target sets, and — on a
-    /// predicted DTLB miss — the walk path.
-    #[inline]
-    fn prefetch_baseline(&self, core: usize, asid: Asid, vaddr: VirtAddr) {
-        let vpage = vaddr.page_number();
-        self.dtlb[core].prefetch_sets(vpage);
-        if let Some(pte) = self.peek_pte(asid, vpage) {
-            let pa = PhysAddr::new(pte.frame.base().as_u64() + vaddr.page_offset());
-            self.prefetch_phys_sets(core, pa);
-        }
-        if !self.dtlb[core].contains(asid, vpage) {
-            self.prefetch_walk(core, asid, vpage);
-        }
-    }
-
-    /// Ideal pre-pass: only the physical target sets (no TLB exists).
-    #[inline]
-    fn prefetch_ideal(&self, core: usize, asid: Asid, vaddr: VirtAddr) {
-        let vpage = vaddr.page_number();
-        if let Some(pte) = self.peek_pte(asid, vpage) {
-            let pa = PhysAddr::new(pte.frame.base().as_u64() + vaddr.page_offset());
-            self.prefetch_phys_sets(core, pa);
-        }
-    }
-
-    /// Hybrid pre-pass: synonym-filter probe decides between the
-    /// virtually-named fast path and the synonym TLB path, mirroring
-    /// [`SystemSim::step_hybrid`]'s classification.
-    #[inline]
-    fn prefetch_hybrid(&self, core: usize, asid: Asid, vaddr: VirtAddr) {
-        let vpage = vaddr.page_number();
-        let candidate = self
-            .kernel
-            .space(asid)
-            .map(|s| s.filter.is_candidate(vaddr))
-            .unwrap_or(false);
-        if !candidate {
-            let name = BlockName::Virt(asid, vaddr.line());
-            self.hierarchy.prefetch_sets(core, name);
-            self.delayed_tlb.prefetch_set(vpage);
-            // An LLC miss on a virtual name triggers delayed
-            // translation; if the delayed TLB will also miss, the
-            // timing pass walks.
-            if matches!(self.scheme, TranslationScheme::HybridDelayedTlb(_))
-                && !self.hierarchy.llc_resident(name)
-                && !self.delayed_tlb.contains(asid, vpage)
-            {
-                std::hint::black_box(self.peek_pte(asid, vpage));
-                self.prefetch_walk(core, asid, vpage);
-            }
-            return;
-        }
-        self.syn_tlb[core].prefetch_set(vpage);
-        if !self.syn_tlb[core].contains(asid, vpage) {
-            self.prefetch_walk(core, asid, vpage);
-        }
-        if let Some(pte) = self.peek_pte(asid, vpage) {
-            let name = if pte.shared {
-                let pa = PhysAddr::new(pte.frame.base().as_u64() + vaddr.page_offset());
-                BlockName::Phys(pa.line())
-            } else {
-                BlockName::Virt(asid, vaddr.line())
-            };
-            self.hierarchy.prefetch_sets(core, name);
-        }
-    }
-
-    /// Enigma pre-pass: intermediate-address naming plus the delayed
-    /// TLB / walk path on a predicted double miss.
-    #[inline]
-    fn prefetch_enigma(&self, core: usize, asid: Asid, vaddr: VirtAddr) {
-        let vpage = vaddr.page_number();
-        if let Some((shared, line)) = self.kernel.intermediate_line(asid, vaddr) {
-            let name = if shared {
-                BlockName::Virt(Asid::KERNEL, hvc_types::LineAddr::new(line))
-            } else {
-                BlockName::Virt(asid, vaddr.line())
-            };
-            self.hierarchy.prefetch_sets(core, name);
-            self.delayed_tlb.prefetch_set(vpage);
-            if !self.hierarchy.llc_resident(name) && !self.delayed_tlb.contains(asid, vpage) {
-                self.prefetch_walk(core, asid, vpage);
-            }
         }
     }
 
@@ -1314,22 +1149,19 @@ impl SystemSim {
     }
 }
 
-/// Per-scheme monomorphization hooks for the batched pipeline: each
-/// zero-sized implementor routes the timing access and the read-only
-/// pre-pass to one translation scheme's methods, so [`SystemSim::step_batch`]
-/// dispatches on the scheme once per window and the compiler specializes
-/// (and inlines) the per-reference inner loop for that scheme. The
-/// mapping must match the `TranslationScheme` arms in
-/// [`SystemSim::step_batch`] / [`SystemSim::step`] exactly — the
-/// monomorphized loops are required to be bitwise identical to the old
-/// per-reference `match`, which the batch-equivalence proptests and the
-/// golden equivalence gate pin.
+/// Per-scheme monomorphization hook for the batched pipeline: each
+/// zero-sized implementor routes the timing access to one translation
+/// scheme's method, so [`SystemSim::step_batch`] dispatches on the
+/// scheme once per window and the compiler specializes (and inlines)
+/// the per-reference inner loop for that scheme. The mapping must match
+/// the `TranslationScheme` arms in [`SystemSim::step_batch`] /
+/// [`SystemSim::step`] exactly — the monomorphized loops are required to
+/// be bitwise identical to the old per-reference `match`, which the
+/// batch-equivalence proptests and the golden equivalence gate pin.
 trait SchemeOps {
     /// The timing pass for one reference (the old per-reference
     /// `match self.scheme { ... => self.step_* }` arm).
     fn access(sim: &mut SystemSim, core: usize, mref: MemRef) -> Cycles;
-    /// The read-only pre-pass for one upcoming reference.
-    fn prefetch(sim: &SystemSim, core: usize, asid: Asid, vaddr: VirtAddr);
 }
 
 /// [`TranslationScheme::Baseline`] dispatch marker.
@@ -1346,20 +1178,12 @@ impl SchemeOps for BaselineOps {
     fn access(sim: &mut SystemSim, core: usize, mref: MemRef) -> Cycles {
         sim.step_baseline(core, mref)
     }
-    #[inline]
-    fn prefetch(sim: &SystemSim, core: usize, asid: Asid, vaddr: VirtAddr) {
-        sim.prefetch_baseline(core, asid, vaddr)
-    }
 }
 
 impl SchemeOps for IdealOps {
     #[inline]
     fn access(sim: &mut SystemSim, core: usize, mref: MemRef) -> Cycles {
         sim.step_ideal(core, mref)
-    }
-    #[inline]
-    fn prefetch(sim: &SystemSim, core: usize, asid: Asid, vaddr: VirtAddr) {
-        sim.prefetch_ideal(core, asid, vaddr)
     }
 }
 
@@ -1368,20 +1192,12 @@ impl SchemeOps for HybridOps {
     fn access(sim: &mut SystemSim, core: usize, mref: MemRef) -> Cycles {
         sim.step_hybrid(core, mref)
     }
-    #[inline]
-    fn prefetch(sim: &SystemSim, core: usize, asid: Asid, vaddr: VirtAddr) {
-        sim.prefetch_hybrid(core, asid, vaddr)
-    }
 }
 
 impl SchemeOps for EnigmaOps {
     #[inline]
     fn access(sim: &mut SystemSim, core: usize, mref: MemRef) -> Cycles {
         sim.step_enigma(core, mref)
-    }
-    #[inline]
-    fn prefetch(sim: &SystemSim, core: usize, asid: Asid, vaddr: VirtAddr) {
-        sim.prefetch_enigma(core, asid, vaddr)
     }
 }
 

@@ -5,7 +5,7 @@ use crate::pagetable::PageTable;
 use crate::segment::SegmentId;
 use crate::shm::ShmId;
 use hvc_filter::{FilterKind, SynonymFilter};
-use hvc_types::{Asid, Permissions, VirtAddr, VirtPage, PAGE_SHIFT};
+use hvc_types::{Asid, Permissions, VirtAddr, PAGE_SHIFT};
 use std::collections::BTreeMap;
 
 /// What backs a virtual memory area.
@@ -142,13 +142,6 @@ impl AddressSpace {
             let touched = self.touched.len() << PAGE_SHIFT;
             touched as f64 / self.eager_allocated as f64
         })
-    }
-
-    /// Whether `vpage` has been touched before. Read-only peek: the
-    /// simulator's batched pre-pass uses it to warm the hash bucket
-    /// that [`Kernel::touch`](crate::Kernel::touch) will probe.
-    pub fn was_touched(&self, vpage: VirtPage) -> bool {
-        self.touched.contains(vpage.as_u64())
     }
 
     /// Read-only view of the page table.

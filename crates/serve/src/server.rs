@@ -23,7 +23,7 @@ use crate::request::parse_sweep_request;
 use crate::spool;
 use hvc_runner::json::Value;
 use hvc_runner::{cell_key, presets, run_cell, run_report_value, Cell, Experiment, KEY_SCHEMA};
-use std::io::{BufReader, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -34,6 +34,11 @@ use std::time::{Duration, Instant};
 
 /// Deterministic report schema embedded in the `done` event.
 pub const REPORT_SCHEMA: &str = "hvc-serve-report/1";
+
+/// Connection handlers alive at once. A connection arriving while this
+/// many are still running gets a `503` from the accept loop itself
+/// instead of a thread of its own.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// Server construction knobs.
 #[derive(Clone, Debug)]
@@ -114,13 +119,18 @@ impl Server {
                         return; // the shutdown wake-up connection lands here
                     }
                     let Ok(stream) = stream else { continue };
-                    let shared = Arc::clone(&shared);
-                    let handle = std::thread::spawn(move || handle_connection(stream, &shared));
                     // Reap finished handlers first, so the list tracks the
                     // live connections rather than the server's uptime.
                     let mut live = handlers.lock().unwrap();
                     live.retain(|h| !h.is_finished());
-                    live.push(handle);
+                    if live.len() >= MAX_CONNECTIONS {
+                        refuse_busy(stream);
+                        continue;
+                    }
+                    let shared = Arc::clone(&shared);
+                    live.push(std::thread::spawn(move || {
+                        handle_connection(stream, &shared)
+                    }));
                 }
             })
         };
@@ -182,6 +192,20 @@ fn error_body(message: &str) -> Vec<u8> {
     object(vec![("error", Value::Str(message.into()))])
         .to_compact()
         .into_bytes()
+}
+
+/// Answers `503` on the accept thread. The short timeouts bound how long
+/// a client can stall the accept loop; draining a request that already
+/// arrived keeps the close from resetting the connection before the
+/// client reads the answer.
+fn refuse_busy(mut stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
+    let body = error_body(&format!("server busy: {MAX_CONNECTIONS} connections open"));
+    if http::write_response(&mut stream, 503, "application/json", &body).is_ok() {
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(10)));
+        let _ = std::io::copy(&mut (&stream).take(64 << 10), &mut std::io::sink());
+    }
 }
 
 /// One connection = one request = one response (`Connection: close`).
@@ -580,7 +604,6 @@ fn strip_obs(stats: &Value) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
 
     #[test]
     fn finished_handlers_are_reaped_between_connections() {
@@ -602,6 +625,41 @@ mod tests {
             held <= REQUESTS / 4,
             "{held} handles held after {REQUESTS} requests"
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn connections_beyond_the_cap_get_503_until_handlers_finish() {
+        let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        // Connections that never send a request keep their handlers
+        // blocked in `read_request`.
+        let idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(server.addr()).expect("connect"))
+            .collect();
+        let healthz = || {
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            stream
+                .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
+                .expect("send");
+            let mut response = String::new();
+            stream.read_to_string(&mut response).expect("receive");
+            response
+        };
+        // Accepts are in arrival order, so every idle handler is running
+        // when this one is accepted.
+        let refused = healthz();
+        assert!(
+            refused.starts_with("HTTP/1.1 503 Service Unavailable"),
+            "{refused}"
+        );
+        // Closing the idle connections ends their handlers; once reaped,
+        // the server serves again.
+        drop(idle);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !healthz().starts_with("HTTP/1.1 200") {
+            assert!(Instant::now() < deadline, "still refusing");
+            std::thread::sleep(Duration::from_millis(20));
+        }
         server.shutdown();
     }
 

@@ -1,11 +1,17 @@
 //! Property tests: whatever bytes a client sends, the request path
 //! answers with an error instead of a panic. The HTTP reader and the
 //! sweep-body validator both see raw socket input, so a panic in either
-//! would take a connection handler down with it.
+//! would take a connection handler down with it. Spool replay reads
+//! files a crash or a stranger may have left behind, and must skip the
+//! bad ones instead of failing the server's start.
 
+use hvc_runner::json::Value;
 use hvc_serve::http::read_request;
 use hvc_serve::request::parse_sweep_request;
+use hvc_serve::spool;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Request-line, header and body fragments mixed with single arbitrary
 /// bytes, so the cases reach the reader's header and body branches and
@@ -115,5 +121,47 @@ proptest! {
     #[test]
     fn parse_sweep_request_never_panics_on_json_shaped_bytes(bytes in body_like()) {
         let _ = parse_sweep_request(&bytes);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Replaying a directory of intact, truncated and garbage cell files
+    /// returns every intact cell and skips or replays each other file,
+    /// without panicking.
+    #[test]
+    fn spool_replay_skips_truncated_and_garbage_files(
+        files in prop::collection::vec(
+            (any::<u64>(), 0u8..3, any::<usize>(), prop::collection::vec(any::<u8>(), 0..200)),
+            0..12,
+        ),
+    ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("hvc-spool-props-{}-{case}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let stats = Value::Object(vec![("cycles".into(), Value::UInt(7))]);
+        let mut intact = BTreeMap::new();
+        for (key, kind, cut, garbage) in files {
+            spool::write_cell(&dir, key, "gups", "baseline", &stats).unwrap();
+            let path = spool::cell_path(&dir, key);
+            let bytes = std::fs::read(&path).unwrap();
+            match kind {
+                0 => {}
+                1 => std::fs::write(&path, &bytes[..cut % bytes.len()]).unwrap(),
+                _ => std::fs::write(&path, garbage).unwrap(),
+            }
+            intact.insert(key, kind == 0);
+        }
+        let replay = spool::replay(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        let replay = replay.expect("a readable directory replays");
+        prop_assert_eq!(replay.cells.len() as u64 + replay.skipped, intact.len() as u64);
+        for (key, cell) in &replay.cells {
+            prop_assert_eq!(&cell.stats, &stats);
+            intact.remove(key);
+        }
+        prop_assert!(intact.values().all(|&ok| !ok), "an intact cell was dropped");
     }
 }

@@ -355,27 +355,6 @@ impl Tlb {
         self.find_simd(set, key_of(asid, vpage.as_u64()))
     }
 
-    /// Touches the row `vpage` indexes into, pulling it toward the host
-    /// caches ahead of the timing pass (the batched pipeline's software
-    /// prefetch). Read-only: no LRU, statistics, or content effects.
-    #[inline]
-    pub fn prefetch_set(&self, vpage: VirtPage) {
-        // Slabs smaller than this stay resident in the host's near
-        // caches on their own; touching them would be pure overhead.
-        const PREFETCH_MIN_BYTES: usize = 1 << 18;
-        if self.rows.len() * std::mem::size_of::<u128>() < PREFETCH_MIN_BYTES {
-            return;
-        }
-        // The row is contiguous — occupancy word, keys, and payload in
-        // one span — so one touch per 64-byte host line covers all of it.
-        let base = self.row(self.set_index(vpage.as_u64()));
-        let mut i = 0;
-        while i < self.stride {
-            std::hint::black_box(self.rows[base + i]);
-            i += 4;
-        }
-    }
-
     /// Looks up a translation, updating LRU and counters.
     pub fn lookup(&mut self, asid: Asid, vpage: VirtPage) -> Option<Pte> {
         self.tick += 1;

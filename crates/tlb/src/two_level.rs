@@ -71,21 +71,6 @@ impl TwoLevelTlb {
         self.l2.flush_asid(asid);
     }
 
-    /// Touches the tag rows `vpage` indexes into in both levels (the
-    /// batched pipeline's software prefetch); read-only.
-    #[inline]
-    pub fn prefetch_sets(&self, vpage: VirtPage) {
-        self.l1.prefetch_set(vpage);
-        self.l2.prefetch_set(vpage);
-    }
-
-    /// Whether either level holds a live translation for the page;
-    /// read-only (no LRU, promotion, or statistics effects).
-    #[inline]
-    pub fn contains(&self, asid: Asid, vpage: VirtPage) -> bool {
-        self.l1.contains(asid, vpage) || self.l2.contains(asid, vpage)
-    }
-
     /// The L1 level (for statistics).
     pub fn l1(&self) -> &Tlb {
         &self.l1

@@ -1,6 +1,6 @@
 //! Property tests: the batched reference pipeline (decode-ahead windows
-//! plus the read-only prefetch pre-pass) is observationally identical to
-//! one-at-a-time stepping — same statistics bit for bit, for every
+//! stepped through a scheme-monomorphized loop) is observationally
+//! identical to one-at-a-time stepping — same statistics bit for bit, for every
 //! translation scheme, both synonym-filter strategies, arbitrary
 //! workload shapes (including kernel churn landing mid-window), and
 //! every batch granularity down to single-item windows.
@@ -140,8 +140,8 @@ fn assert_reports_identical(a: &RunReport, b: &RunReport, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `SystemSim::run` (64-item windows with the prefetch pre-pass)
-    /// reports bitwise the same statistics as one-at-a-time `step`.
+    /// `SystemSim::run` (64-item windows through `step_batch`) reports
+    /// bitwise the same statistics as one-at-a-time `step`.
     #[test]
     fn batched_run_matches_stepwise(
         spec in spec_strategy(),
@@ -156,8 +156,8 @@ proptest! {
         assert_reports_identical(&batched, &stepwise, "batched vs stepwise");
     }
 
-    /// Window size is invisible — including degenerate single-item
-    /// windows, whose pre-pass prefetches the very item being stepped.
+    /// Window size is invisible, down to degenerate single-item
+    /// windows.
     #[test]
     fn window_size_is_invisible(
         spec in spec_strategy(),
