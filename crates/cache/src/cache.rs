@@ -14,94 +14,112 @@ pub struct Victim {
     pub dirty: bool,
 }
 
-/// Per-line state other than the name, in unpacked form. In the slab it
-/// is packed into one metadata word per way (see the `META_*` layout
-/// constants); this struct is the working representation handed to
-/// `update_range` callbacks. `sharers` is used only by the LLC level of
-/// a multi-core [`crate::Hierarchy`] to track which private caches hold
-/// the block (MESI-style directory-in-LLC).
+/// Per-line state other than the name and the LRU stamp, in unpacked
+/// form. In the slab it is packed into one state word per way (see the
+/// `STATE_*` layout constants); this struct is the working representation
+/// handed to `update_range` callbacks. `sharers` is used only by the LLC
+/// level of a multi-core [`crate::Hierarchy`] to track which private
+/// caches hold the block (MESI-style directory-in-LLC).
 #[derive(Clone, Copy, Debug)]
 struct Meta {
     dirty: bool,
     perm: Permissions,
-    lru: u64,
     sharers: u32,
 }
 
-/// Packed-metadata word layout (one `u128` per way): bit 0 the dirty
-/// flag, bits 8..16 the permission bits, bits 32..64 the sharer bitmap,
-/// bits 64..128 the LRU stamp.
-const META_DIRTY: u128 = 1;
-const META_PERM_SHIFT: u32 = 8;
-const META_SHARERS_SHIFT: u32 = 32;
-const META_SHARERS_MASK: u128 = (u32::MAX as u128) << META_SHARERS_SHIFT;
-const META_LRU_SHIFT: u32 = 64;
-const META_LRU_MASK: u128 = (u64::MAX as u128) << META_LRU_SHIFT;
+/// State word layout (one `u64` per way): bit 0 the dirty flag, bits
+/// 8..16 the permission bits, bits 32..64 the sharer bitmap. The LRU
+/// stamp lives in a word of its own.
+const STATE_DIRTY: u64 = 1;
+const STATE_PERM_SHIFT: u32 = 8;
+const STATE_SHARERS_SHIFT: u32 = 32;
+const STATE_SHARERS_MASK: u64 = (u32::MAX as u64) << STATE_SHARERS_SHIFT;
 
 #[inline]
-fn pack_meta(m: Meta) -> u128 {
-    (m.dirty as u128)
-        | ((m.perm.bits() as u128) << META_PERM_SHIFT)
-        | ((m.sharers as u128) << META_SHARERS_SHIFT)
-        | ((m.lru as u128) << META_LRU_SHIFT)
+fn pack_meta(m: Meta) -> u64 {
+    (m.dirty as u64)
+        | ((m.perm.bits() as u64) << STATE_PERM_SHIFT)
+        | ((m.sharers as u64) << STATE_SHARERS_SHIFT)
 }
 
 #[inline]
-fn unpack_meta(w: u128) -> Meta {
+fn unpack_meta(w: u64) -> Meta {
     Meta {
-        dirty: (w & META_DIRTY) != 0,
-        perm: Permissions::from_bits((w >> META_PERM_SHIFT) as u8),
-        lru: (w >> META_LRU_SHIFT) as u64,
-        sharers: (w >> META_SHARERS_SHIFT) as u32,
+        dirty: (w & STATE_DIRTY) != 0,
+        perm: state_perm(w),
+        sharers: (w >> STATE_SHARERS_SHIFT) as u32,
     }
 }
 
 #[inline]
-fn meta_perm(w: u128) -> Permissions {
-    Permissions::from_bits((w >> META_PERM_SHIFT) as u8)
+fn state_perm(w: u64) -> Permissions {
+    Permissions::from_bits((w >> STATE_PERM_SHIFT) as u8)
 }
 
-/// Discriminant bit set in the high key word of virtually-named blocks;
-/// sits just above the 16 ASID bits, so `VIRT_TAG | asid` never collides
-/// with the physical tag word (0) for any ASID.
+/// State-word bit of `core` in the sharer bitmap.
+#[inline]
+fn sharer_bit(core: usize) -> u64 {
+    1 << (STATE_SHARERS_SHIFT as usize + core)
+}
+
+/// Width of the line-address field of a key. Every line the simulator
+/// names fits: physical and guest-physical lines are 46 bits, virtual
+/// lines 42, and Enigma's intermediate lines stay below bit 41 for the
+/// first 4096 shared objects.
+const LINE_BITS: u32 = 46;
+
+/// Line-address field of a key.
+const LINE_MASK: u64 = (1 << LINE_BITS) - 1;
+
+/// Tag field (above the line address) of virtually-named blocks; sits
+/// just above the 16 ASID bits, so `VIRT_TAG | asid` never collides with
+/// the physical tag (0) for any ASID.
 const VIRT_TAG: u64 = 1 << 16;
 
-/// High key word of physically-named blocks.
+/// Tag field of physically-named blocks.
 const PHYS_TAG: u64 = 0;
 
 /// Lines per 4 KB page: a page's lines are `vpage * PAGE_LINES ..` on.
 const PAGE_LINES: u64 = 1 << (PAGE_SHIFT - LINE_SHIFT);
 
-/// High key word of the virtually-named blocks of `asid`.
+/// Tag field of the virtually-named blocks of `asid`.
 #[inline]
 fn virt_tag(asid: Asid) -> u64 {
     VIRT_TAG | asid.as_u16() as u64
 }
 
-/// Key filler for invalid slots. The high word is `u64::MAX`, which no
-/// encodable [`BlockName`] produces (physical names encode 0 there,
-/// virtual names at most `VIRT_TAG | 0xFFFF`), so an invalid slot can
-/// never compare equal to a probe key and the vector probe may compare
-/// whole sets unconditionally.
-const EMPTY_KEY: u128 = u128::MAX;
+/// Key filler for invalid slots. Keys use at most 63 bits (a 17-bit tag
+/// above the 46-bit line), so no [`BlockName`] packs to `u64::MAX` and an
+/// invalid slot never compares equal to a probe key.
+const EMPTY_KEY: u64 = u64::MAX;
 
-/// Packs a [`BlockName`] into the 16-byte tag-array form: low word =
-/// line address, high word = synonym/ASID tag (`0` = physical,
-/// `VIRT_TAG | asid` = virtual). The packing is injective, so key
-/// equality is name equality and a set probe is a bare 128-bit compare.
+/// Packs a tag field and a line address into one key word.
 #[inline]
-fn key_of(name: BlockName) -> u128 {
+fn pack_key(tag: u64, line: u64) -> u64 {
+    debug_assert!(
+        line <= LINE_MASK,
+        "line {line:#x} exceeds the {LINE_BITS}-bit key field"
+    );
+    line | (tag << LINE_BITS)
+}
+
+/// Packs a [`BlockName`] into the 8-byte tag-array form: bits 0..46 the
+/// line address, the synonym/ASID tag above it (`0` = physical,
+/// `VIRT_TAG | asid` = virtual). The packing is injective, so key
+/// equality is name equality and a set probe is a bare 64-bit compare.
+#[inline]
+fn key_of(name: BlockName) -> u64 {
     match name {
-        BlockName::Phys(line) => line.as_u64() as u128,
-        BlockName::Virt(asid, line) => (line.as_u64() as u128) | ((virt_tag(asid) as u128) << 64),
+        BlockName::Phys(line) => pack_key(PHYS_TAG, line.as_u64()),
+        BlockName::Virt(asid, line) => pack_key(virt_tag(asid), line.as_u64()),
     }
 }
 
 /// Inverse of [`key_of`] for live slots (never called on `EMPTY_KEY`).
 #[inline]
-fn name_of(key: u128) -> BlockName {
-    let line = hvc_types::LineAddr::new(key as u64);
-    let tag = (key >> 64) as u64;
+fn name_of(key: u64) -> BlockName {
+    let line = hvc_types::LineAddr::new(key & LINE_MASK);
+    let tag = key >> LINE_BITS;
     if tag == PHYS_TAG {
         BlockName::Phys(line)
     } else {
@@ -115,28 +133,26 @@ fn name_of(key: u128) -> BlockName {
 /// participates only in tag comparison, which is exactly the paper's tag
 /// extension (Figure 2): `ASID | PA/VA tag | S | permission`.
 ///
-/// Storage is one contiguous **set-interleaved** slab: set `s` occupies
-/// the row `rows[s * stride .. (s + 1) * stride]`, laid out as
-/// `[occupancy | keys[ways] | meta[ways] | padding]` — the occupancy
-/// bitmask a probe reads first, then the 16-byte packed block-name keys
-/// it scans (see `key_of`), then one packed metadata word per way
-/// (LRU/dirty/permission/sharer state touched only on the way that hit).
-/// The stride is rounded up to a whole number of 64-byte host cache
-/// lines, so everything a probe touches for one simulated set spans a
-/// handful of *contiguous* host lines instead of three slabs megabytes
-/// apart; a multi-megabyte simulated LLC costs one or two host-memory
-/// fetches per probe rather than three scattered ones. Under the `simd`
-/// feature the key row is compared in one vectorized sweep.
+/// Storage is one contiguous **set-interleaved** slab of `u64` words:
+/// set `s` occupies the row `rows[s * stride .. (s + 1) * stride]`, laid
+/// out as `[key[ways] | lru[ways] | state[ways] | occupancy | padding]` —
+/// the 8-byte packed block-name keys a probe scans (see `key_of`) open
+/// the row, then one LRU stamp and one packed dirty/permission/sharer
+/// state word per way, touched only on the way that hit (and the LRU
+/// words on a victim search), then the occupancy bitmask that fills and
+/// sweeps read. The stride is rounded up to a whole number of 64-byte
+/// host cache lines, so a 16-way row is 448 B and a probe scans the
+/// row's first 128 B.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
     /// The set-interleaved slab (see the struct docs for the row layout).
     /// Key slots of invalid ways hold [`EMPTY_KEY`] filler, which matches
     /// no probe; padding words are zero and never read.
-    rows: Box<[u128]>,
+    rows: Box<[u64]>,
     ways: usize,
-    /// Row length in `u128` words: `2 * ways + 1`, rounded up to a
-    /// multiple of four words (one 64-byte host line).
+    /// Row length in words: `3 * ways + 1`, rounded up to a multiple of
+    /// eight words (one 64-byte host line).
     stride: usize,
     set_mask: usize,
     tick: u64,
@@ -154,11 +170,10 @@ impl Cache {
         let sets = config.sets();
         let ways = config.ways;
         assert!(ways <= 64, "at most 64 ways per set");
-        let stride = (2 * ways + 1 + 3) & !3;
-        let mut rows = vec![0u128; sets * stride].into_boxed_slice();
-        for set in 0..sets {
-            let base = set * stride + 1;
-            rows[base..base + ways].fill(EMPTY_KEY);
+        let stride = (3 * ways + 1 + 7) & !7;
+        let mut rows = vec![0u64; sets * stride].into_boxed_slice();
+        for row in rows.chunks_exact_mut(stride) {
+            row[..ways].fill(EMPTY_KEY);
         }
         Cache {
             rows,
@@ -191,84 +206,50 @@ impl Cache {
         (name.line().as_u64() as usize) & self.set_mask
     }
 
-    /// Slab index of `set`'s row (its occupancy word).
+    /// Slab index of `set`'s row, which is also its first key.
     #[inline]
     fn row(&self, set: usize) -> usize {
         set * self.stride
     }
 
-    /// Slab index of `way`'s packed metadata word within `set`.
+    /// Slab index of `way`'s LRU stamp within `set`.
     #[inline]
-    fn meta_idx(&self, set: usize, way: usize) -> usize {
-        set * self.stride + 1 + self.ways + way
+    fn lru_idx(&self, set: usize, way: usize) -> usize {
+        self.row(set) + self.ways + way
     }
 
-    /// Finds the way holding `key` within `set`. Dispatches to the
-    /// vector probe under the `simd` feature and the masked scalar walk
-    /// otherwise; both paths are always compiled and equivalence-tested
-    /// against each other (`tests/probe_equivalence.rs`).
+    /// Slab index of `way`'s packed state word within `set`.
     #[inline]
-    fn find(&self, set: usize, key: u128) -> Option<usize> {
-        #[cfg(feature = "simd")]
-        {
-            self.find_simd(set, key)
-        }
-        #[cfg(not(feature = "simd"))]
-        {
-            self.find_scalar(set, key)
-        }
+    fn state_idx(&self, set: usize, way: usize) -> usize {
+        self.row(set) + 2 * self.ways + way
     }
 
-    /// Portable probe: walk only the live ways of the occupancy bitmask,
-    /// comparing one 16-byte key at a time.
+    /// Slab index of `set`'s occupancy bitmask.
     #[inline]
-    fn find_scalar(&self, set: usize, key: u128) -> Option<usize> {
+    fn occ_idx(&self, set: usize) -> usize {
+        self.row(set) + 3 * self.ways
+    }
+
+    /// Finds the way holding `key` within `set` with one linear scan of
+    /// the set's keys. Invalid slots hold [`EMPTY_KEY`], which matches no
+    /// probe, so the scan needs no occupancy mask (measured faster than a
+    /// walk of the occupancy bits).
+    #[inline]
+    fn find(&self, set: usize, key: u64) -> Option<usize> {
         let row = self.row(set);
-        let keys = &self.rows[row + 1..row + 1 + self.ways];
-        let mut live = self.rows[row] as u64;
-        while live != 0 {
-            let w = live.trailing_zeros() as usize;
-            if keys[w] == key {
-                return Some(w);
-            }
-            live &= live - 1;
-        }
-        None
+        self.rows[row..row + self.ways]
+            .iter()
+            .position(|&k| k == key)
     }
 
-    /// Vector probe: compare the whole set's 16-byte keys against the
-    /// probe key branchlessly (the compiler lowers the fixed-trip loop to
-    /// SIMD compares — two `u64` lanes per way), collect the match bits,
-    /// and mask with occupancy. Single-name residency guarantees at most
-    /// one live match, so taking the lowest match bit is exact, and
-    /// invalid slots hold [`EMPTY_KEY`] which matches no probe.
+    /// Stamps `way` of `set` as most recently used and returns its state
+    /// word for the caller to update.
     #[inline]
-    fn find_simd(&self, set: usize, key: u128) -> Option<usize> {
-        let row = self.row(set);
-        let mut matches = 0u64;
-        for (w, &k) in self.rows[row + 1..row + 1 + self.ways].iter().enumerate() {
-            matches |= ((k == key) as u64) << w;
-        }
-        matches &= self.rows[row] as u64;
-        if matches != 0 {
-            Some(matches.trailing_zeros() as usize)
-        } else {
-            None
-        }
-    }
-
-    /// Scalar set probe of `name`, exposed (with [`Cache::probe_simd`])
-    /// for the SIMD-vs-scalar equivalence proptests. Returns the hit
-    /// way, if any.
-    #[doc(hidden)]
-    pub fn probe_scalar(&self, name: BlockName) -> Option<usize> {
-        self.find_scalar(self.set_index(name), key_of(name))
-    }
-
-    /// Vector set probe of `name`; see [`Cache::probe_scalar`].
-    #[doc(hidden)]
-    pub fn probe_simd(&self, name: BlockName) -> Option<usize> {
-        self.find_simd(self.set_index(name), key_of(name))
+    fn touch(&mut self, set: usize, way: usize) -> &mut u64 {
+        let li = self.lru_idx(set, way);
+        self.rows[li] = self.tick;
+        let si = self.state_idx(set, way);
+        &mut self.rows[si]
     }
 
     /// Looks up `name`; on a hit updates LRU and (for writes) the dirty
@@ -278,8 +259,11 @@ impl Cache {
         self.tick += 1;
         let set = self.set_index(name);
         if let Some(way) = self.find(set, key_of(name)) {
-            let m = &mut self.rows[set * self.stride + 1 + self.ways + way];
-            *m = (*m & !META_LRU_MASK) | ((self.tick as u128) << META_LRU_SHIFT) | (write as u128);
+            let state = self.touch(set, way);
+            // A read hit leaves the state word (a separate host line) alone.
+            if write {
+                *state |= STATE_DIRTY;
+            }
             self.stats.hits += 1;
             true
         } else {
@@ -296,10 +280,13 @@ impl Cache {
         self.tick += 1;
         let set = self.set_index(name);
         if let Some(way) = self.find(set, key_of(name)) {
-            let m = &mut self.rows[set * self.stride + 1 + self.ways + way];
-            *m = (*m & !META_LRU_MASK) | ((self.tick as u128) << META_LRU_SHIFT) | (write as u128);
+            let state = self.touch(set, way);
+            if write {
+                *state |= STATE_DIRTY;
+            }
+            let perm = state_perm(*state);
             self.stats.hits += 1;
-            Some(meta_perm(*m))
+            Some(perm)
         } else {
             self.stats.misses += 1;
             None
@@ -320,13 +307,11 @@ impl Cache {
         self.tick += 1;
         let set = self.set_index(name);
         if let Some(way) = self.find(set, key_of(name)) {
-            let m = &mut self.rows[set * self.stride + 1 + self.ways + way];
-            *m = (*m & !META_LRU_MASK)
-                | ((self.tick as u128) << META_LRU_SHIFT)
-                | (write as u128)
-                | (1u128 << (META_SHARERS_SHIFT as usize + core));
+            let state = self.touch(set, way);
+            *state |= (write as u64) | sharer_bit(core);
+            let perm = state_perm(*state);
             self.stats.hits += 1;
-            Some(meta_perm(*m))
+            Some(perm)
         } else {
             self.stats.misses += 1;
             None
@@ -344,7 +329,7 @@ impl Cache {
     pub fn permissions(&self, name: BlockName) -> Option<Permissions> {
         let set = self.set_index(name);
         self.find(set, key_of(name))
-            .map(|way| meta_perm(self.rows[self.meta_idx(set, way)]))
+            .map(|way| state_perm(self.rows[self.state_idx(set, way)]))
     }
 
     /// Inserts `name` (filling after a miss); returns the victim if the
@@ -354,12 +339,10 @@ impl Cache {
         self.tick += 1;
         let set = self.set_index(name);
         if let Some(way) = self.find(set, key_of(name)) {
-            let m = &mut self.rows[set * self.stride + 1 + self.ways + way];
-            *m = (*m & META_SHARERS_MASK)
-                | (*m & META_DIRTY)
-                | (dirty as u128)
-                | ((perm.bits() as u128) << META_PERM_SHIFT)
-                | ((self.tick as u128) << META_LRU_SHIFT);
+            let state = self.touch(set, way);
+            *state = (*state & (STATE_SHARERS_MASK | STATE_DIRTY))
+                | (dirty as u64)
+                | ((perm.bits() as u64) << STATE_PERM_SHIFT);
             return None;
         }
         self.insert_absent(set, name, dirty, perm, 0)
@@ -402,12 +385,10 @@ impl Cache {
         self.tick += 1;
         let set = self.set_index(name);
         if let Some(way) = self.find(set, key_of(name)) {
-            let m = &mut self.rows[set * self.stride + 1 + self.ways + way];
-            *m = ((*m & META_SHARERS_MASK) & !(1u128 << (META_SHARERS_SHIFT as usize + core)))
-                | (*m & META_DIRTY)
-                | (dirty as u128)
-                | ((perm.bits() as u128) << META_PERM_SHIFT)
-                | ((self.tick as u128) << META_LRU_SHIFT);
+            let state = self.touch(set, way);
+            *state = (*state & (STATE_SHARERS_MASK | STATE_DIRTY) & !sharer_bit(core))
+                | (dirty as u64)
+                | ((perm.bits() as u64) << STATE_PERM_SHIFT);
             return None;
         }
         self.insert_absent(set, name, dirty, perm, 0)
@@ -449,29 +430,19 @@ impl Cache {
         sharers: u32,
     ) -> Option<(Victim, u32)> {
         let row = self.row(set);
-        let mask = self.rows[row] as u64;
+        let mask = self.rows[self.occ_idx(set)];
         let mut victim = None;
         let way = if mask.count_ones() as usize == self.ways {
-            let mut live = mask;
-            let mut best = 0usize;
-            let mut best_lru = u64::MAX;
-            while live != 0 {
-                let w = live.trailing_zeros() as usize;
-                let lru = (self.rows[row + 1 + self.ways + w] >> META_LRU_SHIFT) as u64;
-                if lru < best_lru {
-                    best_lru = lru;
-                    best = w;
-                }
-                live &= live - 1;
-            }
-            let old = unpack_meta(self.rows[row + 1 + self.ways + best]);
+            let lru = &self.rows[self.lru_idx(set, 0)..self.state_idx(set, 0)];
+            let best = (0..self.ways).min_by_key(|&w| lru[w]).unwrap_or(0);
+            let old = unpack_meta(self.rows[self.state_idx(set, best)]);
             self.stats.evictions += 1;
             if old.dirty {
                 self.stats.writebacks += 1;
             }
             victim = Some((
                 Victim {
-                    name: name_of(self.rows[row + 1 + best]),
+                    name: name_of(self.rows[row + best]),
                     dirty: old.dirty,
                 },
                 old.sharers,
@@ -480,14 +451,14 @@ impl Cache {
         } else {
             (!mask).trailing_zeros() as usize
         };
-        self.rows[row + 1 + way] = key_of(name);
-        self.rows[row + 1 + self.ways + way] = pack_meta(Meta {
+        self.rows[row + way] = key_of(name);
+        self.rows[self.lru_idx(set, way)] = self.tick;
+        self.rows[self.state_idx(set, way)] = pack_meta(Meta {
             dirty,
             perm,
-            lru: self.tick,
             sharers,
         });
-        self.rows[row] |= 1u128 << way;
+        self.rows[self.occ_idx(set)] |= 1 << way;
         victim
     }
 
@@ -496,11 +467,8 @@ impl Cache {
     pub fn invalidate(&mut self, name: BlockName) -> Option<Victim> {
         let set = self.set_index(name);
         if let Some(way) = self.find(set, key_of(name)) {
-            let row = self.row(set);
-            let dirty = (self.rows[row + 1 + self.ways + way] & META_DIRTY) != 0;
-            self.rows[row + 1 + way] = EMPTY_KEY;
-            self.rows[row + 1 + self.ways + way] = 0;
-            self.rows[row] &= !(1u128 << way);
+            let dirty = (self.rows[self.state_idx(set, way)] & STATE_DIRTY) != 0;
+            self.clear_way(set, way);
             self.stats.invalidations += 1;
             Some(Victim { name, dirty })
         } else {
@@ -513,7 +481,8 @@ impl Cache {
     pub fn mark_dirty(&mut self, name: BlockName) {
         let set = self.set_index(name);
         if let Some(way) = self.find(set, key_of(name)) {
-            self.rows[self.meta_idx(set, way)] |= META_DIRTY;
+            let si = self.state_idx(set, way);
+            self.rows[si] |= STATE_DIRTY;
         }
     }
 
@@ -521,7 +490,8 @@ impl Cache {
     pub fn clean(&mut self, name: BlockName) {
         let set = self.set_index(name);
         if let Some(way) = self.find(set, key_of(name)) {
-            self.rows[self.meta_idx(set, way)] &= !META_DIRTY;
+            let si = self.state_idx(set, way);
+            self.rows[si] &= !STATE_DIRTY;
         }
     }
 
@@ -611,16 +581,18 @@ impl Cache {
     /// Number of resident lines (for tests and occupancy reporting).
     pub fn occupancy(&self) -> usize {
         (0..=self.set_mask)
-            .map(|set| (self.rows[set * self.stride] as u64).count_ones() as usize)
+            .map(|set| self.rows[self.occ_idx(set)].count_ones() as usize)
             .sum()
     }
 
     /// Iterates over resident block names (used by inclusion checks in
     /// tests).
     pub fn resident_names(&self) -> impl Iterator<Item = BlockName> + '_ {
-        (0..=self.set_mask).flat_map(move |set| {
-            let row = set * self.stride;
-            BitIter(self.rows[row] as u64).map(move |w| name_of(self.rows[row + 1 + w]))
+        self.rows.chunks_exact(self.stride).flat_map(move |row| {
+            row[..self.ways]
+                .iter()
+                .filter(|&&key| key != EMPTY_KEY)
+                .map(|&key| name_of(key))
         })
     }
 
@@ -630,7 +602,8 @@ impl Cache {
     pub fn add_sharer(&mut self, name: BlockName, core: usize) {
         let set = self.set_index(name);
         if let Some(way) = self.find(set, key_of(name)) {
-            self.rows[self.meta_idx(set, way)] |= 1u128 << (META_SHARERS_SHIFT as usize + core);
+            let si = self.state_idx(set, way);
+            self.rows[si] |= sharer_bit(core);
         }
     }
 
@@ -638,7 +611,8 @@ impl Cache {
     pub fn remove_sharer(&mut self, name: BlockName, core: usize) {
         let set = self.set_index(name);
         if let Some(way) = self.find(set, key_of(name)) {
-            self.rows[self.meta_idx(set, way)] &= !(1u128 << (META_SHARERS_SHIFT as usize + core));
+            let si = self.state_idx(set, way);
+            self.rows[si] &= !sharer_bit(core);
         }
     }
 
@@ -646,7 +620,7 @@ impl Cache {
     pub fn sharers(&self, name: BlockName) -> u32 {
         let set = self.set_index(name);
         self.find(set, key_of(name)).map_or(0, |way| {
-            (self.rows[self.meta_idx(set, way)] >> META_SHARERS_SHIFT) as u32
+            (self.rows[self.state_idx(set, way)] >> STATE_SHARERS_SHIFT) as u32
         })
     }
 
@@ -664,7 +638,7 @@ impl Cache {
     }
 
     /// The set-range primitive behind every flush and downgrade: visits
-    /// each live line whose key has tag word `tag` and line address in
+    /// each live line whose key has tag field `tag` and line address in
     /// `[first, first + lines)`, and invalidates those for which `f`
     /// returns `false`.
     ///
@@ -685,20 +659,19 @@ impl Cache {
         if lines <= self.set_mask as u64 {
             for line in first..first + lines {
                 let set = line as usize & self.set_mask;
-                if let Some(way) = self.find(set, (line as u128) | ((tag as u128) << 64)) {
+                if let Some(way) = self.find(set, pack_key(tag, line)) {
                     self.update_way(set, way, &mut f);
                 }
             }
             return;
         }
         for set in 0..=self.set_mask {
-            let row = self.row(set);
-            let mut live = self.rows[row] as u64;
+            let mut live = self.rows[self.occ_idx(set)];
             while live != 0 {
                 let w = live.trailing_zeros() as usize;
                 live &= live - 1;
-                let key = self.rows[row + 1 + w];
-                if (key >> 64) as u64 == tag && (key as u64).wrapping_sub(first) < lines {
+                let key = self.rows[self.row(set) + w];
+                if key >> LINE_BITS == tag && (key & LINE_MASK).wrapping_sub(first) < lines {
                     self.update_way(set, w, &mut f);
                 }
             }
@@ -713,33 +686,26 @@ impl Cache {
         way: usize,
         f: &mut impl FnMut(BlockName, &mut Meta) -> bool,
     ) {
-        let row = self.row(set);
-        let ki = row + 1 + way;
-        let mi = row + 1 + self.ways + way;
-        let mut meta = unpack_meta(self.rows[mi]);
-        if f(name_of(self.rows[ki]), &mut meta) {
-            self.rows[mi] = pack_meta(meta);
+        let si = self.state_idx(set, way);
+        let mut meta = unpack_meta(self.rows[si]);
+        if f(name_of(self.rows[self.row(set) + way]), &mut meta) {
+            self.rows[si] = pack_meta(meta);
         } else {
-            self.rows[row] &= !(1u128 << way);
-            self.rows[ki] = EMPTY_KEY;
-            self.rows[mi] = 0;
+            self.clear_way(set, way);
         }
     }
-}
 
-/// Iterator over the set bit positions of a `u64` mask, low to high.
-struct BitIter(u64);
-
-impl Iterator for BitIter {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if self.0 == 0 {
-            return None;
-        }
-        let w = self.0.trailing_zeros() as usize;
-        self.0 &= self.0 - 1;
-        Some(w)
+    /// Clears `way` of `set` back to filler and drops its occupancy bit.
+    #[inline]
+    fn clear_way(&mut self, set: usize, way: usize) {
+        let occ = self.occ_idx(set);
+        self.rows[occ] &= !(1 << way);
+        let key = self.row(set) + way;
+        self.rows[key] = EMPTY_KEY;
+        let lru = self.lru_idx(set, way);
+        self.rows[lru] = 0;
+        let state = self.state_idx(set, way);
+        self.rows[state] = 0;
     }
 }
 
@@ -773,23 +739,71 @@ mod tests {
         let m = Meta {
             dirty: true,
             perm: Permissions::RX,
-            lru: u64::MAX - 7,
             sharers: 0xdead_beef,
         };
         let back = unpack_meta(pack_meta(m));
         assert_eq!(back.dirty, m.dirty);
         assert_eq!(back.perm, m.perm);
-        assert_eq!(back.lru, m.lru);
         assert_eq!(back.sharers, m.sharers);
+    }
+
+    #[test]
+    fn keys_roundtrip_at_the_extremes() {
+        let top = LINE_MASK;
+        let names = [
+            p(0),
+            p(top),
+            v(0, 0),
+            v(0, top),
+            v(0xFFFF, 0),
+            v(0xFFFF, top),
+        ];
+        for name in names {
+            let key = key_of(name);
+            assert_ne!(key, EMPTY_KEY, "{name:?}");
+            assert_eq!(name_of(key), name);
+        }
+        // Physical and virtual names of one line never share a key.
+        assert_ne!(key_of(p(top)), key_of(v(0, top)));
+        assert_ne!(key_of(p(7)), key_of(v(0, 7)));
+    }
+
+    #[test]
+    fn every_named_line_fits_the_key_field() {
+        use hvc_types::{GuestPhysAddr, PhysAddr, VirtAddr};
+        assert_eq!(PhysAddr::MAX.line().as_u64(), LINE_MASK);
+        assert_eq!(GuestPhysAddr::MAX.line().as_u64(), LINE_MASK);
+        assert!(VirtAddr::MAX.line().as_u64() <= LINE_MASK);
+        // Enigma's intermediate line of byte `offset` in shared object
+        // `id` (`hvc_os::Kernel::intermediate_line`), at the largest
+        // in-object offset.
+        for id in [0u64, 4095] {
+            let ia = (1u64 << 46) + (id << 34) + ((1 << 34) - 1);
+            assert!(ia >> LINE_SHIFT <= LINE_MASK, "shm {id}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds")]
+    #[cfg(debug_assertions)]
+    fn oversized_line_is_caught() {
+        let _ = key_of(p(LINE_MASK + 1));
     }
 
     #[test]
     fn row_stride_is_whole_host_lines() {
         for ways in [1usize, 2, 4, 8, 16] {
-            let stride = (2 * ways + 1 + 3) & !3;
-            assert_eq!(stride % 4, 0, "ways {ways}");
-            assert!(stride > 2 * ways, "ways {ways}");
+            let c = Cache::new(CacheConfig::new(
+                (64 * ways * 4) as u64,
+                ways,
+                Cycles::new(1),
+            ));
+            assert_eq!(c.stride % 8, 0, "ways {ways}");
+            assert!(c.stride > 3 * ways, "ways {ways}");
+            assert_eq!(c.rows.len(), c.stride * 4, "ways {ways}");
         }
+        let llc = Cache::new(CacheConfig::new(8 << 20, 16, Cycles::new(1)));
+        assert_eq!(llc.stride * 8, 448, "16-way row bytes");
     }
 
     #[test]

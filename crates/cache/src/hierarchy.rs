@@ -82,9 +82,22 @@ pub struct Hierarchy {
     may_cache_readonly: bool,
 }
 
+/// Most cores a [`Hierarchy`] can track: the LLC's per-line sharer
+/// bitmap is 32 bits.
+pub const MAX_CORES: usize = 32;
+
 impl Hierarchy {
     /// Creates an empty hierarchy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.cores` exceeds [`MAX_CORES`].
     pub fn new(config: HierarchyConfig) -> Self {
+        assert!(
+            config.cores <= MAX_CORES,
+            "{} cores exceed the {MAX_CORES}-bit LLC sharer bitmap",
+            config.cores
+        );
         Hierarchy {
             l1i: (0..config.cores)
                 .map(|_| Cache::new(config.l1i.clone()))
@@ -744,5 +757,11 @@ mod tests {
     fn bad_core_panics() {
         let mut h = tiny(1);
         h.access(1, v(1, 0), AccessKind::Read);
+    }
+
+    #[test]
+    #[should_panic(expected = "sharer bitmap")]
+    fn more_cores_than_sharer_bits_panics() {
+        let _ = tiny(MAX_CORES + 1);
     }
 }

@@ -40,5 +40,5 @@ mod stats;
 
 pub use cache::{Cache, Victim};
 pub use config::{CacheConfig, HierarchyConfig};
-pub use hierarchy::{AccessResult, FlushOp, Hierarchy};
+pub use hierarchy::{AccessResult, FlushOp, Hierarchy, MAX_CORES};
 pub use stats::{CacheStats, LevelStats};

@@ -711,35 +711,3 @@ proptest! {
         prop_assert_eq!(format!("{batched:?}"), format!("{stepped:?}"));
     }
 }
-
-proptest! {
-    /// The vector and scalar set probes agree on every lookup — hit or
-    /// miss, and on the exact hit way — after arbitrary fill/evict/flush
-    /// traffic, across way counts that exercise full, partial, and
-    /// multi-chunk SIMD tails. (With the `simd` feature off both name
-    /// the scalar path, which keeps the property trivially true instead
-    /// of meaningless.)
-    #[test]
-    fn simd_and_scalar_probes_agree(
-        ways in prop_oneof![Just(1usize), Just(2), Just(4), Just(7), Just(8), Just(16)],
-        ops in prop::collection::vec((name_strategy(), any::<bool>()), 1..300),
-        probes in prop::collection::vec(name_strategy(), 1..100),
-    ) {
-        let mut c = Cache::new(CacheConfig::new((8 * ways * 64) as u64, ways, Cycles::new(1)));
-        for (name, write) in ops {
-            if !c.access(name, write) {
-                c.fill(name, write, Permissions::RW);
-            }
-            prop_assert_eq!(
-                c.probe_scalar(name), c.probe_simd(name),
-                "probes disagree on just-filled {:?}", name
-            );
-        }
-        for name in probes {
-            prop_assert_eq!(
-                c.probe_scalar(name), c.probe_simd(name),
-                "probes disagree on {:?}", name
-            );
-        }
-    }
-}

@@ -113,10 +113,11 @@ impl Experiment {
         if self.cores == 0 {
             return Err("cores must be positive".into());
         }
-        if !self.cores.is_power_of_two() {
+        if !self.cores.is_power_of_two() || self.cores > hvc_cache::MAX_CORES {
             return Err(format!(
                 "cores must be a power of two (the shared-LLC geometry splits \
-                 sets per core), got {}",
+                 sets per core) and at most {} (the LLC sharer bitmap's width), got {}",
+                hvc_cache::MAX_CORES,
                 self.cores
             ));
         }
@@ -266,5 +267,19 @@ mod tests {
         let mut bad = Experiment::default();
         bad.seeds.clear();
         assert!(bad.validate().unwrap_err().contains("empty axis"));
+    }
+
+    #[test]
+    fn validation_caps_cores_at_the_sharer_bitmap() {
+        let ok = Experiment {
+            cores: 32,
+            ..Default::default()
+        };
+        assert!(ok.validate().is_ok());
+        let bad = Experiment {
+            cores: 64,
+            ..Default::default()
+        };
+        assert!(bad.validate().unwrap_err().contains("at most 32"));
     }
 }

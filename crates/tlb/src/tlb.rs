@@ -94,61 +94,65 @@ impl MergeStats for TlbStats {
     }
 }
 
-/// Key filler for invalid slots. The high word is `u64::MAX`, which
-/// [`key_of`] never produces (ASIDs are 16-bit), so an invalid slot can
-/// never compare equal to a probe key and the vector probe may compare
-/// whole sets unconditionally.
-const EMPTY_KEY: u128 = u128::MAX;
+/// Width of the VPN field of a key and of the frame field of a PTE
+/// word. Virtual page numbers are 36 bits and frame numbers 40.
+const FIELD_BITS: u32 = 48;
 
-/// Packs a TLB tag into the 16-byte form the tag slab stores: low word =
-/// virtual page number, high word = ASID. Injective, so key equality is
-/// `(asid, vpn)` equality and a set probe is a bare 128-bit compare.
+/// VPN field of a key, frame field of a PTE word.
+const FIELD_MASK: u64 = (1 << FIELD_BITS) - 1;
+
+/// Key filler for invalid slots. [`key_of`] puts the 16-bit ASID above a
+/// VPN of at most 36 bits, so it never produces `u64::MAX` and an invalid
+/// slot never compares equal to a probe key.
+const EMPTY_KEY: u64 = u64::MAX;
+
+/// Packs a TLB tag into the 8-byte form the tag slab stores: bits 0..48
+/// the virtual page number, the ASID above it. Injective, so key
+/// equality is `(asid, vpn)` equality and a set probe is a bare 64-bit
+/// compare.
 #[inline]
-fn key_of(asid: Asid, vpn: u64) -> u128 {
-    (vpn as u128) | ((asid.as_u16() as u128) << 64)
+fn key_of(asid: Asid, vpn: u64) -> u64 {
+    debug_assert!(
+        vpn <= FIELD_MASK,
+        "vpn {vpn:#x} exceeds the {FIELD_BITS}-bit key field"
+    );
+    vpn | ((asid.as_u16() as u64) << FIELD_BITS)
 }
 
 /// ASID half of a packed key (never called on `EMPTY_KEY`).
 #[inline]
-fn asid_of(key: u128) -> Asid {
-    Asid::new((key >> 64) as u16)
+fn asid_of(key: u64) -> Asid {
+    Asid::new((key >> FIELD_BITS) as u16)
 }
 
 /// Virtual-page half of a packed key.
 #[inline]
-fn vpn_of(key: u128) -> u64 {
-    key as u64
+fn vpn_of(key: u64) -> u64 {
+    key & FIELD_MASK
 }
 
-/// Packed-payload layout: each way carries two `u128` words. The **PTE
-/// word** holds the frame number in its low 64 bits, the permission bits
-/// at 64..72, and the shared flag at bit 72. The **clock word** holds
-/// the LRU stamp in its low 64 bits and the ASID generation captured at
-/// insert in its high 64 bits (the entry is live only while that
-/// generation matches its ASID's current one).
-const PTE_PERM_SHIFT: u32 = 64;
-const PTE_SHARED_SHIFT: u32 = 72;
-const CLOCK_LRU_MASK: u128 = u64::MAX as u128;
+/// PTE word layout: the frame number in bits 0..48, the permission bits
+/// at 48..56, and the shared flag at bit 56.
+const PTE_PERM_SHIFT: u32 = FIELD_BITS;
+const PTE_SHARED_SHIFT: u32 = 56;
 
 #[inline]
-fn pack_pte(pte: Pte) -> u128 {
-    (pte.frame.as_u64() as u128)
-        | ((pte.perm.bits() as u128) << PTE_PERM_SHIFT)
-        | ((pte.shared as u128) << PTE_SHARED_SHIFT)
+fn pack_pte(pte: Pte) -> u64 {
+    let frame = pte.frame.as_u64();
+    debug_assert!(
+        frame <= FIELD_MASK,
+        "frame {frame:#x} exceeds the {FIELD_BITS}-bit PTE field"
+    );
+    frame | ((pte.perm.bits() as u64) << PTE_PERM_SHIFT) | ((pte.shared as u64) << PTE_SHARED_SHIFT)
 }
 
 #[inline]
-fn unpack_pte(w: u128) -> Pte {
+fn unpack_pte(w: u64) -> Pte {
     Pte {
-        frame: PhysFrame::new(w as u64),
+        frame: PhysFrame::new(w & FIELD_MASK),
         perm: Permissions::from_bits((w >> PTE_PERM_SHIFT) as u8),
         shared: (w >> PTE_SHARED_SHIFT) & 1 == 1,
     }
-}
-
-#[inline]
-fn pack_clock(lru: u64, gen: u64) -> u128 {
-    (lru as u128) | ((gen as u128) << 64)
 }
 
 /// A set-associative TLB keyed by `(ASID, virtual page number)` with LRU
@@ -157,17 +161,16 @@ fn pack_clock(lru: u64, gen: u64) -> u128 {
 /// ASID tagging means context switches need no flush (homonyms cannot
 /// hit), matching the paper's ASID-based design.
 ///
-/// Storage is one contiguous **set-interleaved** slab: set `s` occupies
-/// the row `rows[s * stride .. (s + 1) * stride]`, laid out as
-/// `[occupancy | keys[ways] | pte[ways] | clock[ways] | padding]` — the
-/// occupancy bitmask a probe reads first, then the packed 16-byte
-/// `(asid, vpn)` tags it scans (under the `simd` feature as one
-/// vectorized whole-set compare), then the packed PTE and LRU/generation
-/// payload words of each way. The stride is rounded up to a whole number
-/// of 64-byte host cache lines, so a probe of a multi-thousand-entry
-/// delayed TLB touches a handful of *contiguous* host lines instead of
-/// three slabs allocated apart. Address-space shootdowns are O(1): every
-/// entry is tagged with its ASID's generation at insert,
+/// Storage is one contiguous **set-interleaved** slab of `u64` words:
+/// set `s` occupies the row `rows[s * stride .. (s + 1) * stride]`, laid
+/// out as `[key[ways] | pte[ways] | lru[ways] | gen[ways] | occupancy |
+/// padding]` — the packed 8-byte `(asid, vpn)` tags a probe scans open
+/// the row, then each way's packed PTE word, LRU stamp, and the ASID
+/// generation captured at insert (the entry is live only while that
+/// generation matches its ASID's current one), then the occupancy
+/// bitmask that inserts read. The stride is rounded up to a whole number
+/// of 64-byte host cache lines, so a probe of an 8-way TLB scans the
+/// row's first 64 bytes. Address-space shootdowns are O(1):
 /// [`Tlb::flush_asid`] just bumps the generation, and
 /// generation-mismatched entries never hit — they are reclaimed lazily
 /// as preferred free slots on insert.
@@ -177,10 +180,10 @@ pub struct Tlb {
     /// The set-interleaved slab (see the struct docs for the row layout).
     /// Key slots of invalid ways hold [`EMPTY_KEY`] filler, which matches
     /// no probe; padding words are zero and never read.
-    rows: Box<[u128]>,
+    rows: Box<[u64]>,
     ways: usize,
-    /// Row length in `u128` words: `3 * ways + 1`, rounded up to a
-    /// multiple of four words (one 64-byte host line).
+    /// Row length in words: `4 * ways + 1`, rounded up to a multiple of
+    /// eight words (one 64-byte host line).
     stride: usize,
     set_mask: usize,
     /// Current generation per ASID, grown lazily; absent ASIDs are at
@@ -201,11 +204,10 @@ impl Tlb {
         let sets = config.sets();
         let ways = config.ways;
         assert!(ways <= 64, "at most 64 ways per set");
-        let stride = (3 * ways + 1 + 3) & !3;
-        let mut rows = vec![0u128; sets * stride].into_boxed_slice();
-        for set in 0..sets {
-            let base = set * stride + 1;
-            rows[base..base + ways].fill(EMPTY_KEY);
+        let stride = (4 * ways + 1 + 7) & !7;
+        let mut rows = vec![0u64; sets * stride].into_boxed_slice();
+        for row in rows.chunks_exact_mut(stride) {
+            row[..ways].fill(EMPTY_KEY);
         }
         Tlb {
             rows,
@@ -239,7 +241,7 @@ impl Tlb {
         (vpn as usize) & self.set_mask
     }
 
-    /// Slab index of `set`'s row (its occupancy word).
+    /// Slab index of `set`'s row, which is also its first key.
     #[inline]
     fn row(&self, set: usize) -> usize {
         set * self.stride
@@ -248,13 +250,25 @@ impl Tlb {
     /// Slab index of `way`'s packed PTE word within `set`.
     #[inline]
     fn pte_idx(&self, set: usize, way: usize) -> usize {
-        set * self.stride + 1 + self.ways + way
+        self.row(set) + self.ways + way
     }
 
-    /// Slab index of `way`'s LRU/generation word within `set`.
+    /// Slab index of `way`'s LRU stamp within `set`.
     #[inline]
-    fn clock_idx(&self, set: usize, way: usize) -> usize {
-        set * self.stride + 1 + 2 * self.ways + way
+    fn lru_idx(&self, set: usize, way: usize) -> usize {
+        self.row(set) + 2 * self.ways + way
+    }
+
+    /// Slab index of `way`'s insert-time ASID generation within `set`.
+    #[inline]
+    fn gen_idx(&self, set: usize, way: usize) -> usize {
+        self.row(set) + 3 * self.ways + way
+    }
+
+    /// Slab index of `set`'s occupancy bitmask.
+    #[inline]
+    fn occ_idx(&self, set: usize) -> usize {
+        self.row(set) + 4 * self.ways
     }
 
     /// Current generation of `asid` (0 if never flushed).
@@ -270,89 +284,32 @@ impl Tlb {
     /// current).
     #[inline]
     fn is_live(&self, set: usize, way: usize) -> bool {
-        let gen = (self.rows[self.clock_idx(set, way)] >> 64) as u64;
-        gen == self.gen_of(asid_of(self.rows[set * self.stride + 1 + way]))
+        self.rows[self.gen_idx(set, way)] == self.gen_of(asid_of(self.rows[self.row(set) + way]))
     }
 
     /// Clears `(set, way)` back to filler and drops its occupancy bit.
     #[inline]
     fn clear_way(&mut self, set: usize, way: usize) {
         let row = self.row(set);
-        self.rows[row + 1 + way] = EMPTY_KEY;
-        self.rows[row + 1 + self.ways + way] = 0;
-        self.rows[row + 1 + 2 * self.ways + way] = 0;
-        self.rows[row] &= !(1u128 << way);
+        self.rows[row + way] = EMPTY_KEY;
+        self.rows[row + self.ways + way] = 0;
+        self.rows[row + 2 * self.ways + way] = 0;
+        self.rows[row + 3 * self.ways + way] = 0;
+        self.rows[self.occ_idx(set)] &= !(1 << way);
     }
 
     /// Finds the way of the entry tagged `key` within `set`, live or
-    /// stale. At most one slot can match: [`Tlb::insert`] refreshes a
-    /// live duplicate in place and reclaims every stale slot of the set
-    /// before placing a tag, so duplicates never coexist. Dispatches to
-    /// the vector probe under the `simd` feature and the masked scalar
-    /// walk otherwise; both are always compiled and equivalence-tested.
+    /// stale, with one linear scan of the set's keys; invalid slots hold
+    /// [`EMPTY_KEY`], which matches no probe. At most one slot can match:
+    /// [`Tlb::insert`] refreshes a live duplicate in place and reclaims
+    /// every stale slot of the set before placing a tag, so duplicates
+    /// never coexist.
     #[inline]
-    fn find(&self, set: usize, key: u128) -> Option<usize> {
-        #[cfg(feature = "simd")]
-        {
-            self.find_simd(set, key)
-        }
-        #[cfg(not(feature = "simd"))]
-        {
-            self.find_scalar(set, key)
-        }
-    }
-
-    /// Portable probe: walk only the in-use ways of the occupancy
-    /// bitmask, comparing one 16-byte key at a time.
-    #[inline]
-    fn find_scalar(&self, set: usize, key: u128) -> Option<usize> {
+    fn find(&self, set: usize, key: u64) -> Option<usize> {
         let row = self.row(set);
-        let keys = &self.rows[row + 1..row + 1 + self.ways];
-        let mut used = self.rows[row] as u64;
-        while used != 0 {
-            let w = used.trailing_zeros() as usize;
-            if keys[w] == key {
-                return Some(w);
-            }
-            used &= used - 1;
-        }
-        None
-    }
-
-    /// Vector probe: compare the whole set's 16-byte keys branchlessly
-    /// (the compiler lowers the fixed-trip loop to SIMD compares — two
-    /// `u64` lanes per way), collect the match bits, and mask with
-    /// occupancy. Invalid slots hold [`EMPTY_KEY`], which matches no
-    /// probe, and tags are unique per set, so the lowest bit is exact.
-    #[inline]
-    fn find_simd(&self, set: usize, key: u128) -> Option<usize> {
-        let row = self.row(set);
-        let mut matches = 0u64;
-        for (w, &k) in self.rows[row + 1..row + 1 + self.ways].iter().enumerate() {
-            matches |= ((k == key) as u64) << w;
-        }
-        matches &= self.rows[row] as u64;
-        if matches != 0 {
-            Some(matches.trailing_zeros() as usize)
-        } else {
-            None
-        }
-    }
-
-    /// Scalar set probe, exposed (with [`Tlb::probe_simd`]) for the
-    /// SIMD-vs-scalar equivalence proptests. Returns the matching way
-    /// (live or stale), if any.
-    #[doc(hidden)]
-    pub fn probe_scalar(&self, asid: Asid, vpage: VirtPage) -> Option<usize> {
-        let set = self.set_index(vpage.as_u64());
-        self.find_scalar(set, key_of(asid, vpage.as_u64()))
-    }
-
-    /// Vector set probe; see [`Tlb::probe_scalar`].
-    #[doc(hidden)]
-    pub fn probe_simd(&self, asid: Asid, vpage: VirtPage) -> Option<usize> {
-        let set = self.set_index(vpage.as_u64());
-        self.find_simd(set, key_of(asid, vpage.as_u64()))
+        self.rows[row..row + self.ways]
+            .iter()
+            .position(|&k| k == key)
     }
 
     /// Looks up a translation, updating LRU and counters.
@@ -362,10 +319,9 @@ impl Tlb {
         let set = self.set_index(vpn);
         let gen = self.gen_of(asid);
         if let Some(way) = self.find(set, key_of(asid, vpn)) {
-            let ci = self.clock_idx(set, way);
-            let clock = self.rows[ci];
-            if (clock >> 64) as u64 == gen {
-                self.rows[ci] = (clock & !CLOCK_LRU_MASK) | (self.tick as u128);
+            if self.rows[self.gen_idx(set, way)] == gen {
+                let li = self.lru_idx(set, way);
+                self.rows[li] = self.tick;
                 self.stats.hits += 1;
                 return Some(unpack_pte(self.rows[self.pte_idx(set, way)]));
             }
@@ -380,9 +336,8 @@ impl Tlb {
     pub fn contains(&self, asid: Asid, vpage: VirtPage) -> bool {
         let vpn = vpage.as_u64();
         let set = self.set_index(vpn);
-        self.find(set, key_of(asid, vpn)).is_some_and(|way| {
-            (self.rows[self.clock_idx(set, way)] >> 64) as u64 == self.gen_of(asid)
-        })
+        self.find(set, key_of(asid, vpn))
+            .is_some_and(|way| self.rows[self.gen_idx(set, way)] == self.gen_of(asid))
     }
 
     /// Inserts (or refreshes) a translation after a miss/page walk.
@@ -397,44 +352,33 @@ impl Tlb {
         let gen = self.gen_of(asid);
         let row = self.row(set);
         let key = key_of(asid, vpn);
-        let mut used = self.rows[row] as u64;
+        let mut used = self.rows[self.occ_idx(set)];
         while used != 0 {
             let w = used.trailing_zeros() as usize;
             if !self.is_live(set, w) {
                 // Lazily reclaim any stale entry encountered on the way.
                 self.clear_way(set, w);
-            } else if self.rows[row + 1 + w] == key {
-                self.rows[row + 1 + self.ways + w] = pack_pte(pte);
-                let ci = row + 1 + 2 * self.ways + w;
-                self.rows[ci] = (self.rows[ci] & !CLOCK_LRU_MASK) | (self.tick as u128);
+            } else if self.rows[row + w] == key {
+                self.rows[row + self.ways + w] = pack_pte(pte);
+                self.rows[row + 2 * self.ways + w] = self.tick;
                 return;
             }
             used &= used - 1;
         }
-        let mask = self.rows[row] as u64;
+        let mask = self.rows[self.occ_idx(set)];
         let way = if mask.count_ones() as usize == self.ways {
             // All ways live: evict the unique LRU minimum (ticks are
             // unique among live entries, so slot order cannot matter).
-            let mut live = mask;
-            let mut best = 0usize;
-            let mut best_lru = u64::MAX;
-            while live != 0 {
-                let w = live.trailing_zeros() as usize;
-                let lru = self.rows[row + 1 + 2 * self.ways + w] as u64;
-                if lru < best_lru {
-                    best_lru = lru;
-                    best = w;
-                }
-                live &= live - 1;
-            }
-            best
+            let lru = &self.rows[row + 2 * self.ways..row + 3 * self.ways];
+            (0..self.ways).min_by_key(|&w| lru[w]).unwrap_or(0)
         } else {
             (!mask).trailing_zeros() as usize
         };
-        self.rows[row + 1 + way] = key;
-        self.rows[row + 1 + self.ways + way] = pack_pte(pte);
-        self.rows[row + 1 + 2 * self.ways + way] = pack_clock(self.tick, gen);
-        self.rows[row] |= 1u128 << way;
+        self.rows[row + way] = key;
+        self.rows[row + self.ways + way] = pack_pte(pte);
+        self.rows[row + 2 * self.ways + way] = self.tick;
+        self.rows[row + 3 * self.ways + way] = gen;
+        self.rows[self.occ_idx(set)] |= 1 << way;
     }
 
     /// Invalidates one page's entry (TLB shootdown).
@@ -459,9 +403,9 @@ impl Tlb {
     /// Invalidates everything.
     pub fn flush_all(&mut self) {
         self.rows.fill(0);
-        for set in 0..=self.set_mask {
-            let base = set * self.stride + 1;
-            self.rows[base..base + self.ways].fill(EMPTY_KEY);
+        let ways = self.ways;
+        for row in self.rows.chunks_exact_mut(self.stride) {
+            row[..ways].fill(EMPTY_KEY);
         }
     }
 
@@ -475,7 +419,7 @@ impl Tlb {
     /// against the page tables; not on any simulation fast path.
     pub fn entries(&self) -> impl Iterator<Item = (Asid, VirtPage, Pte)> + '_ {
         self.live_slots().map(|(set, way)| {
-            let key = self.rows[set * self.stride + 1 + way];
+            let key = self.rows[self.row(set) + way];
             (
                 asid_of(key),
                 VirtPage::new(vpn_of(key)),
@@ -487,27 +431,9 @@ impl Tlb {
     /// `(set, way)` coordinates of all live (in-use and
     /// generation-current) entries.
     fn live_slots(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..=self.set_mask).flat_map(move |set| {
-            BitIter(self.rows[set * self.stride] as u64)
-                .map(move |w| (set, w))
-                .filter(|&(set, w)| self.is_live(set, w))
-        })
-    }
-}
-
-/// Iterator over the set bit positions of a `u64` mask, low to high.
-struct BitIter(u64);
-
-impl Iterator for BitIter {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if self.0 == 0 {
-            return None;
-        }
-        let w = self.0.trailing_zeros() as usize;
-        self.0 &= self.0 - 1;
-        Some(w)
+        (0..=self.set_mask)
+            .flat_map(move |set| (0..self.ways).map(move |w| (set, w)))
+            .filter(|&(set, w)| self.rows[self.row(set) + w] != EMPTY_KEY && self.is_live(set, w))
     }
 }
 
@@ -531,7 +457,7 @@ mod tests {
     #[test]
     fn pte_word_roundtrips() {
         let p = Pte {
-            frame: PhysFrame::new(u64::MAX >> 1),
+            frame: PhysFrame::new(u64::MAX),
             perm: Permissions::RX,
             shared: true,
         };
@@ -541,6 +467,36 @@ mod tests {
         assert_eq!(back.shared, p.shared);
         let q = pte(7);
         assert!(!unpack_pte(pack_pte(q)).shared);
+    }
+
+    #[test]
+    fn keys_roundtrip_at_the_extremes() {
+        let top = VirtPage::new(u64::MAX).as_u64();
+        for asid in [0u16, 1, 0xFFFF] {
+            for vpn in [0, top] {
+                let key = key_of(Asid::new(asid), vpn);
+                assert_ne!(key, EMPTY_KEY, "asid {asid} vpn {vpn:#x}");
+                assert_eq!(asid_of(key), Asid::new(asid));
+                assert_eq!(vpn_of(key), vpn);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds")]
+    #[cfg(debug_assertions)]
+    fn oversized_vpn_is_caught() {
+        let _ = key_of(Asid::new(1), FIELD_MASK + 1);
+    }
+
+    #[test]
+    fn row_stride_is_whole_host_lines() {
+        for ways in [1usize, 2, 4, 8, 16] {
+            let t = Tlb::new(TlbConfig::new(4 * ways, ways, Cycles::new(1)));
+            assert_eq!(t.stride % 8, 0, "ways {ways}");
+            assert!(t.stride > 4 * ways, "ways {ways}");
+            assert_eq!(t.rows.len(), t.stride * 4, "ways {ways}");
+        }
     }
 
     #[test]

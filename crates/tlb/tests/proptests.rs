@@ -283,34 +283,3 @@ proptest! {
         prop_assert_eq!(flat_entries, model.entries(), "live entry sets differ");
     }
 }
-
-proptest! {
-    /// The vector and scalar set probes agree on every lookup — hit or
-    /// miss, and on the exact hit way — after arbitrary insert/flush
-    /// traffic, across way counts that exercise full, partial, and
-    /// multi-chunk SIMD tails. Stale (generation-flushed) entries must
-    /// be reported identically too: both probes match raw keys, and the
-    /// liveness check layers on top.
-    #[test]
-    fn simd_and_scalar_probes_agree(
-        ways in prop_oneof![Just(1usize), Just(2), Just(4), Just(7), Just(8), Just(16)],
-        inserts in prop::collection::vec((1u16..5, 0u64..256), 1..200),
-        flushes in prop::collection::vec(1u16..5, 0..6),
-        probes in prop::collection::vec((1u16..5, 0u64..256), 1..100),
-    ) {
-        let mut t = Tlb::new(TlbConfig::new(8 * ways, ways, Cycles::new(1)));
-        for (i, &(asid, vpn)) in inserts.iter().enumerate() {
-            t.insert(Asid::new(asid), VirtPage::new(vpn), pte(i as u64));
-        }
-        for &asid in &flushes {
-            t.flush_asid(Asid::new(asid));
-        }
-        for &(asid, vpn) in &probes {
-            prop_assert_eq!(
-                t.probe_scalar(Asid::new(asid), VirtPage::new(vpn)),
-                t.probe_simd(Asid::new(asid), VirtPage::new(vpn)),
-                "probes disagree on asid {} vpn {}", asid, vpn
-            );
-        }
-    }
-}

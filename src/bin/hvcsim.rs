@@ -760,11 +760,12 @@ fn single_main(args: &[String]) -> ExitCode {
                 None => return bad(),
             },
             "--cores" => match next(&mut i).and_then(|v| v.parse().ok()) {
-                Some(v) if usize::is_power_of_two(v) => cores = v,
+                Some(v) if usize::is_power_of_two(v) && v <= hvc::cache::MAX_CORES => cores = v,
                 Some(v) => {
                     eprintln!(
-                        "--cores {v} is not a power of two (the shared-LLC \
-                         geometry splits sets per core)"
+                        "--cores {v} is not a power of two (the shared-LLC geometry \
+                         splits sets per core) of at most {} (the LLC sharer bitmap's width)",
+                        hvc::cache::MAX_CORES
                     );
                     return ExitCode::FAILURE;
                 }

@@ -47,6 +47,20 @@ fn non_power_of_two_cores_fail_cleanly_without_panicking() {
 }
 
 #[test]
+fn more_than_32_cores_fail_cleanly_without_panicking() {
+    for args in [
+        vec!["--workload", "gups", "--cores", "64", "--refs", "1000"],
+        vec!["sweep", "--preset", "smoke", "--cores", "64"],
+    ] {
+        let out = hvcsim().args(&args).output().expect("spawn");
+        assert!(!out.status.success(), "{args:?} should fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        assert!(stderr.contains("32"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn trace_options_with_multiple_cores_fail_cleanly() {
     let trace = std::env::temp_dir().join(format!("hvcsim-mc-trace-{}.json", std::process::id()));
     let trace = trace.to_string_lossy().into_owned();
