@@ -18,7 +18,7 @@ use crate::invariants;
 use crate::violation::Violation;
 use hvc_core::{RunReport, SystemConfig, SystemSim, TranslationScheme, VirtScheme, VirtSystemSim};
 use hvc_os::{AllocPolicy, Kernel};
-use hvc_types::{CheckHooks, TraceItem, Vmid};
+use hvc_types::{Asid, CheckHooks, PhysAddr, PhysFrame, TraceItem, VirtAddr, Vmid};
 use hvc_virt::Hypervisor;
 use hvc_workloads::WorkloadInstance;
 use std::cell::RefCell;
@@ -46,6 +46,9 @@ struct BoundaryAudit {
     late_boundaries: u64,
     /// Worst queue depth seen at a boundary.
     worst_pending: usize,
+    /// The latest segment translation that disagreed with the page
+    /// table since the last drain.
+    stale_segment: Option<Violation>,
 }
 
 struct QueueAudit(Rc<RefCell<BoundaryAudit>>);
@@ -56,6 +59,26 @@ impl CheckHooks for QueueAudit {
             let mut a = self.0.borrow_mut();
             a.late_boundaries += 1;
             a.worst_pending = a.worst_pending.max(pending);
+        }
+    }
+
+    fn segment_translation(
+        &mut self,
+        asid: Asid,
+        vaddr: VirtAddr,
+        pa: PhysAddr,
+        page_table: Option<PhysFrame>,
+    ) {
+        if let Some(frame) = page_table.filter(|&f| f != pa.frame_number()) {
+            self.0.borrow_mut().stale_segment = Some(Violation::SegmentStale {
+                asid: asid.as_u16(),
+                vpn: vaddr.page_number().base().as_u64() >> hvc_types::PAGE_SHIFT,
+                detail: format!(
+                    "segment gives frame {:#x}, page table {:#x}",
+                    pa.frame_number().base().as_u64(),
+                    frame.base().as_u64()
+                ),
+            });
         }
     }
 }
@@ -69,6 +92,7 @@ fn drain_audit(audit: &Rc<RefCell<BoundaryAudit>>, out: &mut Vec<Violation>) {
         a.late_boundaries = 0;
         a.worst_pending = 0;
     }
+    out.extend(a.stale_segment.take());
 }
 
 /// Compares the synonym partition (the per-space sets of shared pages)

@@ -49,6 +49,17 @@ pub enum Violation {
         /// What is stale about it.
         detail: String,
     },
+    /// The many-segment translator resolved a mapped page to a frame
+    /// other than the page table's — it still mirrors a segment the OS
+    /// removed or moved.
+    SegmentStale {
+        /// Address space of the translated page.
+        asid: u16,
+        /// Virtual page number of the translated page.
+        vpn: u64,
+        /// The two frames.
+        detail: String,
+    },
     /// A page the OS marked as a synonym is not a candidate in its
     /// space's filter — a false negative, which the paper's design must
     /// never produce.
@@ -92,6 +103,9 @@ impl fmt::Display for Violation {
                 vpn,
                 detail,
             } => write!(f, "stale {tlb} entry: asid {asid} vpn {vpn:#x}: {detail}"),
+            Violation::SegmentStale { asid, vpn, detail } => {
+                write!(f, "stale segment translation: asid {asid} vpn {vpn:#x}: {detail}")
+            }
             Violation::FilterFalseNegative { asid, vpn } => write!(
                 f,
                 "filter false negative: asid {asid} vpn {vpn:#x} is a synonym page but not a candidate"

@@ -5,8 +5,8 @@
 use hvc_check::Violation;
 use hvc_check::{stress, CheckConfig, DiffHarness, VirtDiffHarness};
 use hvc_core::{SystemConfig, SystemSim, TranslationScheme, VirtScheme};
-use hvc_os::{AllocPolicy, Kernel};
-use hvc_types::{Asid, BlockName, Vmid};
+use hvc_os::{AllocPolicy, Kernel, MapIntent};
+use hvc_types::{Asid, BlockName, MemRef, Permissions, TraceItem, VirtAddr, Vmid};
 use hvc_virt::Hypervisor;
 use hvc_workloads::{apps, WorkloadInstance};
 
@@ -69,6 +69,43 @@ fn native_process_churn_stays_clean() {
         "destroy_process through os() must leave no stale state: {:?}",
         h.violations()
     );
+}
+
+/// The OS moves a segment outside the many-segment path: it unmaps an
+/// eager region, a new mapping takes its frames, and the region is
+/// mapped again elsewhere in physical memory. The next translation must
+/// follow the page table, not the segment the translator mirrored.
+#[test]
+fn remapped_eager_segment_is_not_served_stale() {
+    const MIB: u64 = 1 << 20;
+    let (a, b) = (VirtAddr::new(0x4000_0000), VirtAddr::new(0x8000_0000));
+    let rw = Permissions::RW;
+    let (mut h, asid) = DiffHarness::new(
+        SystemConfig::isca2016(),
+        TranslationScheme::HybridManySegment {
+            segment_cache: true,
+        },
+        CheckConfig::default(),
+        GIB,
+        AllocPolicy::EagerSegments { split: 1 },
+        |k| {
+            let asid = k.create_process()?;
+            k.mmap(asid, a, 2 * MIB, rw, MapIntent::Private)?;
+            Ok(asid)
+        },
+    )
+    .unwrap();
+    let read = |va: VirtAddr| TraceItem::new(1, MemRef::read(asid, va));
+    h.step(read(a + 0x40), 1);
+    h.os(|k| {
+        k.munmap(asid, a).unwrap();
+        k.mmap(asid, b, 2 * MIB, rw, MapIntent::Private).unwrap();
+        k.mmap(asid, a, 2 * MIB, rw, MapIntent::Private).unwrap();
+    });
+    h.step(read(a + 0x1040), 1);
+    h.step(read(a + 0x40), 1);
+    let violations = h.finish();
+    assert!(violations.is_empty(), "{violations:?}");
 }
 
 fn virt_setup() -> hvc_types::Result<(Hypervisor, Vmid, WorkloadInstance)> {

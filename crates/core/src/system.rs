@@ -882,14 +882,26 @@ impl SystemSim {
                 core: core_model,
                 kernel,
                 counters,
+                hooks,
                 ..
             } = self;
             let m = many.as_mut().expect("many-segment scheme");
+            // The OS also moves the segment table outside this path
+            // (churn's munmap/mmap of eager segments, process teardown,
+            // the lazily mapped instruction-fetch text), so re-mirror it
+            // before translating.
+            if m.sync(kernel.segments()) {
+                counters.segment_table_rebuilds += 1;
+            }
             let now = core_model.now();
             if let Some((pa, cost)) = m.translate_detailed(asid, vaddr, |addr| {
                 counters.pte_reads += 1; // index-tree node fetch from memory
                 dram.access_latency(now, addr, false)
             }) {
+                if let Some(h) = hooks {
+                    let mapped = kernel.walk(asid, vaddr.page_number());
+                    h.segment_translation(asid, vaddr, pa, mapped.map(|(pte, _)| pte.frame));
+                }
                 parts.add(Component::SegmentCache, cost.segment_cache);
                 parts.add(Component::IndexCache, cost.index_cache);
                 parts.add(Component::SegmentTable, cost.segment_table);
@@ -905,11 +917,9 @@ impl SystemSim {
             // reservation policy this commits a sub-segment (changing the
             // segment table), so the hardware structures re-mirror it; a
             // plain paging-managed page falls back to a walk.
-            let version_before = self.kernel.segments().version();
             let pte = self.ensure_pte(core, asid, vaddr, kind);
-            if self.kernel.segments().version() != version_before {
-                let m = self.many.as_mut().expect("many-segment scheme");
-                m.rebuild(self.kernel.segments());
+            let m = self.many.as_mut().expect("many-segment scheme");
+            if m.sync(self.kernel.segments()) {
                 self.counters.segment_table_rebuilds += 1;
             }
             let lat = self.charged_walk(core, asid, vaddr);

@@ -52,6 +52,8 @@ pub struct ManySegmentStats {
 /// The index tree is rebuilt from the OS segment table with
 /// [`ManySegmentTranslator::rebuild`] whenever segments change (the OS
 /// batches this with its shootdowns; the cost is charged by the caller).
+/// [`ManySegmentTranslator::sync`] does so only when the table's version
+/// moved since the last build.
 #[derive(Clone, Debug)]
 pub struct ManySegmentTranslator {
     sc: SegmentCache,
@@ -60,6 +62,8 @@ pub struct ManySegmentTranslator {
     hw_table: HwSegmentTable,
     /// Where in physical memory the index tree lives.
     tree_base: PhysAddr,
+    /// The segment-table version the tree and hardware table mirror.
+    version: u64,
     stats: ManySegmentStats,
     scratch: Vec<PhysAddr>,
 }
@@ -91,6 +95,7 @@ impl ManySegmentTranslator {
             index_tree: IndexTree::build(table, tree_base),
             hw_table,
             tree_base,
+            version: table.version(),
             stats: ManySegmentStats::default(),
             scratch: Vec::with_capacity(8),
         }
@@ -116,6 +121,17 @@ impl ManySegmentTranslator {
         self.hw_table.sync(table);
         self.sc.flush();
         self.index_cache.flush();
+        self.version = table.version();
+    }
+
+    /// Rebuilds if `table` changed since the last build; returns whether
+    /// it did.
+    pub fn sync(&mut self, table: &SegmentTable) -> bool {
+        let stale = self.version != table.version();
+        if stale {
+            self.rebuild(table);
+        }
+        stale
     }
 
     /// Translates `(asid, va)` after an LLC miss. Returns the physical
@@ -317,6 +333,19 @@ mod tests {
         assert!(tr
             .translate(a, VirtAddr::new(0x4000_0000), |_| Cycles::new(160))
             .is_some());
+    }
+
+    #[test]
+    fn sync_rebuilds_only_when_the_table_moved() {
+        let (mut k, a) = eager_kernel_with_map();
+        let mut tr = ManySegmentTranslator::isca2016(k.segments());
+        assert!(!tr.sync(k.segments()), "freshly mirrored");
+        k.munmap(a, VirtAddr::new(0x100000)).unwrap();
+        assert!(tr.sync(k.segments()));
+        assert!(!tr.sync(k.segments()));
+        assert!(tr
+            .translate(a, VirtAddr::new(0x100000), |_| Cycles::new(160))
+            .is_none());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! latency and count misses per kilo-instruction.
 
 use hvc_os::{Segment, SegmentTable};
-use hvc_types::{Asid, Cycles, PhysAddr, VirtAddr};
+use hvc_types::{Asid, Cycles, LruTags, PhysAddr, VirtAddr};
 
 /// RMM counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -30,20 +30,15 @@ impl RmmStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct RangeEntry {
-    seg: Segment,
-    lru: u64,
-}
-
 /// The RMM range TLB: `capacity` fully-associative variable-length
 /// segment registers (32 in the paper, operating at seven cycles).
+///
+/// Lookups match by range, so the tag array's keys (`asid << 48 |
+/// base`) serve only its recency bookkeeping.
 #[derive(Clone, Debug)]
 pub struct Rmm {
-    entries: Vec<RangeEntry>,
-    capacity: usize,
+    entries: LruTags<Segment>,
     latency: Cycles,
-    tick: u64,
     stats: RmmStats,
 }
 
@@ -51,10 +46,8 @@ impl Rmm {
     /// Creates an RMM range TLB with `capacity` entries.
     pub fn new(capacity: usize, latency: Cycles) -> Self {
         Rmm {
-            entries: Vec::with_capacity(capacity),
-            capacity,
+            entries: LruTags::new(capacity),
             latency,
-            tick: 0,
             stats: RmmStats::default(),
         }
     }
@@ -72,12 +65,10 @@ impl Rmm {
     /// Attempts to translate `va`; on a miss the caller must walk the OS
     /// segment table ([`Rmm::fill_from`]) — misses are counted here.
     pub fn translate(&mut self, asid: Asid, va: VirtAddr) -> Option<PhysAddr> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.seg.contains(asid, va)) {
-            e.lru = tick;
+        if let Some(slot) = self.entries.find_by(|seg| seg.contains(asid, va)) {
+            self.entries.touch(slot);
             self.stats.hits += 1;
-            return Some(e.seg.translate(va));
+            return Some(self.entries.payload(slot).translate(va));
         }
         self.stats.misses += 1;
         None
@@ -92,20 +83,8 @@ impl Rmm {
         va: VirtAddr,
     ) -> Option<PhysAddr> {
         let seg = *table.find(asid, va)?;
-        self.tick += 1;
-        let tick = self.tick;
-        if self.entries.len() == self.capacity && self.capacity > 0 {
-            let (slot, _) = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.lru)
-                .expect("non-empty");
-            self.entries.swap_remove(slot);
-        }
-        if self.capacity > 0 {
-            self.entries.push(RangeEntry { seg, lru: tick });
-        }
+        let key = u64::from(seg.asid.as_u16()) << 48 | seg.base.as_u64();
+        self.entries.insert(key, seg);
         Some(seg.translate(va))
     }
 

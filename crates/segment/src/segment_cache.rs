@@ -2,32 +2,22 @@
 //! segment translations.
 
 use hvc_os::Segment;
-use hvc_types::{Asid, Cycles, PhysAddr, VirtAddr};
+use hvc_types::{Asid, Cycles, LruTags, PhysAddr, VirtAddr};
 
 /// Granularity shift of SC entries (2 MB regions).
 const SC_SHIFT: u32 = 21;
 
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    asid: Asid,
-    region: u64,
-    /// Cached segment bounds + offset (a region may be partially covered
-    /// by a segment; bounds are validated on every hit).
-    seg_base: u64,
-    seg_len: u64,
-    offset_delta: i128,
-    lru: u64,
-}
-
 /// A 128-entry TLB-like structure holding 2 MB-granularity segment
 /// translations, hiding the index-tree traversal for hot regions
 /// (Section IV-C, "Segment Cache").
+///
+/// Each entry is keyed by `asid << 48 | region` and caches its segment's
+/// `[base, len, phys_base]`: a region may be only partly covered by a
+/// segment, so bounds are validated on every hit.
 #[derive(Clone, Debug)]
 pub struct SegmentCache {
-    entries: Vec<Entry>,
-    capacity: usize,
+    entries: LruTags<[u64; 3]>,
     latency: Cycles,
-    tick: u64,
     hits: u64,
     misses: u64,
 }
@@ -36,10 +26,8 @@ impl SegmentCache {
     /// Creates an SC with `capacity` entries.
     pub fn new(capacity: usize, latency: Cycles) -> Self {
         SegmentCache {
-            entries: Vec::with_capacity(capacity),
-            capacity,
+            entries: LruTags::new(capacity),
             latency,
-            tick: 0,
             hits: 0,
             misses: 0,
         }
@@ -55,22 +43,21 @@ impl SegmentCache {
         self.latency
     }
 
+    fn key(asid: Asid, va: VirtAddr) -> u64 {
+        u64::from(asid.as_u16()) << 48 | va.as_u64() >> SC_SHIFT
+    }
+
     /// Attempts to translate `va`; `None` on a miss (or when the cached
     /// segment does not cover `va`, which falls back to the full path).
     pub fn translate(&mut self, asid: Asid, va: VirtAddr) -> Option<PhysAddr> {
-        self.tick += 1;
-        let tick = self.tick;
-        let region = va.as_u64() >> SC_SHIFT;
-        if let Some(e) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.asid == asid && e.region == region)
-        {
-            if va.as_u64() >= e.seg_base && va.as_u64() - e.seg_base < e.seg_len {
-                e.lru = tick;
+        let key = Self::key(asid, va);
+        let va = va.as_u64();
+        if let Some(slot) = self.entries.find(key) {
+            let [base, len, phys_base] = *self.entries.payload(slot);
+            if va >= base && va - base < len {
+                self.entries.touch(slot);
                 self.hits += 1;
-                let pa = (va.as_u64() as i128 + e.offset_delta) as u64;
-                return Some(PhysAddr::new(pa));
+                return Some(PhysAddr::new(phys_base.wrapping_add(va - base)));
             }
         }
         self.misses += 1;
@@ -80,41 +67,10 @@ impl SegmentCache {
     /// Fills the entry for `va`'s region from a resolved segment. A
     /// zero-capacity SC (the "without SC" configuration) ignores fills.
     pub fn fill(&mut self, asid: Asid, va: VirtAddr, seg: &Segment) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.tick += 1;
-        let tick = self.tick;
-        let region = va.as_u64() >> SC_SHIFT;
-        let delta = seg.phys_base.as_u64() as i128 - seg.base.as_u64() as i128;
-        if let Some(e) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.asid == asid && e.region == region)
-        {
-            e.seg_base = seg.base.as_u64();
-            e.seg_len = seg.len;
-            e.offset_delta = delta;
-            e.lru = tick;
-            return;
-        }
-        if self.entries.len() == self.capacity {
-            let (slot, _) = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.lru)
-                .expect("non-empty");
-            self.entries.swap_remove(slot);
-        }
-        self.entries.push(Entry {
-            asid,
-            region,
-            seg_base: seg.base.as_u64(),
-            seg_len: seg.len,
-            offset_delta: delta,
-            lru: tick,
-        });
+        self.entries.put(
+            Self::key(asid, va),
+            [seg.base.as_u64(), seg.len, seg.phys_base.as_u64()],
+        );
     }
 
     /// Invalidates everything (segment-table change).

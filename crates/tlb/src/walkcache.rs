@@ -5,26 +5,27 @@
 //! one fully-associative cache per skippable level, keyed by `(ASID,
 //! region)`.
 
-use hvc_types::{Asid, VirtPage};
+use hvc_types::{Asid, LruTags, VirtPage};
 
 /// Entries per skip level (PML4-skip, PDPT-skip, PD-skip).
 const WAYS: usize = 32;
 
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    asid: Asid,
-    region: u64,
-    lru: u64,
-}
-
 /// A paging-structure cache: for a virtual page, reports how many
 /// upper levels of the radix walk can be skipped (0–3).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct WalkCache {
-    /// `caches[k]` caches the node reached after `k + 1` levels; a hit
-    /// means the walk skips those `k + 1` top accesses.
-    caches: [Vec<Entry>; 3],
-    tick: u64,
+    /// `caches[k]` caches the node reached after `k + 1` levels, keyed
+    /// by `asid << 48 | region`; a hit means the walk skips those
+    /// `k + 1` top accesses.
+    caches: [LruTags<()>; 3],
+}
+
+impl Default for WalkCache {
+    fn default() -> Self {
+        WalkCache {
+            caches: std::array::from_fn(|_| LruTags::new(WAYS)),
+        }
+    }
 }
 
 impl WalkCache {
@@ -36,15 +37,10 @@ impl WalkCache {
     /// Returns the number of upper-level accesses (0–3) the walk of
     /// `vpage` may skip, preferring the deepest cached node.
     pub fn skip_levels(&mut self, asid: Asid, vpage: VirtPage) -> usize {
-        self.tick += 1;
-        let tick = self.tick;
         for k in (0..3).rev() {
-            let region = Self::region(vpage, k);
-            if let Some(e) = self.caches[k]
-                .iter_mut()
-                .find(|e| e.asid == asid && e.region == region)
-            {
-                e.lru = tick;
+            let cache = &mut self.caches[k];
+            if let Some(slot) = cache.find(Self::key(asid, vpage, k)) {
+                cache.touch(slot);
                 return k + 1;
             }
         }
@@ -53,40 +49,22 @@ impl WalkCache {
 
     /// Records the nodes visited by a completed walk of `vpage`.
     pub fn fill(&mut self, asid: Asid, vpage: VirtPage) {
-        self.tick += 1;
-        let tick = self.tick;
-        for k in 0..3 {
-            let region = Self::region(vpage, k);
-            let cache = &mut self.caches[k];
-            if let Some(e) = cache
-                .iter_mut()
-                .find(|e| e.asid == asid && e.region == region)
-            {
-                e.lru = tick;
-                continue;
-            }
-            if cache.len() == WAYS {
-                let (slot, _) = cache
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.lru)
-                    .expect("non-empty");
-                cache.swap_remove(slot);
-            }
-            cache.push(Entry {
-                asid,
-                region,
-                lru: tick,
-            });
+        for (k, cache) in self.caches.iter_mut().enumerate() {
+            cache.put(Self::key(asid, vpage, k), ());
         }
     }
 
     /// Invalidates everything for `asid` (shootdowns that change upper
     /// levels are rare; we flush conservatively).
     pub fn flush_asid(&mut self, asid: Asid) {
+        let asid = u64::from(asid.as_u16());
         for c in &mut self.caches {
-            c.retain(|e| e.asid != asid);
+            c.retain(|key| key >> 48 != asid);
         }
+    }
+
+    fn key(asid: Asid, vpage: VirtPage, k: usize) -> u64 {
+        u64::from(asid.as_u16()) << 48 | Self::region(vpage, k)
     }
 
     /// Region key after skipping `k + 1` levels: drop 9 bits per

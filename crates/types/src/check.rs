@@ -8,6 +8,8 @@
 //! invariants (most importantly: the OS flush-request queue must be
 //! empty whenever a new access can observe cache or TLB state).
 
+use crate::{Asid, PhysAddr, PhysFrame, VirtAddr};
+
 /// Callbacks invoked by the simulators when checking is enabled.
 ///
 /// All methods have empty default bodies so an implementation only
@@ -29,6 +31,20 @@ pub trait CheckHooks {
     fn flushes_applied(&mut self, count: usize) {
         let _ = count;
     }
+
+    /// Called after the many-segment translator resolves `vaddr` of
+    /// `asid` to `pa`, with the frame the page table maps there (`None`
+    /// when the page is unmapped). A mapped page whose frame differs
+    /// from `pa`'s means the translator served a stale segment.
+    fn segment_translation(
+        &mut self,
+        asid: Asid,
+        vaddr: VirtAddr,
+        pa: PhysAddr,
+        page_table: Option<PhysFrame>,
+    ) {
+        let _ = (asid, vaddr, pa, page_table);
+    }
 }
 
 /// A no-op [`CheckHooks`] implementation (checking disabled explicitly).
@@ -46,5 +62,6 @@ mod tests {
         let mut h = NoChecks;
         h.access_boundary(1, 0);
         h.flushes_applied(3);
+        h.segment_translation(Asid::new(1), VirtAddr::new(0), PhysAddr::new(0), None);
     }
 }

@@ -37,6 +37,7 @@ mod cycles;
 mod error;
 mod fx;
 mod ids;
+mod lru;
 mod merge;
 mod perm;
 
@@ -50,5 +51,6 @@ pub use cycles::Cycles;
 pub use error::{HvcError, Result};
 pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use ids::{Asid, BlockName, Vmid};
+pub use lru::LruTags;
 pub use merge::MergeStats;
 pub use perm::Permissions;

@@ -29,5 +29,5 @@ mod nested;
 mod nested_segments;
 
 pub use hypervisor::{Hypervisor, VirtStats};
-pub use nested::{NestedPte, NestedWalker, NestedWalkerStats};
+pub use nested::{NestedPte, NestedTlb, NestedWalker, NestedWalkerStats};
 pub use nested_segments::{NestedSegmentStats, NestedSegments};

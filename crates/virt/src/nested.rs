@@ -1,7 +1,9 @@
 //! Two-dimensional (guest + host) hardware page walking.
 
 use crate::Hypervisor;
-use hvc_types::{Asid, Cycles, GuestPhysAddr, Permissions, PhysAddr, PhysFrame, VirtPage, Vmid};
+use hvc_types::{
+    Asid, Cycles, GuestPhysAddr, LruTags, Permissions, PhysAddr, PhysFrame, VirtPage, Vmid,
+};
 
 /// The result of a nested translation: everything the TLB caches about a
 /// guest virtual page.
@@ -28,12 +30,44 @@ pub struct NestedWalkerStats {
     pub nested_tlb_misses: u64,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct NestedTlbEntry {
-    vmid: Vmid,
-    gpa_page: u64,
-    machine_frame: PhysFrame,
-    lru: u64,
+/// The walker's nested TLB: fully associative guest-physical page →
+/// machine frame entries, keyed by `vmid << 48 | gpa_page`, with exact
+/// LRU replacement.
+#[derive(Clone, Debug)]
+pub struct NestedTlb {
+    entries: LruTags<PhysFrame>,
+}
+
+impl NestedTlb {
+    /// An empty nested TLB of `capacity` entries (zero caches nothing).
+    pub fn new(capacity: usize) -> Self {
+        NestedTlb {
+            entries: LruTags::new(capacity),
+        }
+    }
+
+    fn key(vmid: Vmid, gpa_page: u64) -> u64 {
+        u64::from(vmid.as_u8()) << 48 | gpa_page
+    }
+
+    /// The machine frame of `gpa_page`, making it most recently used.
+    pub fn lookup(&mut self, vmid: Vmid, gpa_page: u64) -> Option<PhysFrame> {
+        let slot = self.entries.find(Self::key(vmid, gpa_page))?;
+        self.entries.touch(slot);
+        Some(*self.entries.payload(slot))
+    }
+
+    /// Caches a translation that just missed [`NestedTlb::lookup`],
+    /// evicting the least recently used entry when full.
+    pub fn insert(&mut self, vmid: Vmid, gpa_page: u64, machine_frame: PhysFrame) {
+        self.entries
+            .insert(Self::key(vmid, gpa_page), machine_frame);
+    }
+
+    /// Invalidates every entry.
+    pub fn flush(&mut self) {
+        self.entries.clear();
+    }
 }
 
 /// A hardware two-dimensional page walker with a nested TLB (gPA→MA) —
@@ -45,9 +79,7 @@ struct NestedTlbEntry {
 /// nested TLB reduces it to the four guest reads.
 #[derive(Clone, Debug)]
 pub struct NestedWalker {
-    nested_tlb: Vec<NestedTlbEntry>,
-    capacity: usize,
-    tick: u64,
+    nested_tlb: NestedTlb,
     stats: NestedWalkerStats,
 }
 
@@ -55,9 +87,7 @@ impl NestedWalker {
     /// Creates a walker with a nested TLB of `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         NestedWalker {
-            nested_tlb: Vec::with_capacity(capacity),
-            capacity,
-            tick: 0,
+            nested_tlb: NestedTlb::new(capacity),
             stats: NestedWalkerStats::default(),
         }
     }
@@ -121,20 +151,11 @@ impl NestedWalker {
         access: &mut impl FnMut(PhysAddr) -> Cycles,
         latency: &mut Cycles,
     ) -> Option<PhysAddr> {
-        self.tick += 1;
-        let tick = self.tick;
         let gpa_page = gpa.as_u64() >> hvc_types::PAGE_SHIFT;
-        if let Some(e) = self
-            .nested_tlb
-            .iter_mut()
-            .find(|e| e.vmid == vmid && e.gpa_page == gpa_page)
-        {
-            e.lru = tick;
+        if let Some(frame) = self.nested_tlb.lookup(vmid, gpa_page) {
             self.stats.nested_tlb_hits += 1;
             *latency += Cycles::new(1);
-            return Some(PhysAddr::new(
-                e.machine_frame.base().as_u64() + gpa.page_offset(),
-            ));
+            return Some(PhysAddr::new(frame.base().as_u64() + gpa.page_offset()));
         }
         self.stats.nested_tlb_misses += 1;
         let (pte, path) = hv.ept_walk(vmid, gpa)?;
@@ -142,29 +163,13 @@ impl NestedWalker {
             *latency += access(addr);
             self.stats.memory_reads += 1;
         }
-        if self.capacity > 0 {
-            if self.nested_tlb.len() == self.capacity {
-                let (slot, _) = self
-                    .nested_tlb
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.lru)
-                    .expect("non-empty");
-                self.nested_tlb.swap_remove(slot);
-            }
-            self.nested_tlb.push(NestedTlbEntry {
-                vmid,
-                gpa_page,
-                machine_frame: pte.frame,
-                lru: tick,
-            });
-        }
+        self.nested_tlb.insert(vmid, gpa_page, pte.frame);
         Some(PhysAddr::new(pte.frame.base().as_u64() + gpa.page_offset()))
     }
 
     /// Invalidates the nested TLB (EPT changes).
     pub fn flush(&mut self) {
-        self.nested_tlb.clear();
+        self.nested_tlb.flush();
     }
 
     /// Counters.

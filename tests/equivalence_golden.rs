@@ -19,6 +19,10 @@
 //! munmaps, whose flush drains interleave the physically named lines of
 //! freed synonym frames with the virtually named lines of the arena.
 //!
+//! A fourth golden runs GUPS and postgres at 512 MB, large enough that
+//! the segment cache and the walk cache's PD level evict, so their
+//! replacement victims are pinned too.
+//!
 //! Regenerate with `HVC_BLESS=1 cargo test --test equivalence_golden`
 //! after an *intentional* behavior change — never to paper over an
 //! unexplained diff.
@@ -32,6 +36,7 @@ use hvc::virt::Hypervisor;
 const GOLDEN_PATH: &str = "tests/goldens/hot_path_equivalence.json";
 const CHURN_GOLDEN_PATH: &str = "tests/goldens/churn_equivalence.json";
 const UNMAP_GOLDEN_PATH: &str = "tests/goldens/unmap_equivalence.json";
+const TRANSLATION_GOLDEN_PATH: &str = "tests/goldens/translation_cache_equivalence.json";
 
 fn object(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(
@@ -180,6 +185,32 @@ fn unmap_grid(cores: usize) -> Experiment {
     }
 }
 
+/// The translation-cache grid: 512 MB GUPS spans 256 2 MB regions, so
+/// the 128-entry segment cache and the 32-entry PD-level walk cache both
+/// evict (the 64 MB grids above never fill either).
+fn translation_grid() -> Experiment {
+    Experiment {
+        name: "golden-translation".into(),
+        workloads: vec!["gups".into()],
+        schemes: vec!["baseline".into(), "dtlb:1024".into(), "manyseg".into()],
+        refs: 20_000,
+        warm: 5_000,
+        mem: 512 << 20,
+        ..native_grid()
+    }
+}
+
+/// `postgres` under the many-segment scheme at the same size: several
+/// processes' segments compete for the segment cache.
+fn translation_postgres_grid() -> Experiment {
+    Experiment {
+        name: "golden-translation-postgres".into(),
+        workloads: vec!["postgres".into()],
+        schemes: vec!["manyseg".into()],
+        ..translation_grid()
+    }
+}
+
 fn document(cells: Vec<Value>) -> Value {
     object(vec![
         ("schema", Value::Str("hvc-golden/1".into())),
@@ -203,6 +234,12 @@ fn churn_document() -> Value {
 fn unmap_document() -> Value {
     let mut cells = native_cells(&unmap_grid(1));
     cells.extend(native_cells(&unmap_grid(2)));
+    document(cells)
+}
+
+fn translation_document() -> Value {
+    let mut cells = native_cells(&translation_grid());
+    cells.extend(native_cells(&translation_postgres_grid()));
     document(cells)
 }
 
@@ -278,4 +315,9 @@ fn churn_reports_match_the_blessed_goldens() {
 #[test]
 fn unmap_reports_match_the_blessed_goldens() {
     assert_matches_golden(UNMAP_GOLDEN_PATH, &unmap_document());
+}
+
+#[test]
+fn translation_cache_reports_match_the_blessed_goldens() {
+    assert_matches_golden(TRANSLATION_GOLDEN_PATH, &translation_document());
 }

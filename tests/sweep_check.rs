@@ -155,3 +155,37 @@ fn shm_heavy_grid_passes_the_oracle_on_four_cores() {
         obs: false,
     });
 }
+
+/// Eager-segment churn (the COW storms' munmap/mmap, process teardown)
+/// moves the segment table outside the many-segment path. The
+/// translator must re-mirror it before translating, or its index tree,
+/// hardware table and segment cache keep serving removed segments — a
+/// mapped page resolving to a frame other than the page table's, which
+/// the oracle reports for every segment translation.
+#[test]
+fn segment_churn_rebuilds_the_many_segment_translator() {
+    let exp = Experiment {
+        name: "check-segment-churn".into(),
+        workloads: vec!["cow_storm".into(), "fork_storm".into()],
+        schemes: vec!["manyseg".into()],
+        filters: vec!["bloom".into()],
+        seeds: vec![42],
+        llc_bytes: vec![2 << 20],
+        refs: 30_000,
+        warm: 5_000,
+        mem: 64 << 20,
+        cores: 1,
+        ifetch: false,
+        replay: None,
+        obs: false,
+    };
+    checked(&exp);
+    let outcome = run_sweep(&exp, &RunOptions::default()).expect("sweep must run");
+    for r in &outcome.results {
+        assert!(
+            r.report.translation.segment_table_rebuilds > 0,
+            "{}: churn moved the segment table but nothing re-mirrored it",
+            r.cell.workload
+        );
+    }
+}
