@@ -7,7 +7,7 @@
 //! with 2D (guest + host) segment translation.
 
 use hvc_bench::{print_table, ratio, refs_per_run};
-use hvc_core::{SystemConfig, VirtScheme, VirtSystemSim};
+use hvc_core::{SystemConfig, SystemSim, VirtScheme};
 use hvc_os::AllocPolicy;
 use hvc_workloads::{apps, WorkloadSpec};
 
@@ -22,7 +22,7 @@ fn run_virt(spec: &WorkloadSpec, scheme: VirtScheme, refs: usize) -> f64 {
     let vm = hv.create_vm(2 * GIB, policy, eager).expect("vm");
     let gk = hv.guest_kernel_mut(vm).expect("guest kernel");
     let mut wl = spec.instantiate(gk, 71).expect("instantiate");
-    let mut sim = VirtSystemSim::new(hv, vm, SystemConfig::isca2016(), scheme).expect("sim");
+    let mut sim = SystemSim::virtualized(hv, vm, SystemConfig::isca2016(), scheme).expect("sim");
     sim.warm_up(&mut wl, refs / 2);
     sim.run(&mut wl, refs).ipc()
 }

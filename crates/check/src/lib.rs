@@ -6,12 +6,13 @@
 //! crate turns that guarantee (and its supporting invariants) into
 //! executable checks:
 //!
-//! * [`DiffHarness`] / [`VirtDiffHarness`] run any workload through the
-//!   scheme under test **and** a physically-addressed reference machine
-//!   in lockstep, comparing the OS-visible outcome of every access
+//! * [`DiffHarness`] runs any workload — natively or in a guest VM —
+//!   through the scheme under test **and** a physically-addressed
+//!   reference machine in lockstep, comparing the OS-visible outcome of every access
 //!   (frame, permissions, synonym status) and the per-space synonym
 //!   partition.
-//! * [`check_system`] / [`check_virt`] sweep a simulator's entire state:
+//! * [`check_system`] / [`check_virt`] sweep a native / virtualized
+//!   simulator's entire state:
 //!   no virtually tagged line without a mapping (stale line), at most
 //!   one writable name per machine line (single-name), every TLB entry
 //!   consistent with the page tables, no synonym page missing from its
@@ -19,7 +20,7 @@
 //! * [`stress`] generates seeded scripts of OS churn interleaved with
 //!   traffic and shrinks failures to minimal reproducers.
 //!
-//! Checking hooks into the simulators through
+//! Checking hooks into the simulator through
 //! [`hvc_types::CheckHooks`]; with no hooks installed the cost is a
 //! single branch per access, so production sweeps are unaffected.
 
@@ -32,5 +33,5 @@ pub mod stress;
 mod violation;
 
 pub use invariants::{check_system, check_virt};
-pub use oracle::{CheckConfig, DiffHarness, VirtDiffHarness};
+pub use oracle::{CheckConfig, DiffHarness};
 pub use violation::Violation;

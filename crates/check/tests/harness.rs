@@ -3,7 +3,7 @@
 //! the injected historical flush bug is caught.
 
 use hvc_check::Violation;
-use hvc_check::{stress, CheckConfig, DiffHarness, VirtDiffHarness};
+use hvc_check::{stress, CheckConfig, DiffHarness};
 use hvc_core::{SystemConfig, SystemSim, TranslationScheme, VirtScheme};
 use hvc_os::{AllocPolicy, Kernel, MapIntent};
 use hvc_types::{Asid, BlockName, MemRef, Permissions, TraceItem, VirtAddr, Vmid};
@@ -118,7 +118,7 @@ fn virt_setup() -> hvc_types::Result<(Hypervisor, Vmid, WorkloadInstance)> {
 
 #[test]
 fn virt_checked_run_is_clean() {
-    let (mut h, mut wl) = VirtDiffHarness::new(
+    let (mut h, mut wl) = DiffHarness::virtualized(
         SystemConfig::isca2016(),
         VirtScheme::HybridDelayedNested(1024),
         CheckConfig::default(),
@@ -133,7 +133,7 @@ fn virt_checked_run_is_clean() {
 
 #[test]
 fn virt_guest_destroy_is_clean_with_the_fix() {
-    let (mut h, mut wl) = VirtDiffHarness::new(
+    let (mut h, mut wl) = DiffHarness::virtualized(
         SystemConfig::isca2016(),
         VirtScheme::HybridDelayedNested(1024),
         CheckConfig::default(),
@@ -142,7 +142,7 @@ fn virt_guest_destroy_is_clean_with_the_fix() {
     .unwrap();
     h.run(&mut wl, 2000);
     let asid = wl.procs()[0].asid;
-    h.guest_os(|gk| {
+    h.os(|gk| {
         let _ = gk.destroy_process(asid);
     });
     let v = h.finish();
@@ -151,10 +151,10 @@ fn virt_guest_destroy_is_clean_with_the_fix() {
 
 #[test]
 fn virt_injected_flush_drop_is_caught() {
-    // Reverting the virt_system.rs fix (Space/DowngradeRo requests
+    // Reverting the virtualized flush fix (Space/DowngradeRo requests
     // dropped) must surface under hvc-check as stale virtually tagged
     // lines and/or stale TLB entries after guest process destruction.
-    let (mut h, mut wl) = VirtDiffHarness::new(
+    let (mut h, mut wl) = DiffHarness::virtualized(
         SystemConfig::isca2016(),
         VirtScheme::HybridDelayedNested(1024),
         CheckConfig::default(),
@@ -164,7 +164,7 @@ fn virt_injected_flush_drop_is_caught() {
     h.inject_drop_non_page_flushes();
     h.run(&mut wl, 2000);
     let asid = wl.procs()[0].asid;
-    h.guest_os(|gk| {
+    h.os(|gk| {
         let _ = gk.destroy_process(asid);
     });
     let sut_asid_lines = h

@@ -4,21 +4,6 @@ use hvc_cache::HierarchyConfig;
 use hvc_mem::DramConfig;
 use hvc_tlb::TlbConfig;
 
-/// How delayed (post-LLC) translation is performed under hybrid virtual
-/// caching.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DelayedKind {
-    /// Page-granularity delayed TLB with the given entry count (the
-    /// paper sweeps 1K–32K).
-    Tlb(usize),
-    /// Many-segment translation; `segment_cache` enables the 128-entry
-    /// SC (Figure 9 evaluates both variants).
-    ManySegment {
-        /// Enable the 128-entry 2 MB-granularity segment cache.
-        segment_cache: bool,
-    },
-}
-
 /// The translation architecture under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TranslationScheme {
@@ -50,19 +35,24 @@ pub enum TranslationScheme {
     ),
 }
 
-impl TranslationScheme {
-    /// Returns `true` for schemes that cache non-synonym data virtually.
-    pub fn is_hybrid(self) -> bool {
-        matches!(
-            self,
-            TranslationScheme::HybridDelayedTlb(_) | TranslationScheme::HybridManySegment { .. }
-        )
-    }
-
-    /// Returns `true` for schemes that defer translation past the LLC.
-    pub fn is_delayed(self) -> bool {
-        self.is_hybrid() || matches!(self, TranslationScheme::EnigmaDelayedTlb(_))
-    }
+/// Translation architecture of a virtualized system (one guest VM run
+/// by [`SystemSim::virtualized`](crate::SystemSim::virtualized)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum VirtScheme {
+    /// Physical caching with a TLB holding gVA→MA entries and a 2D
+    /// walker accelerated by a nested TLB — the "state-of-the-art
+    /// translation cache" baseline.
+    NestedBaseline,
+    /// Hybrid virtual caching: guest+host synonym filters and a synonym
+    /// TLB before L1; a delayed TLB (gVA→MA) backed by the 2D walker
+    /// after LLC misses.
+    HybridDelayedNested(
+        /// Delayed TLB entries.
+        usize,
+    ),
+    /// Hybrid virtual caching with delayed 2D segment translation
+    /// (guest + host segments, gVA→MA segment cache).
+    HybridNestedSegments,
 }
 
 /// Full-system parameters (Table IV plus model knobs).
@@ -165,19 +155,5 @@ mod tests {
             SystemConfig::isca2016_8mb_llc().hierarchy.llc.size_bytes,
             8 << 20
         );
-    }
-
-    #[test]
-    fn scheme_classification() {
-        assert!(TranslationScheme::HybridDelayedTlb(1024).is_hybrid());
-        assert!(TranslationScheme::HybridManySegment {
-            segment_cache: true
-        }
-        .is_hybrid());
-        assert!(!TranslationScheme::Baseline.is_hybrid());
-        assert!(!TranslationScheme::Ideal.is_hybrid());
-        assert!(!TranslationScheme::EnigmaDelayedTlb(1024).is_hybrid());
-        assert!(TranslationScheme::EnigmaDelayedTlb(1024).is_delayed());
-        assert!(!TranslationScheme::Baseline.is_delayed());
     }
 }

@@ -11,11 +11,14 @@
 //!   [delayed TLB](TranslationScheme::HybridDelayedTlb) or with
 //!   [many-segment translation](TranslationScheme::HybridManySegment),
 //!   and an [ideal](TranslationScheme::Ideal) upper bound without
-//!   translation costs,
+//!   translation costs; [`VirtScheme`] selects the virtualized
+//!   equivalents (guest + host filters, nested walks or 2D segments),
 //! * [`SystemSim`] runs a workload trace through the selected front-end,
-//!   the hybrid cache hierarchy, delayed translation and DRAM,
-//! * [`VirtSystemSim`] is the virtualized equivalent (guest + host
-//!   filters, nested walks or 2D segments),
+//!   the hybrid cache hierarchy, delayed translation and DRAM — natively
+//!   ([`SystemSim::new`]) or for one guest VM
+//!   ([`SystemSim::virtualized`]) on the same engine, each scheme being
+//!   one implementation of a private `Translator` trait (front path,
+//!   delayed path, flush),
 //! * [`EnergyModel`] converts event counts into translation energy, the
 //!   paper's power claim.
 //!
@@ -44,11 +47,9 @@ mod core_model;
 mod energy;
 mod stats;
 mod system;
-mod virt_system;
 
-pub use config::{DelayedKind, SystemConfig, TranslationScheme};
+pub use config::{SystemConfig, TranslationScheme, VirtScheme};
 pub use core_model::CoreModel;
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use stats::{PerCoreStats, RunReport, TranslationCounters};
 pub use system::SystemSim;
-pub use virt_system::{VirtScheme, VirtSystemSim};

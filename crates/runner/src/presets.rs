@@ -3,9 +3,10 @@
 //! Each preset fixes the grid axes; reference counts default to a size
 //! that finishes in minutes on one machine and can be raised from the
 //! CLI (`--refs`/`--warm` override the preset). The native-execution
-//! figures are covered; Figure 10 (virtualized speedup) needs the
-//! `VirtSystemSim` front-end, which the sweep executor does not drive
-//! yet, and so has no preset.
+//! figures are covered. Figure 10 (virtualized speedup) has no preset
+//! yet: a guest VM runs on the same `SystemSim` engine
+//! (`SystemSim::virtualized`), but the sweep executor does not build
+//! VMs, so `fig10_virt_perf` in `hvc-bench` still drives it.
 
 use crate::grid::Experiment;
 use crate::params::{MC_WORKLOADS, STRESS_WORKLOADS, SYNONYM_WORKLOADS, WORKLOAD_NAMES};

@@ -8,7 +8,7 @@
 
 use crate::Hypervisor;
 use hvc_os::SegmentId;
-use hvc_segment::{HwSegmentTable, IndexCache, IndexTree, SegmentCache};
+use hvc_segment::{HwSegmentTable, IndexCache, IndexTree, SegmentCache, SegmentCost};
 use hvc_types::{Asid, Cycles, GuestPhysAddr, PhysAddr, VirtAddr, Vmid};
 
 /// Counters for 2D segment translation.
@@ -65,19 +65,24 @@ impl NestedSegments {
     /// ([`Hypervisor::host_segment_key`]); `fetch` charges index-tree
     /// node reads that miss the index caches.
     ///
-    /// Returns `None` (with `uncovered` counted) if either dimension has
-    /// no covering segment.
+    /// The cost itemizes the segment-cache probe, both dimensions'
+    /// index-cache probes (including node fetches) and both segment-table
+    /// reads. Returns `None` (with `uncovered` counted) if either
+    /// dimension has no covering segment.
     pub fn translate(
         &mut self,
         asid: Asid,
         host_key: Asid,
         gva: VirtAddr,
         mut fetch: impl FnMut(PhysAddr) -> Cycles,
-    ) -> Option<(PhysAddr, Cycles)> {
-        let mut latency = self.sc.latency();
+    ) -> Option<(PhysAddr, SegmentCost)> {
+        let mut cost = SegmentCost {
+            segment_cache: self.sc.latency(),
+            ..SegmentCost::default()
+        };
         if let Some(ma) = self.sc.translate(asid, gva) {
             self.stats.sc_hits += 1;
-            return Some((ma, latency));
+            return Some((ma, cost));
         }
 
         // Step 1: guest segments, gVA → gPA.
@@ -85,12 +90,12 @@ impl NestedSegments {
             let mut touched = Vec::new();
             let id = self.guest_tree.lookup(asid, gva, &mut touched)?;
             for &n in &touched {
-                latency += self.guest_cache.latency();
+                cost.index_cache += self.guest_cache.latency();
                 if !self.guest_cache.access(n) {
-                    latency += fetch(n);
+                    cost.index_cache += fetch(n);
                 }
             }
-            latency += self.guest_table.latency();
+            cost.segment_table += self.guest_table.latency();
             let Some(gpa) = self.guest_table.translate(id, asid, gva) else {
                 self.stats.uncovered += 1;
                 return None;
@@ -106,12 +111,12 @@ impl NestedSegments {
             return None;
         };
         for &n in &touched {
-            latency += self.host_cache.latency();
+            cost.index_cache += self.host_cache.latency();
             if !self.host_cache.access(n) {
-                latency += fetch(n);
+                cost.index_cache += fetch(n);
             }
         }
-        latency += self.host_table.latency();
+        cost.segment_table += self.host_table.latency();
         let Some(ma) = self.host_table.translate(host_id, host_key, gpa_as_va) else {
             self.stats.uncovered += 1;
             return None;
@@ -146,7 +151,7 @@ impl NestedSegments {
                 self.sc.fill(asid, gva, &direct);
             }
         }
-        Some((ma, latency))
+        Some((ma, cost))
     }
 
     /// Counters.
@@ -210,7 +215,10 @@ mod tests {
             .translate(asid, host_key, va + 0x40, |_| Cycles::new(160))
             .unwrap();
         assert_eq!(ma2 - ma1, 0x40);
-        assert!(lat2 < lat1, "SC hit must be cheaper: {lat2:?} vs {lat1:?}");
+        assert!(
+            lat2.total() < lat1.total(),
+            "SC hit must be cheaper: {lat2:?} vs {lat1:?}"
+        );
         assert_eq!(ns.stats().sc_hits, 1);
     }
 

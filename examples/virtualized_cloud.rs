@@ -10,7 +10,7 @@
 //! cargo run --release --example virtualized_cloud
 //! ```
 
-use hvc::core::{SystemConfig, VirtScheme, VirtSystemSim};
+use hvc::core::{SystemConfig, SystemSim, VirtScheme};
 use hvc::os::AllocPolicy;
 use hvc::types::{GuestPhysAddr, HvcError};
 use hvc::virt::Hypervisor;
@@ -27,7 +27,7 @@ fn run(scheme: VirtScheme, refs: usize) -> Result<f64, HvcError> {
     let vm = hv.create_vm(2 * GIB, policy, eager)?;
     let guest_kernel = hv.guest_kernel_mut(vm)?;
     let mut workload = apps::gups(128 << 20).instantiate(guest_kernel, 9)?;
-    let mut sim = VirtSystemSim::new(hv, vm, SystemConfig::isca2016(), scheme)?;
+    let mut sim = SystemSim::virtualized(hv, vm, SystemConfig::isca2016(), scheme)?;
     let report = sim.run(&mut workload, refs);
     Ok(report.ipc())
 }

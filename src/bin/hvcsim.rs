@@ -10,7 +10,7 @@
 //! hvcsim --list
 //! ```
 
-use hvc::check::{stress, CheckConfig, VirtDiffHarness};
+use hvc::check::{stress, CheckConfig, DiffHarness};
 use hvc::core::{EnergyModel, SystemConfig, SystemSim, VirtScheme};
 use hvc::os::{AllocPolicy, Kernel};
 use hvc::runner::{
@@ -574,7 +574,7 @@ fn check_virt_workload(
     let spec = params::workload_by_name(workload, exp.mem)
         .ok_or_else(|| format!("unknown workload '{workload}'"))?;
     let vm_bytes = (exp.mem * 4).max(1 << 30);
-    let (mut harness, mut wl) = VirtDiffHarness::new(
+    let (mut harness, mut wl) = DiffHarness::virtualized(
         SystemConfig::isca2016(),
         scheme,
         CheckConfig::default(),
