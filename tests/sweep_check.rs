@@ -10,7 +10,11 @@
 //! cell twice and single-steps the checked pass — but the matrix is
 //! identical.
 
-use hvc::runner::{run_report_value, run_sweep, CellResult, Experiment, RunOptions};
+use hvc::check::{CheckConfig, DiffHarness};
+use hvc::core::{SystemConfig, VirtScheme};
+use hvc::os::AllocPolicy;
+use hvc::runner::{params, run_report_value, run_sweep, CellResult, Experiment, RunOptions};
+use hvc::virt::Hypervisor;
 
 /// `RunReport` has no `PartialEq`; compare cells through the same
 /// serialization the sweep report (and the golden fixture) uses.
@@ -187,5 +191,85 @@ fn segment_churn_rebuilds_the_many_segment_translator() {
             "{}: churn moved the segment table but nothing re-mirrored it",
             r.cell.workload
         );
+    }
+}
+
+/// Guest churn: `cow_storm` and `fork_storm` in a VM apply their kernel
+/// mutations to the guest kernel, and the checked run against the
+/// nested-baseline oracle stays clean. Every OS counter the native run
+/// of the same workload moves must move in the guest too — a guest run
+/// that never churns reports zero COW breaks and flushed pages.
+#[test]
+fn guest_churn_is_applied_and_passes_the_oracle() {
+    let exp = Experiment {
+        name: "check-guest-churn".into(),
+        workloads: vec!["cow_storm".into(), "fork_storm".into()],
+        schemes: vec!["dtlb:1024".into()],
+        filters: vec!["bloom".into()],
+        seeds: vec![42],
+        llc_bytes: vec![2 << 20],
+        refs: 30_000,
+        warm: 5_000,
+        mem: 64 << 20,
+        cores: 1,
+        ifetch: false,
+        replay: None,
+        obs: false,
+    };
+    let native = run_sweep(&exp, &RunOptions::default()).expect("native sweep must run");
+    for r in &native.results {
+        let workload = &r.cell.workload;
+        let spec = params::workload_by_name(workload, exp.mem).expect("workload exists");
+        let vm_bytes = (exp.mem * 4).max(1 << 30);
+        for scheme in [
+            VirtScheme::HybridDelayedNested(1024),
+            VirtScheme::HybridNestedSegments,
+        ] {
+            let (mut h, mut wl) = DiffHarness::virtualized(
+                SystemConfig::isca2016(),
+                scheme,
+                CheckConfig::default(),
+                || {
+                    let mut hv = Hypervisor::new(vm_bytes + (1 << 30));
+                    let vm = hv.create_vm(vm_bytes, AllocPolicy::DemandPaging, false)?;
+                    let wl = spec.instantiate(hv.guest_kernel_mut(vm)?, r.cell.seed)?;
+                    Ok((hv, vm, wl))
+                },
+            )
+            .expect("guest setup");
+            h.warm_up(&mut wl, exp.warm);
+            let guest = h.run(&mut wl, exp.refs).os;
+            let violations = h.finish();
+            assert!(
+                violations.is_empty(),
+                "{workload} / {scheme:?}: {violations:?}"
+            );
+            let native = &r.report.os;
+            for (counter, n, g) in [
+                ("cow_breaks", native.cow_breaks, guest.cow_breaks),
+                ("flushed_pages", native.flushed_pages, guest.flushed_pages),
+                ("shootdowns", native.shootdowns, guest.shootdowns),
+                (
+                    "filter_insertions",
+                    native.filter_insertions,
+                    guest.filter_insertions,
+                ),
+                (
+                    "filter_rebuilds",
+                    native.filter_rebuilds,
+                    guest.filter_rebuilds,
+                ),
+                (
+                    "shootdown_fast_paths",
+                    native.shootdown_fast_paths,
+                    guest.shootdown_fast_paths,
+                ),
+            ] {
+                assert!(
+                    n == 0 || g > 0,
+                    "{workload} / {scheme:?}: the native run counts {n} {counter}, the guest none"
+                );
+            }
+        }
     }
 }
