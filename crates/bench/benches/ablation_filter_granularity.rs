@@ -5,8 +5,9 @@
 //! coarse-only, fine-only, and the combined design across sharing
 //! intensities.
 
-use hvc_bench::{pct, print_table, refs_per_run};
+use hvc_bench::refs_per_run;
 use hvc_filter::{BloomFilter, SynonymFilter, COARSE_SHIFT, FINE_SHIFT};
+use hvc_runner::tables::{pct, print_table};
 use hvc_types::VirtAddr;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

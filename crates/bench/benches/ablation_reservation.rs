@@ -5,9 +5,10 @@
 //! commits sub-segments on first touch and merges neighbours, recovering
 //! utilization at the cost of more segments and commit-time work.
 
-use hvc_bench::{pct, print_table, refs_per_run, PHYS_BYTES};
+use hvc_bench::{refs_per_run, PHYS_BYTES};
 use hvc_core::{SystemConfig, SystemSim, TranslationScheme};
 use hvc_os::{AllocPolicy, Kernel};
+use hvc_runner::tables::{pct, print_table};
 use hvc_workloads::apps;
 
 fn main() {

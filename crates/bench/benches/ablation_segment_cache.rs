@@ -4,8 +4,9 @@
 //! index-tree traversal (Section IV-C). This ablation sweeps SC capacity
 //! and reports SC hit rate and mean delayed-translation latency.
 
-use hvc_bench::{pct, print_table, refs_per_run, PHYS_BYTES};
+use hvc_bench::{refs_per_run, PHYS_BYTES};
 use hvc_os::{AllocPolicy, Kernel};
+use hvc_runner::tables::{pct, print_table};
 use hvc_segment::{HwSegmentTable, IndexCache, ManySegmentTranslator, SegmentCache};
 use hvc_types::Cycles;
 use hvc_workloads::apps;

@@ -5,9 +5,10 @@
 //! Parallel translation overlaps the LLC lookup: it hides that latency
 //! but performs a (mostly wasted) translation for every LLC access.
 
-use hvc_bench::{print_table, refs_per_run};
+use hvc_bench::refs_per_run;
 use hvc_core::{EnergyModel, SystemConfig, SystemSim, TranslationScheme};
 use hvc_os::{AllocPolicy, Kernel};
+use hvc_runner::tables::print_table;
 use hvc_workloads::apps;
 
 fn main() {

@@ -8,10 +8,11 @@
 //! structures, and DRAM. It also demonstrates the instruction-fetch
 //! stream model (every fetch consults the translation front-end).
 
-use hvc_bench::{print_table, ratio, refs_per_run, PHYS_BYTES};
+use hvc_bench::{refs_per_run, PHYS_BYTES};
 use hvc_cache::HierarchyConfig;
 use hvc_core::{SystemConfig, SystemSim, TranslationScheme};
 use hvc_os::{AllocPolicy, Kernel};
+use hvc_runner::tables::{print_table, ratio};
 use hvc_workloads::{apps, WorkloadSpec};
 
 /// Interleaves four single-process workloads round-robin through one

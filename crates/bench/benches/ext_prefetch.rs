@@ -9,9 +9,10 @@
 //! prefetch opportunities vanish — and, more importantly, every page
 //! transition re-exposes a demand miss.
 
-use hvc_bench::{print_table, ratio, refs_per_run, PHYS_BYTES};
+use hvc_bench::{refs_per_run, PHYS_BYTES};
 use hvc_core::{SystemConfig, SystemSim, TranslationScheme};
 use hvc_os::{AllocPolicy, Kernel};
+use hvc_runner::tables::{print_table, ratio};
 use hvc_workloads::apps;
 
 fn main() {

@@ -9,9 +9,10 @@
 //! Paper shape: real workloads exceed ~99% hit rate by 8 KB; the worst
 //! case needs 32 KB for 1024 segments and reaches ≈75% for 2048.
 
-use hvc_bench::{pct, print_table, refs_per_run, PHYS_BYTES};
+use hvc_bench::{refs_per_run, PHYS_BYTES};
 use hvc_cache::{Cache, CacheConfig};
 use hvc_os::{AllocPolicy, Kernel, SegmentTable};
+use hvc_runner::tables::{pct, print_table};
 use hvc_segment::{IndexCache, IndexTree};
 use hvc_types::{Asid, BlockName, Cycles, PhysAddr, VirtAddr};
 use hvc_workloads::{apps, WorkloadSpec};

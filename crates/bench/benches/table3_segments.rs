@@ -6,8 +6,9 @@
 //! registers into measurable MPKI) and several apps strand 17–75% of
 //! their eagerly allocated memory.
 
-use hvc_bench::{pct, print_table, refs_per_run, PHYS_BYTES};
+use hvc_bench::{refs_per_run, PHYS_BYTES};
 use hvc_os::{AllocPolicy, Kernel};
+use hvc_runner::tables::{pct, print_table};
 use hvc_segment::Rmm;
 use hvc_workloads::apps;
 

@@ -51,5 +51,7 @@ mod system;
 pub use config::{SystemConfig, TranslationScheme, VirtScheme};
 pub use core_model::CoreModel;
 pub use energy::{EnergyBreakdown, EnergyModel};
+/// Re-exported for callers that build a [`SystemSim::virtualized`] VM.
+pub use hvc_virt::Hypervisor;
 pub use stats::{PerCoreStats, RunReport, TranslationCounters};
 pub use system::SystemSim;

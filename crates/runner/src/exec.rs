@@ -4,8 +4,9 @@
 //! threads (work stealing degenerates to work sharing with a single
 //! global deque, which is all a sweep of independent, similarly-sized
 //! cells needs). Every cell is one continuous run — one warm-up, then
-//! one measured window — on its own [`SystemSim`] (or [`McSim`] for
-//! multi-core cells) with a seed derived from the grid position, so the
+//! one measured window — on its own [`SystemSim`] (native, or one guest
+//! VM for a `vm:` scheme; [`McSim`] for multi-core native cells) with a
+//! seed derived from the grid position, so the
 //! reported statistics are a pure function of the experiment: identical
 //! whatever the job count or completion order. A simulated reference
 //! stream is serially dependent (every access mutates the caches the
@@ -13,10 +14,10 @@
 
 use crate::grid::{Cell, Experiment};
 use crate::params;
-use hvc_core::{RunReport, SystemConfig, SystemSim, TranslationScheme};
+use hvc_core::{Hypervisor, RunReport, SystemConfig, SystemSim, TranslationScheme, VirtScheme};
 use hvc_mc::McSim;
 use hvc_os::{AllocPolicy, FilterKind, Kernel};
-use hvc_types::{Cycles, TraceItem};
+use hvc_types::{Cycles, TraceItem, Vmid};
 use hvc_workloads::{WorkloadInstance, WorkloadSpec};
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -140,11 +141,12 @@ pub fn run_sweep(exp: &Experiment, opts: &RunOptions) -> Result<SweepOutcome, St
     Ok(SweepOutcome { results, wall })
 }
 
-/// Runs one cell as one continuous run: a fresh kernel and workload
-/// seeded with `cell.seed`, `exp.warm` unmeasured warm-up references,
-/// then `exp.refs` measured ones — on the plain engine, or on the
-/// multi-core driver when `exp.cores > 1`. With `replay`, the recorded
-/// stream replaces the workload's references (warm-up eating its head).
+/// Runs one cell as one continuous run: a fresh kernel (the guest
+/// kernel of a fresh VM for a `vm:` scheme) and workload seeded with
+/// `cell.seed`, `exp.warm` unmeasured warm-up references, then
+/// `exp.refs` measured ones — on the plain engine, or on the multi-core
+/// driver when `exp.cores > 1`. With `replay`, the recorded stream
+/// replaces the workload's references (warm-up eating its head).
 /// Alongside the report, returns the end-of-run filter-occupancy gauges
 /// (sorted by ASID for deterministic serialization).
 pub fn run_cell(
@@ -160,6 +162,12 @@ pub fn run_cell(
     if let Some(items) = replay {
         if exp.cores > 1 {
             return Err("trace replay drives a single core (re-run with --cores 1)".into());
+        }
+        if matches!(setup.machine, Machine::Vm(_)) {
+            return Err(format!(
+                "guest-VM scheme '{}' cannot replay a trace",
+                cell.scheme
+            ));
         }
         return run_replay(exp, cell, &setup, items);
     }
@@ -190,14 +198,26 @@ pub fn run_cell_mc(
     run_continuous(exp, cell, &CellSetup::resolve(exp, cell)?, true)
 }
 
+/// The machine a cell's scheme string names.
+#[derive(Clone, Copy)]
+enum Machine {
+    /// A native kernel under `scheme`, allocating as `policy`.
+    Native {
+        scheme: TranslationScheme,
+        policy: AllocPolicy,
+    },
+    /// One guest VM under a nested scheme.
+    Vm(VirtScheme),
+}
+
 /// A cell's names resolved against the parameter tables, plus its
 /// system configuration — shared by the measured run, the replay path
 /// and the `--check` oracle pass, which must agree exactly.
 struct CellSetup {
     spec: WorkloadSpec,
-    scheme: TranslationScheme,
-    policy: AllocPolicy,
+    machine: Machine,
     filter: FilterKind,
+    mem: u64,
     config: SystemConfig,
 }
 
@@ -205,8 +225,12 @@ impl CellSetup {
     fn resolve(exp: &Experiment, cell: &Cell) -> Result<Self, String> {
         let spec = params::workload_by_name(&cell.workload, exp.mem)
             .ok_or_else(|| format!("unknown workload '{}'", cell.workload))?;
-        let (scheme, policy) = params::parse_scheme(&cell.scheme)
-            .ok_or_else(|| format!("unknown scheme '{}'", cell.scheme))?;
+        let machine = match params::parse_vm_scheme(&cell.scheme) {
+            Some(scheme) => Machine::Vm(scheme),
+            None => params::parse_scheme(&cell.scheme)
+                .map(|(scheme, policy)| Machine::Native { scheme, policy })
+                .ok_or_else(|| format!("unknown scheme '{}'", cell.scheme))?,
+        };
         let filter = params::parse_filter(&cell.filter)
             .ok_or_else(|| format!("unknown filter strategy '{}'", cell.filter))?;
         let mut config = SystemConfig::isca2016();
@@ -220,22 +244,52 @@ impl CellSetup {
         config.model_ifetch = exp.ifetch;
         Ok(CellSetup {
             spec,
-            scheme,
-            policy,
+            machine,
             filter,
+            mem: exp.mem,
             config,
         })
     }
 
-    /// A fresh kernel with the cell's workload instantiated from `seed`.
-    fn instantiate(&self, seed: u64) -> Result<(Kernel, WorkloadInstance), String> {
-        let mut kernel = Kernel::new(16 << 30, self.policy);
-        kernel.set_filter_kind(self.filter);
-        let wl = self
-            .spec
-            .instantiate(&mut kernel, seed)
-            .map_err(|e| format!("workload setup failed: {e}"))?;
-        Ok((kernel, wl))
+    /// A fresh hypervisor with one VM, sized by [`params::vm_memory`],
+    /// with the cell's workload instantiated in its guest kernel from
+    /// `seed`. Allocation follows the native convention: 2D segments
+    /// run over eager guest segments and eagerly backed machine memory,
+    /// every other scheme demand-pages.
+    fn instantiate_vm(
+        &self,
+        scheme: VirtScheme,
+        seed: u64,
+    ) -> hvc_types::Result<(Hypervisor, Vmid, WorkloadInstance)> {
+        let (guest, host) = params::vm_memory(self.mem);
+        let (policy, eager_backing) = match scheme {
+            VirtScheme::HybridNestedSegments => (AllocPolicy::EagerSegments { split: 1 }, true),
+            _ => (AllocPolicy::DemandPaging, false),
+        };
+        let mut hv = Hypervisor::new(host);
+        hv.set_filter_kind(self.filter);
+        let vm = hv.create_vm(guest, policy, eager_backing)?;
+        let wl = self.spec.instantiate(hv.guest_kernel_mut(vm)?, seed)?;
+        Ok((hv, vm, wl))
+    }
+
+    /// The cell's machine, freshly built — a kernel, or a hypervisor
+    /// with one VM — with its workload instantiated from `seed`.
+    fn build(&self, seed: u64) -> Result<(SystemSim, WorkloadInstance), String> {
+        let config = self.config.clone();
+        let build = || match self.machine {
+            Machine::Native { scheme, policy } => {
+                let mut kernel = Kernel::new(16 << 30, policy);
+                kernel.set_filter_kind(self.filter);
+                let wl = self.spec.instantiate(&mut kernel, seed)?;
+                Ok((SystemSim::new(kernel, config, scheme), wl))
+            }
+            Machine::Vm(scheme) => {
+                let (hv, vm, wl) = self.instantiate_vm(scheme, seed)?;
+                Ok((SystemSim::virtualized(hv, vm, config, scheme)?, wl))
+            }
+        };
+        build().map_err(|e: hvc_types::HvcError| format!("workload setup failed: {e}"))
     }
 }
 
@@ -247,8 +301,13 @@ fn run_continuous(
     setup: &CellSetup,
     mc: bool,
 ) -> Result<(RunReport, Vec<FilterOccupancy>), String> {
-    let (kernel, mut wl) = setup.instantiate(cell.seed)?;
-    let sim = SystemSim::new(kernel, setup.config.clone(), setup.scheme);
+    if mc && matches!(setup.machine, Machine::Vm(_)) {
+        return Err(format!(
+            "guest-VM scheme '{}' runs on one core",
+            cell.scheme
+        ));
+    }
+    let (sim, mut wl) = setup.build(cell.seed)?;
     if mc {
         let mut sim = McSim::new(sim, MC_QUANTUM);
         if exp.warm > 0 {
@@ -276,9 +335,8 @@ fn run_replay(
     setup: &CellSetup,
     items: &[TraceItem],
 ) -> Result<(RunReport, Vec<FilterOccupancy>), String> {
-    let (kernel, wl) = setup.instantiate(cell.seed)?;
+    let (mut sim, wl) = setup.build(cell.seed)?;
     let mlp = wl.mlp();
-    let mut sim = SystemSim::new(kernel, setup.config.clone(), setup.scheme);
 
     let mut pos = 0usize;
     if exp.warm > 0 {
@@ -294,20 +352,23 @@ fn run_replay(
 
 /// Re-runs the cell through the `hvc-check` differential oracle: the
 /// identical workload, seed and configuration on the scheme under test
-/// and a physically-addressed reference machine in lockstep, with
-/// whole-machine invariant sweeps along the way.
+/// and a reference machine in lockstep (physically addressed natively,
+/// the nested baseline in a VM), with whole-machine invariant sweeps
+/// along the way.
 fn check_cell(exp: &Experiment, cell: &Cell, setup: &CellSetup) -> Result<(), String> {
-    let (mut harness, mut wl) = hvc_check::DiffHarness::new(
-        setup.config.clone(),
-        setup.scheme,
-        hvc_check::CheckConfig::default(),
-        16 << 30,
-        setup.policy,
-        |k| {
-            k.set_filter_kind(setup.filter);
-            setup.spec.instantiate(k, cell.seed)
-        },
-    )
+    let config = setup.config.clone();
+    let cfg = hvc_check::CheckConfig::default();
+    let (mut harness, mut wl) = match setup.machine {
+        Machine::Native { scheme, policy } => {
+            hvc_check::DiffHarness::new(config, scheme, cfg, 16 << 30, policy, |k| {
+                k.set_filter_kind(setup.filter);
+                setup.spec.instantiate(k, cell.seed)
+            })
+        }
+        Machine::Vm(scheme) => hvc_check::DiffHarness::virtualized(config, scheme, cfg, || {
+            setup.instantiate_vm(scheme, cell.seed)
+        }),
+    }
     .map_err(|e| format!("check setup failed: {e}"))?;
     if exp.warm > 0 {
         harness.warm_up(&mut wl, exp.warm);
@@ -453,6 +514,26 @@ mod tests {
                 assert_eq!(f.strategy, r.cell.filter, "cell {}", r.cell.index);
             }
         }
+    }
+
+    #[test]
+    fn vm_cells_pass_the_nested_oracle_on_one_core() {
+        let mut exp = tiny();
+        exp.schemes = vec!["vm:nested".into(), "vm:dtlb:1024".into(), "vm:seg".into()];
+        exp.refs = 2_000;
+        exp.warm = 500;
+        let checked = RunOptions {
+            check: true,
+            ..RunOptions::default()
+        };
+        let out = run_sweep(&exp, &checked).unwrap();
+        // `vm:seg` backs its guest eagerly, so 2D segments translate.
+        assert!(out.results[2].report.translation.sc_lookups > 0);
+        assert_eq!(out.results[0].report.translation.sc_lookups, 0);
+        let err = run_cell_mc(&exp, &exp.cells()[0]).unwrap_err();
+        assert!(err.contains("one core"), "unexpected error: {err}");
+        let err = run_cell(&exp, &exp.cells()[2], Some(&[]), false).unwrap_err();
+        assert!(err.contains("replay"), "unexpected error: {err}");
     }
 
     #[test]

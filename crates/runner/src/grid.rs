@@ -14,9 +14,11 @@ use crate::params;
 pub struct Experiment {
     /// Grid name (preset name, or `custom` for ad-hoc grids).
     pub name: String,
-    /// Workload axis (profile names, see `params::WORKLOAD_NAMES`).
+    /// Workload axis (profile names, see `params::workload_by_name`).
     pub workloads: Vec<String>,
-    /// Scheme axis (strings accepted by `params::parse_scheme`).
+    /// Scheme axis: native strings accepted by `params::parse_scheme`,
+    /// or guest-VM strings accepted by `params::parse_vm_scheme` (such a
+    /// cell runs its workload in one VM, on one core).
     pub schemes: Vec<String>,
     /// Synonym-filter strategy axis (strings accepted by
     /// `params::parse_filter`: `bloom` or `rlt`).
@@ -127,7 +129,17 @@ impl Experiment {
             }
         }
         for s in &self.schemes {
-            if params::parse_scheme(s).is_none() {
+            if params::parse_vm_scheme(s).is_some() {
+                if self.cores > 1 {
+                    return Err(format!(
+                        "guest-VM scheme '{s}' runs on one core, got cores = {}",
+                        self.cores
+                    ));
+                }
+                if self.replay.is_some() {
+                    return Err(format!("guest-VM scheme '{s}' cannot replay a trace"));
+                }
+            } else if params::parse_scheme(s).is_none() {
                 return Err(format!("unknown scheme '{s}'"));
             }
         }
@@ -267,6 +279,32 @@ mod tests {
         let mut bad = Experiment::default();
         bad.seeds.clear();
         assert!(bad.validate().unwrap_err().contains("empty axis"));
+    }
+
+    #[test]
+    fn validation_rejects_a_vm_scheme_on_two_cores() {
+        let vm = Experiment {
+            schemes: vec!["baseline".into(), "vm:dtlb:1024".into()],
+            ..Default::default()
+        };
+        assert!(vm.validate().is_ok());
+        let bad = Experiment { cores: 2, ..vm };
+        let err = bad.validate().unwrap_err();
+        assert!(
+            err.contains("vm:dtlb:1024") && err.contains("one core"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn validation_rejects_a_vm_scheme_with_replay() {
+        let bad = Experiment {
+            schemes: vec!["vm:seg".into()],
+            replay: Some("trace.hvct".into()),
+            ..Default::default()
+        };
+        let err = bad.validate().unwrap_err();
+        assert!(err.contains("vm:seg") && err.contains("replay"), "{err}");
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! JSON report. It owns
 //!
 //! * [`Experiment`] — the grid type, with [`presets`] for the paper's
-//!   figures and tables (`fig9`, `table2`, …),
+//!   figures and tables (`fig9`, `table2`, …); a `vm:` scheme runs its
+//!   cell's workload in a guest VM,
+//! * [`tables`] — the reductions that print each paper result's table
+//!   from its preset's sweep report (`hvcsim table`),
 //! * [`run_sweep`] — the parallel executor; every cell is one
 //!   continuous run ([`run_cell`]: one warm-up, one measured window) in
 //!   its own [`hvc_core::SystemSim`] with a seed derived from the grid
@@ -46,6 +49,7 @@ mod key;
 pub mod params;
 pub mod presets;
 pub mod report;
+pub mod tables;
 
 pub use exec::{
     run_cell, run_cell_mc, run_sweep, CellResult, FilterOccupancy, RunOptions, SweepOutcome,

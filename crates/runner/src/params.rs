@@ -4,51 +4,23 @@
 //! keeping the parsers here means a scheme string that works for a
 //! single run works unchanged as a grid axis value.
 
-use hvc_core::TranslationScheme;
+use hvc_core::{TranslationScheme, VirtScheme};
 use hvc_os::{AllocPolicy, FilterKind};
 use hvc_workloads::{apps, WorkloadSpec};
 
-/// All workload profile names, grouped as in the paper: the sixteen
-/// big-memory applications first, then the five synonym (r/w-shared)
-/// applications.
-pub const WORKLOAD_NAMES: &[&str] = &[
-    "gups",
-    "milc",
-    "mcf",
-    "xalancbmk",
-    "tigr",
-    "omnetpp",
-    "soplex",
-    "astar",
-    "cactus",
-    "gems",
-    "canneal",
-    "stream",
-    "mummer",
-    "memcached",
-    "cg",
-    "graph500",
-    "ferret",
-    "postgres",
-    "specjbb",
-    "firefox",
-    "apache",
-];
-
-/// The synonym-heavy subset (Figure 11 / Table I workloads).
+/// The synonym-heavy subset (Table I / Table II workloads).
 pub const SYNONYM_WORKLOADS: &[&str] = &["ferret", "postgres", "specjbb", "firefox", "apache"];
 
 /// Multi-process churn profiles built for multi-core (`--cores N`)
 /// runs: their address-space mutations generate the directed TLB
-/// shootdowns the coherence cost model prices. Kept out of
-/// [`WORKLOAD_NAMES`] so the paper-figure presets are unchanged.
+/// shootdowns the coherence cost model prices. No paper-result preset
+/// runs them.
 pub const MC_WORKLOADS: &[&str] = &["fork_storm", "shm_heavy"];
 
 /// Synonym-stress profiles built to churn the synonym filter itself
 /// (KSM-style dedup merge/break, COW fork storms, reader/writer shm
-/// rotation). Like [`MC_WORKLOADS`], they are kept out of
-/// [`WORKLOAD_NAMES`] so the paper-figure presets are unchanged; they
-/// drive the filter-strategy comparison grids instead.
+/// rotation). Like [`MC_WORKLOADS`], no paper-result preset runs them;
+/// they drive the filter-strategy comparison grids instead.
 pub const STRESS_WORKLOADS: &[&str] = &["ksm_dedup", "cow_storm", "shm_rotate"];
 
 /// Parses a size with an optional `K`/`M`/`G` suffix (`8M` → `8 << 20`).
@@ -129,6 +101,25 @@ pub fn parse_scheme(s: &str) -> Option<(TranslationScheme, AllocPolicy)> {
     })
 }
 
+/// Parses a guest-VM scheme string — `vm:nested` (the nested
+/// translation-cache baseline), `vm:dtlb:<entries>` or `vm:seg` (2D
+/// segments). These share the scheme axis with the native spellings of
+/// [`parse_scheme`]; a cell whose scheme parses here runs one guest VM.
+pub fn parse_vm_scheme(s: &str) -> Option<VirtScheme> {
+    Some(match s.strip_prefix("vm:")? {
+        "nested" => VirtScheme::NestedBaseline,
+        "seg" => VirtScheme::HybridNestedSegments,
+        rest => VirtScheme::HybridDelayedNested(rest.strip_prefix("dtlb:")?.parse().ok()?),
+    })
+}
+
+/// Guest-physical and machine memory of a VM cell whose GUPS table is
+/// `mem` bytes: the guest gets `max(4·mem, 1 GiB)`, the host 1 GiB more.
+pub fn vm_memory(mem: u64) -> (u64, u64) {
+    let guest = (mem * 4).max(1 << 30);
+    (guest, guest + (1 << 30))
+}
+
 /// Parses a synonym-filter strategy name (`bloom` / `rlt`) — the grid's
 /// `filter` axis and the CLI's `--filter` flag share this spelling with
 /// [`FilterKind::parse`].
@@ -136,11 +127,20 @@ pub fn parse_filter(s: &str) -> Option<FilterKind> {
     FilterKind::parse(s)
 }
 
-/// The delayed-TLB entry count a scheme exposes to the energy model
-/// (schemes without a delayed TLB report the paper's default 4096).
-pub fn delayed_entries(scheme: TranslationScheme) -> usize {
-    match scheme {
-        TranslationScheme::HybridDelayedTlb(n) | TranslationScheme::EnigmaDelayedTlb(n) => n,
+/// The delayed-TLB entry count the energy model charges for a scheme
+/// string, native or guest VM: `N` for `dtlb:N`, `enigma:N` and
+/// `vm:dtlb:N`, the paper's default 4096 for schemes without a delayed
+/// TLB.
+pub fn energy_entries(scheme: &str) -> usize {
+    match (parse_vm_scheme(scheme), parse_scheme(scheme)) {
+        (Some(VirtScheme::HybridDelayedNested(n)), _)
+        | (
+            _,
+            Some((
+                TranslationScheme::HybridDelayedTlb(n) | TranslationScheme::EnigmaDelayedTlb(n),
+                _,
+            )),
+        ) => n,
         _ => 4096,
     }
 }
@@ -168,8 +168,29 @@ mod tests {
 
     #[test]
     fn every_listed_workload_resolves() {
-        for name in WORKLOAD_NAMES
+        // The sixteen big-memory applications, then the five synonym
+        // (r/w-shared) ones, as `hvcsim --list` groups them.
+        let paper = [
+            "gups",
+            "milc",
+            "mcf",
+            "xalancbmk",
+            "tigr",
+            "omnetpp",
+            "soplex",
+            "astar",
+            "cactus",
+            "gems",
+            "canneal",
+            "stream",
+            "mummer",
+            "memcached",
+            "cg",
+            "graph500",
+        ];
+        for name in paper
             .iter()
+            .chain(SYNONYM_WORKLOADS)
             .chain(MC_WORKLOADS)
             .chain(STRESS_WORKLOADS)
         {
@@ -180,8 +201,12 @@ mod tests {
 
     #[test]
     fn mc_workloads_churn_and_stay_out_of_the_paper_grids() {
+        let paper_presets = ["table1", "table2", "fig4", "fig9", "fig10", "energy"];
         for name in MC_WORKLOADS.iter().chain(STRESS_WORKLOADS) {
-            assert!(!WORKLOAD_NAMES.contains(name), "{name}");
+            for p in paper_presets {
+                let exp = crate::presets::preset(p).unwrap();
+                assert!(!exp.workloads.iter().any(|w| w == name), "{p}: {name}");
+            }
             let spec = workload_by_name(name, 16 << 20).unwrap();
             assert!(spec.churn.is_some(), "{name} must churn");
         }
@@ -216,6 +241,32 @@ mod tests {
         ));
         assert!(parse_scheme("dtlb:").is_none());
         assert!(parse_scheme("bogus").is_none());
+    }
+
+    #[test]
+    fn vm_schemes_parse_beside_the_native_ones() {
+        assert_eq!(
+            parse_vm_scheme("vm:nested"),
+            Some(VirtScheme::NestedBaseline)
+        );
+        assert_eq!(
+            parse_vm_scheme("vm:dtlb:1024"),
+            Some(VirtScheme::HybridDelayedNested(1024))
+        );
+        assert_eq!(
+            parse_vm_scheme("vm:seg"),
+            Some(VirtScheme::HybridNestedSegments)
+        );
+        for bad in ["vm:dtlb:", "vm:", "vm:bogus", "dtlb:1024", "nested"] {
+            assert!(parse_vm_scheme(bad).is_none(), "{bad}");
+        }
+        // The native parser's results do not change.
+        assert!(parse_scheme("vm:seg").is_none());
+        assert_eq!(energy_entries("vm:dtlb:1024"), 1024);
+        assert_eq!(energy_entries("dtlb:2048"), 2048);
+        assert_eq!(energy_entries("vm:seg"), 4096);
+        assert_eq!(vm_memory(64 << 20), (1 << 30, 2 << 30));
+        assert_eq!(vm_memory(1 << 30), (4 << 30, 5 << 30));
     }
 
     #[test]

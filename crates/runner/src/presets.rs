@@ -1,15 +1,16 @@
-//! Named experiment presets for the paper's figures and tables.
+//! Named experiment presets.
 //!
-//! Each preset fixes the grid axes; reference counts default to a size
-//! that finishes in minutes on one machine and can be raised from the
-//! CLI (`--refs`/`--warm` override the preset). The native-execution
-//! figures are covered. Figure 10 (virtualized speedup) has no preset
-//! yet: a guest VM runs on the same `SystemSim` engine
-//! (`SystemSim::virtualized`), but the sweep executor does not build
-//! VMs, so `fig10_virt_perf` in `hvc-bench` still drives it.
+//! Each paper result is one preset whose table [`crate::tables`] prints
+//! from the sweep report (`hvcsim table <report.json>`): `table1`,
+//! `table2`, `fig4`, `fig9`, `fig10` (guest VMs) and `energy`, with the
+//! grids EXPERIMENTS.md reports: a warm-up of half the measured
+//! references (none for Table I). Cells run with the runner's derived
+//! seeds, so the schemes of one table row see decorrelated streams.
+//! Grid flags (`--refs`, `--warm`, …) override a preset. The other
+//! presets are CI grids and studies beyond the paper.
 
 use crate::grid::Experiment;
-use crate::params::{MC_WORKLOADS, STRESS_WORKLOADS, SYNONYM_WORKLOADS, WORKLOAD_NAMES};
+use crate::params::{MC_WORKLOADS, STRESS_WORKLOADS, SYNONYM_WORKLOADS};
 
 /// `(name, summary)` for every preset, in display order.
 pub const PRESET_NAMES: &[(&str, &str)] = &[
@@ -17,18 +18,12 @@ pub const PRESET_NAMES: &[(&str, &str)] = &[
         "smoke",
         "2-cell sanity sweep (gups × baseline/manyseg, tiny)",
     ),
-    ("fig4", "delayed-TLB size sweep, 1K-32K entries"),
-    (
-        "fig9",
-        "speedup of hybrid schemes over baseline, big-memory apps",
-    ),
-    ("fig11", "synonym apps under the full hybrid scheme"),
-    ("table1", "synonym access behaviour (filter statistics)"),
-    (
-        "table2",
-        "TLB access / miss reduction vs baseline, all apps",
-    ),
-    ("table3", "translation energy comparison"),
+    ("table1", "Table I: r/w shared area and accesses"),
+    ("table2", "Table II: synonym filter vs baseline TLBs"),
+    ("fig4", "Figure 4: delayed-TLB MPKI, 1K-64K entries"),
+    ("fig9", "Figure 9: native speedup over the baseline"),
+    ("fig10", "Figure 10: guest-VM speedup over nested"),
+    ("energy", "translation energy, baseline vs hybrid schemes"),
     (
         "fork-storm",
         "4-core prefork worker churn (directed TLB shootdowns)",
@@ -56,17 +51,12 @@ pub const PRESET_NAMES: &[(&str, &str)] = &[
     ),
     (
         "stress-smoke",
-        "tiny synonym-stress grid at both filters (CI oracle gate)",
+        "tiny synonym-stress grid at both filter strategies (CI oracle gate)",
     ),
 ];
 
 fn strings(names: &[&str]) -> Vec<String> {
     names.iter().map(|s| s.to_string()).collect()
-}
-
-/// The sixteen big-memory applications (Figure 9's x-axis).
-fn big_memory() -> Vec<String> {
-    strings(&WORKLOAD_NAMES[..16])
 }
 
 /// Resolves a preset by name.
@@ -85,65 +75,94 @@ pub fn preset(name: &str) -> Option<Experiment> {
             mem: 16 << 20,
             ..base
         },
-        // Figure 4: total TLB misses as the delayed TLB grows. The page
-        // -granularity hybrid scheme with 1K-32K entry delayed TLBs.
-        "fig4" => Experiment {
-            workloads: strings(&["gups", "mcf", "milc", "canneal", "graph500"]),
-            schemes: strings(&[
-                "dtlb:1024",
-                "dtlb:2048",
-                "dtlb:4096",
-                "dtlb:8192",
-                "dtlb:16384",
-                "dtlb:32768",
-            ]),
-            refs: 200_000,
-            warm: 100_000,
-            ..base
-        },
-        // Figure 9: execution-time comparison of baseline, the delayed
-        // TLB hybrid, many-segment translation, and the ideal bound.
-        "fig9" => Experiment {
-            workloads: big_memory(),
-            schemes: strings(&["baseline", "dtlb:4096", "manyseg", "ideal"]),
-            refs: 200_000,
-            warm: 100_000,
-            ..base
-        },
-        // Figure 11: the synonym-heavy applications under the full
-        // scheme (synonym filter + many-segment delayed translation).
-        "fig11" => Experiment {
-            workloads: strings(SYNONYM_WORKLOADS),
-            schemes: strings(&["baseline", "manyseg", "ideal"]),
-            refs: 200_000,
-            warm: 100_000,
-            ..base
-        },
-        // Table I: synonym candidate / false-positive rates, observable
-        // in the `translation` counters of a hybrid run.
+        // Table I: shared area (from the workload's layout) and the
+        // share of accesses to r/w-shared regions, with no warm-up.
         "table1" => Experiment {
-            workloads: strings(SYNONYM_WORKLOADS),
-            schemes: strings(&["manyseg"]),
-            refs: 200_000,
-            warm: 100_000,
+            workloads: strings(&[SYNONYM_WORKLOADS, &["mcf"]].concat()),
+            schemes: strings(&["baseline"]),
+            refs: 300_000,
+            warm: 0,
             ..base
         },
-        // Table II: front-TLB access and total-miss reduction over the
-        // baseline for every application.
+        // Table II: the synonym filter and synonym TLB against the
+        // baseline's two-level TLB, behind an 8 MB LLC (Section III-C).
         "table2" => Experiment {
-            workloads: strings(WORKLOAD_NAMES),
-            schemes: strings(&["baseline", "manyseg"]),
-            refs: 200_000,
-            warm: 100_000,
+            workloads: strings(SYNONYM_WORKLOADS),
+            schemes: strings(&["baseline", "dtlb:1024"]),
+            llc_bytes: vec![8 << 20],
+            refs: 500_000,
+            warm: 250_000,
             ..base
         },
-        // Table III: dynamic translation energy for the competing
-        // schemes (the report's `energy_uj` field).
-        "table3" => Experiment {
-            workloads: big_memory(),
-            schemes: strings(&["baseline", "dtlb:4096", "manyseg"]),
-            refs: 200_000,
-            warm: 100_000,
+        // Figure 4: delayed-TLB misses as the delayed TLB grows.
+        "fig4" => Experiment {
+            workloads: strings(&[
+                "gups",
+                "milc",
+                "mcf",
+                "xalancbmk",
+                "tigr",
+                "omnetpp",
+                "soplex",
+            ]),
+            // 1K to 64K entries in powers of two.
+            schemes: (10..=16).map(|k| format!("dtlb:{}", 1 << k)).collect(),
+            mem: 1 << 30,
+            refs: 1_000_000,
+            warm: 500_000,
+            ..base
+        },
+        // Figure 9: native performance of the delayed-TLB, Enigma and
+        // many-segment hybrids against the baseline and the ideal bound.
+        "fig9" => Experiment {
+            workloads: strings(&[
+                "gups",
+                "mcf",
+                "milc",
+                "tigr",
+                "xalancbmk",
+                "omnetpp",
+                "soplex",
+                "canneal",
+                "memcached",
+                "cg",
+                "graph500",
+                "astar",
+                "stream",
+            ]),
+            schemes: strings(&[
+                "baseline",
+                "dtlb:1024",
+                "dtlb:4096",
+                "dtlb:32768",
+                "enigma:4096",
+                "manyseg-nosc",
+                "manyseg",
+                "ideal",
+            ]),
+            mem: 1 << 30,
+            refs: 1_000_000,
+            warm: 500_000,
+            ..base
+        },
+        // Figure 10: guest VMs under the nested translation-cache
+        // baseline, a delayed TLB over the 2D walker, and 2D segments.
+        "fig10" => Experiment {
+            workloads: strings(&["gups", "mcf", "omnetpp", "xalancbmk", "astar", "cg"]),
+            schemes: strings(&["vm:nested", "vm:dtlb:4096", "vm:seg"]),
+            mem: 256 << 20,
+            refs: 500_000,
+            warm: 250_000,
+            ..base
+        },
+        // Translation energy (the report's `energy_uj`): the baseline
+        // two-level TLB against the two hybrid schemes.
+        "energy" => Experiment {
+            workloads: strings(&[SYNONYM_WORKLOADS, &["mcf", "omnetpp", "astar", "gups"]].concat()),
+            schemes: strings(&["baseline", "dtlb:1024", "manyseg"]),
+            mem: 256 << 20,
+            refs: 500_000,
+            warm: 250_000,
             ..base
         },
         // Multi-core translation coherence: an apache-like prefork
@@ -242,7 +261,10 @@ mod tests {
             assert_eq!(exp.name, *name);
             assert!(!exp.cells().is_empty());
         }
-        assert!(preset("fig10").is_none());
+        // Retired names: `table3` is kept free for Table III, and
+        // `fig11` matched no paper figure.
+        assert!(preset("table3").is_none());
+        assert!(preset("fig11").is_none());
     }
 
     #[test]
@@ -261,10 +283,47 @@ mod tests {
     }
 
     #[test]
-    fn fig9_covers_the_four_schemes() {
+    fn fig9_covers_thirteen_apps_under_eight_schemes() {
         let exp = preset("fig9").unwrap();
-        assert_eq!(exp.schemes.len(), 4);
-        assert_eq!(exp.workloads.len(), 16);
-        assert_eq!(exp.cells().len(), 64);
+        assert_eq!(exp.schemes.len(), 8);
+        assert_eq!(exp.schemes[0], "baseline");
+        assert_eq!(exp.workloads.len(), 13);
+        assert_eq!(exp.cells().len(), 104);
+        assert_eq!((exp.mem, exp.warm), (1 << 30, exp.refs / 2));
+    }
+
+    #[test]
+    fn fig10_runs_six_guests_under_the_three_vm_schemes() {
+        let exp = preset("fig10").unwrap();
+        assert_eq!(exp.schemes, vec!["vm:nested", "vm:dtlb:4096", "vm:seg"]);
+        assert_eq!(exp.workloads.len(), 6);
+        assert_eq!(exp.cells().len(), 18);
+        assert_eq!((exp.mem, exp.cores), (256 << 20, 1));
+        assert_eq!((exp.refs, exp.warm), (500_000, 250_000));
+        for s in &exp.schemes {
+            assert!(crate::params::parse_vm_scheme(s).is_some(), "{s}");
+        }
+    }
+
+    #[test]
+    fn energy_compares_nine_apps_against_the_baseline() {
+        let exp = preset("energy").unwrap();
+        assert_eq!(exp.schemes, vec!["baseline", "dtlb:1024", "manyseg"]);
+        assert_eq!(exp.workloads.len(), 9);
+        assert_eq!(exp.workloads.last().map(String::as_str), Some("gups"));
+        assert_eq!((exp.mem, exp.refs, exp.warm), (256 << 20, 500_000, 250_000));
+    }
+
+    #[test]
+    fn table_presets_keep_their_harness_configuration() {
+        let t1 = preset("table1").unwrap();
+        assert_eq!((t1.refs, t1.warm), (300_000, 0));
+        assert_eq!(t1.workloads.len(), 6);
+        let t2 = preset("table2").unwrap();
+        assert_eq!(t2.llc_bytes, vec![8 << 20]);
+        assert_eq!(t2.schemes, vec!["baseline", "dtlb:1024"]);
+        let f4 = preset("fig4").unwrap();
+        assert_eq!(f4.cells().len(), 49);
+        assert_eq!(f4.mem, 1 << 30);
     }
 }

@@ -166,7 +166,7 @@ fn cell_value(result: &CellResult, obs: bool) -> Value {
         ("llc_bytes", Value::UInt(c.llc_bytes)),
         (
             "stats",
-            stats_value(&result.report, &result.filters, &c.scheme, obs),
+            run_report_value(&result.report, &result.filters, &c.scheme, obs),
         ),
     ])
 }
@@ -181,15 +181,8 @@ pub fn run_report_value(
     scheme: &str,
     obs: bool,
 ) -> Value {
-    stats_value(r, filters, scheme, obs)
-}
-
-fn stats_value(r: &RunReport, filters: &[FilterOccupancy], scheme: &str, obs: bool) -> Value {
-    let entries = params::parse_scheme(scheme)
-        .map(|(s, _)| params::delayed_entries(s))
-        .unwrap_or(4096);
     let energy = EnergyModel::cacti_32nm()
-        .breakdown(&r.translation, entries)
+        .breakdown(&r.translation, params::energy_entries(scheme))
         .total()
         / 1e6;
     let mut fields = vec![

@@ -518,19 +518,6 @@ pub fn apache() -> WorkloadSpec {
 
 // --- experiment groupings ---
 
-/// The Figure 4 sweep set (delayed-TLB size sensitivity).
-pub fn fig4_set() -> Vec<WorkloadSpec> {
-    vec![
-        gups(1024 * MIB),
-        milc(),
-        mcf(),
-        xalancbmk(),
-        tigr(),
-        omnetpp(),
-        soplex(),
-    ]
-}
-
 /// The Table III set (segment counts, RMM MPKI, utilization).
 pub fn table3_set() -> Vec<WorkloadSpec> {
     vec![
@@ -550,35 +537,10 @@ pub fn table3_set() -> Vec<WorkloadSpec> {
     ]
 }
 
-/// The synonym-application set (Tables I and II).
-pub fn synonym_set() -> Vec<WorkloadSpec> {
-    vec![ferret(), postgres(), specjbb(), firefox(), apache()]
-}
-
 /// The synonym-stress set: share/unshare churn profiles built to
 /// exercise both filter strategies' staleness and eviction behavior.
 pub fn synonym_stress_set() -> Vec<WorkloadSpec> {
     vec![ksm_dedup(), cow_storm(), shm_rotate()]
-}
-
-/// The Figure 9 native-performance set: memory-intensive applications
-/// plus representative moderate ones.
-pub fn fig9_set() -> Vec<WorkloadSpec> {
-    vec![
-        gups(1024 * MIB),
-        mcf(),
-        milc(),
-        tigr(),
-        xalancbmk(),
-        omnetpp(),
-        soplex(),
-        canneal(),
-        memcached(),
-        npb_cg(),
-        graph500(),
-        astar(),
-        stream(),
-    ]
 }
 
 #[cfg(test)]
@@ -589,12 +551,17 @@ mod tests {
     #[test]
     fn all_profiles_instantiate_under_demand_paging() {
         let mut k = Kernel::new(16 << 30, AllocPolicy::DemandPaging);
-        for s in fig4_set()
-            .into_iter()
-            .chain(table3_set())
-            .chain(synonym_set())
-            .chain([graph500()])
-        {
+        for s in table3_set().into_iter().chain([
+            gups(1024 * MIB),
+            milc(),
+            soplex(),
+            graph500(),
+            ferret(),
+            postgres(),
+            specjbb(),
+            firefox(),
+            apache(),
+        ]) {
             let mut inst = s.instantiate(&mut k, 1).unwrap();
             let item = inst.next_item();
             assert!(item.mref.vaddr.as_u64() > 0, "{}", inst.name());

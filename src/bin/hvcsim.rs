@@ -5,19 +5,20 @@
 //! hvcsim --workload gups --scheme manyseg --refs 1000000
 //! hvcsim --workload postgres --scheme dtlb:4096 --llc 8M --warm 200000
 //! hvcsim sweep --preset fig9 --jobs 4 --out fig9.json
+//! hvcsim table fig9.json
 //! hvcsim sweep --workloads gups,mcf --schemes baseline,manyseg --out report.json
-//! hvcsim check --preset smoke --seed-range 0..8
+//! hvcsim check --preset smoke --schemes baseline,vm:seg --seed-range 0..8
 //! hvcsim --list
 //! ```
 
-use hvc::check::{stress, CheckConfig, DiffHarness};
-use hvc::core::{EnergyModel, SystemConfig, SystemSim, VirtScheme};
-use hvc::os::{AllocPolicy, Kernel};
+use hvc::check::stress;
+use hvc::core::{EnergyModel, SystemConfig, SystemSim};
+use hvc::os::Kernel;
 use hvc::runner::{
-    params, presets, run_cell, run_sweep, sweep_report, write_atomic, Cell, Experiment, RunOptions,
+    params, presets, run_cell, run_sweep, sweep_report, tables, write_atomic, Cell, Experiment,
+    RunOptions,
 };
 use hvc::serve::{ServeConfig, Server};
-use hvc::virt::Hypervisor;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -26,6 +27,9 @@ hvcsim — hybrid virtual caching simulator (ISCA 2016 reproduction)
 USAGE:
     hvcsim [OPTIONS]                 run one simulation
     hvcsim sweep [SWEEP OPTIONS]     run an experiment grid in parallel
+    hvcsim table <report.json>       print a paper result's table from the
+                                     sweep report of its preset (table1,
+                                     table2, fig4, fig9, fig10, energy)
     hvcsim check [CHECK OPTIONS]     run the correctness checker
     hvcsim serve [SERVE OPTIONS]     run the HTTP experiment server
 
@@ -54,7 +58,9 @@ SWEEP OPTIONS:
     --preset <name>      a named grid (see --list-presets); grid axes
                          below override the preset's
     --workloads <a,b>    comma-separated workload axis
-    --schemes <a,b>      comma-separated scheme axis
+    --schemes <a,b>      comma-separated scheme axis: the single-run
+                         schemes, or a guest VM on one core under
+                         vm:nested | vm:dtlb:<entries> | vm:seg
     --filters <a,b>      comma-separated filter-strategy axis [default: bloom]
     --seeds <a,b>        comma-separated base-seed axis       [default: 42]
     --llc <a,b>          comma-separated LLC-capacity axis    [default: 2M]
@@ -67,10 +73,10 @@ SWEEP OPTIONS:
 CHECK OPTIONS:
     --preset <name>      check every cell of a named grid     [default: smoke]
     --workloads / --schemes / --filters / --seeds / --refs / --warm / --mem
-                         as above
+                         as above; vm: schemes check guest VMs against
+                         the nested baseline
     --seed-range <a..b>  randomized stress-script seeds       [default: 0..4]
     --stress-ops <n>     operations per stress script         [default: 400]
-    --native-only        skip the virtualized (nested) harnesses
 
 SERVE OPTIONS:
     --addr <host:port>   listen address (port 0 = ephemeral)
@@ -86,6 +92,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("sweep") => sweep_main(&args[1..]),
+        Some("table") => table_main(&args[1..]),
         Some("check") => check_main(&args[1..]),
         Some("serve") => serve_main(&args[1..]),
         _ => single_main(&args),
@@ -94,15 +101,8 @@ fn main() -> ExitCode {
 
 /// `hvcsim sweep ...`: run a grid and write a JSON report.
 fn sweep_main(args: &[String]) -> ExitCode {
-    let mut exp: Option<Experiment> = None;
-    let mut workloads: Option<Vec<String>> = None;
-    let mut schemes: Option<Vec<String>> = None;
-    let mut filters: Option<Vec<String>> = None;
-    let mut seeds: Option<Vec<u64>> = None;
+    let mut grid = GridFlags::default();
     let mut llc: Option<Vec<u64>> = None;
-    let mut refs: Option<usize> = None;
-    let mut warm: Option<usize> = None;
-    let mut mem: Option<u64> = None;
     let mut cores: Option<usize> = None;
     let mut ifetch = false;
     let mut obs = false;
@@ -128,39 +128,12 @@ fn sweep_main(args: &[String]) -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--list-presets" => {
-                println!("presets:");
+                println!("presets (`hvcsim table <report.json>` prints the paper table of");
+                println!("table1, table2, fig4, fig9, fig10 and energy):");
                 for (name, summary) in presets::PRESET_NAMES {
-                    println!("  {name:<8} {summary}");
+                    println!("  {name:<14} {summary}");
                 }
                 return ExitCode::SUCCESS;
-            }
-            "--preset" => match next(&mut i).as_deref().and_then(presets::preset) {
-                Some(p) => exp = Some(p),
-                None => {
-                    eprintln!("unknown preset (try --list-presets)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--workloads" => match next(&mut i) {
-                Some(v) => workloads = Some(split_list(&v)),
-                None => return bad(),
-            },
-            "--schemes" => match next(&mut i) {
-                Some(v) => schemes = Some(split_list(&v)),
-                None => return bad(),
-            },
-            "--filters" => match next(&mut i) {
-                Some(v) => filters = Some(split_list(&v)),
-                None => return bad(),
-            },
-            "--seeds" => {
-                match next(&mut i)
-                    .map(|v| split_list(&v))
-                    .and_then(|l| l.iter().map(|s| s.parse().ok()).collect())
-                {
-                    Some(v) => seeds = Some(v),
-                    None => return bad(),
-                }
             }
             "--llc" => {
                 match next(&mut i)
@@ -171,18 +144,6 @@ fn sweep_main(args: &[String]) -> ExitCode {
                     None => return bad(),
                 }
             }
-            "--refs" => match next(&mut i).and_then(|v| v.parse().ok()) {
-                Some(v) => refs = Some(v),
-                None => return bad(),
-            },
-            "--warm" => match next(&mut i).and_then(|v| v.parse().ok()) {
-                Some(v) => warm = Some(v),
-                None => return bad(),
-            },
-            "--mem" => match next(&mut i).and_then(|v| params::parse_size(&v)) {
-                Some(v) => mem = Some(v),
-                None => return bad(),
-            },
             "--cores" => match next(&mut i).and_then(|v| v.parse().ok()) {
                 Some(v) => cores = Some(v),
                 None => return bad(),
@@ -202,39 +163,25 @@ fn sweep_main(args: &[String]) -> ExitCode {
                 Some(v) => out = Some(v),
                 None => return bad(),
             },
-            _ => {
-                eprintln!("unknown option {arg}\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+            _ => match grid.take(&arg, || next(&mut i)) {
+                Ok(true) => {}
+                Ok(false) => {
+                    eprintln!("unknown option {arg}\n\n{USAGE}");
+                    return ExitCode::FAILURE;
+                }
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
+                }
+            },
         }
     }
 
     // Grid flags override the preset; with no preset they refine the
     // default single-cell grid.
-    let mut exp = exp.unwrap_or_default();
-    if let Some(v) = workloads {
-        exp.workloads = v;
-    }
-    if let Some(v) = schemes {
-        exp.schemes = v;
-    }
-    if let Some(v) = filters {
-        exp.filters = v;
-    }
-    if let Some(v) = seeds {
-        exp.seeds = v;
-    }
+    let mut exp = grid.into_experiment(Experiment::default);
     if let Some(v) = llc {
         exp.llc_bytes = v;
-    }
-    if let Some(v) = refs {
-        exp.refs = v;
-    }
-    if let Some(v) = warm {
-        exp.warm = v;
-    }
-    if let Some(v) = mem {
-        exp.mem = v;
     }
     if let Some(v) = cores {
         exp.cores = v;
@@ -283,21 +230,39 @@ fn sweep_main(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `hvcsim check ...`: run the differential oracle over a grid of
-/// native cells, the virtualized harnesses, and seeded stress scripts.
+/// `hvcsim table <report.json>`: print the paper table of the preset
+/// that produced a sweep report.
+fn table_main(args: &[String]) -> ExitCode {
+    let [path] = args else {
+        eprintln!("usage: hvcsim table <report.json>\n\n{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("cannot read {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match hvc::runner::json::parse(&text).and_then(|doc| tables::render(&doc)) {
+        Ok(table) => {
+            print!("{table}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("cannot print a table from {path}: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// `hvcsim check ...`: run the differential oracle over a grid of cells
+/// (native, and guest VMs for `vm:` schemes) and seeded stress scripts.
 /// Exits non-zero on the first invariant violation.
 fn check_main(args: &[String]) -> ExitCode {
-    let mut exp: Option<Experiment> = None;
-    let mut workloads: Option<Vec<String>> = None;
-    let mut schemes: Option<Vec<String>> = None;
-    let mut filters: Option<Vec<String>> = None;
-    let mut seeds: Option<Vec<u64>> = None;
-    let mut refs: Option<usize> = None;
-    let mut warm: Option<usize> = None;
-    let mut mem: Option<u64> = None;
+    let mut grid = GridFlags::default();
     let mut seed_range = 0u64..4u64;
     let mut stress_ops = 400usize;
-    let mut native_only = false;
 
     let mut i = 0;
     let next = |i: &mut usize| -> Option<String> {
@@ -316,46 +281,6 @@ fn check_main(args: &[String]) -> ExitCode {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
-            "--preset" => match next(&mut i).as_deref().and_then(presets::preset) {
-                Some(p) => exp = Some(p),
-                None => {
-                    eprintln!("unknown preset (try --list-presets)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--workloads" => match next(&mut i) {
-                Some(v) => workloads = Some(split_list(&v)),
-                None => return bad(),
-            },
-            "--schemes" => match next(&mut i) {
-                Some(v) => schemes = Some(split_list(&v)),
-                None => return bad(),
-            },
-            "--filters" => match next(&mut i) {
-                Some(v) => filters = Some(split_list(&v)),
-                None => return bad(),
-            },
-            "--seeds" => {
-                match next(&mut i)
-                    .map(|v| split_list(&v))
-                    .and_then(|l| l.iter().map(|s| s.parse().ok()).collect())
-                {
-                    Some(v) => seeds = Some(v),
-                    None => return bad(),
-                }
-            }
-            "--refs" => match next(&mut i).and_then(|v| v.parse().ok()) {
-                Some(v) => refs = Some(v),
-                None => return bad(),
-            },
-            "--warm" => match next(&mut i).and_then(|v| v.parse().ok()) {
-                Some(v) => warm = Some(v),
-                None => return bad(),
-            },
-            "--mem" => match next(&mut i).and_then(|v| params::parse_size(&v)) {
-                Some(v) => mem = Some(v),
-                None => return bad(),
-            },
             "--seed-range" => {
                 match next(&mut i).and_then(|v| {
                     let (a, b) = v.split_once("..")?;
@@ -369,37 +294,21 @@ fn check_main(args: &[String]) -> ExitCode {
                 Some(v) => stress_ops = v,
                 None => return bad(),
             },
-            "--native-only" => native_only = true,
-            _ => {
-                eprintln!("unknown option {arg}\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+            _ => match grid.take(&arg, || next(&mut i)) {
+                Ok(true) => {}
+                Ok(false) => {
+                    eprintln!("unknown option {arg}\n\n{USAGE}");
+                    return ExitCode::FAILURE;
+                }
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
+                }
+            },
         }
     }
 
-    let mut exp = exp.unwrap_or_else(|| presets::preset("smoke").expect("smoke preset exists"));
-    if let Some(v) = workloads {
-        exp.workloads = v;
-    }
-    if let Some(v) = schemes {
-        exp.schemes = v;
-    }
-    if let Some(v) = filters {
-        exp.filters = v;
-    }
-    if let Some(v) = seeds {
-        exp.seeds = v;
-    }
-    if let Some(v) = refs {
-        exp.refs = v;
-    }
-    if let Some(v) = warm {
-        exp.warm = v;
-    }
-    if let Some(v) = mem {
-        exp.mem = v;
-    }
-    exp.replay = None;
+    let exp = grid.into_experiment(|| presets::preset("smoke").expect("smoke preset exists"));
     if let Err(e) = exp.validate() {
         eprintln!("invalid grid: {e}");
         return ExitCode::FAILURE;
@@ -407,9 +316,9 @@ fn check_main(args: &[String]) -> ExitCode {
 
     let mut failed = false;
 
-    // Native cells: measurement plus the differential-oracle pass.
+    // Every cell: measurement plus the differential-oracle pass.
     let cells = exp.cells();
-    eprintln!("checking {} native cell(s)…", cells.len());
+    eprintln!("checking {} cell(s)…", cells.len());
     for cell in &cells {
         match run_cell(&exp, cell, None, true) {
             Ok(_) => eprintln!(
@@ -422,32 +331,6 @@ fn check_main(args: &[String]) -> ExitCode {
                     cell.workload, cell.scheme, cell.filter, cell.seed
                 );
                 failed = true;
-            }
-        }
-    }
-
-    // Virtualized harnesses: every workload under both nested hybrid
-    // schemes, against the nested-baseline reference.
-    if !native_only {
-        let virt_schemes = [
-            VirtScheme::HybridDelayedNested(1024),
-            VirtScheme::HybridNestedSegments,
-        ];
-        eprintln!(
-            "checking {} virtualized run(s)…",
-            exp.workloads.len() * exp.seeds.len() * virt_schemes.len()
-        );
-        for workload in &exp.workloads {
-            for &seed in &exp.seeds {
-                for &scheme in &virt_schemes {
-                    match check_virt_workload(&exp, workload, seed, scheme) {
-                        Ok(()) => eprintln!("  ok   {workload} / {scheme:?} / seed {seed}"),
-                        Err(e) => {
-                            eprintln!("  FAIL {workload} / {scheme:?} / seed {seed}: {e}");
-                            failed = true;
-                        }
-                    }
-                }
             }
         }
     }
@@ -563,46 +446,6 @@ fn serve_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// Checks one workload under a virtualized scheme: guest setup in a
-/// fresh VM, run against the nested-baseline oracle, final sweep.
-fn check_virt_workload(
-    exp: &Experiment,
-    workload: &str,
-    seed: u64,
-    scheme: VirtScheme,
-) -> Result<(), String> {
-    let spec = params::workload_by_name(workload, exp.mem)
-        .ok_or_else(|| format!("unknown workload '{workload}'"))?;
-    let vm_bytes = (exp.mem * 4).max(1 << 30);
-    let (mut harness, mut wl) = DiffHarness::virtualized(
-        SystemConfig::isca2016(),
-        scheme,
-        CheckConfig::default(),
-        || {
-            let mut hv = Hypervisor::new(vm_bytes + (1 << 30));
-            let vm = hv.create_vm(vm_bytes, AllocPolicy::DemandPaging, false)?;
-            let gk = hv.guest_kernel_mut(vm)?;
-            let wl = spec.instantiate(gk, seed)?;
-            Ok((hv, vm, wl))
-        },
-    )
-    .map_err(|e| format!("virt setup failed: {e}"))?;
-    if exp.warm > 0 {
-        harness.warm_up(&mut wl, exp.warm);
-    }
-    harness.run(&mut wl, exp.refs);
-    let violations = harness.finish();
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("; "))
-    }
-}
-
 /// Prints the human-readable summary of one run (shared by the plain and
 /// trace single-run paths).
 fn print_report(
@@ -671,6 +514,72 @@ fn print_report(
             "total",
             report.obs.attribution.total().get()
         );
+    }
+}
+
+/// The grid flags `sweep` and `check` share: a preset, and axis values
+/// that override it.
+#[derive(Default)]
+struct GridFlags {
+    preset: Option<Experiment>,
+    workloads: Option<Vec<String>>,
+    schemes: Option<Vec<String>>,
+    filters: Option<Vec<String>>,
+    seeds: Option<Vec<u64>>,
+    refs: Option<usize>,
+    warm: Option<usize>,
+    mem: Option<u64>,
+}
+
+impl GridFlags {
+    /// Takes `arg` with the value `value` yields if it is a shared grid
+    /// flag; `Ok(false)` leaves any other flag (and its value) alone.
+    fn take(&mut self, arg: &str, value: impl FnOnce() -> Option<String>) -> Result<bool, String> {
+        let bad = || format!("invalid or missing value for {arg}\n\n{USAGE}");
+        let list = |v: Option<String>| v.map(|v| split_list(&v)).ok_or_else(bad);
+        match arg {
+            "--preset" => {
+                self.preset = Some(
+                    value()
+                        .as_deref()
+                        .and_then(presets::preset)
+                        .ok_or("unknown preset (try --list-presets)")?,
+                )
+            }
+            "--workloads" => self.workloads = Some(list(value())?),
+            "--schemes" => self.schemes = Some(list(value())?),
+            "--filters" => self.filters = Some(list(value())?),
+            "--seeds" => {
+                let seeds: Option<Vec<u64>> =
+                    list(value())?.iter().map(|s| s.parse().ok()).collect();
+                self.seeds = Some(seeds.ok_or_else(bad)?);
+            }
+            "--refs" => self.refs = Some(value().and_then(|v| v.parse().ok()).ok_or_else(bad)?),
+            "--warm" => self.warm = Some(value().and_then(|v| v.parse().ok()).ok_or_else(bad)?),
+            "--mem" => {
+                self.mem = Some(
+                    value()
+                        .and_then(|v| params::parse_size(&v))
+                        .ok_or_else(bad)?,
+                )
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The preset (or `default()` without one) with the axis flags
+    /// applied.
+    fn into_experiment(self, default: impl FnOnce() -> Experiment) -> Experiment {
+        let mut exp = self.preset.unwrap_or_else(default);
+        exp.workloads = self.workloads.unwrap_or(exp.workloads);
+        exp.schemes = self.schemes.unwrap_or(exp.schemes);
+        exp.filters = self.filters.unwrap_or(exp.filters);
+        exp.seeds = self.seeds.unwrap_or(exp.seeds);
+        exp.refs = self.refs.unwrap_or(exp.refs);
+        exp.warm = self.warm.unwrap_or(exp.warm);
+        exp.mem = self.mem.unwrap_or(exp.mem);
+        exp
     }
 }
 

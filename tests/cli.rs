@@ -305,7 +305,6 @@ fn check_subcommand_passes_on_a_bounded_run() {
             "0..1",
             "--stress-ops",
             "80",
-            "--native-only",
         ])
         .output()
         .expect("spawn");
@@ -325,4 +324,77 @@ fn check_subcommand_rejects_bad_seed_range() {
         .output()
         .expect("spawn");
     assert!(!out.status.success());
+}
+
+/// Sweeps a tiny grid to a report in `dir` and runs `hvcsim table` on it.
+fn table_of(dir: &std::path::Path, sweep: &[&str]) -> std::process::Output {
+    let report = dir.join("report.json");
+    let out = hvcsim()
+        .arg("sweep")
+        .args(sweep)
+        .args(["--refs", "1000", "--warm", "0", "--mem", "16M", "--out"])
+        .arg(&report)
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    hvcsim().arg("table").arg(&report).output().expect("spawn")
+}
+
+#[test]
+fn table_prints_a_paper_table_from_its_preset_report() {
+    let out = hvcsim()
+        .args(["sweep", "--list-presets"])
+        .output()
+        .expect("spawn");
+    let presets = String::from_utf8_lossy(&out.stdout);
+    for name in ["table1", "table2", "fig4", "fig9", "fig10", "energy"] {
+        assert!(presets.contains(&format!("  {name} ")), "{presets}");
+    }
+    assert!(
+        !presets.contains("table3") && !presets.contains("fig11"),
+        "{presets}"
+    );
+
+    let dir = std::env::temp_dir().join(format!("hvcsim-table-ok-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = table_of(&dir, &["--preset", "table1", "--workloads", "postgres,mcf"]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(text.contains("Table I"), "{text}");
+    assert!(text.contains("postgres") && text.contains("mcf"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn table_rejects_a_report_with_two_seeds() {
+    let dir = std::env::temp_dir().join(format!("hvcsim-table-seeds-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = table_of(
+        &dir,
+        &["--preset", "table1", "--workloads", "mcf", "--seeds", "1,2"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert!(stderr.contains("seeds has 2"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn table_rejects_a_preset_without_a_reduction() {
+    let dir = std::env::temp_dir().join(format!("hvcsim-table-smoke-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = table_of(&dir, &["--preset", "smoke"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert!(stderr.contains("'smoke' has no reduction"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -23,19 +23,27 @@
 //! the segment cache and the walk cache's PD level evict, so their
 //! replacement victims are pinned too.
 //!
-//! A fifth golden runs GUPS and astar in a VM under the three
-//! virtualized schemes with `fig10_virt_perf`'s allocation per scheme,
-//! so the 2D-segment scheme's segment-cache hits are pinned (the
+//! A fifth golden runs GUPS and astar as the runner's guest-VM cells
+//! (`vm:nested`, `vm:dtlb:1024`, `vm:seg`) — the cells a `fig10` sweep
+//! runs — so the 2D-segment scheme's segment-cache hits are pinned (the
 //! hot-path grid's demand-paged VM never hits a segment).
+//!
+//! A sixth golden is text: the six paper-result presets (`table1`,
+//! `table2`, `fig4`, `fig9`, `fig10`, `energy`) swept at smoke size and
+//! printed by their `hvc_runner::tables` reductions, as `hvcsim table`
+//! prints them.
 //!
 //! Regenerate with `HVC_BLESS=1 cargo test --test equivalence_golden`
 //! after an *intentional* behavior change — never to paper over an
 //! unexplained diff.
 
-use hvc::core::{SystemConfig, SystemSim, VirtScheme};
+use hvc::core::{RunReport, SystemConfig, SystemSim, VirtScheme};
 use hvc::os::AllocPolicy;
 use hvc::runner::json::Value;
-use hvc::runner::{run_cell, run_cell_mc, run_report_value, Experiment};
+use hvc::runner::{
+    presets, run_cell, run_cell_mc, run_report_value, run_sweep, sweep_report, tables, Cell,
+    Experiment, RunOptions,
+};
 use hvc::virt::Hypervisor;
 
 const GOLDEN_PATH: &str = "tests/goldens/hot_path_equivalence.json";
@@ -43,6 +51,7 @@ const CHURN_GOLDEN_PATH: &str = "tests/goldens/churn_equivalence.json";
 const UNMAP_GOLDEN_PATH: &str = "tests/goldens/unmap_equivalence.json";
 const TRANSLATION_GOLDEN_PATH: &str = "tests/goldens/translation_cache_equivalence.json";
 const VIRT_GOLDEN_PATH: &str = "tests/goldens/virt_equivalence.json";
+const TABLES_GOLDEN_PATH: &str = "tests/goldens/figure_tables.txt";
 
 fn object(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(
@@ -127,56 +136,73 @@ const VIRT_SCHEMES: [(&str, VirtScheme); 3] = [
     ("hybrid-nested-segments", VirtScheme::HybridNestedSegments),
 ];
 
-/// One guest run (seed 42, 5k warm-up, 10k measured refs) of `workload`
-/// in a VM backed as `policy`/`eager_backing` prescribe.
-fn virt_cell(
-    experiment: &str,
-    workload: &str,
-    (label, scheme): (&str, VirtScheme),
-    policy: AllocPolicy,
-    eager_backing: bool,
-) -> Value {
-    let mem: u64 = 64 << 20;
-    let spec = hvc::runner::params::workload_by_name(workload, mem).expect("workload exists");
-    let vm_bytes = (mem * 4).max(1 << 30);
-    let mut hv = Hypervisor::new(vm_bytes + (1 << 30));
-    let vm = hv.create_vm(vm_bytes, policy, eager_backing).expect("vm");
-    let gk = hv.guest_kernel_mut(vm).expect("guest kernel");
-    let mut wl = spec.instantiate(gk, 42).expect("guest workload");
-    let mut sim =
-        SystemSim::virtualized(hv, vm, SystemConfig::isca2016(), scheme).expect("virt sim");
-    sim.warm_up(&mut wl, 5_000);
-    let report = sim.run(&mut wl, 10_000);
+/// One golden entry for a guest run, under the golden's own scheme
+/// label and without filter-occupancy gauges.
+fn virt_entry(experiment: &str, workload: &str, label: &str, report: &RunReport) -> Value {
     object(vec![
         ("experiment", Value::Str(experiment.into())),
         ("workload", Value::Str(workload.into())),
         ("scheme", Value::Str(label.into())),
         ("seed", Value::UInt(42)),
-        ("stats", run_report_value(&report, &[], label, false)),
+        ("stats", run_report_value(report, &[], label, false)),
     ])
 }
 
-/// GUPS under demand paging for every scheme (the 2D-segment scheme
-/// then falls back to 2D walks on every segment-cache lookup).
+/// GUPS in a hand-built, demand-paged VM (seed 42, 5k warm-up, 10k
+/// measured refs) under every scheme: the 2D-segment scheme then falls
+/// back to 2D walks on every segment-cache lookup, which no runner cell
+/// does (`vm:seg` backs its guest eagerly).
 fn virt_cells() -> Vec<Value> {
+    let mem: u64 = 64 << 20;
+    let spec = hvc::runner::params::workload_by_name("gups", mem).expect("workload exists");
+    let (guest, host) = hvc::runner::params::vm_memory(mem);
     VIRT_SCHEMES
         .iter()
-        .map(|&s| virt_cell("golden-virt", "gups", s, AllocPolicy::DemandPaging, false))
+        .map(|&(label, scheme)| {
+            let mut hv = Hypervisor::new(host);
+            let vm = hv
+                .create_vm(guest, AllocPolicy::DemandPaging, false)
+                .expect("vm");
+            let gk = hv.guest_kernel_mut(vm).expect("guest kernel");
+            let mut wl = spec.instantiate(gk, 42).expect("guest workload");
+            let mut sim =
+                SystemSim::virtualized(hv, vm, SystemConfig::isca2016(), scheme).expect("virt sim");
+            sim.warm_up(&mut wl, 5_000);
+            let report = sim.run(&mut wl, 10_000);
+            virt_entry("golden-virt", "gups", label, &report)
+        })
         .collect()
 }
 
-/// `fig10_virt_perf`'s allocation per scheme: the 2D-segment scheme
-/// runs over eager guest segments and eager machine backing, so its
-/// segment-cache and two-step segment paths are pinned as well.
+/// The runner's guest-VM cells, each at seed 42 with 64 MB, 5k warm-up
+/// and 10k measured refs: `vm:seg` runs over eager guest segments and
+/// eager machine backing, so its segment-cache and two-step segment
+/// paths are pinned as well.
 fn virt_fig10_cells() -> Vec<Value> {
+    let exp = Experiment {
+        name: "golden-virt-fig10".into(),
+        workloads: vec!["gups".into(), "astar".into()],
+        schemes: vec!["vm:nested".into(), "vm:dtlb:1024".into(), "vm:seg".into()],
+        refs: 10_000,
+        warm: 5_000,
+        mem: 64 << 20,
+        obs: false,
+        ..native_grid()
+    };
     let mut cells = Vec::new();
-    for workload in ["gups", "astar"] {
-        for s in VIRT_SCHEMES {
-            let (policy, eager) = match s.1 {
-                VirtScheme::HybridNestedSegments => (AllocPolicy::EagerSegments { split: 1 }, true),
-                _ => (AllocPolicy::DemandPaging, false),
+    for workload in &exp.workloads {
+        for (scheme, (label, _)) in exp.schemes.iter().zip(VIRT_SCHEMES) {
+            let cell = Cell {
+                index: 0,
+                workload: workload.clone(),
+                scheme: scheme.clone(),
+                filter: "bloom".into(),
+                base_seed: 42,
+                seed: 42,
+                llc_bytes: 2 << 20,
             };
-            cells.push(virt_cell("golden-virt-fig10", workload, s, policy, eager));
+            let (report, _) = run_cell(&exp, &cell, None, false).expect("VM cell must run");
+            cells.push(virt_entry(&exp.name, workload, label, &report));
         }
     }
     cells
@@ -282,13 +308,39 @@ fn virt_document() -> Value {
     document(virt_fig10_cells())
 }
 
+/// Every paper-result preset at smoke size — 2k measured references,
+/// a warm-up of at most 1k, 64 MB GUPS tables — reduced to its table
+/// through the JSON text of its sweep report, as `hvcsim table` reads it.
+fn figure_tables() -> String {
+    let mut text = String::new();
+    for name in ["table1", "table2", "fig4", "fig9", "fig10", "energy"] {
+        let mut exp = presets::preset(name).expect("paper preset exists");
+        exp.refs = 2_000;
+        exp.warm = exp.warm.min(1_000);
+        exp.mem = 64 << 20;
+        let opts = RunOptions {
+            jobs: 2,
+            check: false,
+        };
+        let outcome = run_sweep(&exp, &opts).expect("preset sweep must run");
+        let report = hvc::runner::json::parse(&sweep_report(&exp, &opts, &outcome).to_pretty())
+            .expect("report parses");
+        text += &tables::render(&report).expect("preset has a table");
+    }
+    text
+}
+
 /// Compares `doc` byte for byte with the golden at `path`, or rewrites
 /// the golden when `HVC_BLESS` is set.
 fn assert_matches_golden(path: &str, doc: &Value) {
-    let text = doc.to_pretty();
+    assert_text_matches_golden(path, &doc.to_pretty());
+}
+
+/// [`assert_matches_golden`] for text that is already serialized.
+fn assert_text_matches_golden(path: &str, text: &str) {
     if std::env::var_os("HVC_BLESS").is_some() {
         std::fs::create_dir_all("tests/goldens").expect("mkdir goldens");
-        std::fs::write(path, &text).expect("write golden");
+        std::fs::write(path, text).expect("write golden");
         eprintln!("blessed {path} ({} bytes)", text.len());
         return;
     }
@@ -364,4 +416,9 @@ fn translation_cache_reports_match_the_blessed_goldens() {
 #[test]
 fn virt_reports_match_the_blessed_goldens() {
     assert_matches_golden(VIRT_GOLDEN_PATH, &virt_document());
+}
+
+#[test]
+fn figure_tables_match_the_blessed_golden() {
+    assert_text_matches_golden(TABLES_GOLDEN_PATH, &figure_tables());
 }

@@ -285,7 +285,7 @@ mod virt_attribution {
     use hvc::virt::Hypervisor;
     use proptest::prelude::*;
 
-    /// Each scheme with `fig10_virt_perf`'s allocation, plus 2D segments
+    /// Each scheme with its `vm:` cell's allocation, plus 2D segments
     /// over demand paging, where every translation falls back to a 2D
     /// walk.
     const SETUPS: [(VirtScheme, bool); 4] = [

@@ -10,11 +10,7 @@
 //! cell twice and single-steps the checked pass — but the matrix is
 //! identical.
 
-use hvc::check::{CheckConfig, DiffHarness};
-use hvc::core::{SystemConfig, VirtScheme};
-use hvc::os::AllocPolicy;
-use hvc::runner::{params, run_report_value, run_sweep, CellResult, Experiment, RunOptions};
-use hvc::virt::Hypervisor;
+use hvc::runner::{run_report_value, run_sweep, CellResult, Experiment, RunOptions};
 
 /// `RunReport` has no `PartialEq`; compare cells through the same
 /// serialization the sweep report (and the golden fixture) uses.
@@ -195,16 +191,18 @@ fn segment_churn_rebuilds_the_many_segment_translator() {
 }
 
 /// Guest churn: `cow_storm` and `fork_storm` in a VM apply their kernel
-/// mutations to the guest kernel, and the checked run against the
-/// nested-baseline oracle stays clean. Every OS counter the native run
-/// of the same workload moves must move in the guest too — a guest run
-/// that never churns reports zero COW breaks and flushed pages.
+/// mutations to the guest kernel, and the checked guest cells — a
+/// delayed TLB over demand paging, 2D segments over eager backing —
+/// stay clean against the nested-baseline oracle. Every OS counter the
+/// native run of the same workload moves must move in the guest too — a
+/// guest run that never churns reports zero COW breaks and flushed
+/// pages.
 #[test]
 fn guest_churn_is_applied_and_passes_the_oracle() {
     let exp = Experiment {
         name: "check-guest-churn".into(),
         workloads: vec!["cow_storm".into(), "fork_storm".into()],
-        schemes: vec!["dtlb:1024".into()],
+        schemes: vec!["dtlb:1024".into(), "vm:dtlb:1024".into(), "vm:seg".into()],
         filters: vec!["bloom".into()],
         seeds: vec![42],
         llc_bytes: vec![2 << 20],
@@ -216,35 +214,15 @@ fn guest_churn_is_applied_and_passes_the_oracle() {
         replay: None,
         obs: false,
     };
-    let native = run_sweep(&exp, &RunOptions::default()).expect("native sweep must run");
-    for r in &native.results {
-        let workload = &r.cell.workload;
-        let spec = params::workload_by_name(workload, exp.mem).expect("workload exists");
-        let vm_bytes = (exp.mem * 4).max(1 << 30);
-        for scheme in [
-            VirtScheme::HybridDelayedNested(1024),
-            VirtScheme::HybridNestedSegments,
-        ] {
-            let (mut h, mut wl) = DiffHarness::virtualized(
-                SystemConfig::isca2016(),
-                scheme,
-                CheckConfig::default(),
-                || {
-                    let mut hv = Hypervisor::new(vm_bytes + (1 << 30));
-                    let vm = hv.create_vm(vm_bytes, AllocPolicy::DemandPaging, false)?;
-                    let wl = spec.instantiate(hv.guest_kernel_mut(vm)?, r.cell.seed)?;
-                    Ok((hv, vm, wl))
-                },
-            )
-            .expect("guest setup");
-            h.warm_up(&mut wl, exp.warm);
-            let guest = h.run(&mut wl, exp.refs).os;
-            let violations = h.finish();
-            assert!(
-                violations.is_empty(),
-                "{workload} / {scheme:?}: {violations:?}"
-            );
-            let native = &r.report.os;
+    let opts = RunOptions {
+        jobs: 2,
+        check: true,
+    };
+    let outcome = run_sweep(&exp, &opts).expect("checked sweep must pass");
+    for row in outcome.results.chunks(exp.schemes.len()) {
+        let native = &row[0].report.os;
+        for r in &row[1..] {
+            let guest = &r.report.os;
             for (counter, n, g) in [
                 ("cow_breaks", native.cow_breaks, guest.cow_breaks),
                 ("flushed_pages", native.flushed_pages, guest.flushed_pages),
@@ -267,7 +245,9 @@ fn guest_churn_is_applied_and_passes_the_oracle() {
             ] {
                 assert!(
                     n == 0 || g > 0,
-                    "{workload} / {scheme:?}: the native run counts {n} {counter}, the guest none"
+                    "{} / {}: the native run counts {n} {counter}, the guest none",
+                    r.cell.workload,
+                    r.cell.scheme
                 );
             }
         }
