@@ -57,7 +57,8 @@ pub fn ratio(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// Prints the table of the paper result whose preset produced `report`.
+/// The table of the paper result whose preset produced `report`, as
+/// `hvcsim table` prints it.
 ///
 /// # Errors
 ///
