@@ -142,6 +142,7 @@ impl Experiment {
             } else if params::parse_scheme(s).is_none() {
                 return Err(format!("unknown scheme '{s}'"));
             }
+            params::check_delayed_tlb(s)?;
         }
         for f in &self.filters {
             if params::parse_filter(f).is_none() {
@@ -305,6 +306,21 @@ mod tests {
         };
         let err = bad.validate().unwrap_err();
         assert!(err.contains("vm:seg") && err.contains("replay"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_an_invalid_delayed_tlb_size() {
+        for scheme in ["dtlb:0", "dtlb:12", "enigma:0", "vm:dtlb:12"] {
+            let bad = Experiment {
+                schemes: vec!["baseline".into(), scheme.into()],
+                ..Default::default()
+            };
+            let err = bad.validate().unwrap_err();
+            assert!(
+                err.contains(scheme) && err.contains("delayed TLB size"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

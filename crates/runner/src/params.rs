@@ -127,11 +127,10 @@ pub fn parse_filter(s: &str) -> Option<FilterKind> {
     FilterKind::parse(s)
 }
 
-/// The delayed-TLB entry count the energy model charges for a scheme
-/// string, native or guest VM: `N` for `dtlb:N`, `enigma:N` and
-/// `vm:dtlb:N`, the paper's default 4096 for schemes without a delayed
-/// TLB.
-pub fn energy_entries(scheme: &str) -> usize {
+/// The delayed-TLB entry count of a scheme string, native or guest VM:
+/// `N` for `dtlb:N`, `enigma:N` and `vm:dtlb:N`; `None` for schemes
+/// without a delayed TLB.
+fn delayed_entries(scheme: &str) -> Option<usize> {
     match (parse_vm_scheme(scheme), parse_scheme(scheme)) {
         (Some(VirtScheme::HybridDelayedNested(n)), _)
         | (
@@ -140,8 +139,29 @@ pub fn energy_entries(scheme: &str) -> usize {
                 TranslationScheme::HybridDelayedTlb(n) | TranslationScheme::EnigmaDelayedTlb(n),
                 _,
             )),
-        ) => n,
-        _ => 4096,
+        ) => Some(n),
+        _ => None,
+    }
+}
+
+/// The delayed-TLB entry count the energy model charges for a scheme
+/// string: its delayed-TLB size, or the paper's default 4096 for schemes
+/// without a delayed TLB.
+pub fn energy_entries(scheme: &str) -> usize {
+    delayed_entries(scheme).unwrap_or(4096)
+}
+
+/// Checks a scheme string's delayed-TLB size against the geometry
+/// `hvc_tlb::TlbConfig::delayed` builds: 8 ways and a power-of-two set
+/// count, so the valid sizes are the powers of two from 8 up. Schemes
+/// without a delayed TLB pass.
+pub fn check_delayed_tlb(scheme: &str) -> Result<(), String> {
+    match delayed_entries(scheme) {
+        Some(n) if n < 8 || !n.is_power_of_two() => Err(format!(
+            "scheme '{scheme}': delayed TLB size {n} is not a valid 8-way geometry \
+             (use a power of two ≥ 8, e.g. 1024 or 4096)"
+        )),
+        _ => Ok(()),
     }
 }
 
@@ -267,6 +287,27 @@ mod tests {
         assert_eq!(energy_entries("vm:seg"), 4096);
         assert_eq!(vm_memory(64 << 20), (1 << 30, 2 << 30));
         assert_eq!(vm_memory(1 << 30), (4 << 30, 5 << 30));
+    }
+
+    #[test]
+    fn delayed_tlb_geometry() {
+        for ok in ["dtlb:8", "enigma:4096", "vm:dtlb:32768", "manyseg"] {
+            assert_eq!(check_delayed_tlb(ok), Ok(()), "{ok}");
+        }
+        for bad in ["dtlb:0", "dtlb:4", "enigma:3000", "vm:dtlb:24"] {
+            let err = check_delayed_tlb(bad).unwrap_err();
+            assert!(
+                err.contains(bad) && err.contains("power of two ≥ 8"),
+                "{err}"
+            );
+        }
+        // Every accepted size is a geometry the TLB builds.
+        for n in (0..=1usize << 16).filter(|n| check_delayed_tlb(&format!("dtlb:{n}")).is_ok()) {
+            assert!(
+                hvc_tlb::TlbConfig::delayed(n).sets().is_power_of_two(),
+                "{n}"
+            );
+        }
     }
 
     #[test]

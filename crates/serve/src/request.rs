@@ -148,6 +148,7 @@ mod tests {
             (br#"{"ifetch": 1}"#, "ifetch"),
             (br#"{"replay": "/tmp/t.hvct"}"#, "replay"),
             (br#"{"schemes": ["bogus"]}"#, "scheme"),
+            (br#"{"schemes": ["dtlb:12"]}"#, "delayed TLB size"),
             (br#"{"filters": ["cuckoo"]}"#, "filter"),
             (br#"{"refs": 0}"#, "refs"),
             (br#"{"shards": 8}"#, "unknown field"),

@@ -1,5 +1,7 @@
 //! An exact-LRU tag array for small fully associative structures.
 
+use crate::FxHashMap;
+
 /// Key of a free slot; no live key may equal it.
 const EMPTY: u64 = u64::MAX;
 
@@ -15,10 +17,11 @@ struct Link {
 /// associative translation cache (segment cache, walk cache, nested TLB,
 /// range TLB).
 ///
-/// Keys sit in one dense array, so a lookup is a single scan. Recency is
-/// a doubly linked list of `u16` slot indices threaded through `links`,
-/// whose extra last element is the list head: its `next` is the most
-/// recently used slot and its `prev` the least. Touching an entry and
+/// Keys sit in one dense array beside a hash index from key to slot, so
+/// a lookup is one hash probe whatever the capacity. Recency is a doubly
+/// linked list of `u16` slot indices threaded through `links`, whose
+/// extra last element is the list head: its `next` is the most recently
+/// used slot and its `prev` the least. Touching an entry and
 /// choosing a victim are both O(1), and the victim is always the key
 /// whose last insert or touch is oldest. Slots freed by
 /// [`LruTags::retain`] move to the LRU end, so inserts reuse them before
@@ -40,6 +43,8 @@ pub struct LruTags<P> {
     keys: Vec<u64>,
     payloads: Vec<P>,
     links: Vec<Link>,
+    /// Slot of every live key.
+    index: FxHashMap<u64, u16>,
 }
 
 impl<P> LruTags<P> {
@@ -57,6 +62,10 @@ impl<P> LruTags<P> {
         LruTags {
             keys: Vec::with_capacity(capacity),
             payloads: Vec::with_capacity(capacity),
+            // Twice the capacity keeps the index at most half full, so
+            // the tombstones evictions leave are cleared by an in-place
+            // rehash and never grow it: the index allocates only here.
+            index: FxHashMap::with_capacity_and_hasher(2 * capacity, Default::default()),
             links: vec![
                 Link {
                     prev: head,
@@ -75,7 +84,7 @@ impl<P> LruTags<P> {
     #[inline]
     pub fn find(&self, key: u64) -> Option<usize> {
         debug_assert_ne!(key, EMPTY, "reserved key");
-        self.keys.iter().position(|&k| k == key)
+        self.index.get(&key).map(|&slot| usize::from(slot))
     }
 
     /// The first live slot whose payload satisfies `pred`, in slot order
@@ -112,6 +121,7 @@ impl<P> LruTags<P> {
             let slot = self.keys.len();
             self.keys.push(key);
             self.payloads.push(payload);
+            self.index.insert(key, slot as u16);
             self.link_after(head, slot);
             return None;
         }
@@ -122,6 +132,10 @@ impl<P> LruTags<P> {
         let old = std::mem::replace(&mut self.keys[slot], key);
         self.payloads[slot] = payload;
         self.touch(slot);
+        if old != EMPTY {
+            self.index.remove(&old);
+        }
+        self.index.insert(key, slot as u16);
         (old != EMPTY).then_some(old)
     }
 
@@ -147,6 +161,7 @@ impl<P> LruTags<P> {
             let key = self.keys[slot];
             if key != EMPTY && !keep(key) {
                 self.keys[slot] = EMPTY;
+                self.index.remove(&key);
                 self.unlink(slot);
                 self.link_after(usize::from(self.links[tail].prev), slot);
             }
@@ -157,6 +172,7 @@ impl<P> LruTags<P> {
     pub fn clear(&mut self) {
         self.keys.clear();
         self.payloads.clear();
+        self.index.clear();
         let head = self.capacity();
         self.links[head] = Link {
             prev: head as u16,

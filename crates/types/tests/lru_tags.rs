@@ -1,9 +1,14 @@
 //! `LruTags` against the stamp model it replaces: a plain
 //! `Vec<(key, payload, tick)>` whose victim is the `min_by_key` over the
 //! stamps of each entry's last insert or touch.
+//!
+//! Capacities reach past the 128-entry segment cache, and keys take the
+//! callers' `tag << 48 | region` shape, so the key index meets full
+//! arrays, long eviction chains and sparse key spaces.
 
 use hvc_types::LruTags;
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap};
 
 /// The stamp-scan model.
 struct StampModel {
@@ -49,6 +54,25 @@ impl StampModel {
     }
 }
 
+/// The callers' key shape: `tag << 48 | region` (an ASID over a region
+/// or page number). Picks land on `tags` tags and `regions` regions
+/// `stride` apart from `base`.
+#[derive(Clone, Copy, Debug)]
+struct KeyShape {
+    tags: u64,
+    regions: u64,
+    base: u64,
+    stride: u64,
+}
+
+impl KeyShape {
+    fn key(&self, pick: u64) -> u64 {
+        let tag = pick % self.tags;
+        let region = self.base + (pick / self.tags % self.regions) * self.stride;
+        tag << 48 | region
+    }
+}
+
 fn contents(tags: &LruTags<u32>) -> Vec<(u64, u32)> {
     tags.keys_by_recency()
         .map(|k| {
@@ -64,24 +88,40 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Every operation leaves both structures with the same entries in
-    /// the same recency order, and every insert evicts the same victim.
+    /// the same recency order, every insert evicts the same victim, and
+    /// `find` agrees with the model on every key ever inserted.
     #[test]
     fn lru_tags_match_the_stamp_model(
-        capacity in 0usize..9,
-        ops in prop::collection::vec((0u8..16, 0u64..14, any::<u32>()), 1..300),
+        capacity in prop_oneof![0usize..9, 120usize..131, 0usize..131],
+        tags_count in 1u64..5,
+        spread in 1usize..13,
+        base in prop_oneof![Just(0u64), 0u64..1 << 26],
+        stride in prop::sample::select(vec![1u64, 2, 64, 1 << 12, 0x1_0001, (1 << 20) - 1]),
+        ops in prop::collection::vec((0u8..200, any::<u64>(), any::<u32>()), 1..1000),
     ) {
+        // About `spread / 4` times the capacity in distinct keys: small
+        // spreads mostly hit, large ones mostly evict.
+        let shape = KeyShape {
+            tags: tags_count,
+            regions: (capacity * spread / 4 + 2) as u64,
+            base,
+            stride,
+        };
         let mut tags = LruTags::new(capacity);
         let mut model = StampModel { entries: Vec::new(), capacity, tick: 0 };
-        for (op, key, value) in ops {
+        let mut seen = BTreeSet::new();
+        for (op, pick, value) in ops {
+            let key = shape.key(pick);
             match op {
                 // Insert an absent key (the common miss path).
-                0..=5 => {
+                0..=79 => {
                     if model.find(key).is_none() {
                         prop_assert_eq!(tags.insert(key, value), model.insert(key, value));
+                        seen.insert(key);
                     }
                 }
                 // Touch on a hit.
-                6..=9 => {
+                80..=139 => {
                     let slot = tags.find(key);
                     prop_assert_eq!(slot.is_some(), model.find(key).is_some());
                     if let (Some(slot), Some(i)) = (slot, model.find(key)) {
@@ -91,7 +131,7 @@ proptest! {
                     }
                 }
                 // Touch-or-insert with a new payload.
-                10..=12 => {
+                140..=196 => {
                     tags.put(key, value);
                     match model.find(key) {
                         Some(i) => {
@@ -102,13 +142,21 @@ proptest! {
                             model.insert(key, value);
                         }
                     }
+                    seen.insert(key);
                 }
-                // Drop every key in one residue class.
-                13 | 14 => {
+                // Drop every key in one residue class. Retains and clears
+                // are rare, so the largest arrays fill and evict.
+                197 => {
                     let m = u64::from(value % 3) + 2;
                     let r = key % m;
                     tags.retain(|k| k % m != r);
                     model.entries.retain(|e| e.0 % m != r);
+                }
+                // Drop one tag (an ASID flush).
+                198 => {
+                    let tag = key >> 48;
+                    tags.retain(|k| k >> 48 != tag);
+                    model.entries.retain(|e| e.0 >> 48 != tag);
                 }
                 _ => {
                     tags.clear();
@@ -116,8 +164,10 @@ proptest! {
                 }
             }
             prop_assert_eq!(contents(&tags), model.by_recency());
-            for probe in 0..14 {
-                prop_assert_eq!(tags.find(probe).is_some(), model.find(probe).is_some());
+            let live: HashMap<u64, u32> = model.entries.iter().map(|e| (e.0, e.1)).collect();
+            for &probe in &seen {
+                let found = tags.find(probe).map(|slot| *tags.payload(slot));
+                prop_assert_eq!(found, live.get(&probe).copied(), "key {:#x}", probe);
             }
         }
     }

@@ -37,7 +37,7 @@ OPTIONS:
     --workload <name>    workload profile (see --list)        [default: gups]
     --scheme <scheme>    baseline | ideal | dtlb:<entries> |
                          manyseg | manyseg-nosc | enigma:<entries>
-                                                              [default: manyseg]
+                         (<entries>: a power of two ≥ 8)      [default: manyseg]
     --filter <name>      synonym-filter strategy: bloom | rlt [default: bloom]
     --refs <n>           memory references to simulate        [default: 500000]
     --warm <n>           unmeasured warm-up references        [default: refs/2]
@@ -709,6 +709,12 @@ fn single_main(args: &[String]) -> ExitCode {
         eprintln!("unknown scheme '{scheme}'\n\n{USAGE}");
         return ExitCode::FAILURE;
     };
+    // Both run paths need this: the trace options build `SystemSim`
+    // directly, without `Experiment::validate`.
+    if let Err(e) = params::check_delayed_tlb(&scheme) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
+    }
     let Some(parsed_filter) = params::parse_filter(&filter) else {
         eprintln!("unknown filter strategy '{filter}' (use bloom or rlt)\n\n{USAGE}");
         return ExitCode::FAILURE;

@@ -90,6 +90,52 @@ fn trace_options_with_multiple_cores_fail_cleanly() {
 }
 
 #[test]
+fn invalid_delayed_tlb_sizes_fail_cleanly_without_panicking() {
+    let trace = std::env::temp_dir().join(format!("hvcsim-dtlb-trace-{}.hvct", std::process::id()));
+    let trace = trace.to_string_lossy().into_owned();
+    fn run(scheme: &str) -> Vec<&str> {
+        vec![
+            "--workload",
+            "gups",
+            "--mem",
+            "16M",
+            "--refs",
+            "1000",
+            "--scheme",
+            scheme,
+        ]
+    }
+    let mut cases = vec![run("dtlb:0"), run("enigma:0"), run("dtlb:12")];
+    // The trace options build the simulator without the sweep
+    // validation.
+    let mut traced = run("dtlb:12");
+    traced.extend(["--save-trace", &trace]);
+    cases.push(traced);
+    cases.push(vec!["sweep", "--workloads", "gups", "--schemes", "dtlb:0"]);
+    cases.push(vec![
+        "sweep",
+        "--workloads",
+        "gups",
+        "--schemes",
+        "vm:dtlb:12",
+    ]);
+    for args in cases {
+        let out = hvcsim().args(&args).output().expect("spawn");
+        assert!(!out.status.success(), "{args:?} should fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        assert!(
+            stderr.contains("delayed TLB size") && stderr.contains("power of two ≥ 8"),
+            "{args:?}: {stderr}"
+        );
+    }
+    assert!(
+        !std::path::Path::new(&trace).exists(),
+        "a rejected run must not write its trace"
+    );
+}
+
+#[test]
 fn small_simulation_reports_ipc() {
     let out = hvcsim()
         .args([

@@ -224,6 +224,35 @@ fn deeply_nested_body_is_rejected_and_the_server_keeps_serving() {
     server.shutdown();
 }
 
+/// A grid with an invalid delayed-TLB size is a 400 before any cell
+/// runs, not a panicked worker and an aborted stream.
+#[test]
+fn invalid_delayed_tlb_size_is_rejected_before_any_cell_runs() {
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.addr();
+
+    let body = r#"{"workloads": ["gups"], "schemes": ["baseline", "dtlb:12"],
+        "refs": 1000, "warm": 0, "mem": 16777216}"#;
+    let (status, response) = roundtrip(addr, &sweep_request(body));
+    let text = String::from_utf8_lossy(&response);
+    assert_eq!(status, 400, "{text}");
+    assert!(
+        text.contains("dtlb:12") && text.contains("delayed TLB size"),
+        "{text}"
+    );
+
+    let (_, stats) = get(addr, "/stats");
+    assert_eq!(stats.get("cells_executed").and_then(Value::as_u64), Some(0));
+    let misses = stats.get("cache").and_then(|c| c.get("misses"));
+    assert_eq!(
+        misses.and_then(Value::as_u64),
+        Some(0),
+        "no cell was looked up"
+    );
+
+    server.shutdown();
+}
+
 /// A 6-cell grid slow enough that a shutdown after two streamed cells
 /// lands mid-sweep (jobs = 1 serializes the cells).
 const RESUME_BODY: &str = r#"{"workloads": ["gups"], "schemes": ["baseline", "ideal", "dtlb:1024"],
