@@ -6,11 +6,14 @@
 //! crate turns that guarantee (and its supporting invariants) into
 //! executable checks:
 //!
-//! * [`DiffHarness`] runs any workload — natively or in a guest VM —
-//!   through the scheme under test **and** a physically-addressed
-//!   reference machine in lockstep, comparing the OS-visible outcome of every access
-//!   (frame, permissions, synonym status) and the per-space synonym
-//!   partition.
+//! * [`Oracle`] observes the measured run: installed as the measured
+//!   [`hvc_core::SystemSim`]'s [`hvc_core::CheckHooks`], it steps a
+//!   physically-addressed reference machine (natively, or the nested
+//!   baseline in a guest VM) with every reference and churn batch in the
+//!   order the measured machine executes them — on one core or inside
+//!   `McSim`'s quanta — and compares the OS-visible outcome of every
+//!   access (frame, permissions, synonym status) and the per-space
+//!   synonym partition.
 //! * [`check_system`] / [`check_virt`] sweep a native / virtualized
 //!   simulator's entire state:
 //!   no virtually tagged line without a mapping (stale line), at most
@@ -20,9 +23,8 @@
 //! * [`stress`] generates seeded scripts of OS churn interleaved with
 //!   traffic and shrinks failures to minimal reproducers.
 //!
-//! Checking hooks into the simulator through
-//! [`hvc_types::CheckHooks`]; with no hooks installed the cost is a
-//! single branch per access, so production sweeps are unaffected.
+//! The measured report is the same with the oracle installed or not:
+//! the oracle only reads the machine it observes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,5 +35,5 @@ pub mod stress;
 mod violation;
 
 pub use invariants::{check_system, check_virt};
-pub use oracle::{CheckConfig, DiffHarness};
+pub use oracle::{CheckConfig, Oracle};
 pub use violation::Violation;

@@ -1,35 +1,40 @@
-//! Differential oracles: run the scheme under test in lockstep with a
-//! physically-addressed reference machine and compare the OS-visible
+//! The differential oracle: a physically-addressed reference machine
+//! that observes the measured simulator and compares the OS-visible
 //! outcome of every access.
 //!
-//! The native oracle is [`TranslationScheme::Ideal`] — perfect physical
-//! caching whose kernel is touched on *every* access, so demand
+//! The oracle is installed as the measured [`SystemSim`]'s
+//! [`CheckHooks`], so it sees every reference and every churn batch in
+//! the order the measured machine executes them — inside `McSim`'s
+//! round-robin quanta, too — and steps its reference machine with the
+//! same items.
+//!
+//! The native reference is [`TranslationScheme::Ideal`] — perfect
+//! physical caching whose kernel is touched on *every* access, so demand
 //! allocation and copy-on-write breaks happen at the same access index
 //! as in the hybrid schemes (which enforce permissions through cached
 //! tags or delayed translation). With both kernels built by the same
 //! deterministic setup, physical frame numbers are directly comparable.
 //!
-//! The virtualized oracle ([`DiffHarness::virtualized`]) is
-//! [`VirtScheme::NestedBaseline`] — the
-//! conventional gVA→MA TLB + 2D-walker machine; guest and machine frame
-//! assignment follow first-access order in both schemes, so guest page
-//! tables are directly comparable as well.
+//! The virtualized reference ([`Oracle::virtualized`]) is
+//! [`VirtScheme::NestedBaseline`] — the conventional gVA→MA TLB +
+//! 2D-walker machine; guest and machine frame assignment follow
+//! first-access order in both schemes, so guest page tables are directly
+//! comparable as well.
 
 use crate::invariants;
 use crate::violation::Violation;
-use hvc_core::{RunReport, SystemConfig, SystemSim, TranslationScheme, VirtScheme};
-use hvc_os::{AllocPolicy, Kernel};
-use hvc_types::{Asid, CheckHooks, PhysAddr, PhysFrame, TraceItem, VirtAddr, Vmid};
+use hvc_core::{CheckHooks, SystemSim, TranslationScheme, VirtScheme};
+use hvc_os::Kernel;
+use hvc_types::{Asid, PhysAddr, PhysFrame, TraceItem, VirtAddr, Vmid};
 use hvc_virt::Hypervisor;
-use hvc_workloads::WorkloadInstance;
-use std::cell::RefCell;
-use std::rc::Rc;
+use hvc_workloads::ChurnOps;
+use std::any::Any;
 
 /// Knobs of a checking run.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckConfig {
-    /// Run a full invariant sweep every this many accesses (0 = only at
-    /// [`DiffHarness::finish`]). Sweeps are O(machine state).
+    /// Run a full invariant sweep every this many references (0 = only
+    /// at [`Oracle::verdict`]). Sweeps are O(machine state).
     pub sweep_every: u64,
 }
 
@@ -37,63 +42,6 @@ impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig { sweep_every: 1024 }
     }
-}
-
-/// Boundary-audit state shared between the simulator-installed hook and
-/// the harness.
-#[derive(Default)]
-struct BoundaryAudit {
-    /// Access boundaries observed with a non-empty flush queue.
-    late_boundaries: u64,
-    /// Worst queue depth seen at a boundary.
-    worst_pending: usize,
-    /// The latest segment translation that disagreed with the page
-    /// table since the last drain.
-    stale_segment: Option<Violation>,
-}
-
-struct QueueAudit(Rc<RefCell<BoundaryAudit>>);
-
-impl CheckHooks for QueueAudit {
-    fn access_boundary(&mut self, _refs: u64, pending: usize) {
-        if pending > 0 {
-            let mut a = self.0.borrow_mut();
-            a.late_boundaries += 1;
-            a.worst_pending = a.worst_pending.max(pending);
-        }
-    }
-
-    fn segment_translation(
-        &mut self,
-        asid: Asid,
-        vaddr: VirtAddr,
-        pa: PhysAddr,
-        page_table: Option<PhysFrame>,
-    ) {
-        if let Some(frame) = page_table.filter(|&f| f != pa.frame_number()) {
-            self.0.borrow_mut().stale_segment = Some(Violation::SegmentStale {
-                asid: asid.as_u16(),
-                vpn: vaddr.page_number().base().as_u64() >> hvc_types::PAGE_SHIFT,
-                detail: format!(
-                    "segment gives frame {:#x}, page table {:#x}",
-                    pa.frame_number().base().as_u64(),
-                    frame.base().as_u64()
-                ),
-            });
-        }
-    }
-}
-
-fn drain_audit(audit: &Rc<RefCell<BoundaryAudit>>, out: &mut Vec<Violation>) {
-    let mut a = audit.borrow_mut();
-    if a.late_boundaries > 0 {
-        out.push(Violation::PendingFlushes {
-            pending: a.worst_pending,
-        });
-        a.late_boundaries = 0;
-        a.worst_pending = 0;
-    }
-    out.extend(a.stale_segment.take());
 }
 
 /// Compares the synonym partition (the per-space sets of shared pages)
@@ -179,180 +127,165 @@ fn compare_access(sut: &Kernel, oracle: &Kernel, item: TraceItem, out: &mut Vec<
     }
 }
 
-/// A differential harness: the scheme under test and a reference machine
-/// over twin kernels — [`TranslationScheme::Ideal`] natively
-/// ([`DiffHarness::new`]), [`VirtScheme::NestedBaseline`] over twin
-/// hypervisors ([`DiffHarness::virtualized`]).
-pub struct DiffHarness {
-    sut: SystemSim,
-    oracle: SystemSim,
-    cfg: CheckConfig,
-    audit: Rc<RefCell<BoundaryAudit>>,
-    violations: Vec<Violation>,
-    steps: u64,
+/// A full invariant sweep of the machine under test plus the
+/// cross-machine synonym partition comparison.
+fn sweep(sim: &SystemSim, reference: &SystemSim, out: &mut Vec<Violation>) {
+    out.extend(if sim.guest().is_some() {
+        invariants::check_virt(sim)
+    } else {
+        invariants::check_system(sim)
+    });
+    compare_partitions(sim.kernel(), reference.kernel(), out);
 }
 
-impl DiffHarness {
-    /// Builds twin kernels with `setup` (which must be deterministic:
-    /// both kernels see the exact same call sequence), the scheme under
-    /// test over one and the ideal oracle over the other. Returns the
-    /// harness plus the value `setup` produced for the kernel under
-    /// test (typically the [`WorkloadInstance`]).
+/// The oracle installed on a measured [`SystemSim`]: a reference
+/// machine over a twin kernel — [`TranslationScheme::Ideal`] natively
+/// ([`Oracle::native`]), [`VirtScheme::NestedBaseline`] over a twin
+/// hypervisor ([`Oracle::virtualized`]) — plus every violation seen so
+/// far.
+///
+/// After each reference the machine under test executes, the oracle
+/// audits its flush queue (it must be empty: a queued flush means a
+/// later access could observe a stale line), steps the reference with
+/// the same item, compares the accessed page's translation, and every
+/// [`CheckConfig::sweep_every`] references runs a whole-machine
+/// invariant sweep. Churn batches are applied to the reference as the
+/// machine under test applies them.
+pub struct Oracle {
+    reference: SystemSim,
+    cfg: CheckConfig,
+    violations: Vec<Violation>,
+    refs: u64,
+}
+
+impl Oracle {
+    /// Installs the oracle on the native `sim`. `twin` must be a kernel
+    /// built by the same deterministic setup as `sim`'s (the exact same
+    /// call sequence); the ideal reference machine runs over it with
+    /// `sim`'s configuration.
+    pub fn native(sim: &mut SystemSim, twin: Kernel, cfg: CheckConfig) {
+        let reference = SystemSim::new(twin, sim.config().clone(), TranslationScheme::Ideal);
+        Self::install(sim, reference, cfg);
+    }
+
+    /// Installs the oracle on the guest-VM `sim`. `hv` and `vmid` must be
+    /// built by the same deterministic setup as `sim`'s hypervisor; the
+    /// nested-baseline reference machine runs over them.
     ///
     /// # Errors
     ///
-    /// Propagates `setup` errors.
-    pub fn new<T>(
-        config: SystemConfig,
-        scheme: TranslationScheme,
+    /// Propagates simulator-construction errors.
+    pub fn virtualized(
+        sim: &mut SystemSim,
+        hv: Hypervisor,
+        vmid: Vmid,
         cfg: CheckConfig,
-        mem_bytes: u64,
-        policy: AllocPolicy,
-        setup: impl Fn(&mut Kernel) -> hvc_types::Result<T>,
-    ) -> hvc_types::Result<(Self, T)> {
-        let mut sut_kernel = Kernel::new(mem_bytes, policy);
-        let value = setup(&mut sut_kernel)?;
-        let mut oracle_kernel = Kernel::new(mem_bytes, policy);
-        let _ = setup(&mut oracle_kernel)?;
-        let sut = SystemSim::new(sut_kernel, config.clone(), scheme);
-        let oracle = SystemSim::new(oracle_kernel, config, TranslationScheme::Ideal);
-        Ok((Self::pair(sut, oracle, cfg), value))
+    ) -> hvc_types::Result<()> {
+        let config = sim.config().clone();
+        let reference = SystemSim::virtualized(hv, vmid, config, VirtScheme::NestedBaseline)?;
+        Self::install(sim, reference, cfg);
+        Ok(())
     }
 
-    /// Builds twin hypervisors with `setup` (must be deterministic), the
-    /// guest scheme under test over one and the nested-baseline oracle
-    /// over the other. Returns the harness plus the value `setup`
-    /// produced for the machine under test.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `setup` and simulator-construction errors.
-    pub fn virtualized<T>(
-        config: SystemConfig,
-        scheme: VirtScheme,
-        cfg: CheckConfig,
-        setup: impl Fn() -> hvc_types::Result<(Hypervisor, Vmid, T)>,
-    ) -> hvc_types::Result<(Self, T)> {
-        let (hv, vmid, value) = setup()?;
-        let (ohv, ovmid, _) = setup()?;
-        let sut = SystemSim::virtualized(hv, vmid, config.clone(), scheme)?;
-        let oracle = SystemSim::virtualized(ohv, ovmid, config, VirtScheme::NestedBaseline)?;
-        Ok((Self::pair(sut, oracle, cfg), value))
-    }
-
-    fn pair(mut sut: SystemSim, oracle: SystemSim, cfg: CheckConfig) -> Self {
-        let audit = Rc::new(RefCell::new(BoundaryAudit::default()));
-        sut.set_check_hooks(Box::new(QueueAudit(audit.clone())));
-        DiffHarness {
-            sut,
-            oracle,
+    fn install(sim: &mut SystemSim, reference: SystemSim, cfg: CheckConfig) {
+        sim.set_check_hooks(Box::new(Oracle {
+            reference,
             cfg,
-            audit,
             violations: Vec::new(),
-            steps: 0,
-        }
+            refs: 0,
+        }));
     }
 
-    /// Steps both machines with one trace item and compares the
-    /// OS-visible outcome.
-    pub fn step(&mut self, item: TraceItem, mlp: u32) {
-        self.sut.step(item, mlp);
-        self.oracle.step(item, mlp);
-        self.steps += 1;
-        compare_access(
-            self.sut.kernel(),
-            self.oracle.kernel(),
-            item,
-            &mut self.violations,
-        );
-        drain_audit(&self.audit, &mut self.violations);
-        if self.cfg.sweep_every > 0 && self.steps.is_multiple_of(self.cfg.sweep_every) {
-            self.sweep();
-        }
+    /// The oracle installed on `sim`, if any.
+    pub fn of(sim: &SystemSim) -> Option<&Oracle> {
+        let hooks: &dyn Any = sim.check_hooks()?;
+        hooks.downcast_ref()
     }
 
-    /// Runs `refs` warm-up references with checking on, then resets
-    /// statistics on both machines (mirrors [`SystemSim::warm_up`]).
-    pub fn warm_up(&mut self, workload: &mut WorkloadInstance, refs: usize) {
-        self.drive(workload, refs);
-        self.sut.reset_stats();
-        self.oracle.reset_stats();
+    fn of_mut(sim: &mut SystemSim) -> &mut Oracle {
+        let hooks: &mut dyn Any = sim.check_hooks_mut().expect("oracle installed");
+        hooks.downcast_mut().expect("oracle installed")
     }
 
-    /// Runs `refs` checked references and returns the report of the
-    /// machine under test (identical to an unchecked run's report).
-    pub fn run(&mut self, workload: &mut WorkloadInstance, refs: usize) -> RunReport {
-        self.drive(workload, refs);
-        self.sut.report()
-    }
-
-    /// Steps `refs` workload references through both machines and applies
-    /// any due workload churn to both, keeping their kernels in lockstep
-    /// through address-space mutations.
-    fn drive(&mut self, workload: &mut WorkloadInstance, refs: usize) {
-        let mlp = workload.mlp();
-        for _ in 0..refs {
-            self.step(workload.next_item(), mlp);
-            if let Some(ops) = workload.take_churn_ops() {
-                self.sut.apply_churn(&ops);
-                self.oracle.apply_churn(&ops);
-            }
-        }
-    }
-
-    /// Applies a kernel operation to both machines' kernels (the guest
-    /// kernels in a VM; flushes drain immediately on each side) and
-    /// returns the result from the machine under test.
-    pub fn os<R>(&mut self, f: impl Fn(&mut Kernel) -> R) -> R {
-        let r = self.sut.os(&f);
-        let _ = self.oracle.os(&f);
+    /// Applies a kernel operation to both kernels (the guest kernels in
+    /// a VM; flushes drain immediately on each side) and returns the
+    /// result from the machine under test. A kernel operation applied
+    /// through [`SystemSim::os`] alone reaches only the machine under
+    /// test, so the twins diverge.
+    ///
+    /// # Panics
+    ///
+    /// If no oracle is installed on `sim`.
+    pub fn os<R>(sim: &mut SystemSim, f: impl Fn(&mut Kernel) -> R) -> R {
+        let r = sim.os(&f);
+        let _ = Self::of_mut(sim).reference.os(&f);
         r
     }
 
-    /// Runs a full invariant sweep plus the cross-machine synonym
-    /// partition comparison now.
-    pub fn sweep(&mut self) {
-        self.violations.extend(if self.sut.guest().is_some() {
-            invariants::check_virt(&self.sut)
-        } else {
-            invariants::check_system(&self.sut)
-        });
-        compare_partitions(
-            self.sut.kernel(),
-            self.oracle.kernel(),
+    /// Every violation recorded so far, plus a full invariant sweep and
+    /// partition comparison of `sim` now.
+    ///
+    /// # Panics
+    ///
+    /// If no oracle is installed on `sim`.
+    pub fn verdict(sim: &SystemSim) -> Vec<Violation> {
+        let oracle = Self::of(sim).expect("oracle installed");
+        let mut out = oracle.violations.clone();
+        sweep(sim, &oracle.reference, &mut out);
+        out
+    }
+
+    /// References observed so far.
+    pub fn refs(&self) -> u64 {
+        self.refs
+    }
+
+    /// The reference machine.
+    pub fn reference(&self) -> &SystemSim {
+        &self.reference
+    }
+}
+
+impl CheckHooks for Oracle {
+    fn on_reference(&mut self, sim: &SystemSim, item: TraceItem, mlp: u32) {
+        let pending = sim.kernel().pending_flush_requests();
+        if pending > 0 {
+            self.violations.push(Violation::PendingFlushes { pending });
+        }
+        self.reference.step(item, mlp);
+        self.refs += 1;
+        compare_access(
+            sim.kernel(),
+            self.reference.kernel(),
+            item,
             &mut self.violations,
         );
+        if self.cfg.sweep_every > 0 && self.refs.is_multiple_of(self.cfg.sweep_every) {
+            sweep(sim, &self.reference, &mut self.violations);
+        }
     }
 
-    /// Fault injection: make the machine under test drop every non-`Page`
-    /// flush request (the historical virtualized-path bug). Self-test use
-    /// only.
-    #[doc(hidden)]
-    pub fn inject_drop_non_page_flushes(&mut self) {
-        self.sut.inject_drop_non_page_flushes();
+    fn on_churn(&mut self, ops: &ChurnOps) {
+        self.reference.apply_churn(ops);
     }
 
-    /// Fault injection: apply a kernel operation to the machine under
-    /// test only, making the twin kernels diverge (its own flushes are
-    /// still drained). Self-test use only.
-    #[doc(hidden)]
-    pub fn inject_sut_only_os<R>(&mut self, f: impl FnOnce(&mut Kernel) -> R) -> R {
-        self.sut.os(f)
-    }
-
-    /// The machine under test (read-only).
-    pub fn sut(&self) -> &SystemSim {
-        &self.sut
-    }
-
-    /// Violations recorded so far.
-    pub fn violations(&self) -> &[Violation] {
-        &self.violations
-    }
-
-    /// Final sweep, then returns every recorded violation.
-    pub fn finish(mut self) -> Vec<Violation> {
-        self.sweep();
-        self.violations
+    fn segment_translation(
+        &mut self,
+        asid: Asid,
+        vaddr: VirtAddr,
+        pa: PhysAddr,
+        page_table: Option<PhysFrame>,
+    ) {
+        if let Some(frame) = page_table.filter(|&f| f != pa.frame_number()) {
+            self.violations.push(Violation::SegmentStale {
+                asid: asid.as_u16(),
+                vpn: vaddr.page_number().base().as_u64() >> hvc_types::PAGE_SHIFT,
+                detail: format!(
+                    "segment gives frame {:#x}, page table {:#x}",
+                    pa.frame_number().base().as_u64(),
+                    frame.base().as_u64()
+                ),
+            });
+        }
     }
 }

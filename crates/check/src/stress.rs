@@ -3,15 +3,15 @@
 //! Generates scripts of OS operations (map/unmap, shared-memory attach
 //! and detach, copy-on-write, content-sharing downgrades, process
 //! churn, filter rebuilds) interleaved with memory traffic, runs them
-//! through a [`DiffHarness`], and — when a script fails — shrinks it to
-//! a minimal reproducer with a delta-debugging pass.
+//! on a simulator the [`Oracle`] observes, and — when a script fails —
+//! shrinks it to a minimal reproducer with a delta-debugging pass.
 //!
 //! Scripts are a pure function of the seed, so a failure report of the
 //! form `(seed, shrunken ops)` reproduces anywhere.
 
-use crate::oracle::{CheckConfig, DiffHarness};
+use crate::oracle::{CheckConfig, Oracle};
 use crate::violation::Violation;
-use hvc_core::{SystemConfig, TranslationScheme};
+use hvc_core::{SystemConfig, SystemSim, TranslationScheme};
 use hvc_os::{AllocPolicy, Kernel, MapIntent, ShmId};
 use hvc_types::{Asid, MemRef, Permissions, TraceItem, VirtAddr, PAGE_SIZE};
 use std::fmt;
@@ -226,22 +226,24 @@ fn setup(kernel: &mut Kernel) -> hvc_types::Result<(Vec<Asid>, ShmId, ShmId)> {
     Ok((asids, shm_rw, shm_ro))
 }
 
-/// Runs a stress script through a fresh [`DiffHarness`] (hybrid scheme
-/// under test vs the ideal oracle) and returns every violation.
+/// Runs a stress script on a fresh hybrid simulator with the ideal
+/// [`Oracle`] installed and returns every violation.
 ///
 /// # Errors
 ///
-/// Propagates harness-construction errors.
+/// Propagates setup errors.
 pub fn run_script(ops: &[Op]) -> hvc_types::Result<Vec<Violation>> {
-    let cfg = CheckConfig { sweep_every: 64 };
-    let (mut h, (asids, shm_rw, shm_ro)) = DiffHarness::new(
+    let kernel = || Kernel::new(4 << 30, AllocPolicy::DemandPaging);
+    let mut k = kernel();
+    let (asids, shm_rw, shm_ro) = setup(&mut k)?;
+    let mut twin = kernel();
+    setup(&mut twin)?;
+    let mut sim = SystemSim::new(
+        k,
         SystemConfig::isca2016(),
         TranslationScheme::HybridDelayedTlb(1024),
-        cfg,
-        4 << 30,
-        AllocPolicy::DemandPaging,
-        setup,
-    )?;
+    );
+    Oracle::native(&mut sim, twin, CheckConfig { sweep_every: 64 });
     let mut procs: Vec<ProcModel> = asids
         .into_iter()
         .map(|asid| ProcModel {
@@ -275,7 +277,7 @@ pub fn run_script(ops: &[Op]) -> hvc_types::Result<Vec<Violation>> {
                 } else {
                     MemRef::read(m.asid, va)
                 };
-                h.step(TraceItem::new(1, mref), 1);
+                sim.step(TraceItem::new(1, mref), 1);
             }
             Op::AttachShm { proc, ro } => {
                 let p = proc as usize % NPROCS;
@@ -293,7 +295,7 @@ pub fn run_script(ops: &[Op]) -> hvc_types::Result<Vec<Violation>> {
                 } else {
                     Permissions::RW
                 };
-                let ok = h.os(|k| {
+                let ok = Oracle::os(&mut sim, |k| {
                     k.mmap(
                         asid,
                         VirtAddr::new(shm_base(p)),
@@ -313,7 +315,7 @@ pub fn run_script(ops: &[Op]) -> hvc_types::Result<Vec<Violation>> {
                     continue;
                 }
                 let asid = procs[p].asid;
-                h.os(|k| {
+                Oracle::os(&mut sim, |k| {
                     let _ = k.munmap(asid, VirtAddr::new(shm_base(p)));
                 });
                 procs[p].attached = None;
@@ -323,7 +325,7 @@ pub fn run_script(ops: &[Op]) -> hvc_types::Result<Vec<Violation>> {
                 let asid = procs[p].asid;
                 let va =
                     VirtAddr::new(priv_base(p) + (page as u64 % PRIV_PAGES as u64) * PAGE_SIZE);
-                h.os(|k| {
+                Oracle::os(&mut sim, |k| {
                     let _ = k.mark_page_shared(asid, va);
                 });
             }
@@ -332,7 +334,7 @@ pub fn run_script(ops: &[Op]) -> hvc_types::Result<Vec<Violation>> {
                 let asid = procs[p].asid;
                 let idx = page as usize % PRIV_PAGES as usize;
                 let va = VirtAddr::new(priv_base(p) + idx as u64 * PAGE_SIZE);
-                let ok = h.os(|k| k.downgrade_page_read_only(asid, va).is_ok());
+                let ok = Oracle::os(&mut sim, |k| k.downgrade_page_read_only(asid, va).is_ok());
                 if ok {
                     procs[p].downgraded[idx] = true;
                 }
@@ -340,7 +342,7 @@ pub fn run_script(ops: &[Op]) -> hvc_types::Result<Vec<Violation>> {
             Op::Remap { proc } => {
                 let p = proc as usize % NPROCS;
                 let asid = procs[p].asid;
-                h.os(|k| {
+                Oracle::os(&mut sim, |k| {
                     let _ = k.munmap(asid, VirtAddr::new(priv_base(p)));
                     let _ = k.mmap(
                         asid,
@@ -355,7 +357,7 @@ pub fn run_script(ops: &[Op]) -> hvc_types::Result<Vec<Violation>> {
             Op::Churn { proc } => {
                 let p = proc as usize % NPROCS;
                 let old = procs[p].asid;
-                let asid = h.os(|k| {
+                let asid = Oracle::os(&mut sim, |k| {
                     let _ = k.destroy_process(old);
                     let asid = k.create_process().expect("ASID space not exhausted");
                     let _ = k.mmap(
@@ -376,7 +378,7 @@ pub fn run_script(ops: &[Op]) -> hvc_types::Result<Vec<Violation>> {
             Op::RebuildFilter { proc } => {
                 let p = proc as usize % NPROCS;
                 let asid = procs[p].asid;
-                h.os(|k| {
+                Oracle::os(&mut sim, |k| {
                     let _ = k.rebuild_filter(asid);
                 });
             }
@@ -385,13 +387,14 @@ pub fn run_script(ops: &[Op]) -> hvc_types::Result<Vec<Violation>> {
                 let asid = procs[p].asid;
                 let va =
                     VirtAddr::new(priv_base(p) + (page as u64 % PRIV_PAGES as u64) * PAGE_SIZE);
-                h.inject_sut_only_os(|k| {
+                // The machine under test only: the twins diverge.
+                sim.os(|k| {
                     let _ = k.mark_page_shared(asid, va);
                 });
             }
         }
     }
-    Ok(h.finish())
+    Ok(Oracle::verdict(&sim))
 }
 
 /// Shrinks a failing script to a locally-minimal reproducer with a

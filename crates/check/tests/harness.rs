@@ -1,12 +1,13 @@
-//! End-to-end checks of the differential harnesses: clean runs stay
-//! clean, the checked report matches an unchecked run bit-for-bit, and
-//! the injected historical flush bug is caught.
+//! End-to-end checks of the differential oracle observing a measured
+//! simulator: clean runs stay clean, the checked report matches an
+//! unchecked run bit-for-bit, and the injected historical flush bug is
+//! caught.
 
 use hvc_check::Violation;
-use hvc_check::{stress, CheckConfig, DiffHarness};
+use hvc_check::{stress, CheckConfig, Oracle};
 use hvc_core::{SystemConfig, SystemSim, TranslationScheme, VirtScheme};
 use hvc_os::{AllocPolicy, Kernel, MapIntent};
-use hvc_types::{Asid, BlockName, MemRef, Permissions, TraceItem, VirtAddr, Vmid};
+use hvc_types::{BlockName, MemRef, Permissions, TraceItem, VirtAddr, Vmid};
 use hvc_virt::Hypervisor;
 use hvc_workloads::{apps, WorkloadInstance};
 
@@ -16,20 +17,42 @@ fn native_setup(kernel: &mut Kernel) -> hvc_types::Result<WorkloadInstance> {
     apps::gups(8 << 20).instantiate(kernel, 7)
 }
 
+/// A native simulator of `scheme` over a kernel built by `setup`, with
+/// the ideal oracle installed over a twin kernel built the same way.
+fn checked_native<T>(
+    scheme: TranslationScheme,
+    cfg: CheckConfig,
+    mem_bytes: u64,
+    policy: AllocPolicy,
+    setup: impl Fn(&mut Kernel) -> hvc_types::Result<T>,
+) -> (SystemSim, T) {
+    let build = || {
+        let mut kernel = Kernel::new(mem_bytes, policy);
+        let value = setup(&mut kernel).unwrap();
+        (kernel, value)
+    };
+    let (kernel, value) = build();
+    let mut sim = SystemSim::new(kernel, SystemConfig::isca2016(), scheme);
+    Oracle::native(&mut sim, build().0, cfg);
+    (sim, value)
+}
+
 #[test]
 fn native_checked_run_is_clean_and_matches_unchecked_report() {
-    let (mut h, mut wl) = DiffHarness::new(
-        SystemConfig::isca2016(),
+    let (mut sim, mut wl) = checked_native(
         TranslationScheme::HybridDelayedTlb(1024),
         CheckConfig::default(),
         4 * GIB,
         AllocPolicy::DemandPaging,
         native_setup,
-    )
-    .unwrap();
-    h.warm_up(&mut wl, 1000);
-    let checked = h.run(&mut wl, 4000);
-    assert!(h.finish().is_empty(), "clean workload must stay clean");
+    );
+    sim.warm_up(&mut wl, 1000);
+    let checked = sim.run(&mut wl, 4000);
+    assert!(
+        Oracle::verdict(&sim).is_empty(),
+        "clean workload must stay clean"
+    );
+    assert_eq!(Oracle::of(&sim).unwrap().refs(), 5000);
 
     // The same run without any checking: reports must be identical,
     // demonstrating that checking observes without perturbing.
@@ -42,32 +65,25 @@ fn native_checked_run_is_clean_and_matches_unchecked_report() {
     );
     sim.warm_up(&mut wl2, 1000);
     let plain = sim.run(&mut wl2, 4000);
-    assert_eq!(checked.instructions, plain.instructions);
-    assert_eq!(checked.cycles, plain.cycles);
-    assert_eq!(checked.translation, plain.translation);
-    assert_eq!(checked.cache, plain.cache);
-    assert_eq!(checked.dram, plain.dram);
+    assert_eq!(format!("{checked:?}"), format!("{plain:?}"));
 }
 
 #[test]
 fn native_process_churn_stays_clean() {
-    let (mut h, mut wl) = DiffHarness::new(
-        SystemConfig::isca2016(),
+    let (mut sim, mut wl) = checked_native(
         TranslationScheme::HybridDelayedTlb(1024),
         CheckConfig { sweep_every: 256 },
         4 * GIB,
         AllocPolicy::DemandPaging,
         native_setup,
-    )
-    .unwrap();
-    h.run(&mut wl, 2000);
+    );
+    sim.run(&mut wl, 2000);
     let asid = wl.procs()[0].asid;
-    h.os(|k| k.destroy_process(asid).unwrap());
-    h.sweep();
+    Oracle::os(&mut sim, |k| k.destroy_process(asid).unwrap());
+    let v = Oracle::verdict(&sim);
     assert!(
-        h.violations().is_empty(),
-        "destroy_process through os() must leave no stale state: {:?}",
-        h.violations()
+        v.is_empty(),
+        "destroy_process through os() must leave no stale state: {v:?}"
     );
 }
 
@@ -80,8 +96,7 @@ fn remapped_eager_segment_is_not_served_stale() {
     const MIB: u64 = 1 << 20;
     let (a, b) = (VirtAddr::new(0x4000_0000), VirtAddr::new(0x8000_0000));
     let rw = Permissions::RW;
-    let (mut h, asid) = DiffHarness::new(
-        SystemConfig::isca2016(),
+    let (mut sim, asid) = checked_native(
         TranslationScheme::HybridManySegment {
             segment_cache: true,
         },
@@ -93,59 +108,57 @@ fn remapped_eager_segment_is_not_served_stale() {
             k.mmap(asid, a, 2 * MIB, rw, MapIntent::Private)?;
             Ok(asid)
         },
-    )
-    .unwrap();
+    );
     let read = |va: VirtAddr| TraceItem::new(1, MemRef::read(asid, va));
-    h.step(read(a + 0x40), 1);
-    h.os(|k| {
+    sim.step(read(a + 0x40), 1);
+    Oracle::os(&mut sim, |k| {
         k.munmap(asid, a).unwrap();
         k.mmap(asid, b, 2 * MIB, rw, MapIntent::Private).unwrap();
         k.mmap(asid, a, 2 * MIB, rw, MapIntent::Private).unwrap();
     });
-    h.step(read(a + 0x1040), 1);
-    h.step(read(a + 0x40), 1);
-    let violations = h.finish();
+    sim.step(read(a + 0x1040), 1);
+    sim.step(read(a + 0x40), 1);
+    let violations = Oracle::verdict(&sim);
     assert!(violations.is_empty(), "{violations:?}");
 }
 
-fn virt_setup() -> hvc_types::Result<(Hypervisor, Vmid, WorkloadInstance)> {
+fn virt_setup() -> (Hypervisor, Vmid, WorkloadInstance) {
     let mut hv = Hypervisor::new(4 * GIB);
-    let vm = hv.create_vm(GIB, AllocPolicy::DemandPaging, false)?;
-    let gk = hv.guest_kernel_mut(vm)?;
-    let wl = apps::gups(8 << 20).instantiate(gk, 7)?;
-    Ok((hv, vm, wl))
+    let vm = hv.create_vm(GIB, AllocPolicy::DemandPaging, false).unwrap();
+    let gk = hv.guest_kernel_mut(vm).unwrap();
+    let wl = apps::gups(8 << 20).instantiate(gk, 7).unwrap();
+    (hv, vm, wl)
+}
+
+/// A guest VM running the hybrid delayed-TLB nested scheme, with the
+/// nested-baseline oracle installed over a twin hypervisor.
+fn checked_virt() -> (SystemSim, WorkloadInstance) {
+    let (hv, vm, wl) = virt_setup();
+    let scheme = VirtScheme::HybridDelayedNested(1024);
+    let mut sim = SystemSim::virtualized(hv, vm, SystemConfig::isca2016(), scheme).unwrap();
+    let (hv, vm, _) = virt_setup();
+    Oracle::virtualized(&mut sim, hv, vm, CheckConfig::default()).unwrap();
+    (sim, wl)
 }
 
 #[test]
 fn virt_checked_run_is_clean() {
-    let (mut h, mut wl) = DiffHarness::virtualized(
-        SystemConfig::isca2016(),
-        VirtScheme::HybridDelayedNested(1024),
-        CheckConfig::default(),
-        virt_setup,
-    )
-    .unwrap();
-    h.warm_up(&mut wl, 500);
-    h.run(&mut wl, 2000);
-    let v = h.finish();
+    let (mut sim, mut wl) = checked_virt();
+    sim.warm_up(&mut wl, 500);
+    sim.run(&mut wl, 2000);
+    let v = Oracle::verdict(&sim);
     assert!(v.is_empty(), "clean guest workload must stay clean: {v:?}");
 }
 
 #[test]
 fn virt_guest_destroy_is_clean_with_the_fix() {
-    let (mut h, mut wl) = DiffHarness::virtualized(
-        SystemConfig::isca2016(),
-        VirtScheme::HybridDelayedNested(1024),
-        CheckConfig::default(),
-        virt_setup,
-    )
-    .unwrap();
-    h.run(&mut wl, 2000);
+    let (mut sim, mut wl) = checked_virt();
+    sim.run(&mut wl, 2000);
     let asid = wl.procs()[0].asid;
-    h.os(|gk| {
+    Oracle::os(&mut sim, |gk| {
         let _ = gk.destroy_process(asid);
     });
-    let v = h.finish();
+    let v = Oracle::verdict(&sim);
     assert!(v.is_empty(), "guest destroy must flush everything: {v:?}");
 }
 
@@ -154,21 +167,14 @@ fn virt_injected_flush_drop_is_caught() {
     // Reverting the virtualized flush fix (Space/DowngradeRo requests
     // dropped) must surface under hvc-check as stale virtually tagged
     // lines and/or stale TLB entries after guest process destruction.
-    let (mut h, mut wl) = DiffHarness::virtualized(
-        SystemConfig::isca2016(),
-        VirtScheme::HybridDelayedNested(1024),
-        CheckConfig::default(),
-        virt_setup,
-    )
-    .unwrap();
-    h.inject_drop_non_page_flushes();
-    h.run(&mut wl, 2000);
+    let (mut sim, mut wl) = checked_virt();
+    sim.inject_drop_non_page_flushes();
+    sim.run(&mut wl, 2000);
     let asid = wl.procs()[0].asid;
-    h.os(|gk| {
+    Oracle::os(&mut sim, |gk| {
         let _ = gk.destroy_process(asid);
     });
-    let sut_asid_lines = h
-        .sut()
+    let sut_asid_lines = sim
         .hierarchy()
         .resident_names()
         .filter(|n| matches!(n, BlockName::Virt(a, _) if *a == asid))
@@ -177,7 +183,7 @@ fn virt_injected_flush_drop_is_caught() {
         sut_asid_lines > 0,
         "injection must leave stale lines behind"
     );
-    let v = h.finish();
+    let v = Oracle::verdict(&sim);
     assert!(
         v.iter()
             .any(|v| matches!(v, Violation::StaleLine { .. } | Violation::TlbStale { .. })),
@@ -223,5 +229,4 @@ fn shrinker_reduces_an_injected_failure_to_a_minimal_script() {
             .any(|op| matches!(op, stress::Op::Nemesis { .. })),
         "the nemesis must survive shrinking"
     );
-    let _ = Asid::KERNEL; // silence unused-import lint paths on some cfgs
 }

@@ -18,17 +18,50 @@ use hvc_os::{FlushRequest, Kernel, KernelStats, Pte, ShootdownModel};
 use hvc_segment::ManySegmentTranslator;
 use hvc_tlb::{PageWalker, Tlb, TwoLevelTlb};
 use hvc_types::{
-    AccessKind, Asid, BlockName, CheckHooks, Cycles, MemRef, MergeStats, Permissions, PhysAddr,
+    AccessKind, Asid, BlockName, Cycles, MemRef, MergeStats, Permissions, PhysAddr, PhysFrame,
     TraceItem, VirtAddr, VirtPage, Vmid,
 };
 use hvc_virt::{Hypervisor, NestedSegments, NestedWalker};
 use hvc_workloads::{ChurnOps, WorkloadInstance};
+use std::any::Any;
 use translate::{Miss, Translator};
 
 /// References decoded and stepped per window by the batched pipeline
 /// ([`SystemSim::step_batch`] callers). Matches the multi-core dispatch
 /// quantum so batching never spans a scheduling boundary.
 pub const BATCH_WINDOW: usize = 64;
+
+/// An observer of a simulation, installed with
+/// [`SystemSim::set_check_hooks`]: it sees every reference and every
+/// churn batch in the order the simulator executes them (inside a
+/// multi-core driver, too), with the machine that executed them. The
+/// `hvc-check` oracle is one. With none installed, a run pays one
+/// branch per reference and one per churn batch.
+///
+/// `Any` lets the installer recover its concrete type through
+/// [`SystemSim::check_hooks`].
+pub trait CheckHooks: Any {
+    /// Called after every reference [`SystemSim::step_batch`] executes.
+    fn on_reference(&mut self, sim: &SystemSim, item: TraceItem, mlp: u32);
+
+    /// Called after [`SystemSim::apply_churn`] applied `ops` and drained
+    /// the flushes they queued.
+    fn on_churn(&mut self, ops: &ChurnOps);
+
+    /// Called after the many-segment translator resolves `vaddr` of
+    /// `asid` to `pa`, with the frame the page table maps there (`None`
+    /// when the page is unmapped). A mapped page whose frame differs
+    /// from `pa`'s means the translator served a stale segment.
+    fn segment_translation(
+        &mut self,
+        asid: Asid,
+        vaddr: VirtAddr,
+        pa: PhysAddr,
+        page_table: Option<PhysFrame>,
+    ) {
+        let _ = (asid, vaddr, pa, page_table);
+    }
+}
 
 /// The scheme a simulator runs. Only [`SystemSim::virtualized`] builds a
 /// nested one, so a nested scheme never runs over a native kernel.
@@ -168,7 +201,7 @@ pub struct SystemSim {
     responder_stalls: Vec<u64>,
     /// Optional bounded event tracer (`config.trace_capacity > 0`).
     tracer: Option<EventTracer>,
-    /// Optional runtime check hooks (one branch per access when unset).
+    /// Optional observer (one branch per access when unset).
     hooks: Option<Box<dyn CheckHooks>>,
     /// Fault injection for checker self-tests: drop every non-`Page`
     /// flush request.
@@ -383,10 +416,25 @@ impl SystemSim {
         self.tracer.as_ref()
     }
 
-    /// Installs runtime check hooks (see [`CheckHooks`]). With no hooks
-    /// installed the per-access cost is a single branch.
+    /// The configuration this simulator was built with.
+    pub fn config(&self) -> &SystemConfig {
+        &self.config
+    }
+
+    /// Installs an observer of every reference and churn batch (see
+    /// [`CheckHooks`]).
     pub fn set_check_hooks(&mut self, hooks: Box<dyn CheckHooks>) {
         self.hooks = Some(hooks);
+    }
+
+    /// The installed observer, if any.
+    pub fn check_hooks(&self) -> Option<&dyn CheckHooks> {
+        self.hooks.as_deref()
+    }
+
+    /// The installed observer, if any (mutable).
+    pub fn check_hooks_mut(&mut self) -> Option<&mut dyn CheckHooks> {
+        self.hooks.as_deref_mut()
     }
 
     /// Fault injection for `hvc-check` self-tests: silently drop every
@@ -412,6 +460,9 @@ impl SystemSim {
     pub fn apply_churn(&mut self, ops: &ChurnOps) {
         let initiator = ops.initiator.and_then(|a| self.home_of(a));
         self.mutate_kernel(initiator, |k| ops.apply(k));
+        if let Some(h) = &mut self.hooks {
+            h.on_churn(ops);
+        }
     }
 
     /// Runs `f` on the kernel between accesses, then drains the flushes
@@ -612,11 +663,17 @@ impl SystemSim {
             self.core.stall(c);
         }
         if self.hooks.is_some() {
-            let pending = self.machine.kernel().pending_flush_requests();
-            let refs = self.refs;
-            if let Some(h) = &mut self.hooks {
-                h.access_boundary(refs, pending);
-            }
+            self.observe(item, mlp);
+        }
+    }
+
+    /// Hands the reference just executed to the installed observer.
+    #[cold]
+    #[inline(never)]
+    fn observe(&mut self, item: TraceItem, mlp: u32) {
+        if let Some(mut h) = self.hooks.take() {
+            h.on_reference(self, item, mlp);
+            self.hooks = Some(h);
         }
     }
 
@@ -966,9 +1023,6 @@ impl SystemSim {
             let r = mask.trailing_zeros() as usize;
             mask &= mask - 1;
             self.responder_stalls[r] += cost.per_responder;
-        }
-        if let Some(h) = &mut self.hooks {
-            h.flushes_applied(reqs.len());
         }
     }
 

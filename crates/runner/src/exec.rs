@@ -14,6 +14,7 @@
 
 use crate::grid::{Cell, Experiment};
 use crate::params;
+use hvc_check::{CheckConfig, Oracle};
 use hvc_core::{Hypervisor, RunReport, SystemConfig, SystemSim, TranslationScheme, VirtScheme};
 use hvc_mc::McSim;
 use hvc_os::{AllocPolicy, FilterKind, Kernel};
@@ -29,10 +30,11 @@ use std::time::{Duration, Instant};
 pub struct RunOptions {
     /// Worker threads claiming whole cells.
     pub jobs: usize,
-    /// Re-run every cell through the `hvc-check` differential oracle
-    /// after measuring it and fail the sweep on any invariant violation.
-    /// Checking runs on a separate simulator pair, so the reported
-    /// statistics are bitwise unaffected.
+    /// Install the `hvc-check` differential oracle on every cell's
+    /// measured machine and fail the sweep on any invariant violation.
+    /// The oracle observes the measured run — every reference and churn
+    /// batch, in the order the machine executes them — and only reads
+    /// it, so the reported statistics are bitwise unaffected.
     pub check: bool,
 }
 
@@ -148,16 +150,14 @@ pub fn run_sweep(exp: &Experiment, opts: &RunOptions) -> Result<SweepOutcome, St
 /// driver when `exp.cores > 1`. With `replay`, the recorded stream
 /// replaces the workload's references (warm-up eating its head).
 /// Alongside the report, returns the end-of-run filter-occupancy gauges
-/// (sorted by ASID for deterministic serialization).
+/// (sorted by ASID for deterministic serialization). With `check`, the
+/// oracle observes the run and any violation fails the cell.
 pub fn run_cell(
     exp: &Experiment,
     cell: &Cell,
     replay: Option<&[TraceItem]>,
     check: bool,
 ) -> Result<(RunReport, Vec<FilterOccupancy>), String> {
-    if check && replay.is_some() {
-        return Err("--check does not support trace replay (the oracle needs the workload)".into());
-    }
     let setup = CellSetup::resolve(exp, cell)?;
     if let Some(items) = replay {
         if exp.cores > 1 {
@@ -169,16 +169,9 @@ pub fn run_cell(
                 cell.scheme
             ));
         }
-        return run_replay(exp, cell, &setup, items);
+        return run_replay(exp, cell, &setup, items, check);
     }
-
-    let result = run_continuous(exp, cell, &setup, exp.cores > 1)?;
-    // The functional `--check` oracle runs on the plain engine — it
-    // verifies translation results, which timing quanta cannot change.
-    if check {
-        check_cell(exp, cell, &setup)?;
-    }
-    Ok(result)
+    run_continuous(exp, cell, &setup, exp.cores > 1, check)
 }
 
 /// References a core executes per scheduling turn of the multi-core
@@ -195,7 +188,7 @@ pub fn run_cell_mc(
     exp: &Experiment,
     cell: &Cell,
 ) -> Result<(RunReport, Vec<FilterOccupancy>), String> {
-    run_continuous(exp, cell, &CellSetup::resolve(exp, cell)?, true)
+    run_continuous(exp, cell, &CellSetup::resolve(exp, cell)?, true, false)
 }
 
 /// The machine a cell's scheme string names.
@@ -212,7 +205,8 @@ enum Machine {
 
 /// A cell's names resolved against the parameter tables, plus its
 /// system configuration — shared by the measured run, the replay path
-/// and the `--check` oracle pass, which must agree exactly.
+/// and the `--check` oracle's reference machine, which must agree
+/// exactly.
 struct CellSetup {
     spec: WorkloadSpec,
     machine: Machine,
@@ -274,19 +268,35 @@ impl CellSetup {
     }
 
     /// The cell's machine, freshly built — a kernel, or a hypervisor
-    /// with one VM — with its workload instantiated from `seed`.
-    fn build(&self, seed: u64) -> Result<(SystemSim, WorkloadInstance), String> {
+    /// with one VM — with its workload instantiated from `seed`. With
+    /// `check`, the `hvc-check` oracle is installed on it, its reference
+    /// machine over a twin built by the same setup.
+    fn build(&self, seed: u64, check: bool) -> Result<(SystemSim, WorkloadInstance), String> {
         let config = self.config.clone();
+        let cfg = CheckConfig::default();
         let build = || match self.machine {
             Machine::Native { scheme, policy } => {
-                let mut kernel = Kernel::new(16 << 30, policy);
-                kernel.set_filter_kind(self.filter);
-                let wl = self.spec.instantiate(&mut kernel, seed)?;
-                Ok((SystemSim::new(kernel, config, scheme), wl))
+                let kernel = || -> hvc_types::Result<_> {
+                    let mut kernel = Kernel::new(16 << 30, policy);
+                    kernel.set_filter_kind(self.filter);
+                    let wl = self.spec.instantiate(&mut kernel, seed)?;
+                    Ok((kernel, wl))
+                };
+                let (k, wl) = kernel()?;
+                let mut sim = SystemSim::new(k, config, scheme);
+                if check {
+                    Oracle::native(&mut sim, kernel()?.0, cfg);
+                }
+                Ok((sim, wl))
             }
             Machine::Vm(scheme) => {
                 let (hv, vm, wl) = self.instantiate_vm(scheme, seed)?;
-                Ok((SystemSim::virtualized(hv, vm, config, scheme)?, wl))
+                let mut sim = SystemSim::virtualized(hv, vm, config, scheme)?;
+                if check {
+                    let (hv, vm, _) = self.instantiate_vm(scheme, seed)?;
+                    Oracle::virtualized(&mut sim, hv, vm, cfg)?;
+                }
+                Ok((sim, wl))
             }
         };
         build().map_err(|e: hvc_types::HvcError| format!("workload setup failed: {e}"))
@@ -300,6 +310,7 @@ fn run_continuous(
     cell: &Cell,
     setup: &CellSetup,
     mc: bool,
+    check: bool,
 ) -> Result<(RunReport, Vec<FilterOccupancy>), String> {
     if mc && matches!(setup.machine, Machine::Vm(_)) {
         return Err(format!(
@@ -307,7 +318,7 @@ fn run_continuous(
             cell.scheme
         ));
     }
-    let (sim, mut wl) = setup.build(cell.seed)?;
+    let (sim, mut wl) = setup.build(cell.seed, check)?;
     if mc {
         let mut sim = McSim::new(sim, MC_QUANTUM);
         if exp.warm > 0 {
@@ -315,14 +326,14 @@ fn run_continuous(
         }
         sim.feed(&mut wl, exp.refs);
         sim.drain();
-        Ok((sim.report(), filter_occupancy(sim.sim())))
+        outcome(sim.sim(), sim.report(), check)
     } else {
         let mut sim = sim;
         if exp.warm > 0 {
             sim.warm_up(&mut wl, exp.warm);
         }
         let report = sim.run(&mut wl, exp.refs);
-        Ok((report, filter_occupancy(&sim)))
+        outcome(&sim, report, check)
     }
 }
 
@@ -334,8 +345,9 @@ fn run_replay(
     cell: &Cell,
     setup: &CellSetup,
     items: &[TraceItem],
+    check: bool,
 ) -> Result<(RunReport, Vec<FilterOccupancy>), String> {
-    let (mut sim, wl) = setup.build(cell.seed)?;
+    let (mut sim, wl) = setup.build(cell.seed, check)?;
     let mlp = wl.mlp();
 
     let mut pos = 0usize;
@@ -347,46 +359,30 @@ fn run_replay(
     }
     let end = (pos + exp.refs).min(items.len());
     let report = sim.run_trace(items[pos..end].iter().copied(), mlp);
-    Ok((report, filter_occupancy(&sim)))
+    outcome(&sim, report, check)
 }
 
-/// Re-runs the cell through the `hvc-check` differential oracle: the
-/// identical workload, seed and configuration on the scheme under test
-/// and a reference machine in lockstep (physically addressed natively,
-/// the nested baseline in a VM), with whole-machine invariant sweeps
-/// along the way.
-fn check_cell(exp: &Experiment, cell: &Cell, setup: &CellSetup) -> Result<(), String> {
-    let config = setup.config.clone();
-    let cfg = hvc_check::CheckConfig::default();
-    let (mut harness, mut wl) = match setup.machine {
-        Machine::Native { scheme, policy } => {
-            hvc_check::DiffHarness::new(config, scheme, cfg, 16 << 30, policy, |k| {
-                k.set_filter_kind(setup.filter);
-                setup.spec.instantiate(k, cell.seed)
-            })
+/// A finished run's report and filter gauges — or, with `check`, the
+/// oracle's violations if it saw any.
+fn outcome(
+    sim: &SystemSim,
+    report: RunReport,
+    check: bool,
+) -> Result<(RunReport, Vec<FilterOccupancy>), String> {
+    if check {
+        let violations = Oracle::verdict(sim);
+        if !violations.is_empty() {
+            return Err(format!(
+                "invariant violations under --check: {}",
+                violations
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join("; ")
+            ));
         }
-        Machine::Vm(scheme) => hvc_check::DiffHarness::virtualized(config, scheme, cfg, || {
-            setup.instantiate_vm(scheme, cell.seed)
-        }),
     }
-    .map_err(|e| format!("check setup failed: {e}"))?;
-    if exp.warm > 0 {
-        harness.warm_up(&mut wl, exp.warm);
-    }
-    harness.run(&mut wl, exp.refs);
-    let violations = harness.finish();
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "invariant violations under --check: {}",
-            violations
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("; ")
-        ))
-    }
+    Ok((report, filter_occupancy(sim)))
 }
 
 /// Samples the end-of-run synonym-filter occupancy of every address
@@ -536,12 +532,32 @@ mod tests {
         assert!(err.contains("replay"), "unexpected error: {err}");
     }
 
+    /// The oracle observes a replayed trace as it observes a generated
+    /// stream: each cell replays a trace saved from its own workload and
+    /// seed, passes, and reports the same bytes as the unchecked replay.
     #[test]
-    fn check_refuses_trace_replay() {
+    fn checked_replay_passes_and_reports_match_unchecked() {
         let exp = tiny();
-        let cell = &exp.cells()[0];
-        let err = run_cell(&exp, cell, Some(&[]), true).unwrap_err();
-        assert!(err.contains("replay"), "unexpected error: {err}");
+        for cell in exp.cells() {
+            let (_, policy) = params::parse_scheme(&cell.scheme).unwrap();
+            let mut kernel = Kernel::new(16 << 30, policy);
+            let mut wl = params::workload_by_name(&cell.workload, exp.mem)
+                .unwrap()
+                .instantiate(&mut kernel, cell.seed)
+                .unwrap();
+            let mut saved = Vec::new();
+            let stream = (0..exp.warm + exp.refs).map(|_| wl.next_item());
+            hvc_trace::write_trace(&mut saved, stream).unwrap();
+            let items: Vec<TraceItem> = hvc_trace::read_trace(&saved[..])
+                .unwrap()
+                .collect::<Result<_, _>>()
+                .unwrap();
+            let render = |check| {
+                let (report, filters) = run_cell(&exp, &cell, Some(&items), check).unwrap();
+                crate::run_report_value(&report, &filters, &cell.scheme, exp.obs).to_pretty()
+            };
+            assert_eq!(render(true), render(false), "{}", cell.scheme);
+        }
     }
 
     /// A run of 140,000 refs (more than twice 65,536) is one warm-up and

@@ -6,7 +6,9 @@
 //! downstream tooling — and the server's restart-resume path — trusts
 //! whatever parses. [`write_atomic`] gives all of them the standard
 //! write-temp-then-rename protocol: the destination either keeps its
-//! old contents or holds the complete new ones, never a prefix.
+//! old contents or holds the complete new ones, never a prefix. A
+//! destination that exists and is not a regular file (`/dev/null`, a
+//! FIFO) is written in place instead: a rename would replace the device.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -15,7 +17,9 @@ use std::path::Path;
 /// sibling file (same directory, so the rename cannot cross a
 /// filesystem), are flushed, and the temp file is renamed over `path`.
 /// A crash at any point leaves either the previous file or the complete
-/// new one. The temp file is removed on any error.
+/// new one. The temp file is removed on any error. An existing `path`
+/// that is not a regular file — a device or a FIFO — is opened and
+/// written in place.
 pub fn write_atomic(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> std::io::Result<()> {
     let path = path.as_ref();
     let file_name = path.file_name().ok_or_else(|| {
@@ -24,6 +28,10 @@ pub fn write_atomic(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> std::
             format!("path {} has no file name", path.display()),
         )
     })?;
+    if std::fs::metadata(path).is_ok_and(|m| !m.is_file()) {
+        let mut file = std::fs::OpenOptions::new().write(true).open(path)?;
+        return file.write_all(contents.as_ref());
+    }
     // Process-unique temp name: concurrent writers of the same target
     // (two sweeps with the same --out) cannot trample each other's
     // in-progress bytes; last rename wins with a complete file.
@@ -88,6 +96,31 @@ mod tests {
         let err = write_atomic(dir.join("missing").join("keep.json"), b"x");
         assert!(err.is_err());
         assert_eq!(std::fs::read(&path).unwrap(), b"precious");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A FIFO stays a FIFO, and its reader gets the bytes. (A test never
+    /// targets `/dev/null` itself: a regression would replace the device.)
+    #[cfg(unix)]
+    #[test]
+    fn writes_a_fifo_in_place() {
+        use std::os::unix::fs::FileTypeExt as _;
+        let dir = temp_dir("fifo");
+        let path = dir.join("out.fifo");
+        let made = std::process::Command::new("mkfifo").arg(&path).status();
+        assert!(made.unwrap().success(), "mkfifo failed");
+        // The reader blocks in `open` until a writer opens the FIFO. If
+        // the FIFO were replaced, it would block forever: the test fails
+        // on the file type first and leaves the reader behind.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader_path = path.clone();
+        let reader = std::thread::spawn(move || tx.send(std::fs::read(reader_path).unwrap()));
+        write_atomic(&path, b"report").unwrap();
+        let kind = std::fs::symlink_metadata(&path).unwrap().file_type();
+        assert!(kind.is_fifo(), "the FIFO was replaced by {kind:?}");
+        let got = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(got.unwrap(), b"report");
+        reader.join().unwrap().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 

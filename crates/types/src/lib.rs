@@ -32,7 +32,6 @@
 
 mod access;
 mod addr;
-mod check;
 mod cycles;
 mod error;
 mod fx;
@@ -46,7 +45,6 @@ pub use addr::{
     GuestPhysAddr, LineAddr, PhysAddr, PhysFrame, VirtAddr, VirtPage, LINE_SHIFT, LINE_SIZE,
     PAGE_SHIFT, PAGE_SIZE, PHYS_ADDR_BITS, VIRT_ADDR_BITS,
 };
-pub use check::{CheckHooks, NoChecks};
 pub use cycles::Cycles;
 pub use error::{HvcError, Result};
 pub use fx::{FxHashMap, FxHashSet, FxHasher};

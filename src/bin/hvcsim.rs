@@ -256,9 +256,10 @@ fn table_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// `hvcsim check ...`: run the differential oracle over a grid of cells
-/// (native, and guest VMs for `vm:` schemes) and seeded stress scripts.
-/// Exits non-zero on the first invariant violation.
+/// `hvcsim check ...`: run every cell of a grid (native, and guest VMs
+/// for `vm:` schemes) under the differential oracle, then the seeded
+/// stress scripts. Reports every cell and every seed, and exits non-zero
+/// if any of them found an invariant violation.
 fn check_main(args: &[String]) -> ExitCode {
     let mut grid = GridFlags::default();
     let mut seed_range = 0u64..4u64;
@@ -316,7 +317,7 @@ fn check_main(args: &[String]) -> ExitCode {
 
     let mut failed = false;
 
-    // Every cell: measurement plus the differential-oracle pass.
+    // Every cell: one measured run, observed by the differential oracle.
     let cells = exp.cells();
     eprintln!("checking {} cell(s)…", cells.len());
     for cell in &cells {

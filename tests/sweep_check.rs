@@ -1,16 +1,22 @@
 //! Oracle coverage for the restructured hot path: the same
 //! workload × scheme matrix as the golden-equivalence grid, swept with
-//! `RunOptions::check` so every cell is re-run through the `hvc-check`
-//! differential oracle (scheme under test vs. a physically-addressed
-//! reference machine in lockstep, plus whole-machine invariant sweeps).
+//! `RunOptions::check` so the `hvc-check` differential oracle observes
+//! every cell's measured run (a physically-addressed reference machine
+//! stepped with each reference and churn batch in the order the measured
+//! machine executes them, plus whole-machine invariant sweeps).
 //!
 //! The golden test pins *reports*; this one proves the flat cache/TLB
-//! storage preserves *behavior* under the oracle's invariants. Reference
-//! counts are smaller than the golden grid's — the oracle runs every
-//! cell twice and single-steps the checked pass — but the matrix is
-//! identical.
+//! storage preserves *behavior* under the oracle's invariants, and that
+//! the checked report is the unchecked one. Reference counts are
+//! smaller than the golden grid's, but the matrix is identical.
 
-use hvc::runner::{run_report_value, run_sweep, CellResult, Experiment, RunOptions};
+use hvc::cache::HierarchyConfig;
+use hvc::check::{CheckConfig, Oracle};
+use hvc::core::{SystemConfig, SystemSim, TranslationScheme};
+use hvc::mc::McSim;
+use hvc::os::Kernel;
+use hvc::runner::params::{parse_scheme, workload_by_name};
+use hvc::runner::{run_report_value, run_sweep, CellResult, Experiment, RunOptions, MC_QUANTUM};
 
 /// `RunReport` has no `PartialEq`; compare cells through the same
 /// serialization the sweep report (and the golden fixture) uses.
@@ -90,10 +96,10 @@ fn multicore_ifetch_grid_passes_the_oracle() {
     });
 }
 
-/// Both churn profiles on 4 cores: the oracle applies the same address-
-/// space mutations to the scheme under test and the reference machine
-/// in lockstep, so a translation corrupted by a missed (or misdirected)
-/// TLB shootdown surfaces as a differential violation.
+/// Both churn profiles on 4 cores: the oracle applies each address-space
+/// mutation to the reference machine as the measured machine applies it,
+/// in `McSim`'s order, so a translation corrupted by a missed (or
+/// misdirected) TLB shootdown surfaces as a differential violation.
 #[test]
 fn fork_storm_grid_passes_the_oracle_on_four_cores() {
     checked(&Experiment {
@@ -135,6 +141,63 @@ fn synonym_stress_grid_passes_the_oracle_under_both_filters() {
         replay: None,
         obs: false,
     });
+}
+
+/// Every mapped page of every space as `(asid, vpn, frame)`, sorted.
+fn frames(kernel: &Kernel) -> Vec<(u16, u64, u64)> {
+    let mut v: Vec<_> = kernel
+        .spaces()
+        .flat_map(|(asid, space)| {
+            space.page_table().iter().map(move |(vp, pte)| {
+                (asid.as_u16(), vp.base().as_u64(), pte.frame.base().as_u64())
+            })
+        })
+        .collect();
+    v.sort_unstable();
+    v
+}
+
+/// The oracle checks the order `McSim` executes, not the order the
+/// workload emits. On a `cores = 4` `fork_storm` cell it observes exactly
+/// `warm + refs` references, passes, and its reference kernel ends with
+/// the measured kernel's frames. The same items stepped in feed order
+/// map different frames (demand faults allocate in first-touch order),
+/// so an oracle fed in that order would diverge from the measured run.
+#[test]
+fn oracle_observes_a_four_core_fork_storm_cell_in_mcsim_order() {
+    let (warm, refs) = (2_000, 6_000);
+    let spec = workload_by_name("fork_storm", 64 << 20).unwrap();
+    let (scheme, policy) = parse_scheme("dtlb:4096").unwrap();
+    let mut config = SystemConfig::isca2016();
+    config.hierarchy = HierarchyConfig::isca2016(4);
+    let build = || {
+        let mut kernel = Kernel::new(16 << 30, policy);
+        let wl = spec.instantiate(&mut kernel, 42).unwrap();
+        (kernel, wl)
+    };
+
+    let (kernel, mut wl) = build();
+    let mut sim = SystemSim::new(kernel, config.clone(), scheme);
+    Oracle::native(&mut sim, build().0, CheckConfig::default());
+    let mut mc = McSim::new(sim, MC_QUANTUM);
+    mc.warm_up(&mut wl, warm);
+    mc.feed(&mut wl, refs);
+    mc.drain();
+    let violations = Oracle::verdict(mc.sim());
+    assert!(violations.is_empty(), "{violations:?}");
+    let oracle = Oracle::of(mc.sim()).unwrap();
+    assert_eq!(oracle.refs(), (warm + refs) as u64);
+    let measured = frames(mc.sim().kernel());
+    assert_eq!(frames(oracle.reference().kernel()), measured);
+
+    let (kernel, mut wl) = build();
+    let mut feed_order = SystemSim::new(kernel, config, TranslationScheme::Ideal);
+    feed_order.run(&mut wl, warm + refs);
+    assert_ne!(
+        frames(feed_order.kernel()),
+        measured,
+        "feed order must map different frames than McSim order"
+    );
 }
 
 #[test]
