@@ -8,10 +8,10 @@ use crate::violation::Violation;
 use hvc_core::SystemSim;
 use hvc_os::{Kernel, Pte};
 use hvc_types::{
-    Asid, BlockName, GuestPhysAddr, PhysFrame, VirtAddr, VirtPage, Vmid, PAGE_SHIFT, PAGE_SIZE,
+    Asid, BlockName, FxHashMap, GuestPhysAddr, PhysFrame, VirtAddr, VirtPage, Vmid, PAGE_SHIFT,
+    PAGE_SIZE,
 };
 use hvc_virt::Hypervisor;
-use std::collections::{HashMap, HashSet};
 
 /// Reserved-bit marker of Enigma canonical intermediate names (the
 /// shared-object address range, mirroring `system.rs`'s writeback
@@ -71,7 +71,7 @@ fn audit_single_name<F>(resolved: &[(BlockName, u64)], writable: F, out: &mut Ve
 where
     F: Fn(BlockName) -> bool,
 {
-    let mut owner: HashMap<u64, BlockName> = HashMap::new();
+    let mut owner: FxHashMap<u64, BlockName> = FxHashMap::default();
     for &(name, line) in resolved {
         match owner.get(&line) {
             Some(&other) if other != name => {
@@ -189,7 +189,10 @@ fn sweep<'a>(
     check_entry: impl Fn(&'static str, (Asid, VirtPage, Pte), &mut Vec<Violation>),
 ) -> Vec<Violation> {
     let mut out = Vec::new();
-    let names: HashSet<BlockName> = sim.hierarchy().resident_names().collect();
+    // Sorted, so violations come out in the same order on every run.
+    let mut names: Vec<BlockName> = sim.hierarchy().resident_names().collect();
+    names.sort_unstable();
+    names.dedup();
     let mut resolved = Vec::with_capacity(names.len());
     for &name in &names {
         match resolve(name) {
@@ -234,8 +237,38 @@ fn hybrid_tlb_entries(
         .chain(sim.delayed_tlb().entries().map(|e| ("delayed_tlb", e)))
 }
 
+/// Audits every cached RMM range entry against the kernel's segment
+/// table: it must still be a live segment — the same id, base and
+/// physical base, at most as long (the OS grows segments in place).
+fn audit_range_tlbs(sim: &SystemSim, out: &mut Vec<Violation>) {
+    let table = sim.kernel().segments();
+    for seg in sim.range_tlbs().iter().flat_map(|r| r.entries()) {
+        let live = table.get(seg.id).is_some_and(|l| {
+            l.asid == seg.asid
+                && l.base == seg.base
+                && l.phys_base == seg.phys_base
+                && l.len >= seg.len
+        });
+        if !live {
+            out.push(Violation::TlbStale {
+                tlb: "range_tlb",
+                asid: seg.asid.as_u16(),
+                vpn: seg.base.as_u64() >> PAGE_SHIFT,
+                detail: format!(
+                    "entry caches segment {} ({:#x} bytes at {:#x}), which the segment \
+                     table no longer holds",
+                    seg.id.0,
+                    seg.len,
+                    seg.phys_base.as_u64()
+                ),
+            });
+        }
+    }
+}
+
 /// Sweeps a native simulator's whole state: stale lines, single-name,
-/// TLB soundness, filter false negatives, and the flush queue.
+/// TLB and range-TLB soundness, filter false negatives, and the flush
+/// queue.
 pub fn check_system(sim: &SystemSim) -> Vec<Violation> {
     let kernel = sim.kernel();
     let entries = sim
@@ -243,12 +276,14 @@ pub fn check_system(sim: &SystemSim) -> Vec<Violation> {
         .iter()
         .flat_map(|t| t.entries().map(|e| ("dtlb", e)))
         .chain(hybrid_tlb_entries(sim));
-    sweep(
+    let mut out = sweep(
         sim,
         |name| resolve_native(kernel, name),
         entries,
         |tlb, entry, out| check_native_tlb_entry(kernel, tlb, entry, out),
-    )
+    );
+    audit_range_tlbs(sim, &mut out);
+    out
 }
 
 /// Resolves a guest block name through the guest page tables and the

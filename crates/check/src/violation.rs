@@ -40,7 +40,8 @@ pub enum Violation {
     /// A TLB holds a translation that no longer matches the page tables
     /// (wrong frame, or writable where the OS downgraded to read-only).
     TlbStale {
-        /// Which TLB ("dtlb", "synonym_tlb", "delayed_tlb", "gva_tlb").
+        /// Which TLB ("dtlb", "synonym_tlb", "delayed_tlb", "gva_tlb",
+        /// or "range_tlb" for an RMM entry, whose `vpn` is its base).
         tlb: &'static str,
         /// Address space of the stale entry.
         asid: u16,

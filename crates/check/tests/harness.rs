@@ -87,39 +87,86 @@ fn native_process_churn_stays_clean() {
     );
 }
 
-/// The OS moves a segment outside the many-segment path: it unmaps an
+/// The OS moves a segment outside the translation path: it unmaps an
 /// eager region, a new mapping takes its frames, and the region is
 /// mapped again elsewhere in physical memory. The next translation must
-/// follow the page table, not the segment the translator mirrored.
+/// follow the page table, not the segment the many-segment translator
+/// mirrored or the RMM range TLB cached.
 #[test]
 fn remapped_eager_segment_is_not_served_stale() {
     const MIB: u64 = 1 << 20;
     let (a, b) = (VirtAddr::new(0x4000_0000), VirtAddr::new(0x8000_0000));
     let rw = Permissions::RW;
-    let (mut sim, asid) = checked_native(
+    for scheme in [
         TranslationScheme::HybridManySegment {
             segment_cache: true,
         },
-        CheckConfig::default(),
-        GIB,
-        AllocPolicy::EagerSegments { split: 1 },
-        |k| {
-            let asid = k.create_process()?;
-            k.mmap(asid, a, 2 * MIB, rw, MapIntent::Private)?;
-            Ok(asid)
-        },
-    );
-    let read = |va: VirtAddr| TraceItem::new(1, MemRef::read(asid, va));
-    sim.step(read(a + 0x40), 1);
-    Oracle::os(&mut sim, |k| {
-        k.munmap(asid, a).unwrap();
-        k.mmap(asid, b, 2 * MIB, rw, MapIntent::Private).unwrap();
-        k.mmap(asid, a, 2 * MIB, rw, MapIntent::Private).unwrap();
-    });
-    sim.step(read(a + 0x1040), 1);
-    sim.step(read(a + 0x40), 1);
-    let violations = Oracle::verdict(&sim);
-    assert!(violations.is_empty(), "{violations:?}");
+        TranslationScheme::Rmm,
+    ] {
+        let (mut sim, asid) = checked_native(
+            scheme,
+            CheckConfig::default(),
+            GIB,
+            AllocPolicy::EagerSegments { split: 1 },
+            |k| {
+                let asid = k.create_process()?;
+                k.mmap(asid, a, 2 * MIB, rw, MapIntent::Private)?;
+                Ok(asid)
+            },
+        );
+        let read = |va: VirtAddr| TraceItem::new(1, MemRef::read(asid, va));
+        sim.step(read(a + 0x40), 1);
+        Oracle::os(&mut sim, |k| {
+            k.munmap(asid, a).unwrap();
+            k.mmap(asid, b, 2 * MIB, rw, MapIntent::Private).unwrap();
+            k.mmap(asid, a, 2 * MIB, rw, MapIntent::Private).unwrap();
+        });
+        sim.step(read(a + 0x1040), 1);
+        sim.step(read(a + 0x40), 1);
+        let violations = Oracle::verdict(&sim);
+        assert!(violations.is_empty(), "{scheme:?}: {violations:?}");
+    }
+}
+
+/// RMM under eager-segment churn: destroying a process removes its
+/// segments, and the flush drain that follows re-syncs the range TLBs.
+/// With that drain dropped, the destroyed space's range entries outlive
+/// their segments, and the oracle's sweep must report them.
+#[test]
+fn rmm_range_entries_outliving_their_segments_are_caught() {
+    for drop_invalidation in [false, true] {
+        let (mut sim, mut wl) = checked_native(
+            TranslationScheme::Rmm,
+            CheckConfig::default(),
+            4 * GIB,
+            AllocPolicy::EagerSegments { split: 1 },
+            |k| apps::xalancbmk().instantiate(k, 7),
+        );
+        sim.run(&mut wl, 3000);
+        assert!(sim.range_tlbs()[0].entries().count() > 1);
+        if drop_invalidation {
+            sim.inject_drop_non_page_flushes();
+        }
+        let asid = wl.procs()[0].asid;
+        Oracle::os(&mut sim, |k| k.destroy_process(asid).unwrap());
+        let stale = Oracle::verdict(&sim)
+            .into_iter()
+            .filter(|v| {
+                matches!(
+                    v,
+                    Violation::TlbStale {
+                        tlb: "range_tlb",
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(
+            stale > 0,
+            drop_invalidation,
+            "{stale} stale range entries, invalidation dropped: {drop_invalidation}"
+        );
+    }
 }
 
 fn virt_setup() -> (Hypervisor, Vmid, WorkloadInstance) {

@@ -33,6 +33,11 @@ pub enum TranslationScheme {
         /// Delayed TLB entry count.
         usize,
     ),
+    /// Redundant Memory Mappings (Table III): a per-core 32-entry range
+    /// TLB over the eager segments stands where the page TLB would, in
+    /// front of physically named caches; addresses no segment covers
+    /// are walked page by page.
+    Rmm,
 }
 
 /// Translation architecture of a virtualized system (one guest VM run

@@ -10,8 +10,9 @@
 //!   hybrid virtual cache with a page-granularity
 //!   [delayed TLB](TranslationScheme::HybridDelayedTlb) or with
 //!   [many-segment translation](TranslationScheme::HybridManySegment),
-//!   and an [ideal](TranslationScheme::Ideal) upper bound without
-//!   translation costs; [`VirtScheme`] selects the virtualized
+//!   the [RMM](TranslationScheme::Rmm) range-TLB baseline, and an
+//!   [ideal](TranslationScheme::Ideal) upper bound without translation
+//!   costs; [`VirtScheme`] selects the virtualized
 //!   equivalents (guest + host filters, nested walks or 2D segments),
 //! * [`SystemSim`] runs a workload trace through the selected front-end,
 //!   the hybrid cache hierarchy, delayed translation and DRAM — natively

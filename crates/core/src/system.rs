@@ -84,6 +84,7 @@ macro_rules! with_translator {
             Scheme::Native(TranslationScheme::HybridDelayedTlb(_)) => { type $t = HybridTlb; $body }
             Scheme::Native(TranslationScheme::HybridManySegment { .. }) => { type $t = ManySegment; $body }
             Scheme::Native(TranslationScheme::EnigmaDelayedTlb(_)) => { type $t = Enigma; $body }
+            Scheme::Native(TranslationScheme::Rmm) => { type $t = Rmm; $body }
             Scheme::Nested(VirtScheme::NestedBaseline) => { type $t = NestedBaseline; $body }
             Scheme::Nested(VirtScheme::HybridDelayedNested(_)) => { type $t = NestedHybridTlb; $body }
             Scheme::Nested(VirtScheme::HybridNestedSegments) => { type $t = NestedHybridSegments; $body }
@@ -169,6 +170,8 @@ pub struct SystemSim {
     syn_tlb: Vec<Tlb>,
     delayed_tlb: Tlb,
     many: Option<ManySegmentTranslator>,
+    /// Per-core RMM range TLBs (the RMM scheme only).
+    rmm: Vec<hvc_segment::Rmm>,
     /// Address-space → core placement, indexed by raw ASID (round-robin
     /// on first sight; `usize::MAX` marks an unplaced space).
     placement: Vec<usize>,
@@ -305,6 +308,12 @@ impl SystemSim {
                 .collect(),
             delayed_tlb: Tlb::new(hvc_tlb::TlbConfig::delayed(delayed_entries)),
             many,
+            rmm: match scheme {
+                Scheme::Native(TranslationScheme::Rmm) => {
+                    (0..cores).map(|_| hvc_segment::Rmm::rmm32()).collect()
+                }
+                _ => Vec::new(),
+            },
             placement: Vec::new(),
             placed: 0,
             fetch_cursor: Vec::new(),
@@ -404,6 +413,12 @@ impl SystemSim {
     /// Per-core two-level data TLBs (read-only; invariant sweeps).
     pub fn data_tlbs(&self) -> &[TwoLevelTlb] {
         &self.dtlb
+    }
+
+    /// Per-core RMM range TLBs, empty unless the scheme is RMM
+    /// (read-only; invariant sweeps).
+    pub fn range_tlbs(&self) -> &[hvc_segment::Rmm] {
+        &self.rmm
     }
 
     /// The shared delayed TLB (read-only; invariant sweeps).

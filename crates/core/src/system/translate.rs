@@ -89,6 +89,8 @@ pub(super) struct HybridTlb;
 pub(super) struct ManySegment;
 /// [`TranslationScheme::EnigmaDelayedTlb`](crate::TranslationScheme::EnigmaDelayedTlb).
 pub(super) struct Enigma;
+/// [`TranslationScheme::Rmm`](crate::TranslationScheme::Rmm).
+pub(super) struct Rmm;
 /// [`VirtScheme::NestedBaseline`](crate::VirtScheme::NestedBaseline).
 pub(super) struct NestedBaseline;
 /// [`VirtScheme::HybridDelayedNested`](crate::VirtScheme::HybridDelayedNested).
@@ -252,6 +254,44 @@ impl Translator for Enigma {
         delayed_tlb(sim, miss, |sim| {
             native_walk::<Self>(sim, core, miss.mref, miss.known_pte)
         })
+    }
+}
+
+impl Translator for Rmm {
+    fn front(sim: &mut SystemSim, core: usize, mref: MemRef) -> Cycles {
+        let MemRef { asid, vaddr, kind } = mref;
+        // Range probes and misses are counted as L1 TLB lookups and
+        // segment-table accesses (DESIGN.md, RMM model note).
+        sim.counters.l1_tlb_lookups += 1;
+        // A range hit is overlapped with the VIPT L1 cache access.
+        if let Some(pa) = sim.rmm[core].translate(asid, vaddr) {
+            return sim.phys_access::<Self>(core, pa, kind);
+        }
+        // A miss pays the range TLB and the page walk on the critical
+        // path, while the range-table walk refills the entry beside it.
+        // An address no segment covers is served by the walk alone.
+        sim.counters.segment_table_accesses += 1;
+        let mut front = sim.rmm[core].latency();
+        sim.obs.attribution.add(Component::FrontTlb, front);
+        let (pte, walk) = native_walk::<Self>(sim, core, mref, None);
+        sim.obs.attribution.add(Component::FrontWalk, walk);
+        front += walk;
+        let _ = sim.rmm[core].fill_from(sim.machine.kernel().segments(), asid, vaddr);
+        if pte.shared {
+            sim.counters.shared_accesses += 1;
+        }
+        front + sim.phys_access::<Self>(core, phys_of(pte, vaddr), kind)
+    }
+
+    /// Every removal of a segment comes with a flush request (its pages
+    /// unmapped, or its space destroyed), so re-syncing the range TLBs
+    /// with the segment table here leaves no entry outliving its segment.
+    fn flush(sim: &mut SystemSim, req: FlushRequest, home: Option<usize>) -> Option<FlushOp> {
+        let table = sim.machine.kernel().segments();
+        for range_tlb in &mut sim.rmm {
+            range_tlb.sync(table);
+        }
+        Some(sim.flush_tlbs(req, home))
     }
 }
 

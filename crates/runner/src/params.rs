@@ -68,9 +68,9 @@ pub fn workload_by_name(name: &str, gups_mem: u64) -> Option<WorkloadSpec> {
 }
 
 /// Parses a scheme string — `baseline`, `ideal`, `dtlb:<entries>`,
-/// `manyseg`, `manyseg-nosc`, or `enigma:<entries>` — together with the
-/// allocation policy the scheme requires (many-segment translation needs
-/// eagerly reserved segments).
+/// `manyseg`, `manyseg-nosc`, `enigma:<entries>` or `rmm` — together
+/// with the allocation policy the scheme requires (many-segment
+/// translation and RMM need eagerly reserved segments).
 pub fn parse_scheme(s: &str) -> Option<(TranslationScheme, AllocPolicy)> {
     let demand = AllocPolicy::DemandPaging;
     let eager = AllocPolicy::EagerSegments { split: 1 };
@@ -89,6 +89,7 @@ pub fn parse_scheme(s: &str) -> Option<(TranslationScheme, AllocPolicy)> {
             },
             eager,
         ),
+        "rmm" => (TranslationScheme::Rmm, eager),
         _ => {
             if let Some(n) = s.strip_prefix("dtlb:") {
                 (TranslationScheme::HybridDelayedTlb(n.parse().ok()?), demand)
@@ -221,7 +222,9 @@ mod tests {
 
     #[test]
     fn mc_workloads_churn_and_stay_out_of_the_paper_grids() {
-        let paper_presets = ["table1", "table2", "fig4", "fig9", "fig10", "energy"];
+        let paper_presets = [
+            "table1", "table2", "table3", "fig4", "fig9", "fig10", "energy",
+        ];
         for name in MC_WORKLOADS.iter().chain(STRESS_WORKLOADS) {
             for p in paper_presets {
                 let exp = crate::presets::preset(p).unwrap();
@@ -259,6 +262,14 @@ mod tests {
                 _
             ))
         ));
+        assert!(matches!(
+            parse_scheme("rmm"),
+            Some((
+                TranslationScheme::Rmm,
+                AllocPolicy::EagerSegments { split: 1 }
+            ))
+        ));
+        assert!(parse_scheme("rmm:32").is_none());
         assert!(parse_scheme("dtlb:").is_none());
         assert!(parse_scheme("bogus").is_none());
     }

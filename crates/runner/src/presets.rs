@@ -2,10 +2,11 @@
 //!
 //! Each paper result is one preset whose table [`crate::tables`] prints
 //! from the sweep report (`hvcsim table <report.json>`): `table1`,
-//! `table2`, `fig4`, `fig9`, `fig10` (guest VMs) and `energy`, with the
-//! grids EXPERIMENTS.md reports: a warm-up of half the measured
-//! references (none for Table I). Cells run with the runner's derived
-//! seeds, so the schemes of one table row see decorrelated streams.
+//! `table2`, `table3`, `fig4`, `fig9`, `fig10` (guest VMs) and `energy`,
+//! with the grids EXPERIMENTS.md reports: a warm-up of half the measured
+//! references (none for Tables I and III). Cells run with the runner's
+//! derived seeds, so the schemes of one table row see decorrelated
+//! streams.
 //! Grid flags (`--refs`, `--warm`, …) override a preset. The other
 //! presets are CI grids and studies beyond the paper.
 
@@ -20,6 +21,7 @@ pub const PRESET_NAMES: &[(&str, &str)] = &[
     ),
     ("table1", "Table I: r/w shared area and accesses"),
     ("table2", "Table II: synonym filter vs baseline TLBs"),
+    ("table3", "Table III: segments, RMM(32) MPKI, utilization"),
     ("fig4", "Figure 4: delayed-TLB MPKI, 1K-64K entries"),
     ("fig9", "Figure 9: native speedup over the baseline"),
     ("fig10", "Figure 10: guest-VM speedup over nested"),
@@ -92,6 +94,30 @@ pub fn preset(name: &str) -> Option<Experiment> {
             llc_bytes: vec![8 << 20],
             refs: 500_000,
             warm: 250_000,
+            ..base
+        },
+        // Table III: RMM's 32-entry range TLB over eager segments; the
+        // segment counts and utilization come from the workload layout.
+        "table3" => Experiment {
+            workloads: strings(&[
+                "astar",
+                "mcf",
+                "omnetpp",
+                "cactus",
+                "gems",
+                "xalancbmk",
+                "canneal",
+                "stream",
+                "mummer",
+                "tigr",
+                "memcached",
+                "cg",
+                "gups",
+            ]),
+            schemes: strings(&["rmm"]),
+            mem: 512 << 20,
+            refs: 1_000_000,
+            warm: 0,
             ..base
         },
         // Figure 4: delayed-TLB misses as the delayed TLB grows.
@@ -261,9 +287,9 @@ mod tests {
             assert_eq!(exp.name, *name);
             assert!(!exp.cells().is_empty());
         }
-        // Retired names: `table3` is kept free for Table III, and
-        // `fig11` matched no paper figure.
-        assert!(preset("table3").is_none());
+        // Table III is a preset; the retired `fig11` matched no paper
+        // figure.
+        assert!(preset("table3").is_some());
         assert!(preset("fig11").is_none());
     }
 
@@ -322,6 +348,19 @@ mod tests {
         let t2 = preset("table2").unwrap();
         assert_eq!(t2.llc_bytes, vec![8 << 20]);
         assert_eq!(t2.schemes, vec!["baseline", "dtlb:1024"]);
+        let t3 = preset("table3").unwrap();
+        assert_eq!((t3.refs, t3.warm, t3.mem), (1_000_000, 0, 512 << 20));
+        assert_eq!(t3.schemes, vec!["rmm"]);
+        let table3_set: Vec<String> = hvc_workloads::apps::table3_set()
+            .into_iter()
+            .map(|s| s.name)
+            .collect();
+        let names: Vec<String> = t3
+            .workloads
+            .iter()
+            .map(|w| crate::params::workload_by_name(w, t3.mem).unwrap().name)
+            .collect();
+        assert_eq!(names, table3_set);
         let f4 = preset("fig4").unwrap();
         assert_eq!(f4.cells().len(), 49);
         assert_eq!(f4.mem, 1 << 30);

@@ -54,5 +54,5 @@ pub use hw_table::HwSegmentTable;
 pub use index_cache::{IndexCache, IndexCacheStats};
 pub use index_tree::IndexTree;
 pub use many::{ManySegmentStats, ManySegmentTranslator, SegmentCost};
-pub use rmm::{Rmm, RmmStats};
+pub use rmm::Rmm;
 pub use segment_cache::SegmentCache;

@@ -5,56 +5,37 @@
 //! The paper reproduces RMM's published segment counts (Table III) and
 //! shows that with only 32 segments, segment-heavy workloads thrash. We
 //! model the 32-entry range TLB with its 7-cycle (L2-TLB-equivalent)
-//! latency and count misses per kilo-instruction.
+//! latency; the simulator's `rmm` scheme counts its probes and misses.
 
 use hvc_os::{Segment, SegmentTable};
 use hvc_types::{Asid, Cycles, LruTags, PhysAddr, VirtAddr};
 
-/// RMM counters.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RmmStats {
-    /// Range-TLB hits.
-    pub hits: u64,
-    /// Range-TLB misses (segment walk + fill).
-    pub misses: u64,
-}
-
-impl RmmStats {
-    /// Misses per 1000 lookups scaled by an instruction count — the MPKI
-    /// metric of Table III when `instructions` covers the trace.
-    pub fn mpki(&self, instructions: u64) -> f64 {
-        if instructions == 0 {
-            return 0.0;
-        }
-        self.misses as f64 * 1000.0 / instructions as f64
-    }
-}
-
-/// The RMM range TLB: `capacity` fully-associative variable-length
-/// segment registers (32 in the paper, operating at seven cycles).
+/// The RMM range TLB: fully-associative variable-length segment
+/// registers (32 in the paper, operating at seven cycles).
 ///
 /// Lookups match by range, so the tag array's keys (`asid << 48 |
-/// base`) serve only its recency bookkeeping.
+/// base`) serve only its recency bookkeeping and invalidation.
 #[derive(Clone, Debug)]
 pub struct Rmm {
     entries: LruTags<Segment>,
     latency: Cycles,
-    stats: RmmStats,
+    /// Segment-table version of the last [`Rmm::sync`].
+    version: u64,
+}
+
+/// The tag-array key of a cached segment.
+fn key(asid: Asid, base: VirtAddr) -> u64 {
+    u64::from(asid.as_u16()) << 48 | base.as_u64()
 }
 
 impl Rmm {
-    /// Creates an RMM range TLB with `capacity` entries.
-    pub fn new(capacity: usize, latency: Cycles) -> Self {
-        Rmm {
-            entries: LruTags::new(capacity),
-            latency,
-            stats: RmmStats::default(),
-        }
-    }
-
     /// The published configuration: 32 segments at 7 cycles.
     pub fn rmm32() -> Self {
-        Rmm::new(32, Cycles::new(7))
+        Rmm {
+            entries: LruTags::new(32),
+            latency: Cycles::new(7),
+            version: 0,
+        }
     }
 
     /// Lookup latency.
@@ -62,20 +43,17 @@ impl Rmm {
         self.latency
     }
 
-    /// Attempts to translate `va`; on a miss the caller must walk the OS
-    /// segment table ([`Rmm::fill_from`]) — misses are counted here.
+    /// Attempts to translate `va`; on a miss (`None`) the caller walks
+    /// the OS segment table ([`Rmm::fill_from`]).
     pub fn translate(&mut self, asid: Asid, va: VirtAddr) -> Option<PhysAddr> {
-        if let Some(slot) = self.entries.find_by(|seg| seg.contains(asid, va)) {
-            self.entries.touch(slot);
-            self.stats.hits += 1;
-            return Some(self.entries.payload(slot).translate(va));
-        }
-        self.stats.misses += 1;
-        None
+        let slot = self.entries.find_by(|seg| seg.contains(asid, va))?;
+        self.entries.touch(slot);
+        Some(self.entries.payload(slot).translate(va))
     }
 
     /// Services a miss by walking the OS table; returns the translation
-    /// if a segment covers the address, filling the range TLB.
+    /// if a segment covers the address, filling the range TLB. A segment
+    /// the OS grew since it was cached replaces its shorter copy.
     pub fn fill_from(
         &mut self,
         table: &SegmentTable,
@@ -83,25 +61,42 @@ impl Rmm {
         va: VirtAddr,
     ) -> Option<PhysAddr> {
         let seg = *table.find(asid, va)?;
-        let key = u64::from(seg.asid.as_u16()) << 48 | seg.base.as_u64();
-        self.entries.insert(key, seg);
+        self.entries.put(key(seg.asid, seg.base), seg);
         Some(seg.translate(va))
     }
 
-    /// Invalidates everything (context switch in the strictest model;
-    /// entries are ASID-checked so this is optional).
-    pub fn flush(&mut self) {
-        self.entries.clear();
+    /// Drops every entry whose segment `table` no longer holds, once
+    /// per table version: an entry survives while a live segment with
+    /// its id starts at its base and physical base and is at least as
+    /// long (the OS grows segments in place).
+    pub fn sync(&mut self, table: &SegmentTable) {
+        if self.version == table.version() {
+            return;
+        }
+        self.version = table.version();
+        let stale: Vec<u64> = self
+            .entries()
+            .filter(|seg| {
+                !table.get(seg.id).is_some_and(|live| {
+                    live.asid == seg.asid
+                        && live.base == seg.base
+                        && live.phys_base == seg.phys_base
+                        && live.len >= seg.len
+                })
+            })
+            .map(|seg| key(seg.asid, seg.base))
+            .collect();
+        if !stale.is_empty() {
+            self.entries.retain(|k| !stale.contains(&k));
+        }
     }
 
-    /// Counters.
-    pub fn stats(&self) -> &RmmStats {
-        &self.stats
-    }
-
-    /// Resets counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = RmmStats::default();
+    /// The cached segments, most recently used first.
+    pub fn entries(&self) -> impl Iterator<Item = &Segment> + '_ {
+        self.entries
+            .keys_by_recency()
+            .filter_map(|k| self.entries.find(k))
+            .map(|slot| self.entries.payload(slot))
     }
 }
 
@@ -123,6 +118,23 @@ mod tests {
         t
     }
 
+    /// Round-robin over the first `n` segments of `t`, `rounds` times;
+    /// returns the range-TLB hits.
+    fn round_robin(r: &mut Rmm, t: &SegmentTable, n: u64, rounds: usize) -> usize {
+        let mut hits = 0;
+        for _ in 0..rounds {
+            for i in 0..n {
+                let va = VirtAddr::new(0x100_0000 * (i + 1) + 0x40);
+                if r.translate(Asid::new(1), va).is_some() {
+                    hits += 1;
+                } else {
+                    r.fill_from(t, Asid::new(1), va).unwrap();
+                }
+            }
+        }
+        hits
+    }
+
     #[test]
     fn miss_fill_hit() {
         let t = table(1);
@@ -132,26 +144,15 @@ mod tests {
         let pa = r.fill_from(&t, Asid::new(1), va).unwrap();
         assert_eq!(pa, PhysAddr::new(0x8000_0040));
         assert_eq!(r.translate(Asid::new(1), va), Some(pa));
-        assert_eq!(r.stats().hits, 1);
-        assert_eq!(r.stats().misses, 1);
+        assert_eq!(r.entries().count(), 1);
     }
 
     #[test]
     fn thrashing_beyond_32_segments() {
         let t = table(64);
         let mut r = Rmm::rmm32();
-        // Round-robin over 64 segments: every access misses after warmup.
-        for round in 0..2 {
-            for i in 0..64u64 {
-                let va = VirtAddr::new(0x100_0000 * (i + 1) + 0x40);
-                if r.translate(Asid::new(1), va).is_none() {
-                    r.fill_from(&t, Asid::new(1), va).unwrap();
-                }
-            }
-            let _ = round;
-        }
         assert_eq!(
-            r.stats().hits,
+            round_robin(&mut r, &t, 64, 2),
             0,
             "LRU round-robin over 2× capacity never hits"
         );
@@ -161,22 +162,57 @@ mod tests {
     fn within_32_segments_no_thrash() {
         let t = table(16);
         let mut r = Rmm::rmm32();
-        for _ in 0..3 {
-            for i in 0..16u64 {
-                let va = VirtAddr::new(0x100_0000 * (i + 1) + 0x40);
-                if r.translate(Asid::new(1), va).is_none() {
-                    r.fill_from(&t, Asid::new(1), va).unwrap();
-                }
-            }
-        }
-        assert_eq!(r.stats().misses, 16, "only cold misses");
+        assert_eq!(round_robin(&mut r, &t, 16, 3), 32, "only cold misses");
     }
 
     #[test]
-    fn mpki_accounting() {
-        let s = RmmStats { hits: 0, misses: 5 };
-        assert!((s.mpki(1000) - 5.0).abs() < 1e-12);
-        assert_eq!(s.mpki(0), 0.0);
+    fn sync_drops_only_removed_segments() {
+        let mut t = table(4);
+        let mut r = Rmm::rmm32();
+        round_robin(&mut r, &t, 4, 1);
+        r.sync(&t);
+        assert_eq!(r.entries().count(), 4, "every entry is live");
+        let gone = t.find(Asid::new(1), VirtAddr::new(0x200_0000)).unwrap().id;
+        t.remove(gone);
+        // The freed id comes back for a segment elsewhere.
+        t.insert(
+            Asid::new(1),
+            VirtAddr::new(0x900_0000),
+            0x1000,
+            PhysAddr::new(0x9000_0000),
+        )
+        .unwrap();
+        r.sync(&t);
+        assert_eq!(r.entries().count(), 3);
+        assert!(r
+            .translate(Asid::new(1), VirtAddr::new(0x200_0000))
+            .is_none());
+    }
+
+    #[test]
+    fn a_grown_segment_replaces_its_cached_copy() {
+        let mut t = table(1);
+        let mut r = Rmm::rmm32();
+        let asid = Asid::new(1);
+        r.fill_from(&t, asid, VirtAddr::new(0x100_0000)).unwrap();
+        let id = t.find(asid, VirtAddr::new(0x100_0000)).unwrap().id;
+        t.grow(id, 0x2000).unwrap();
+        let past_old_end = VirtAddr::new(0x100_1000);
+        assert!(r.translate(asid, past_old_end).is_none());
+        assert_eq!(
+            r.fill_from(&t, asid, past_old_end),
+            Some(PhysAddr::new(0x8000_1000))
+        );
+        assert_eq!(r.entries().count(), 1);
+        assert_eq!(r.entries().next().unwrap().len, 0x2000);
+        // A copy cached before the growth still translates correctly and
+        // survives a sync.
+        let mut before = Rmm::rmm32();
+        before
+            .fill_from(&table(1), asid, VirtAddr::new(0x100_0000))
+            .unwrap();
+        before.sync(&t);
+        assert_eq!(before.entries().count(), 1);
     }
 
     #[test]

@@ -71,8 +71,8 @@ proptest! {
         }
     }
 
-    /// RMM translations always agree with the OS segment table, and its
-    /// hit/miss counts are consistent.
+    /// RMM translations always agree with the OS segment table, and it
+    /// never holds more than its 32 entries.
     #[test]
     fn rmm_is_sound(
         starts in prop::collection::btree_set(0u64..100, 1..50),
@@ -90,10 +90,8 @@ proptest! {
                 .unwrap();
         }
         let mut rmm = Rmm::rmm32();
-        let mut lookups = 0u64;
         for &p in &probes {
             let va = VirtAddr::new(p);
-            lookups += 1;
             let truth = table.find(Asid::new(1), va).map(|s| s.translate(va));
             let got = match rmm.translate(Asid::new(1), va) {
                 Some(pa) => Some(pa),
@@ -101,7 +99,6 @@ proptest! {
             };
             prop_assert_eq!(got, truth);
         }
-        let s = rmm.stats();
-        prop_assert_eq!(s.hits + s.misses, lookups);
+        prop_assert!(rmm.entries().count() <= 32);
     }
 }

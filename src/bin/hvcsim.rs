@@ -29,14 +29,15 @@ USAGE:
     hvcsim sweep [SWEEP OPTIONS]     run an experiment grid in parallel
     hvcsim table <report.json>       print a paper result's table from the
                                      sweep report of its preset (table1,
-                                     table2, fig4, fig9, fig10, energy)
+                                     table2, table3, fig4, fig9, fig10,
+                                     energy)
     hvcsim check [CHECK OPTIONS]     run the correctness checker
     hvcsim serve [SERVE OPTIONS]     run the HTTP experiment server
 
 OPTIONS:
     --workload <name>    workload profile (see --list)        [default: gups]
     --scheme <scheme>    baseline | ideal | dtlb:<entries> |
-                         manyseg | manyseg-nosc | enigma:<entries>
+                         manyseg | manyseg-nosc | enigma:<entries> | rmm
                          (<entries>: a power of two ≥ 8)      [default: manyseg]
     --filter <name>      synonym-filter strategy: bloom | rlt [default: bloom]
     --refs <n>           memory references to simulate        [default: 500000]

@@ -313,7 +313,9 @@ fn virt_document() -> Value {
 /// through the JSON text of its sweep report, as `hvcsim table` reads it.
 fn figure_tables() -> String {
     let mut text = String::new();
-    for name in ["table1", "table2", "fig4", "fig9", "fig10", "energy"] {
+    for name in [
+        "table1", "table2", "fig4", "fig9", "fig10", "energy", "table3",
+    ] {
         let mut exp = presets::preset(name).expect("paper preset exists");
         exp.refs = 2_000;
         exp.warm = exp.warm.min(1_000);

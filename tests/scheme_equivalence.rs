@@ -76,12 +76,17 @@ fn ideal_bounds_every_scheme() {
         refs,
         11,
     );
-    for scheme in [
-        TranslationScheme::Baseline,
-        TranslationScheme::HybridDelayedTlb(1024),
-        TranslationScheme::HybridDelayedTlb(32768),
+    let demand = AllocPolicy::DemandPaging;
+    for (scheme, policy) in [
+        (TranslationScheme::Baseline, demand),
+        (TranslationScheme::HybridDelayedTlb(1024), demand),
+        (TranslationScheme::HybridDelayedTlb(32768), demand),
+        (
+            TranslationScheme::Rmm,
+            AllocPolicy::EagerSegments { split: 1 },
+        ),
     ] {
-        let r = run(scheme, AllocPolicy::DemandPaging, refs, 11);
+        let r = run(scheme, policy, refs, 11);
         assert!(
             ideal.cycles <= r.cycles,
             "{scheme:?} ran in {} cycles, faster than ideal's {}",
@@ -134,14 +139,26 @@ fn many_segment_and_delayed_tlb_agree_functionally() {
         );
         sim.run(&mut wl, refs)
     };
-    assert_eq!(seg.instructions, tlb.instructions);
-    assert_eq!(
-        seg.translation.shared_accesses,
-        tlb.translation.shared_accesses
+    let rmm = run(
+        TranslationScheme::Rmm,
+        AllocPolicy::EagerSegments { split: 1 },
+        refs,
+        7,
     );
-    // Under eager allocation no demand faults occur in either.
+    for r in [&tlb, &rmm] {
+        assert_eq!(seg.instructions, r.instructions);
+        assert_eq!(
+            seg.translation.shared_accesses,
+            r.translation.shared_accesses
+        );
+    }
+    // Under eager allocation no demand faults occur in any of them.
     assert_eq!(seg.minor_faults, 0);
     assert_eq!(tlb.minor_faults, 0);
+    assert_eq!(rmm.minor_faults, 0);
+    // omnetpp's one heap segment fits the range TLB: only cold misses.
+    assert_eq!(rmm.translation.l1_tlb_lookups, refs as u64);
+    assert!(rmm.translation.segment_table_accesses <= 2);
 }
 
 #[test]

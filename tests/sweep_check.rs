@@ -63,6 +63,7 @@ fn native_grid_passes_the_oracle() {
             "dtlb:1024".into(),
             "manyseg".into(),
             "enigma:1024".into(),
+            "rmm".into(),
         ],
         filters: vec!["bloom".into()],
         seeds: vec![42],
@@ -82,7 +83,7 @@ fn multicore_ifetch_grid_passes_the_oracle() {
     checked(&Experiment {
         name: "check-native-mc".into(),
         workloads: vec!["postgres".into()],
-        schemes: vec!["dtlb:1024".into(), "manyseg".into()],
+        schemes: vec!["dtlb:1024".into(), "manyseg".into(), "rmm".into()],
         filters: vec!["bloom".into(), "rlt".into()],
         seeds: vec![42],
         llc_bytes: vec![2 << 20],
@@ -248,6 +249,42 @@ fn segment_churn_rebuilds_the_many_segment_translator() {
         assert!(
             r.report.translation.segment_table_rebuilds > 0,
             "{}: churn moved the segment table but nothing re-mirrored it",
+            r.cell.workload
+        );
+    }
+}
+
+/// The same eager-segment churn under RMM stays clean under the oracle,
+/// whose sweep audits every cached range entry against the segment
+/// table. A recycled arena gets back the same segment id, base and
+/// frames, so these cells cannot tell a dropped re-sync from a kept one;
+/// `hvc-check`'s harness tests remove segments for good and can.
+#[test]
+fn segment_churn_keeps_rmm_range_entries_live() {
+    let exp = Experiment {
+        name: "check-rmm-churn".into(),
+        workloads: vec!["cow_storm".into(), "fork_storm".into()],
+        schemes: vec!["rmm".into()],
+        filters: vec!["bloom".into()],
+        seeds: vec![42],
+        llc_bytes: vec![2 << 20],
+        refs: 20_000,
+        warm: 5_000,
+        mem: 64 << 20,
+        cores: 1,
+        ifetch: false,
+        replay: None,
+        obs: false,
+    };
+    checked(&exp);
+    let outcome = run_sweep(&exp, &RunOptions::default()).expect("sweep must run");
+    for r in &outcome.results {
+        let t = &r.report.translation;
+        assert_eq!(t.l1_tlb_lookups, r.report.refs, "{}", r.cell.workload);
+        assert!(t.segment_table_accesses > 0, "{}", r.cell.workload);
+        assert!(
+            r.report.os.shootdowns > 0,
+            "{} did not churn",
             r.cell.workload
         );
     }
