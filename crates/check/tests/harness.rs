@@ -91,29 +91,46 @@ fn native_process_churn_stays_clean() {
 /// eager region, a new mapping takes its frames, and the region is
 /// mapped again elsewhere in physical memory. The next translation must
 /// follow the page table, not the segment the many-segment translator
-/// mirrored or the RMM range TLB cached.
+/// mirrored or the RMM range TLB cached — nor, in a VM whose guest OS
+/// does the same, the guest segment the 2D translator mirrored.
 #[test]
 fn remapped_eager_segment_is_not_served_stale() {
     const MIB: u64 = 1 << 20;
     let (a, b) = (VirtAddr::new(0x4000_0000), VirtAddr::new(0x8000_0000));
     let rw = Permissions::RW;
-    for scheme in [
-        TranslationScheme::HybridManySegment {
-            segment_cache: true,
-        },
-        TranslationScheme::Rmm,
-    ] {
-        let (mut sim, asid) = checked_native(
-            scheme,
-            CheckConfig::default(),
-            GIB,
-            AllocPolicy::EagerSegments { split: 1 },
-            |k| {
-                let asid = k.create_process()?;
-                k.mmap(asid, a, 2 * MIB, rw, MapIntent::Private)?;
-                Ok(asid)
-            },
-        );
+    let eager = AllocPolicy::EagerSegments { split: 1 };
+    let native = |scheme| {
+        checked_native(scheme, CheckConfig::default(), GIB, eager, |k| {
+            let asid = k.create_process()?;
+            k.mmap(asid, a, 2 * MIB, rw, MapIntent::Private)?;
+            Ok(asid)
+        })
+    };
+    // Eager guest segments over eagerly backed machine memory.
+    let guest = || {
+        let mut hv = Hypervisor::new(4 * GIB);
+        let vm = hv.create_vm(GIB, eager, true).unwrap();
+        let asid = hv.create_guest_process(vm).unwrap();
+        let gk = hv.guest_kernel_mut(vm).unwrap();
+        gk.mmap(asid, a, 2 * MIB, rw, MapIntent::Private).unwrap();
+        (hv, vm, asid)
+    };
+    let (hv, vm, asid) = guest();
+    let scheme = VirtScheme::HybridNestedSegments;
+    let mut sim = SystemSim::virtualized(hv, vm, SystemConfig::isca2016(), scheme).unwrap();
+    let (twin, twin_vm, _) = guest();
+    Oracle::virtualized(&mut sim, twin, twin_vm, CheckConfig::default()).unwrap();
+    let cases = [
+        (
+            "manyseg",
+            native(TranslationScheme::HybridManySegment {
+                segment_cache: true,
+            }),
+        ),
+        ("rmm", native(TranslationScheme::Rmm)),
+        ("vm:seg", (sim, asid)),
+    ];
+    for (label, (mut sim, asid)) in cases {
         let read = |va: VirtAddr| TraceItem::new(1, MemRef::read(asid, va));
         sim.step(read(a + 0x40), 1);
         Oracle::os(&mut sim, |k| {
@@ -123,8 +140,9 @@ fn remapped_eager_segment_is_not_served_stale() {
         });
         sim.step(read(a + 0x1040), 1);
         sim.step(read(a + 0x40), 1);
+        sim.step(read(b + 0x40), 1);
         let violations = Oracle::verdict(&sim);
-        assert!(violations.is_empty(), "{scheme:?}: {violations:?}");
+        assert!(violations.is_empty(), "{label}: {violations:?}");
     }
 }
 

@@ -48,10 +48,12 @@ pub trait CheckHooks: Any {
     /// the flushes they queued.
     fn on_churn(&mut self, ops: &ChurnOps);
 
-    /// Called after the many-segment translator resolves `vaddr` of
-    /// `asid` to `pa`, with the frame the page table maps there (`None`
-    /// when the page is unmapped). A mapped page whose frame differs
-    /// from `pa`'s means the translator served a stale segment.
+    /// Called after a segment translation — many-segment natively, 2D
+    /// in a VM — resolves `vaddr` of `asid` to `pa`, with the frame the
+    /// page tables map there (in a VM, the guest page table followed by
+    /// the EPT; `None` when the page is unmapped). A mapped page whose
+    /// frame differs from `pa`'s means the translator served a stale
+    /// segment.
     fn segment_translation(
         &mut self,
         asid: Asid,
@@ -731,7 +733,7 @@ impl SystemSim {
             let (sc_h, sc_m) = m.sc_stats();
             translation.sc_lookups = sc_h + sc_m;
             translation.index_cache_accesses = m.index_cache_stats().accesses();
-            translation.segment_table_accesses = m.stats().tree_walks;
+            translation.segment_table_accesses = m.tree_walks();
         }
         let mut obs = self.obs.clone();
         for w in &self.walker {

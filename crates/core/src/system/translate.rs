@@ -8,12 +8,14 @@
 //! their state lives in [`SystemSim`], and what only nested translation
 //! reads lives in its VM machine state.
 
-use super::{phys_of, pte_read, SystemSim, Vm};
+use super::{phys_of, pte_read, CheckHooks, SystemSim, Vm};
 use hvc_cache::FlushOp;
 use hvc_obs::{Component, CycleAttribution};
 use hvc_os::{FlushRequest, Pte};
+use hvc_segment::SegmentCost;
 use hvc_types::{
-    Asid, BlockName, Cycles, GuestPhysAddr, LineAddr, MemRef, Permissions, PhysAddr, VirtPage,
+    Asid, BlockName, Cycles, GuestPhysAddr, LineAddr, MemRef, Permissions, PhysAddr, PhysFrame,
+    VirtPage,
 };
 
 /// A delayed translation request: the access whose line missed (or is
@@ -166,7 +168,6 @@ impl Translator for ManySegment {
 
     fn delayed(sim: &mut SystemSim, core: usize, miss: Miss) -> Delayed {
         let MemRef { asid, vaddr, .. } = miss.mref;
-        let mut parts = CycleAttribution::default();
         let SystemSim {
             many,
             dram,
@@ -186,24 +187,21 @@ impl Translator for ManySegment {
             counters.segment_table_rebuilds += 1;
         }
         let now = clock.now();
-        if let Some((pa, cost)) = m.translate_detailed(asid, vaddr, |addr| {
+        if let Some((pa, cost)) = m.translate(asid, vaddr, |addr| {
             counters.pte_reads += 1; // index-tree node fetch from memory
             dram.access_latency(now, addr, false)
         }) {
-            if let Some(h) = hooks {
-                let mapped = kernel.walk(asid, vaddr.page_number());
-                h.segment_translation(asid, vaddr, pa, mapped.map(|(pte, _)| pte.frame));
-            }
-            parts.add(Component::SegmentCache, cost.segment_cache);
-            parts.add(Component::IndexCache, cost.index_cache);
-            parts.add(Component::SegmentTable, cost.segment_table);
             // Permissions ride the segment (whole-VMA granularity).
             let perm = kernel
                 .space(asid)
                 .and_then(|s| s.vma(vaddr))
                 .map(|v| v.perm)
                 .unwrap_or(Permissions::RW);
-            return (pa, cost.total(), perm, parts);
+            return segment_delayed(hooks, miss.mref, pa, cost, perm, || {
+                kernel
+                    .walk(asid, vaddr.page_number())
+                    .map(|(pte, _)| pte.frame)
+            });
         }
         // Not covered by any segment: fault to the OS. Under the
         // reservation policy this commits a sub-segment (changing the
@@ -215,6 +213,7 @@ impl Translator for ManySegment {
             sim.counters.segment_table_rebuilds += 1;
         }
         let lat = sim.charged_walk(core, asid, vaddr);
+        let mut parts = CycleAttribution::default();
         parts.add(Component::DelayedWalk, lat);
         (phys_of(pte, vaddr), lat, pte.perm, parts)
     }
@@ -353,32 +352,41 @@ impl Translator for NestedHybridSegments {
 
     fn delayed(sim: &mut SystemSim, core: usize, miss: Miss) -> Delayed {
         let MemRef { asid, vaddr, .. } = miss.mref;
-        let mut parts = CycleAttribution::default();
         sim.counters.sc_lookups += 1;
         let SystemSim {
             machine,
             dram,
             core: clock,
             counters,
+            hooks,
             ..
         } = sim;
-        let vm = machine.vm_mut().expect(NESTED);
-        let host_key = vm.hv.host_segment_key(vm.vmid).expect("VM exists");
+        let Vm {
+            hv, vmid, segments, ..
+        } = machine.vm_mut().expect(NESTED);
+        let segments = segments.as_mut().expect("2D segment scheme");
+        // The guest OS moves its segment table as the native OS does.
+        if segments.sync(hv) {
+            counters.segment_table_rebuilds += 1;
+        }
         let now = clock.now();
-        let segments = vm.segments.as_mut().expect("2D segment scheme");
-        if let Some((ma, cost)) = segments.translate(asid, host_key, vaddr, |addr| {
+        if let Some((ma, cost)) = segments.translate(asid, vaddr, |addr| {
             counters.pte_reads += 1; // index-tree node fetch from memory
             dram.access_latency(now, addr, false)
         }) {
             counters.segment_table_accesses += 1;
-            parts.add(Component::SegmentCache, cost.segment_cache);
-            parts.add(Component::IndexCache, cost.index_cache);
-            parts.add(Component::SegmentTable, cost.segment_table);
-            return (ma, cost.total(), Permissions::RW, parts);
+            // The reference is the guest page table followed by the EPT.
+            return segment_delayed(hooks, miss.mref, ma, cost, Permissions::RW, || {
+                let gk = hv.guest_kernel(*vmid).ok()?;
+                let (gpte, _) = gk.walk(asid, vaddr.page_number())?;
+                let gpa = GuestPhysAddr::new(gpte.frame.base().as_u64());
+                hv.ept_walk(*vmid, gpa).map(|(mpte, _)| mpte.frame)
+            });
         }
         // Not covered by a guest and a host segment (paging-managed guest
         // pages): fall back to a 2D walk.
         let (pte, walk) = nested_walk::<Self>(sim, core, miss.mref);
+        let mut parts = CycleAttribution::default();
         parts.add(Component::DelayedWalk, walk);
         (phys_of(pte, vaddr), walk, pte.perm, parts)
     }
@@ -386,6 +394,28 @@ impl Translator for NestedHybridSegments {
     fn flush(sim: &mut SystemSim, req: FlushRequest, home: Option<usize>) -> Option<FlushOp> {
         nested_flush(sim, req, home)
     }
+}
+
+/// A covered segment translation (native or 2D) as a delayed one: an
+/// installed check hook sees `pa` against `reference`, the frame the
+/// page tables map at `mref`'s address (computed only for the hook),
+/// and the cost is itemized per structure.
+fn segment_delayed(
+    hooks: &mut Option<Box<dyn CheckHooks>>,
+    mref: MemRef,
+    pa: PhysAddr,
+    cost: SegmentCost,
+    perm: Permissions,
+    reference: impl FnOnce() -> Option<PhysFrame>,
+) -> Delayed {
+    if let Some(h) = hooks {
+        h.segment_translation(mref.asid, mref.vaddr, pa, reference());
+    }
+    let mut parts = CycleAttribution::default();
+    parts.add(Component::SegmentCache, cost.segment_cache);
+    parts.add(Component::IndexCache, cost.index_cache);
+    parts.add(Component::SegmentTable, cost.segment_table);
+    (pa, cost.total(), perm, parts)
 }
 
 /// The OS fault path plus a charged 1D walk: `known_pte` (a translation

@@ -48,11 +48,6 @@ impl BloomFilter {
         self.granularity_shift
     }
 
-    /// Number of bits in the filter.
-    pub fn len_bits(&self) -> usize {
-        BLOOM_BITS
-    }
-
     /// Inserts the region containing `va`.
     pub fn insert(&mut self, va: VirtAddr) {
         for idx in self.indices(va) {

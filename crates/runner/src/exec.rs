@@ -409,7 +409,13 @@ fn filter_occupancy(sim: &SystemSim) -> Vec<FilterOccupancy> {
     out
 }
 
-fn load_trace(path: &str) -> Result<Vec<TraceItem>, String> {
+/// Reads a whole HVCT trace file, as `--replay` replays it.
+///
+/// # Errors
+///
+/// A message naming `path` when the file cannot be opened or its
+/// contents are not a well-formed trace.
+pub fn load_trace(path: &str) -> Result<Vec<TraceItem>, String> {
     // Bulk window reads (`read_batch`) instead of one 16-byte read per
     // item; the window also bounds pre-allocation against a corrupt
     // header claiming billions of items.

@@ -64,16 +64,9 @@ impl HwSegmentTable {
         self.entries[seg.id.0 as usize] = Some(seg);
     }
 
-    /// Base/limit check + offset add: translates `va` if segment `id`
-    /// covers it.
-    pub fn translate(
-        &self,
-        id: SegmentId,
-        asid: hvc_types::Asid,
-        va: VirtAddr,
-    ) -> Option<hvc_types::PhysAddr> {
-        let seg = self.get(id)?;
-        seg.contains(asid, va).then(|| seg.translate(va))
+    /// Base/limit check: segment `id`, if it covers `va` of `asid`.
+    pub fn covering(&self, id: SegmentId, asid: hvc_types::Asid, va: VirtAddr) -> Option<&Segment> {
+        self.get(id).filter(|seg| seg.contains(asid, va))
     }
 }
 
@@ -99,13 +92,17 @@ mod tests {
         let os = os_table();
         let hw = HwSegmentTable::mirror(&os, Cycles::new(7));
         let id = os.iter().next().unwrap().id;
+        let va = VirtAddr::new(0x11000);
         assert_eq!(
-            hw.translate(id, Asid::new(1), VirtAddr::new(0x11000)),
+            hw.covering(id, Asid::new(1), va)
+                .map(|seg| seg.translate(va)),
             Some(PhysAddr::new(0x801000))
         );
         // Out of bounds or wrong ASID: no translation.
-        assert_eq!(hw.translate(id, Asid::new(1), VirtAddr::new(0x14000)), None);
-        assert_eq!(hw.translate(id, Asid::new(2), VirtAddr::new(0x11000)), None);
+        assert!(hw
+            .covering(id, Asid::new(1), VirtAddr::new(0x14000))
+            .is_none());
+        assert!(hw.covering(id, Asid::new(2), va).is_none());
     }
 
     #[test]

@@ -112,11 +112,6 @@ impl IndexTree {
         self.depth
     }
 
-    /// Number of 64-byte nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Physical address of node `idx` (cache-block aligned).
     fn node_addr(&self, idx: usize) -> PhysAddr {
         PhysAddr::new(self.base.as_u64() + (idx as u64) * LINE_SIZE)

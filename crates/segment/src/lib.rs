@@ -11,10 +11,11 @@
 //! 3. a lookup of the 2048-entry hardware [`HwSegmentTable`] and a
 //!    base/limit check + offset add.
 //!
-//! [`ManySegmentTranslator`] composes the three. [`Rmm`] provides the
+//! [`SegmentWalk`] is steps 2 and 3 over one segment table, written once
+//! for native and two-dimensional translation; [`ManySegmentTranslator`]
+//! puts the segment cache in front of it. [`Rmm`] provides the
 //! 32-segment, core-side Redundant-Memory-Mapping baseline the paper
-//! compares against in Table III, and [`DirectSegment`] the single-segment
-//! design.
+//! compares against in Table III.
 //!
 //! # Examples
 //!
@@ -29,7 +30,7 @@
 //! kernel.mmap(asid, VirtAddr::new(0x100000), 1 << 20, Permissions::RW, MapIntent::Private)?;
 //!
 //! let mut tr = ManySegmentTranslator::isca2016(kernel.segments());
-//! let (pa, _lat) = tr
+//! let (pa, _cost) = tr
 //!     .translate(asid, VirtAddr::new(0x100040), |_addr| Cycles::new(160))
 //!     .expect("covered by a segment");
 //! let pte = kernel.walk(asid, VirtAddr::new(0x100040).page_number()).unwrap().0;
@@ -41,18 +42,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod direct;
 mod hw_table;
 mod index_cache;
 mod index_tree;
 mod many;
 mod rmm;
 mod segment_cache;
+mod walk;
 
-pub use direct::DirectSegment;
 pub use hw_table::HwSegmentTable;
 pub use index_cache::{IndexCache, IndexCacheStats};
 pub use index_tree::IndexTree;
-pub use many::{ManySegmentStats, ManySegmentTranslator, SegmentCost};
+pub use many::ManySegmentTranslator;
 pub use rmm::Rmm;
 pub use segment_cache::SegmentCache;
+pub use walk::{SegmentCost, SegmentWalk};

@@ -1,39 +1,118 @@
-//! Property tests for many-segment translation.
+//! Property tests for many-segment translation, native and 2D.
 
 use hvc_os::{AllocPolicy, Kernel, MapIntent, SegmentTable};
 use hvc_segment::{ManySegmentTranslator, Rmm, SegmentCache};
-use hvc_types::{Asid, Cycles, Permissions, PhysAddr, VirtAddr, PAGE_SIZE};
+use hvc_types::{Asid, Cycles, GuestPhysAddr, Permissions, PhysAddr, VirtAddr, PAGE_SIZE};
+use hvc_virt::{Hypervisor, NestedSegments};
 use proptest::prelude::*;
+
+/// Maps `pages` pages at `va` of `asid`.
+fn map(k: &mut Kernel, asid: Asid, va: VirtAddr, pages: u64) {
+    k.mmap(
+        asid,
+        va,
+        pages * PAGE_SIZE,
+        Permissions::RW,
+        MapIntent::Private,
+    )
+    .unwrap();
+}
+
+/// Eager regions of `region_pages` pages each, 8 MiB apart.
+fn map_regions(k: &mut Kernel, asid: Asid, region_pages: &[u64]) -> Vec<(VirtAddr, u64)> {
+    let mut next = 0x1000_0000u64;
+    region_pages
+        .iter()
+        .map(|&pages| {
+            let va = VirtAddr::new(next);
+            map(k, asid, va, pages);
+            next += pages * PAGE_SIZE + (8 << 20);
+            (va, pages)
+        })
+        .collect()
+}
+
+/// Moves region `(va, pages)` in physical memory behind the translator's
+/// back: unmaps it, lets a new mapping (the `n`-th) take its frames and
+/// maps it again.
+fn remap(k: &mut Kernel, asid: Asid, (va, pages): (VirtAddr, u64), n: u64) {
+    k.munmap(asid, va).unwrap();
+    map(
+        k,
+        asid,
+        VirtAddr::new(0x80_0000_0000 + n * (1 << 30)),
+        pages,
+    );
+    map(k, asid, va, pages);
+}
+
+/// The address a probe `(region, page, offset)` of `regions` reads.
+fn probe_va(regions: &[(VirtAddr, u64)], (ri, page, off): (usize, u64, u64)) -> VirtAddr {
+    let (base, pages) = regions[ri % regions.len()];
+    VirtAddr::new(base.as_u64() + (page % pages) * PAGE_SIZE + off)
+}
 
 proptest! {
     /// The full translation pipeline (SC → index cache → segment table)
     /// always agrees with the page table, for any eager layout and any
     /// probe order — including repeated probes that exercise SC fills,
-    /// hits and partial-coverage checks.
+    /// hits and partial-coverage checks, and regions the OS moves in
+    /// physical memory between probes, which the translator re-mirrors
+    /// before translating as the engine does.
     #[test]
     fn pipeline_agrees_with_page_table(
         region_pages in prop::collection::vec(1u64..64, 1..8),
-        probes in prop::collection::vec((0usize..8, 0u64..64, 0u64..0x1000), 1..120),
+        probes in prop::collection::vec((0usize..8, 0u64..64, 0u64..0x1000, 0u8..10), 1..120),
     ) {
         let mut k = Kernel::new(1 << 30, AllocPolicy::EagerSegments { split: 1 });
         let a = k.create_process().unwrap();
-        let mut bases = Vec::new();
-        let mut next = 0x1000_0000u64;
-        for &pages in &region_pages {
-            let va = VirtAddr::new(next);
-            k.mmap(a, va, pages * PAGE_SIZE, Permissions::RW, MapIntent::Private).unwrap();
-            bases.push((va, pages));
-            next += pages * PAGE_SIZE + (8 << 20);
-        }
+        let regions = map_regions(&mut k, a, &region_pages);
         let mut tr = ManySegmentTranslator::isca2016(k.segments());
-        for (ri, page, off) in probes {
-            let (base, pages) = bases[ri % bases.len()];
-            let va = VirtAddr::new(base.as_u64() + (page % pages) * PAGE_SIZE + off);
-            let (pa, lat) = tr.translate(a, va, |_| Cycles::new(100)).expect("covered");
+        for (n, (ri, page, off, roll)) in probes.into_iter().enumerate() {
+            // One probe in ten first moves its region.
+            let moved = roll == 0;
+            if moved {
+                remap(&mut k, a, regions[ri % regions.len()], n as u64);
+            }
+            prop_assert_eq!(tr.sync(k.segments()), moved);
+            let va = probe_va(&regions, (ri, page, off));
+            let (pa, cost) = tr.translate(a, va, |_| Cycles::new(100)).expect("covered");
             let pte = k.walk(a, va.page_number()).unwrap().0;
             prop_assert_eq!(pa.frame_number(), pte.frame);
             prop_assert_eq!(pa.page_offset(), va.page_offset());
-            prop_assert!(lat.get() >= 2);
+            prop_assert!(cost.total().get() >= 2);
+        }
+    }
+
+    /// 2D segment translation (gVA→MA SC → guest walk → host walk)
+    /// always agrees with the guest page table followed by the EPT,
+    /// while the guest OS moves regions in guest-physical memory between
+    /// probes.
+    #[test]
+    fn nested_pipeline_agrees_with_guest_page_table_and_ept(
+        region_pages in prop::collection::vec(1u64..64, 1..8),
+        probes in prop::collection::vec((0usize..8, 0u64..64, 0u64..0x1000, 0u8..10), 1..120),
+    ) {
+        let mut hv = Hypervisor::new(1 << 30);
+        let vm = hv.create_vm(256 << 20, AllocPolicy::EagerSegments { split: 1 }, true).unwrap();
+        let a = hv.create_guest_process(vm).unwrap();
+        let regions = map_regions(hv.guest_kernel_mut(vm).unwrap(), a, &region_pages);
+        let mut ns = NestedSegments::build(&hv, vm).unwrap();
+        for (n, (ri, page, off, roll)) in probes.into_iter().enumerate() {
+            // One probe in ten first moves its region.
+            let moved = roll == 0;
+            if moved {
+                remap(hv.guest_kernel_mut(vm).unwrap(), a, regions[ri % regions.len()], n as u64);
+            }
+            prop_assert_eq!(ns.sync(&hv), moved);
+            let va = probe_va(&regions, (ri, page, off));
+            let (ma, cost) = ns.translate(a, va, |_| Cycles::new(100)).expect("covered");
+            let gpte = hv.guest_kernel(vm).unwrap().walk(a, va.page_number()).unwrap().0;
+            let gpa = GuestPhysAddr::new(gpte.frame.base().as_u64());
+            let mpte = hv.ept_walk(vm, gpa).unwrap().0;
+            prop_assert_eq!(ma.frame_number(), mpte.frame);
+            prop_assert_eq!(ma.page_offset(), va.page_offset());
+            prop_assert!(cost.total().get() >= 2);
         }
     }
 

@@ -7,7 +7,7 @@
 
 use hvc_cache::{Cache, CacheConfig};
 use hvc_os::{AllocPolicy, Kernel, SegmentTable};
-use hvc_segment::{HwSegmentTable, IndexCache, IndexTree, ManySegmentTranslator, SegmentCache};
+use hvc_segment::{IndexCache, IndexTree, ManySegmentTranslator, SegmentCache};
 use hvc_types::{Asid, BlockName, Cycles, Permissions, PhysAddr, VirtAddr};
 use hvc_workloads::{apps, WorkloadSpec};
 use rand::rngs::StdRng;
@@ -138,16 +138,13 @@ fn segment_cache_latency(entries: usize, refs: usize) -> (f64, f64) {
         .expect("instantiate");
     let mut tr = ManySegmentTranslator::new(
         SegmentCache::new(entries, Cycles::new(2)),
-        IndexCache::isca2016(),
-        HwSegmentTable::mirror(kernel.segments(), Cycles::new(7)),
         kernel.segments(),
-        PhysAddr::new(1 << 40),
     );
     let (mut total, mut n) = (0u64, 0u64);
     for _ in 0..refs {
         let m = wl.next_item().mref;
-        if let Some((_, lat)) = tr.translate(m.asid, m.vaddr, |_| Cycles::new(160)) {
-            total += lat.get();
+        if let Some((_, cost)) = tr.translate(m.asid, m.vaddr, |_| Cycles::new(160)) {
+            total += cost.total().get();
             n += 1;
         }
     }

@@ -30,4 +30,4 @@ mod nested_segments;
 
 pub use hypervisor::{Hypervisor, VirtStats};
 pub use nested::{NestedPte, NestedTlb, NestedWalker, NestedWalkerStats};
-pub use nested_segments::{NestedSegmentStats, NestedSegments};
+pub use nested_segments::NestedSegments;

@@ -3,39 +3,27 @@
 //! Guest segments map `gVA → gPA` (maintained by the guest OS); host
 //! segments map `gPA → MA` (maintained by the hypervisor, which backs
 //! each VM with large contiguous machine regions). After an LLC miss the
-//! two lookups happen serially, with a 128-entry segment cache storing
-//! direct `gVA → MA` translations for 2 MB regions to skip both steps.
+//! two walks happen serially, with a 128-entry segment cache storing
+//! direct `gVA → MA` translations for 2 MB regions to skip both.
 
 use crate::Hypervisor;
-use hvc_os::SegmentId;
-use hvc_segment::{HwSegmentTable, IndexCache, IndexTree, SegmentCache, SegmentCost};
-use hvc_types::{Asid, Cycles, GuestPhysAddr, PhysAddr, VirtAddr, Vmid};
-
-/// Counters for 2D segment translation.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct NestedSegmentStats {
-    /// Translations served directly by the gVA→MA segment cache.
-    pub sc_hits: u64,
-    /// Full two-step translations.
-    pub two_step: u64,
-    /// Addresses not covered by guest or host segments.
-    pub uncovered: u64,
-}
+use hvc_os::{Segment, SegmentId};
+use hvc_segment::{SegmentCache, SegmentCost, SegmentWalk};
+use hvc_types::{Asid, Cycles, PhysAddr, VirtAddr, Vmid};
 
 /// Two-dimensional many-segment translation with a gVA→MA segment cache.
 #[derive(Debug)]
 pub struct NestedSegments {
-    /// Guest-side structures (gVA → gPA).
-    guest_tree: IndexTree,
-    guest_table: HwSegmentTable,
-    guest_cache: IndexCache,
-    /// Host-side structures (gPA → MA).
-    host_tree: IndexTree,
-    host_table: HwSegmentTable,
-    host_cache: IndexCache,
+    vmid: Vmid,
+    /// The VM's host-segment ASID ([`Hypervisor::host_segment_key`]).
+    host_key: Asid,
+    /// Guest segments (gVA → gPA), re-mirrored by [`NestedSegments::sync`].
+    guest: SegmentWalk,
+    /// Host segments (gPA → MA), mirrored once: the hypervisor adds
+    /// host segments only when it creates an eagerly backed VM.
+    host: SegmentWalk,
     /// Direct gVA→MA cache (2 MB granularity).
     sc: SegmentCache,
-    stats: NestedSegmentStats,
 }
 
 impl NestedSegments {
@@ -46,33 +34,41 @@ impl NestedSegments {
     ///
     /// [`hvc_types::HvcError::BadId`] for an unknown VM.
     pub fn build(hv: &Hypervisor, vmid: Vmid) -> hvc_types::Result<Self> {
-        let guest_segments = hv.guest_kernel(vmid)?.segments();
-        let host_segments = hv.host_segments();
         Ok(NestedSegments {
-            guest_tree: IndexTree::build(guest_segments, PhysAddr::new(1 << 41)),
-            guest_table: HwSegmentTable::mirror(guest_segments, Cycles::new(7)),
-            guest_cache: IndexCache::isca2016(),
-            host_tree: IndexTree::build(host_segments, PhysAddr::new(1 << 42)),
-            host_table: HwSegmentTable::mirror(host_segments, Cycles::new(7)),
-            host_cache: IndexCache::isca2016(),
+            vmid,
+            host_key: hv.host_segment_key(vmid)?,
+            guest: SegmentWalk::isca2016(hv.guest_kernel(vmid)?.segments(), PhysAddr::new(1 << 41)),
+            host: SegmentWalk::isca2016(hv.host_segments(), PhysAddr::new(1 << 42)),
             sc: SegmentCache::isca2016(),
-            stats: NestedSegmentStats::default(),
         })
     }
 
-    /// Translates `(asid, gva)` to a machine address after an LLC miss.
-    /// `host_key` is the VM's host-segment ASID
-    /// ([`Hypervisor::host_segment_key`]); `fetch` charges index-tree
-    /// node reads that miss the index caches.
+    /// Re-mirrors the guest segment table of the VM if it changed since
+    /// the last build, flushing the segment cache with it; returns
+    /// whether it did.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hv` no longer hosts the VM.
+    pub fn sync(&mut self, hv: &Hypervisor) -> bool {
+        let guest = hv.guest_kernel(self.vmid).expect("VM exists");
+        let moved = self.guest.sync(guest.segments());
+        if moved {
+            self.sc.flush();
+        }
+        moved
+    }
+
+    /// Translates `(asid, gva)` to a machine address after an LLC miss;
+    /// `fetch` charges index-tree node reads that miss the index caches.
     ///
     /// The cost itemizes the segment-cache probe, both dimensions'
     /// index-cache probes (including node fetches) and both segment-table
-    /// reads. Returns `None` (with `uncovered` counted) if either
-    /// dimension has no covering segment.
+    /// reads. Returns `None` if either dimension has no covering
+    /// segment.
     pub fn translate(
         &mut self,
         asid: Asid,
-        host_key: Asid,
         gva: VirtAddr,
         mut fetch: impl FnMut(PhysAddr) -> Cycles,
     ) -> Option<(PhysAddr, SegmentCost)> {
@@ -81,82 +77,39 @@ impl NestedSegments {
             ..SegmentCost::default()
         };
         if let Some(ma) = self.sc.translate(asid, gva) {
-            self.stats.sc_hits += 1;
             return Some((ma, cost));
         }
-
-        // Step 1: guest segments, gVA → gPA.
-        let (gpa, guest_seg) = {
-            let mut touched = Vec::new();
-            let id = self.guest_tree.lookup(asid, gva, &mut touched)?;
-            for &n in &touched {
-                cost.index_cache += self.guest_cache.latency();
-                if !self.guest_cache.access(n) {
-                    cost.index_cache += fetch(n);
-                }
-            }
-            cost.segment_table += self.guest_table.latency();
-            let Some(gpa) = self.guest_table.translate(id, asid, gva) else {
-                self.stats.uncovered += 1;
-                return None;
-            };
-            (GuestPhysAddr::new(gpa.as_u64()), id)
-        };
-
-        // Step 2: host segments, gPA → MA (gPA plays the VA role).
+        let gseg = self.guest.walk(asid, gva, &mut cost, &mut fetch)?;
+        // The host dimension: gPA plays the VA role.
+        let gpa = gseg.translate(gva);
         let gpa_as_va = VirtAddr::new(gpa.as_u64());
-        let mut touched = Vec::new();
-        let Some(host_id) = self.host_tree.lookup(host_key, gpa_as_va, &mut touched) else {
-            self.stats.uncovered += 1;
-            return None;
-        };
-        for &n in &touched {
-            cost.index_cache += self.host_cache.latency();
-            if !self.host_cache.access(n) {
-                cost.index_cache += fetch(n);
-            }
-        }
-        cost.segment_table += self.host_table.latency();
-        let Some(ma) = self.host_table.translate(host_id, host_key, gpa_as_va) else {
-            self.stats.uncovered += 1;
-            return None;
-        };
-        self.stats.two_step += 1;
-
+        let hseg = self
+            .host
+            .walk(self.host_key, gpa_as_va, &mut cost, &mut fetch)?;
+        let ma = hseg.translate(gpa_as_va);
         // Fill the direct gVA→MA segment cache with the *intersection*
         // of the guest and host segments around `gva`, so SC hits stay
-        // within both segments' bounds.
-        if let (Some(gseg), Some(hseg)) = (
-            self.guest_table.get(guest_seg),
-            self.host_table.get(host_id),
-        ) {
-            // Effective direct segment: from the later of the two bases
-            // (mapped back to gVA) to the earlier of the two limits.
-            let g_delta = gseg.phys_base.as_u64() as i128 - gseg.base.as_u64() as i128;
-            let h_delta = hseg.phys_base.as_u64() as i128 - hseg.base.as_u64() as i128;
-            // Host segment bounds mapped back into gVA space (signed: the
-            // guest offset can exceed the host base).
-            let h_start_gva = hseg.base.as_u64() as i128 - g_delta;
-            let h_end_gva = h_start_gva + hseg.len as i128;
-            let start = (gseg.base.as_u64() as i128).max(h_start_gva);
-            let end = ((gseg.base.as_u64() + gseg.len) as i128).min(h_end_gva);
-            if end > start {
-                let direct = hvc_os::Segment {
-                    id: SegmentId(u32::MAX),
-                    asid,
-                    base: VirtAddr::new(start as u64),
-                    len: (end - start) as u64,
-                    phys_base: PhysAddr::new((start + g_delta + h_delta) as u64),
-                };
-                self.sc.fill(asid, gva, &direct);
-            }
+        // within both segments' bounds: from the later of the two bases
+        // (mapped back to gVA) to the earlier of the two limits.
+        let g_delta = gseg.phys_base.as_u64() as i128 - gseg.base.as_u64() as i128;
+        let h_delta = hseg.phys_base.as_u64() as i128 - hseg.base.as_u64() as i128;
+        // Host segment bounds mapped back into gVA space (signed: the
+        // guest offset can exceed the host base).
+        let h_start_gva = hseg.base.as_u64() as i128 - g_delta;
+        let h_end_gva = h_start_gva + hseg.len as i128;
+        let start = (gseg.base.as_u64() as i128).max(h_start_gva);
+        let end = ((gseg.base.as_u64() + gseg.len) as i128).min(h_end_gva);
+        if end > start {
+            let direct = Segment {
+                id: SegmentId(u32::MAX),
+                asid,
+                base: VirtAddr::new(start as u64),
+                len: (end - start) as u64,
+                phys_base: PhysAddr::new((start + g_delta + h_delta) as u64),
+            };
+            self.sc.fill(asid, gva, &direct);
         }
         Some((ma, cost))
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> &NestedSegmentStats {
-        &self.stats
     }
 }
 
@@ -164,7 +117,7 @@ impl NestedSegments {
 mod tests {
     use super::*;
     use hvc_os::{AllocPolicy, MapIntent};
-    use hvc_types::Permissions;
+    use hvc_types::{GuestPhysAddr, Permissions};
 
     const GIB: u64 = 1 << 30;
 
@@ -185,10 +138,9 @@ mod tests {
     fn two_step_translation_matches_ept_path() {
         let (mut hv, vm, asid, va) = setup();
         let mut ns = NestedSegments::build(&hv, vm).unwrap();
-        let host_key = hv.host_segment_key(vm).unwrap();
         let probe = va + 0x1234;
-        let (ma, _lat) = ns
-            .translate(asid, host_key, probe, |_| Cycles::new(160))
+        let (ma, cost) = ns
+            .translate(asid, probe, |_| Cycles::new(160))
             .expect("covered");
         // Cross-check with guest PT + EPT.
         let gpte = hv
@@ -200,37 +152,33 @@ mod tests {
         let gpa = GuestPhysAddr::new(gpte.frame.base().as_u64() + probe.page_offset());
         let ma_ref = hv.machine_addr(vm, gpa).unwrap();
         assert_eq!(ma, ma_ref);
-        assert_eq!(ns.stats().two_step, 1);
+        assert_eq!(
+            cost.segment_table,
+            Cycles::new(14),
+            "guest and host tables read"
+        );
     }
 
     #[test]
     fn sc_caches_direct_gva_to_ma() {
         let (hv, vm, asid, va) = setup();
         let mut ns = NestedSegments::build(&hv, vm).unwrap();
-        let host_key = hv.host_segment_key(vm).unwrap();
-        let (ma1, lat1) = ns
-            .translate(asid, host_key, va, |_| Cycles::new(160))
-            .unwrap();
-        let (ma2, lat2) = ns
-            .translate(asid, host_key, va + 0x40, |_| Cycles::new(160))
-            .unwrap();
+        let (ma1, lat1) = ns.translate(asid, va, |_| Cycles::new(160)).unwrap();
+        let (ma2, lat2) = ns.translate(asid, va + 0x40, |_| Cycles::new(160)).unwrap();
         assert_eq!(ma2 - ma1, 0x40);
         assert!(
             lat2.total() < lat1.total(),
             "SC hit must be cheaper: {lat2:?} vs {lat1:?}"
         );
-        assert_eq!(ns.stats().sc_hits, 1);
+        assert_eq!(lat2.total(), lat2.segment_cache, "served by the SC alone");
     }
 
     #[test]
     fn uncovered_gva_is_none() {
         let (hv, vm, asid, _) = setup();
         let mut ns = NestedSegments::build(&hv, vm).unwrap();
-        let host_key = hv.host_segment_key(vm).unwrap();
         assert!(ns
-            .translate(asid, host_key, VirtAddr::new(0xdead_0000), |_| Cycles::new(
-                160
-            ))
+            .translate(asid, VirtAddr::new(0xdead_0000), |_| Cycles::new(160))
             .is_none());
     }
 }

@@ -49,9 +49,12 @@ OPTIONS:
     --ifetch             model the instruction-fetch stream
     --obs                print latency percentiles and cycle attribution
     --trace-events <p>   write a Chrome trace_event JSON of the run
-    --save-trace <path>  write the measured reference stream to a file
-    --replay <path>      replay a saved trace instead of generating one
-                         (trace options need --cores 1)
+    --save-trace <path>  write the reference stream, warm-up included,
+                         to a file
+    --replay <path>      replay a saved trace instead of generating one;
+                         the warm-up reads its head, as in a sweep
+                         (trace options need --cores 1; --trace-events
+                         traces a generated run only)
     --list               list workload profiles and exit
     --help               show this help
 
@@ -711,12 +714,6 @@ fn single_main(args: &[String]) -> ExitCode {
         eprintln!("unknown scheme '{scheme}'\n\n{USAGE}");
         return ExitCode::FAILURE;
     };
-    // Both run paths need this: the trace options build `SystemSim`
-    // directly, without `Experiment::validate`.
-    if let Err(e) = params::check_delayed_tlb(&scheme) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
     let Some(parsed_filter) = params::parse_filter(&filter) else {
         eprintln!("unknown filter strategy '{filter}' (use bloom or rlt)\n\n{USAGE}");
         return ExitCode::FAILURE;
@@ -731,29 +728,77 @@ fn single_main(args: &[String]) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
+    if trace_events.is_some() && (replay.is_some() || save_trace.is_some()) {
+        eprintln!("--trace-events traces a generated run; drop --replay / --save-trace");
+        return ExitCode::FAILURE;
+    }
+    let exp = Experiment {
+        name: "single".into(),
+        workloads: vec![workload.clone()],
+        schemes: vec![scheme.clone()],
+        filters: vec![filter.clone()],
+        seeds: vec![seed],
+        llc_bytes: vec![llc],
+        refs,
+        warm,
+        mem,
+        cores,
+        ifetch,
+        replay: None,
+        obs,
+    };
+    if let Err(e) = exp.validate() {
+        eprintln!("invalid run: {e}");
+        return ExitCode::FAILURE;
+    }
+    eprintln!(
+        "running {workload} under {parsed_scheme:?} ({warm} warm-up + {refs} \
+         measured references)…"
+    );
 
-    // Plain runs (no trace options) go through the runner's cell path,
-    // the same continuous run a sweep cell makes (multi-core included).
-    if !trace_mode {
-        let exp = Experiment {
-            name: "single".into(),
-            workloads: vec![workload.clone()],
-            schemes: vec![scheme.clone()],
-            filters: vec![filter.clone()],
-            seeds: vec![seed],
-            llc_bytes: vec![llc],
-            refs,
-            warm,
-            mem,
-            cores,
-            ifetch,
-            replay: None,
-            obs,
+    // The workload over a native kernel, as the cell path builds it.
+    let instantiate = || {
+        let mut kernel = Kernel::new(16 << 30, policy);
+        kernel.set_filter_kind(parsed_filter);
+        spec.instantiate(&mut kernel, seed).map(|wl| (kernel, wl))
+    };
+
+    // Plain, replayed and recorded runs go through the runner's cell
+    // path: the same continuous run a sweep cell makes (multi-core
+    // included), reading a trace as a sweep does — warm-up from its
+    // head, then the measured references.
+    if trace_events.is_none() {
+        let items = if let Some(path) = &replay {
+            match hvc::runner::load_trace(path) {
+                Ok(items) => Some(items),
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
+                }
+            }
+        } else if let Some(path) = &save_trace {
+            // The whole stream, warm-up included.
+            let mut wl = match instantiate() {
+                Ok((_, wl)) => wl,
+                Err(e) => {
+                    eprintln!("failed to set up workload: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
+            let items: Vec<hvc::types::TraceItem> =
+                (0..warm + refs).map(|_| wl.next_item()).collect();
+            let written = std::fs::File::create(path).and_then(|file| {
+                hvc::trace::write_trace(std::io::BufWriter::new(file), items.iter().copied())
+            });
+            if let Err(e) = written {
+                eprintln!("cannot write trace {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+            eprintln!("saved {} references to {path}", items.len());
+            Some(items)
+        } else {
+            None
         };
-        if let Err(e) = exp.validate() {
-            eprintln!("invalid run: {e}");
-            return ExitCode::FAILURE;
-        }
         // A single run uses the raw `--seed` directly (no grid-position
         // derivation), preserving the historical stream.
         let cell = Cell {
@@ -765,12 +810,8 @@ fn single_main(args: &[String]) -> ExitCode {
             seed,
             llc_bytes: llc,
         };
-        eprintln!(
-            "running {workload} under {parsed_scheme:?} ({warm} warm-up + {refs} \
-             measured references)…"
-        );
         let start = std::time::Instant::now();
-        let (report, _filters) = match run_cell(&exp, &cell, None, false) {
+        let (report, _filters) = match run_cell(&exp, &cell, items.as_deref(), false) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("run failed: {e}");
@@ -786,25 +827,17 @@ fn single_main(args: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
+    // `--trace-events`: the simulator is built directly, with a bounded
+    // event tracer the cell path does not configure.
     let mut config = SystemConfig::isca2016();
     if llc != 2 << 20 {
-        if !params::valid_llc(llc) {
-            eprintln!(
-                "--llc {llc} is not a valid 16-way geometry (use a power of two ≥ 64K, e.g. 2M, 8M)"
-            );
-            return ExitCode::FAILURE;
-        }
         config.hierarchy.llc = hvc::cache::CacheConfig::new(llc, 16, hvc::types::Cycles::new(27));
     }
     config.model_ifetch = ifetch;
-    if trace_events.is_some() {
-        // Bounded ring buffer: a long run keeps the newest window.
-        config.trace_capacity = 1 << 18;
-    }
+    // Bounded ring buffer: a long run keeps the newest window.
+    config.trace_capacity = 1 << 18;
 
-    let mut kernel = Kernel::new(16 << 30, policy);
-    kernel.set_filter_kind(parsed_filter);
-    let mut wl = match spec.instantiate(&mut kernel, seed) {
+    let (kernel, mut wl) = match instantiate() {
         Ok(w) => w,
         Err(e) => {
             eprintln!("failed to set up workload: {e}");
@@ -812,66 +845,12 @@ fn single_main(args: &[String]) -> ExitCode {
         }
     };
 
-    eprintln!(
-        "running {} under {:?} ({} warm-up + {} measured references)…",
-        wl.name(),
-        parsed_scheme,
-        warm,
-        refs
-    );
     let mut sim = SystemSim::new(kernel, config, parsed_scheme);
     if warm > 0 {
         sim.warm_up(&mut wl, warm);
     }
     let start = std::time::Instant::now();
-    let report = if let Some(path) = &replay {
-        // Replay a saved trace (the workload instance still provided the
-        // memory layout; the stream comes from the file). A corrupt
-        // trace aborts the run instead of silently truncating it.
-        let file = match std::fs::File::open(path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("cannot open trace {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let reader = match hvc::trace::read_trace(std::io::BufReader::new(file)) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("cannot read trace {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let items: Vec<hvc::types::TraceItem> = match reader.take(refs).collect() {
-            Ok(items) => items,
-            Err(e) => {
-                eprintln!("corrupt trace {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let mlp = wl.mlp();
-        sim.run_trace(items, mlp)
-    } else if let Some(path) = &save_trace {
-        let items: Vec<hvc::types::TraceItem> = (0..refs).map(|_| wl.next_item()).collect();
-        let file = match std::fs::File::create(path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("cannot create trace {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) =
-            hvc::trace::write_trace(std::io::BufWriter::new(file), items.iter().copied())
-        {
-            eprintln!("cannot write trace {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("saved {} references to {path}", items.len());
-        let mlp = wl.mlp();
-        sim.run_trace(items, mlp)
-    } else {
-        sim.run(&mut wl, refs)
-    };
+    let report = sim.run(&mut wl, refs);
     let wall = start.elapsed();
 
     print_report(wl.name(), parsed_scheme, &report, obs);

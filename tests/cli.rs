@@ -273,6 +273,54 @@ fn trace_save_then_replay_is_bit_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A single run reads a trace as a sweep cell does: the warm-up eats its
+/// head. A churn-free workload's trace, saved with its warm-up, then
+/// replays to the run that generated it — under any scheme, alone or in
+/// a sweep.
+#[test]
+fn trace_replay_warms_up_from_its_head() {
+    let dir = std::env::temp_dir().join(format!("hvcsim-warm-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.hvct").to_string_lossy().into_owned();
+    let report = dir.join("sweep.json").to_string_lossy().into_owned();
+    let run = |args: &[&str]| {
+        let out = hvcsim()
+            .args(args)
+            .args(["--refs", "5000", "--warm", "3000", "--mem", "16M"])
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let single = |args: &[&str]| -> u64 {
+        let out = run(&[&["--workload", "astar", "--seed", "42"], args].concat());
+        let line = out
+            .lines()
+            .find(|l| l.starts_with("cycles"))
+            .expect("cycles line");
+        line.split_whitespace().last().unwrap().parse().unwrap()
+    };
+    single(&["--scheme", "baseline", "--save-trace", &trace]);
+    let plain = single(&["--scheme", "manyseg"]);
+    assert_eq!(single(&["--scheme", "manyseg", "--replay", &trace]), plain);
+
+    let sweep = ["sweep", "--workloads", "astar", "--schemes", "manyseg"];
+    run(&[&sweep[..], &["--replay", &trace, "--out", &report]].concat());
+    let doc = hvc::runner::json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    let cell = &doc.get("cells").unwrap().as_array().unwrap()[0];
+    let swept = cell.get("stats").unwrap().get("cycles").unwrap().as_u64();
+    assert_eq!(
+        swept,
+        Some(plain),
+        "a sweep reads the trace as a single run"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn sweep_reports_every_cell_and_is_jobs_invariant() {
     let dir = std::env::temp_dir().join(format!("hvcsim-sweep-{}", std::process::id()));

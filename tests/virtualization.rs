@@ -58,10 +58,7 @@ fn all_nested_translation_paths_agree() {
 
     // Path 3: 2D segment translation.
     let mut ns = NestedSegments::build(&hv, vm).unwrap();
-    let host_key = hv.host_segment_key(vm).unwrap();
-    let (ma_seg, _) = ns
-        .translate(asid, host_key, probe, |_| Cycles::new(1))
-        .unwrap();
+    let (ma_seg, _) = ns.translate(asid, probe, |_| Cycles::new(1)).unwrap();
     assert_eq!(ma_seg, ma_ref, "2D segments disagree with EPT reference");
 }
 
