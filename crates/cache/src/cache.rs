@@ -14,7 +14,7 @@ pub struct Victim {
     pub dirty: bool,
 }
 
-/// Per-line state other than the name and the LRU stamp, in unpacked
+/// Per-line state other than the name and the recency rank, in unpacked
 /// form. In the slab it is packed into one state word per way (see the
 /// `STATE_*` layout constants); this struct is the working representation
 /// handed to `update_range` callbacks. `sharers` is used only by the LLC
@@ -28,8 +28,8 @@ struct Meta {
 }
 
 /// State word layout (one `u64` per way): bit 0 the dirty flag, bits
-/// 8..16 the permission bits, bits 32..64 the sharer bitmap. The LRU
-/// stamp lives in a word of its own.
+/// 8..16 the permission bits, bits 32..64 the sharer bitmap. Recency is
+/// kept per set, in the row's recency word (see [`promote`]).
 const STATE_DIRTY: u64 = 1;
 const STATE_PERM_SHIFT: u32 = 8;
 const STATE_SHARERS_SHIFT: u32 = 32;
@@ -115,6 +115,40 @@ fn key_of(name: BlockName) -> u64 {
     }
 }
 
+/// Most associativity a [`Cache`] supports: a set's recency order is
+/// one 4-bit way number per rank in one `u64`.
+pub(crate) const MAX_WAYS: usize = 16;
+
+/// `0x1` in every nibble.
+const NIBBLE_ONES: u64 = 0x1111_1111_1111_1111;
+
+/// The recency word of an empty set of `ways` ways: rank `i` holds way
+/// `i`, and ranks past `ways` hold `0xF`, which is no way's number when
+/// `ways < 16`, so [`promote`] never finds a rank there.
+fn initial_recency(ways: usize) -> u64 {
+    (0..ways).fold(u64::MAX, |rec, w| {
+        rec & !(0xF << (4 * w)) | (w as u64) << (4 * w)
+    })
+}
+
+/// Moves `way` to rank 0 (most recent) of the recency word `rec`; each
+/// way that was more recent than it moves one rank older. Nibble `i` of
+/// `rec` holds the way at rank `i`; every way appears exactly once, so
+/// the lowest nibble equal to `way` is found with the zero-nibble test
+/// on `rec ^ way * 0x1111…`. Branch-free.
+#[inline]
+fn promote(rec: u64, way: usize) -> u64 {
+    let x = rec ^ (way as u64).wrapping_mul(NIBBLE_ONES);
+    // The lowest flagged nibble is the lowest zero nibble of `x` (a
+    // borrow flags only nibbles above a zero one).
+    let zero = x.wrapping_sub(NIBBLE_ONES) & !x & (NIBBLE_ONES << 3);
+    debug_assert!(zero != 0, "way {way} missing from recency word {rec:#x}");
+    let shift = zero.trailing_zeros() & !3;
+    let newer = (1u64 << shift) - 1;
+    let through = newer | (0xF << shift);
+    (rec & !through) | ((rec & newer) << 4) | way as u64
+}
+
 /// Inverse of [`key_of`] for live slots (never called on `EMPTY_KEY`).
 #[inline]
 fn name_of(key: u64) -> BlockName {
@@ -135,14 +169,18 @@ fn name_of(key: u64) -> BlockName {
 ///
 /// Storage is one contiguous **set-interleaved** slab of `u64` words:
 /// set `s` occupies the row `rows[s * stride .. (s + 1) * stride]`, laid
-/// out as `[key[ways] | lru[ways] | state[ways] | occupancy | padding]` —
+/// out as `[key[ways] | state[ways] | occupancy | recency | padding]` —
 /// the 8-byte packed block-name keys a probe scans (see `key_of`) open
-/// the row, then one LRU stamp and one packed dirty/permission/sharer
-/// state word per way, touched only on the way that hit (and the LRU
-/// words on a victim search), then the occupancy bitmask that fills and
-/// sweeps read. The stride is rounded up to a whole number of 64-byte
-/// host cache lines, so a 16-way row is 448 B and a probe scans the
-/// row's first 128 B.
+/// the row, then one packed dirty/permission/sharer state word per way,
+/// touched only on the way that hit, then the occupancy bitmask that
+/// fills and sweeps read, then the set's recency word: nibble `i` holds
+/// the way at recency rank `i`, most recent first (see `promote`).
+/// A touch or fill moves its way to rank 0, and the victim of a full
+/// set is the way at the last rank. Free ways are taken from the
+/// occupancy mask first, so an invalidation leaves the recency word
+/// alone. The stride is rounded up to a whole number of 64-byte host
+/// cache lines, so a 16-way row is 320 B and a probe scans the row's
+/// first 128 B. At most 16 ways.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
@@ -151,11 +189,10 @@ pub struct Cache {
     /// no probe; padding words are zero and never read.
     rows: Box<[u64]>,
     ways: usize,
-    /// Row length in words: `3 * ways + 1`, rounded up to a multiple of
+    /// Row length in words: `2 * ways + 2`, rounded up to a multiple of
     /// eight words (one 64-byte host line).
     stride: usize,
     set_mask: usize,
-    tick: u64,
     stats: LevelStats,
 }
 
@@ -164,16 +201,17 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry has more than 64 ways (the per-set
-    /// occupancy bitmask is a `u64`).
+    /// Panics if the geometry has more than 16 ways.
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
         let ways = config.ways;
-        assert!(ways <= 64, "at most 64 ways per set");
-        let stride = (3 * ways + 1 + 7) & !7;
+        assert!(ways <= MAX_WAYS, "at most {MAX_WAYS} ways per set");
+        let stride = (2 * ways + 2 + 7) & !7;
         let mut rows = vec![0u64; sets * stride].into_boxed_slice();
+        let recency = initial_recency(ways);
         for row in rows.chunks_exact_mut(stride) {
             row[..ways].fill(EMPTY_KEY);
+            row[2 * ways + 1] = recency;
         }
         Cache {
             rows,
@@ -181,7 +219,6 @@ impl Cache {
             stride,
             set_mask: sets - 1,
             config,
-            tick: 0,
             stats: LevelStats::default(),
         }
     }
@@ -212,22 +249,22 @@ impl Cache {
         set * self.stride
     }
 
-    /// Slab index of `way`'s LRU stamp within `set`.
-    #[inline]
-    fn lru_idx(&self, set: usize, way: usize) -> usize {
-        self.row(set) + self.ways + way
-    }
-
     /// Slab index of `way`'s packed state word within `set`.
     #[inline]
     fn state_idx(&self, set: usize, way: usize) -> usize {
-        self.row(set) + 2 * self.ways + way
+        self.row(set) + self.ways + way
     }
 
     /// Slab index of `set`'s occupancy bitmask.
     #[inline]
     fn occ_idx(&self, set: usize) -> usize {
-        self.row(set) + 3 * self.ways
+        self.row(set) + 2 * self.ways
+    }
+
+    /// Slab index of `set`'s recency word.
+    #[inline]
+    fn rec_idx(&self, set: usize) -> usize {
+        self.occ_idx(set) + 1
     }
 
     /// Finds the way holding `key` within `set` with one linear scan of
@@ -242,12 +279,12 @@ impl Cache {
             .position(|&k| k == key)
     }
 
-    /// Stamps `way` of `set` as most recently used and returns its state
-    /// word for the caller to update.
+    /// Moves `way` of `set` to the most recent rank and returns its
+    /// state word for the caller to update.
     #[inline]
     fn touch(&mut self, set: usize, way: usize) -> &mut u64 {
-        let li = self.lru_idx(set, way);
-        self.rows[li] = self.tick;
+        let ri = self.rec_idx(set);
+        self.rows[ri] = promote(self.rows[ri], way);
         let si = self.state_idx(set, way);
         &mut self.rows[si]
     }
@@ -256,7 +293,6 @@ impl Cache {
     /// bit, and returns `true`.
     #[inline]
     pub fn access(&mut self, name: BlockName, write: bool) -> bool {
-        self.tick += 1;
         let set = self.set_index(name);
         if let Some(way) = self.find(set, key_of(name)) {
             let state = self.touch(set, way);
@@ -277,7 +313,6 @@ impl Cache {
     /// two.
     #[inline]
     pub fn access_perm(&mut self, name: BlockName, write: bool) -> Option<Permissions> {
-        self.tick += 1;
         let set = self.set_index(name);
         if let Some(way) = self.find(set, key_of(name)) {
             let state = self.touch(set, way);
@@ -304,7 +339,6 @@ impl Cache {
         write: bool,
         core: usize,
     ) -> Option<Permissions> {
-        self.tick += 1;
         let set = self.set_index(name);
         if let Some(way) = self.find(set, key_of(name)) {
             let state = self.touch(set, way);
@@ -336,7 +370,6 @@ impl Cache {
     /// set was full. If the block is already present this refreshes its
     /// LRU/dirty state instead of duplicating it.
     pub fn fill(&mut self, name: BlockName, dirty: bool, perm: Permissions) -> Option<Victim> {
-        self.tick += 1;
         let set = self.set_index(name);
         if let Some(way) = self.find(set, key_of(name)) {
             let state = self.touch(set, way);
@@ -360,7 +393,6 @@ impl Cache {
         dirty: bool,
         perm: Permissions,
     ) -> Option<Victim> {
-        self.tick += 1;
         let set = self.set_index(name);
         debug_assert!(
             self.find(set, key_of(name)).is_none(),
@@ -382,7 +414,6 @@ impl Cache {
         perm: Permissions,
         core: usize,
     ) -> Option<Victim> {
-        self.tick += 1;
         let set = self.set_index(name);
         if let Some(way) = self.find(set, key_of(name)) {
             let state = self.touch(set, way);
@@ -407,7 +438,6 @@ impl Cache {
         perm: Permissions,
         sharers: u32,
     ) -> Option<(Victim, u32)> {
-        self.tick += 1;
         let set = self.set_index(name);
         debug_assert!(
             self.find(set, key_of(name)).is_none(),
@@ -416,11 +446,10 @@ impl Cache {
         self.insert_absent(set, name, dirty, perm, sharers)
     }
 
-    /// Places `name` into `set`, evicting the LRU way if the set is full.
-    /// LRU ticks are unique among live lines (every residency-granting or
-    /// refreshing operation stamps a fresh tick), so the minimum is unique
-    /// and victim choice does not depend on slot order. Returns the victim
-    /// together with its sharer bitmap.
+    /// Places `name` into `set`, evicting the way at the last recency
+    /// rank if the set is full. Every way of a full set was moved to rank
+    /// 0 by its latest fill or touch, so that way is the least recently
+    /// used one. Returns the victim together with its sharer bitmap.
     fn insert_absent(
         &mut self,
         set: usize,
@@ -431,10 +460,10 @@ impl Cache {
     ) -> Option<(Victim, u32)> {
         let row = self.row(set);
         let mask = self.rows[self.occ_idx(set)];
+        let rec = self.rows[self.rec_idx(set)];
         let mut victim = None;
         let way = if mask.count_ones() as usize == self.ways {
-            let lru = &self.rows[self.lru_idx(set, 0)..self.state_idx(set, 0)];
-            let best = (0..self.ways).min_by_key(|&w| lru[w]).unwrap_or(0);
+            let best = (rec >> (4 * (self.ways - 1))) as usize & 0xF;
             let old = unpack_meta(self.rows[self.state_idx(set, best)]);
             self.stats.evictions += 1;
             if old.dirty {
@@ -452,7 +481,7 @@ impl Cache {
             (!mask).trailing_zeros() as usize
         };
         self.rows[row + way] = key_of(name);
-        self.rows[self.lru_idx(set, way)] = self.tick;
+        self.rows[self.rec_idx(set)] = promote(rec, way);
         self.rows[self.state_idx(set, way)] = pack_meta(Meta {
             dirty,
             perm,
@@ -696,14 +725,14 @@ impl Cache {
     }
 
     /// Clears `way` of `set` back to filler and drops its occupancy bit.
+    /// The recency word keeps the way's rank: a free way is refilled
+    /// from the occupancy mask, and the fill moves it to rank 0.
     #[inline]
     fn clear_way(&mut self, set: usize, way: usize) {
         let occ = self.occ_idx(set);
         self.rows[occ] &= !(1 << way);
         let key = self.row(set) + way;
         self.rows[key] = EMPTY_KEY;
-        let lru = self.lru_idx(set, way);
-        self.rows[lru] = 0;
         let state = self.state_idx(set, way);
         self.rows[state] = 0;
     }
@@ -799,11 +828,63 @@ mod tests {
                 Cycles::new(1),
             ));
             assert_eq!(c.stride % 8, 0, "ways {ways}");
-            assert!(c.stride > 3 * ways, "ways {ways}");
+            assert!(c.stride >= 2 * ways + 2, "ways {ways}");
             assert_eq!(c.rows.len(), c.stride * 4, "ways {ways}");
         }
         let llc = Cache::new(CacheConfig::new(8 << 20, 16, Cycles::new(1)));
-        assert_eq!(llc.stride * 8, 448, "16-way row bytes");
+        assert_eq!(llc.stride * 8, 320, "16-way row bytes");
+    }
+
+    #[test]
+    fn promote_moves_a_way_to_rank_zero_at_every_rank() {
+        for ways in [1usize, 2, 4, 8, 15, 16] {
+            let start = initial_recency(ways);
+            for way in 0..ways {
+                let rec = promote(start, way);
+                let mut order: Vec<usize> = (0..ways).filter(|&w| w != way).collect();
+                order.insert(0, way);
+                for (rank, &w) in order.iter().enumerate() {
+                    assert_eq!(
+                        (rec >> (4 * rank)) as usize & 0xF,
+                        w,
+                        "ways {ways} way {way}"
+                    );
+                }
+                let used = 1u64
+                    .checked_shl(4 * ways as u32)
+                    .map_or(u64::MAX, |b| b - 1);
+                assert_eq!(rec & !used, start & !used, "ranks past {ways} untouched");
+            }
+        }
+    }
+
+    #[test]
+    fn sixteen_way_set_evicts_in_exact_lru_order() {
+        // One set of 16 ways: every line maps to set 0.
+        let mut c = Cache::new(CacheConfig::new(16 * 64, 16, Cycles::new(1)));
+        for line in 0..16 {
+            c.fill(p(line), false, Permissions::RW);
+        }
+        // Touch the lines at recency ranks 0 (line 15), 7 (line 8) and
+        // 15 (line 0), in that order.
+        for line in [15, 8, 0] {
+            assert!(c.access(p(line), false));
+        }
+        let expected = [1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 8, 0];
+        for (i, &line) in expected.iter().enumerate() {
+            let victim = c.fill(p(100 + i as u64), false, Permissions::RW);
+            assert_eq!(victim.map(|v| v.name), Some(p(line)), "eviction {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 ways")]
+    fn more_than_sixteen_ways_is_rejected() {
+        let _ = Cache::new(CacheConfig {
+            size_bytes: 32 * 64,
+            ways: 32,
+            latency: Cycles::new(1),
+        });
     }
 
     #[test]

@@ -19,9 +19,15 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `size_bytes` is not a multiple of `ways * 64` or the
-    /// resulting set count is not a power of two.
+    /// Panics if `size_bytes` is not a multiple of `ways * 64`, the
+    /// resulting set count is not a power of two, or `ways` exceeds 16
+    /// (a set's recency order is one nibble per way in one `u64`).
     pub fn new(size_bytes: u64, ways: usize, latency: Cycles) -> Self {
+        assert!(
+            ways <= crate::cache::MAX_WAYS,
+            "at most {} ways per set",
+            crate::cache::MAX_WAYS
+        );
         let c = CacheConfig {
             size_bytes,
             ways,
@@ -139,6 +145,12 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_sets_rejected() {
         let _ = CacheConfig::new(3 * 64 * 4, 4, Cycles::new(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 ways")]
+    fn more_than_sixteen_ways_rejected() {
+        let _ = CacheConfig::new(32 * 64, 32, Cycles::new(1));
     }
 
     #[test]

@@ -349,6 +349,17 @@ fn cache_op(pages: u64, max_count: u64) -> impl Strategy<Value = CacheOp> {
     ]
 }
 
+/// Fills and accesses only, over the name space of [`model_name`].
+/// Mixed into [`cache_op`], enough of them fill a 16-way set between
+/// flushes, so touches and victims reach every recency rank.
+fn fill_or_access(pages: u64) -> impl Strategy<Value = CacheOp> {
+    prop_oneof![
+        (model_name(pages), any::<bool>(), perm_strategy())
+            .prop_map(|(n, d, p)| CacheOp::Fill(n, d, p)),
+        (model_name(pages), any::<bool>()).prop_map(|(n, w)| CacheOp::Access(n, w)),
+    ]
+}
+
 /// Applies `op` to the flat cache and the model, checking that they
 /// return the same results.
 fn apply_op(flat: &mut Cache, model: &mut RefCache, scratch: &mut Vec<Victim>, op: CacheOp) {
@@ -448,13 +459,19 @@ proptest! {
     /// bits, permissions, sharer bitmaps and flush victim sets.
     #[test]
     fn flat_cache_matches_naive_model(
-        ops in prop::collection::vec(cache_op(2, 2), 1..300),
+        (sets, ways) in prop_oneof![Just((8usize, 2usize)), Just((2, 8)), Just((1, 16))],
+        ops in prop::collection::vec(
+            prop_oneof![cache_op(2, 2), fill_or_access(2), fill_or_access(2)],
+            1..400,
+        ),
     ) {
-        // 8 sets × 2 ways over a 128-line name space: plenty of
-        // evictions, set conflicts and cross-ASID aliasing. Every page
-        // spans all 8 sets, so page operations always sweep.
-        let mut flat = Cache::new(CacheConfig::new(8 * 2 * 64, 2, Cycles::new(1)));
-        let mut model = RefCache::new(8, 2);
+        // 16 lines as 8 × 2, 2 × 8 or 1 × 16 over a 128-line name space:
+        // plenty of evictions, set conflicts and cross-ASID aliasing, and
+        // the wide geometries fill their sets, so touches and victims
+        // reach every recency rank. Every page spans all the sets, so
+        // page operations always sweep.
+        let mut flat = Cache::new(CacheConfig::new((sets * ways * 64) as u64, ways, Cycles::new(1)));
+        let mut model = RefCache::new(sets, ways);
         let mut scratch = Vec::new();
         for op in ops {
             apply_op(&mut flat, &mut model, &mut scratch, op);

@@ -765,12 +765,11 @@ impl Kernel {
             .get_mut(&asid.as_u16())
             .ok_or(HvcError::BadId("unknown ASID"))?;
         let vpage = va.page_number();
-        let pte = space
+        let was_shared = space
             .page_table
-            .lookup_mut(vpage)
+            .update(vpage, |pte| std::mem::replace(&mut pte.shared, true))
             .ok_or(HvcError::Unmapped { asid, vaddr: va })?;
-        if !pte.shared {
-            pte.shared = true;
+        if !was_shared {
             space.filter.insert_page(va);
             self.stats.filter_insertions += 1;
             self.flush_queue
@@ -795,11 +794,10 @@ impl Kernel {
             .get_mut(&asid.as_u16())
             .ok_or(HvcError::BadId("unknown ASID"))?;
         let vpage = va.page_number();
-        let pte = space
+        space
             .page_table
-            .lookup_mut(vpage)
+            .update(vpage, |pte| pte.perm = pte.perm.downgraded_read_only())
             .ok_or(HvcError::Unmapped { asid, vaddr: va })?;
-        pte.perm = pte.perm.downgraded_read_only();
         self.flush_queue
             .push(FlushRequest::DowngradeRo(asid, vpage.as_u64()));
         self.stats.shootdowns += 1;
@@ -1049,13 +1047,15 @@ impl Kernel {
                 let first = start.page_number();
                 for i in 0..pages {
                     let vp = first.offset(i);
-                    let Some(pte) = space.page_table.lookup_mut(vp) else {
-                        continue;
-                    };
-                    if pte.shared || frames.get(i as usize) != Some(&pte.frame) {
+                    let object_backed = frames.get(i as usize);
+                    let flipped = space.page_table.update(vp, |pte| {
+                        let flip = !pte.shared && object_backed == Some(&pte.frame);
+                        pte.shared |= flip;
+                        flip
+                    });
+                    if flipped != Some(true) {
                         continue;
                     }
-                    pte.shared = true;
                     space.filter.insert_page(vp.base());
                     self.stats.filter_insertions += 1;
                     self.flush_queue

@@ -1,21 +1,17 @@
-//! Dense chunked containers keyed by virtual page number.
+//! A dense chunked page set keyed by virtual page number.
 //!
-//! The kernel's two hottest per-reference structures — the touched-page
-//! accounting set and the page-table leaf map — are probed on every
-//! simulated memory reference. As flat hash tables over individual page
-//! numbers they grow to megabytes for large workloads and cost the host
-//! ~two cache lines per probe (control bytes + slot). Virtual pages are
-//! dense in practice (VMAs are contiguous runs), so both structures here
-//! group 512 consecutive pages per chunk behind one small hash lookup:
+//! The kernel's touched-page accounting set is probed on every simulated
+//! memory reference. As a flat hash set over individual page numbers it
+//! grows to megabytes for large workloads and costs the host ~two cache
+//! lines per probe (control bytes + slot). Virtual pages are dense in
+//! practice (VMAs are contiguous runs), so [`PageSet`] groups 512
+//! consecutive pages per chunk behind one small hash lookup: one 64-byte
+//! bitmap per chunk — a 512 MB region costs 16 KB instead of megabytes,
+//! so it stays resident in the host's near caches. The page table's
+//! leaves use the same 512-page chunking (see `PageTable`).
 //!
-//! * [`PageSet`]: one 64-byte bitmap per chunk — a 512 MB region costs
-//!   16 KB instead of megabytes, so it stays resident in the host's
-//!   near caches.
-//! * [`PageMap`]: one flat 512-slot array per chunk — a probe is one
-//!   (hot) chunk-hash lookup plus a single indexed line.
-//!
-//! Neither container exposes iteration, so the chunk hash's order can
-//! never leak into simulation results.
+//! The set exposes no iteration, so the chunk hash's order can never
+//! leak into simulation results.
 
 use hvc_types::FxHashMap;
 
@@ -80,86 +76,6 @@ impl PageSet {
     }
 }
 
-/// A map from page number to `V`: chunked 512-slot arrays.
-///
-/// Mirrors the `FxHashMap<u64, V>` subset the page table uses; chunks
-/// are never freed on `remove` (VMAs come back at the same addresses
-/// under churn, so the slabs are reused).
-#[derive(Clone, Debug)]
-pub struct PageMap<V> {
-    chunks: FxHashMap<u64, Box<[Option<V>; CHUNK_PAGES as usize]>>,
-    len: usize,
-}
-
-impl<V> Default for PageMap<V> {
-    fn default() -> Self {
-        PageMap {
-            chunks: FxHashMap::default(),
-            len: 0,
-        }
-    }
-}
-
-impl<V: Copy> PageMap<V> {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        PageMap::default()
-    }
-
-    /// Inserts `value` for `page`, returning the previous value if any.
-    pub fn insert(&mut self, page: u64, value: V) -> Option<V> {
-        let (chunk, slot) = split(page);
-        let slots = self
-            .chunks
-            .entry(chunk)
-            .or_insert_with(|| Box::new([None; CHUNK_PAGES as usize]));
-        let old = slots[slot].replace(value);
-        self.len += usize::from(old.is_none());
-        old
-    }
-
-    /// Removes and returns the value for `page`.
-    pub fn remove(&mut self, page: u64) -> Option<V> {
-        let (chunk, slot) = split(page);
-        let old = self.chunks.get_mut(&chunk).and_then(|s| s[slot].take());
-        self.len -= usize::from(old.is_some());
-        old
-    }
-
-    /// The value for `page`, if mapped.
-    pub fn get(&self, page: u64) -> Option<&V> {
-        let (chunk, slot) = split(page);
-        self.chunks.get(&chunk).and_then(|s| s[slot].as_ref())
-    }
-
-    /// Mutable access to the value for `page`, if mapped.
-    pub fn get_mut(&mut self, page: u64) -> Option<&mut V> {
-        let (chunk, slot) = split(page);
-        self.chunks.get_mut(&chunk).and_then(|s| s[slot].as_mut())
-    }
-
-    /// Number of mapped pages.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Iterates over `(page, value)` pairs in ascending page order
-    /// within a chunk; chunk order is unspecified.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
-        self.chunks.iter().flat_map(|(&chunk, slots)| {
-            slots
-                .iter()
-                .enumerate()
-                .filter_map(move |(slot, v)| Some((chunk * CHUNK_PAGES + slot as u64, v.as_ref()?)))
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,32 +102,5 @@ mod tests {
             assert!(s.contains(page), "{page}");
         }
         assert_eq!(s.len(), 5);
-    }
-
-    #[test]
-    fn map_insert_get_remove() {
-        let mut m: PageMap<u32> = PageMap::new();
-        assert_eq!(m.insert(3, 30), None);
-        assert_eq!(m.insert(3, 31), Some(30), "replace returns old");
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.get(3), Some(&31));
-        *m.get_mut(3).unwrap() = 32;
-        assert_eq!(m.get(3), Some(&32));
-        assert_eq!(m.remove(3), Some(32));
-        assert_eq!(m.remove(3), None);
-        assert_eq!(m.get(3), None);
-        assert!(m.is_empty());
-    }
-
-    #[test]
-    fn map_distinct_chunks() {
-        let mut m: PageMap<u64> = PageMap::new();
-        for i in 0..4 {
-            m.insert(i * CHUNK_PAGES + i, i);
-        }
-        assert_eq!(m.len(), 4);
-        for i in 0..4 {
-            assert_eq!(m.get(i * CHUNK_PAGES + i), Some(&i));
-        }
     }
 }

@@ -5,14 +5,17 @@
 //! addresses are reported via [`WalkPath`]); this is what makes delayed
 //! translation's interaction with the cache hierarchy faithful.
 
-use crate::pageset::PageMap;
 use crate::BuddyAllocator;
-use hvc_types::{FxHashMap, Permissions, PhysAddr, PhysFrame, Result, VirtPage};
+use hvc_types::{
+    FxHashMap, Permissions, PhysAddr, PhysFrame, Result, VirtPage, PAGE_SHIFT, PHYS_ADDR_BITS,
+};
 
 /// Radix levels of an x86-64 page table (PML4 → PDPT → PD → PT).
 pub const PT_LEVELS: usize = 4;
 /// Index bits per level.
 const LEVEL_BITS: u32 = 9;
+/// Entries per node.
+const NODE_ENTRIES: usize = 1 << LEVEL_BITS;
 
 /// A leaf page-table entry.
 ///
@@ -30,24 +33,100 @@ pub struct Pte {
     pub shared: bool,
 }
 
+/// Packed leaf-entry layout (one `u64` per PT slot): bits 0..40 the
+/// frame number, bits 48..56 the permission bits, bit 62 the shared bit,
+/// bit 63 the valid bit. An all-zero word is an unmapped slot.
+const ENTRY_FRAME_MASK: u64 = (1 << (PHYS_ADDR_BITS - PAGE_SHIFT)) - 1;
+const ENTRY_PERM_SHIFT: u32 = 48;
+const ENTRY_SHARED: u64 = 1 << 62;
+const ENTRY_VALID: u64 = 1 << 63;
+
+impl Pte {
+    #[inline]
+    fn pack(self) -> u64 {
+        ENTRY_VALID
+            | self.frame.as_u64()
+            | (u64::from(self.perm.bits()) << ENTRY_PERM_SHIFT)
+            | if self.shared { ENTRY_SHARED } else { 0 }
+    }
+
+    #[inline]
+    fn unpack(entry: u64) -> Option<Pte> {
+        (entry & ENTRY_VALID != 0).then(|| Pte {
+            frame: PhysFrame::new(entry & ENTRY_FRAME_MASK),
+            perm: Permissions::from_bits((entry >> ENTRY_PERM_SHIFT) as u8),
+            shared: entry & ENTRY_SHARED != 0,
+        })
+    }
+}
+
 /// The four physical entry addresses a hardware walk reads, root first.
 pub type WalkPath = [PhysAddr; PT_LEVELS];
 
-/// One interior node of the radix tree.
+/// One interior node (PML4, PDPT or PD) of the radix tree.
 #[derive(Clone, Debug)]
 struct Node {
     frame: PhysFrame,
+    /// Child nodes by entry index. PD nodes keep none: their children
+    /// are the leaf nodes, found by [`leaf_key`].
     children: FxHashMap<u16, usize>,
 }
 
+/// One leaf (PT) node: its 512 packed entries, together with the path
+/// that leads to it, so a walk of a mapped page is one hash probe.
+#[derive(Clone, Debug)]
+struct LeafNode {
+    entries: [u64; NODE_ENTRIES],
+    /// The PML4, PDPT and PD entry addresses above this node. Interior
+    /// nodes are never freed, so the path cannot go stale.
+    upper: [PhysAddr; PT_LEVELS - 1],
+    frame: PhysFrame,
+}
+
+impl LeafNode {
+    /// Physical address of the entry in `slot`.
+    #[inline]
+    fn entry_addr(&self, slot: usize) -> PhysAddr {
+        self.frame.base() + slot as u64 * 8
+    }
+
+    /// The walk path of the page in `slot`.
+    #[inline]
+    fn path(&self, slot: usize) -> WalkPath {
+        let [pml4, pdpt, pd] = self.upper;
+        [pml4, pdpt, pd, self.entry_addr(slot)]
+    }
+}
+
+/// Key of the leaf node covering `vpage`: its PML4, PDPT and PD indices.
+#[inline]
+fn leaf_key(vpage: VirtPage) -> u64 {
+    vpage.as_u64() >> LEVEL_BITS
+}
+
+/// Slot of `vpage` within its leaf node.
+#[inline]
+fn leaf_slot(vpage: VirtPage) -> usize {
+    vpage.as_u64() as usize % NODE_ENTRIES
+}
+
 /// A 4-level radix page table for one address space.
+///
+/// Interior nodes live in an arena; each leaf node is one boxed chunk of
+/// 512 packed 8-byte entries (see [`Pte`] for the fields) that also
+/// records its three upper entry addresses and its own frame. A walk of
+/// a mapped page is therefore one probe of the leaf map and one indexed
+/// word; [`PageTable::walk_path`] still walks node by node for pages
+/// that are not mapped.
 #[derive(Clone, Debug)]
 pub struct PageTable {
     /// Arena of interior nodes; index 0 is the root (PML4).
     nodes: Vec<Node>,
-    /// Leaf entries keyed by virtual page number (chunked arrays: one
-    /// near-cache line per probe on the simulator's hot path).
-    leaves: PageMap<Pte>,
+    /// Leaf nodes keyed by [`leaf_key`]. Never removed: an unmap clears
+    /// the entry and keeps the node, as the interior nodes are kept.
+    leaves: FxHashMap<u64, Box<LeafNode>>,
+    /// Valid leaf entries.
+    mapped: usize,
 }
 
 impl PageTable {
@@ -63,88 +142,123 @@ impl PageTable {
         };
         Ok(PageTable {
             nodes: vec![root],
-            leaves: PageMap::new(),
+            leaves: FxHashMap::default(),
+            mapped: 0,
         })
     }
 
     /// Installs or replaces the mapping for `vpage`.
     ///
-    /// Interior nodes are created on demand (each takes a physical frame).
+    /// Interior and leaf nodes are created on demand (each takes a
+    /// physical frame, PDPT first).
     ///
     /// # Errors
     ///
-    /// Returns [`hvc_types::HvcError::OutOfMemory`] if an interior node
-    /// cannot be allocated.
+    /// Returns [`hvc_types::HvcError::OutOfMemory`] if a node cannot be
+    /// allocated.
     pub fn map(&mut self, frames: &mut BuddyAllocator, vpage: VirtPage, pte: Pte) -> Result<()> {
-        let mut node = 0usize;
-        for level in (1..PT_LEVELS).rev() {
-            let idx = Self::level_index(vpage, level);
-            node = match self.nodes[node].children.get(&idx) {
-                Some(&child) => child,
-                None => {
-                    let frame = frames.alloc_frame()?;
-                    let child = self.nodes.len();
-                    self.nodes.push(Node {
-                        frame,
-                        children: FxHashMap::default(),
-                    });
-                    self.nodes[node].children.insert(idx, child);
-                    child
+        let key = leaf_key(vpage);
+        if !self.leaves.contains_key(&key) {
+            let mut upper = [PhysAddr::new(0); PT_LEVELS - 1];
+            let mut node = 0usize;
+            for level in (1..PT_LEVELS).rev() {
+                let idx = Self::level_index(vpage, level);
+                upper[PT_LEVELS - 1 - level] = self.nodes[node].frame.base() + u64::from(idx) * 8;
+                if level == 1 {
+                    break;
                 }
+                node = match self.nodes[node].children.get(&idx) {
+                    Some(&child) => child,
+                    None => {
+                        let frame = frames.alloc_frame()?;
+                        let child = self.nodes.len();
+                        self.nodes.push(Node {
+                            frame,
+                            children: FxHashMap::default(),
+                        });
+                        self.nodes[node].children.insert(idx, child);
+                        child
+                    }
+                };
+            }
+            let leaf = LeafNode {
+                entries: [0; NODE_ENTRIES],
+                upper,
+                frame: frames.alloc_frame()?,
             };
+            self.leaves.insert(key, Box::new(leaf));
         }
-        self.leaves.insert(vpage.as_u64(), pte);
+        let entry = &mut self
+            .leaves
+            .get_mut(&key)
+            .expect("leaf node just ensured")
+            .entries[leaf_slot(vpage)];
+        self.mapped += usize::from(*entry & ENTRY_VALID == 0);
+        *entry = pte.pack();
         Ok(())
     }
 
     /// Removes the mapping for `vpage`, returning the old entry.
     pub fn unmap(&mut self, vpage: VirtPage) -> Option<Pte> {
-        self.leaves.remove(vpage.as_u64())
+        let entry = &mut self.leaves.get_mut(&leaf_key(vpage))?.entries[leaf_slot(vpage)];
+        let old = Pte::unpack(std::mem::take(entry))?;
+        self.mapped -= 1;
+        Some(old)
     }
 
     /// Looks up the leaf entry for `vpage`.
+    #[inline]
     pub fn lookup(&self, vpage: VirtPage) -> Option<Pte> {
-        self.leaves.get(vpage.as_u64()).copied()
+        Pte::unpack(self.leaves.get(&leaf_key(vpage))?.entries[leaf_slot(vpage)])
     }
 
-    /// Mutable access to the leaf entry for `vpage` (permission or
-    /// sharing-bit changes).
-    pub fn lookup_mut(&mut self, vpage: VirtPage) -> Option<&mut Pte> {
-        self.leaves.get_mut(vpage.as_u64())
+    /// Applies `f` to the leaf entry of `vpage` (permission or
+    /// sharing-bit changes) and returns its result, or `None` if the
+    /// page is unmapped.
+    pub fn update<R>(&mut self, vpage: VirtPage, f: impl FnOnce(&mut Pte) -> R) -> Option<R> {
+        let entry = &mut self.leaves.get_mut(&leaf_key(vpage))?.entries[leaf_slot(vpage)];
+        let mut pte = Pte::unpack(*entry)?;
+        let out = f(&mut pte);
+        *entry = pte.pack();
+        Some(out)
     }
 
     /// Returns the leaf entry together with the four physical addresses a
-    /// hardware walker would read, root first. The path is well-defined
-    /// even for unmapped pages as far as nodes exist; `None` means the
-    /// page is unmapped (a true page fault).
+    /// hardware walker would read, root first, or `None` if the page is
+    /// unmapped (a true page fault). One probe: the leaf node carries its
+    /// path.
+    #[inline]
     pub fn walk(&self, vpage: VirtPage) -> Option<(Pte, WalkPath)> {
-        let pte = self.lookup(vpage)?;
-        Some((pte, self.walk_path(vpage)))
+        let leaf = self.leaves.get(&leaf_key(vpage))?;
+        let slot = leaf_slot(vpage);
+        Some((Pte::unpack(leaf.entries[slot])?, leaf.path(slot)))
     }
 
     /// The physical entry addresses a walk of `vpage` touches, root
-    /// first. Levels whose interior node is missing repeat the deepest
-    /// existing node's entry address (the walk aborts there in reality;
-    /// charging the same address keeps accounting simple and conservative).
+    /// first, found node by node. The path is well-defined even for
+    /// unmapped pages as far as nodes exist: levels whose node is missing
+    /// repeat the deepest existing node's entry address (the walk aborts
+    /// there in reality; charging the same address keeps accounting
+    /// simple and conservative).
     pub fn walk_path(&self, vpage: VirtPage) -> WalkPath {
         let mut path = [PhysAddr::new(0); PT_LEVELS];
         let mut node = 0usize;
-        for level in (0..PT_LEVELS).rev() {
+        for level in (1..PT_LEVELS).rev() {
             let idx = Self::level_index(vpage, level);
             let entry_addr = self.nodes[node].frame.base() + u64::from(idx) * 8;
             path[PT_LEVELS - 1 - level] = entry_addr;
-            if level > 0 {
-                match self.nodes[node].children.get(&idx) {
-                    Some(&child) => node = child,
-                    None => {
-                        // Walk aborts; charge remaining levels to the same
-                        // entry (they will be absorbed by the cache).
-                        for l in (0..level).rev() {
-                            path[PT_LEVELS - 1 - l] = entry_addr;
-                        }
-                        break;
-                    }
-                }
+            if level == 1 {
+                path[PT_LEVELS - 1] = match self.leaves.get(&leaf_key(vpage)) {
+                    Some(leaf) => leaf.entry_addr(leaf_slot(vpage)),
+                    None => entry_addr,
+                };
+            } else if let Some(&child) = self.nodes[node].children.get(&idx) {
+                node = child;
+            } else {
+                // Walk aborts; charge remaining levels to the same entry
+                // (they will be absorbed by the cache).
+                path[PT_LEVELS - level..].fill(entry_addr);
+                break;
             }
         }
         path
@@ -152,19 +266,28 @@ impl PageTable {
 
     /// Number of mapped pages.
     pub fn mapped_pages(&self) -> usize {
-        self.leaves.len()
+        self.mapped
     }
 
-    /// Iterates over `(vpage, pte)` pairs in unspecified order.
+    /// Iterates over `(vpage, pte)` pairs: ascending within a leaf node,
+    /// leaf nodes in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (VirtPage, Pte)> + '_ {
-        self.leaves
-            .iter()
-            .map(|(vpn, &pte)| (VirtPage::new(vpn), pte))
+        self.leaves.iter().flat_map(|(&key, leaf)| {
+            leaf.entries
+                .iter()
+                .enumerate()
+                .filter_map(move |(slot, &entry)| {
+                    Some((
+                        VirtPage::new(key << LEVEL_BITS | slot as u64),
+                        Pte::unpack(entry)?,
+                    ))
+                })
+        })
     }
 
-    /// Frames used by interior nodes (page-table overhead accounting).
+    /// Frames used by page-table nodes (page-table overhead accounting).
     pub fn node_frames(&self) -> usize {
-        self.nodes.len()
+        self.nodes.len() + self.leaves.len()
     }
 
     /// Index into the page-table level `level` (0 = leaf PT, 3 = PML4).
@@ -252,12 +375,17 @@ mod tests {
     }
 
     #[test]
-    fn lookup_mut_edits_in_place() {
+    fn update_edits_in_place() {
         let (mut b, mut pt) = setup();
         let vp = VirtPage::new(9);
         pt.map(&mut b, vp, pte(4)).unwrap();
-        pt.lookup_mut(vp).unwrap().shared = true;
+        assert_eq!(
+            pt.update(vp, |p| std::mem::replace(&mut p.shared, true)),
+            Some(false)
+        );
         assert!(pt.lookup(vp).unwrap().shared);
+        assert_eq!(pt.update(VirtPage::new(10), |p| p.shared = true), None);
+        assert_eq!(pt.lookup(VirtPage::new(10)), None, "no entry created");
     }
 
     #[test]

@@ -52,6 +52,76 @@ proptest! {
         prop_assert_eq!(pt.mapped_pages(), vpns.len());
     }
 
+    /// Packed leaf entries round-trip every field at its extremes: the
+    /// smallest and largest frame, every permission combination and both
+    /// values of the shared bit, through `map`, `walk`, `update` and
+    /// `unmap`.
+    #[test]
+    fn packed_page_table_entries_round_trip(vpn in 0u64..(1u64 << 36)) {
+        let mut b = BuddyAllocator::new(1 << 30);
+        let mut pt = hvc_os::PageTable::new(&mut b).unwrap();
+        let vp = hvc_types::VirtPage::new(vpn);
+        let largest = hvc_types::PhysFrame::new(u64::MAX);
+        prop_assert_eq!(largest.base(), PhysAddr::MAX.frame_number().base());
+        for frame in [hvc_types::PhysFrame::new(0), hvc_types::PhysFrame::new(1), largest] {
+            for bits in 0u8..8 {
+                for shared in [false, true] {
+                    let pte = hvc_os::Pte { frame, perm: Permissions::from_bits(bits), shared };
+                    pt.map(&mut b, vp, pte).unwrap();
+                    prop_assert_eq!(pt.lookup(vp), Some(pte));
+                    prop_assert_eq!(pt.walk(vp).map(|(p, _)| p), Some(pte));
+                    let flipped = hvc_os::Pte { shared: !shared, ..pte };
+                    prop_assert_eq!(pt.update(vp, |p| p.shared = !p.shared), Some(()));
+                    prop_assert_eq!(pt.lookup(vp), Some(flipped));
+                    prop_assert_eq!(pt.unmap(vp), Some(flipped));
+                    prop_assert_eq!(pt.lookup(vp), None);
+                    prop_assert_eq!(pt.mapped_pages(), 0);
+                }
+            }
+        }
+    }
+
+    /// The walk path a leaf node stores equals the node-by-node
+    /// `walk_path` for every mapped page, across interleaved maps,
+    /// unmaps and remaps over a few shared upper nodes; unmapped pages
+    /// walk to `None`, and the table agrees with a map model.
+    #[test]
+    fn stored_walk_path_matches_the_node_walk(
+        ops in prop::collection::vec((any::<bool>(), 0u64..3, 0u64..3, 0u64..3, 0u64..512), 1..120),
+    ) {
+        let mut b = BuddyAllocator::new(1 << 30);
+        let mut pt = hvc_os::PageTable::new(&mut b).unwrap();
+        let mut model = std::collections::BTreeMap::new();
+        for (i, &(map, top, mid, low, slot)) in ops.iter().enumerate() {
+            let vp = hvc_types::VirtPage::new(top << 27 | mid << 18 | low << 9 | slot);
+            if map {
+                let pte = hvc_os::Pte {
+                    frame: hvc_types::PhysFrame::new(i as u64 + 7),
+                    perm: Permissions::RW,
+                    shared: i % 2 == 0,
+                };
+                pt.map(&mut b, vp, pte).unwrap();
+                model.insert(vp, pte);
+            } else {
+                prop_assert_eq!(pt.unmap(vp), model.remove(&vp));
+            }
+        }
+        for &(_, top, mid, low, slot) in &ops {
+            let vp = hvc_types::VirtPage::new(top << 27 | mid << 18 | low << 9 | slot);
+            match pt.walk(vp) {
+                Some((pte, path)) => {
+                    prop_assert_eq!(Some(&pte), model.get(&vp));
+                    prop_assert_eq!(path, pt.walk_path(vp));
+                }
+                None => prop_assert!(!model.contains_key(&vp)),
+            }
+        }
+        prop_assert_eq!(pt.mapped_pages(), model.len());
+        let mut listed: Vec<_> = pt.iter().collect();
+        listed.sort_by_key(|&(vp, _)| vp);
+        prop_assert_eq!(listed, model.into_iter().collect::<Vec<_>>());
+    }
+
     /// Segment table find() equals a brute-force scan for arbitrary
     /// disjoint segments and probes.
     #[test]

@@ -6,33 +6,22 @@ use hvc_types::{Cycles, VirtAddr};
 /// The on-chip segment table: a 2048-entry SRAM array indexed by segment
 /// id, mirroring the OS table 1:1 ("segment misses occur only for cold
 /// misses, as the size of HW table is equal to the in-memory segment
-/// table size"). CACTI puts its access at seven cycles.
+/// table size"). CACTI puts its access at seven cycles. Because the
+/// mirror is re-synced whenever the OS table changes, it never takes a
+/// cold miss.
 #[derive(Clone, Debug)]
 pub struct HwSegmentTable {
     entries: Vec<Option<Segment>>,
     latency: Cycles,
-    /// OS fills triggered by cold misses.
-    pub fills: u64,
 }
 
 impl HwSegmentTable {
-    /// Creates an empty hardware table of `capacity` entries.
-    pub fn new(capacity: usize, latency: Cycles) -> Self {
-        HwSegmentTable {
-            entries: vec![None; capacity],
-            latency,
-            fills: 0,
-        }
-    }
-
-    /// The paper's configuration: 2048 entries, 7 cycles.
-    pub fn isca2016() -> Self {
-        HwSegmentTable::new(2048, Cycles::new(7))
-    }
-
     /// Creates a hardware table pre-populated from the OS table.
     pub fn mirror(table: &SegmentTable, latency: Cycles) -> Self {
-        let mut hw = HwSegmentTable::new(table.capacity(), latency);
+        let mut hw = HwSegmentTable {
+            entries: vec![None; table.capacity()],
+            latency,
+        };
         hw.sync(table);
         hw
     }
@@ -52,16 +41,10 @@ impl HwSegmentTable {
         }
     }
 
-    /// Looks up segment `id`; a `None` is a cold miss the OS must fill
-    /// (counted, then the caller may [`HwSegmentTable::fill`]).
+    /// Looks up segment `id`; `None` if the OS table holds no such
+    /// segment.
     pub fn get(&self, id: SegmentId) -> Option<&Segment> {
         self.entries.get(id.0 as usize)?.as_ref()
-    }
-
-    /// Fills one entry from the OS (cold-miss service).
-    pub fn fill(&mut self, seg: Segment) {
-        self.fills += 1;
-        self.entries[seg.id.0 as usize] = Some(seg);
     }
 
     /// Base/limit check: segment `id`, if it covers `va` of `asid`.
@@ -103,17 +86,6 @@ mod tests {
             .covering(id, Asid::new(1), VirtAddr::new(0x14000))
             .is_none());
         assert!(hw.covering(id, Asid::new(2), va).is_none());
-    }
-
-    #[test]
-    fn cold_miss_then_fill() {
-        let os = os_table();
-        let seg = *os.iter().next().unwrap();
-        let mut hw = HwSegmentTable::new(16, Cycles::new(7));
-        assert!(hw.get(seg.id).is_none());
-        hw.fill(seg);
-        assert_eq!(hw.fills, 1);
-        assert!(hw.get(seg.id).is_some());
     }
 
     #[test]

@@ -34,24 +34,25 @@ impl WalkCache {
         WalkCache::default()
     }
 
-    /// Returns the number of upper-level accesses (0–3) the walk of
-    /// `vpage` may skip, preferring the deepest cached node.
-    pub fn skip_levels(&mut self, asid: Asid, vpage: VirtPage) -> usize {
-        for k in (0..3).rev() {
-            let cache = &mut self.caches[k];
-            if let Some(slot) = cache.find(Self::key(asid, vpage, k)) {
-                cache.touch(slot);
-                return k + 1;
+    /// Records a walk of `vpage`: returns the number of upper-level
+    /// accesses (0–3) it may skip, the deepest cached node's level, and
+    /// caches every node it visits. Each level is probed once: a hit is
+    /// touched, a miss inserted.
+    pub fn record_walk(&mut self, asid: Asid, vpage: VirtPage) -> usize {
+        let mut skip = 0;
+        for (k, cache) in self.caches.iter_mut().enumerate() {
+            let key = Self::key(asid, vpage, k);
+            match cache.find(key) {
+                Some(slot) => {
+                    cache.touch(slot);
+                    skip = k + 1;
+                }
+                None => {
+                    cache.insert(key, ());
+                }
             }
         }
-        0
-    }
-
-    /// Records the nodes visited by a completed walk of `vpage`.
-    pub fn fill(&mut self, asid: Asid, vpage: VirtPage) {
-        for (k, cache) in self.caches.iter_mut().enumerate() {
-            cache.put(Self::key(asid, vpage, k), ());
-        }
+        skip
     }
 
     /// Invalidates everything for `asid` (shootdowns that change upper
@@ -81,31 +82,40 @@ mod tests {
     #[test]
     fn cold_cache_skips_nothing() {
         let mut wc = WalkCache::new();
-        assert_eq!(wc.skip_levels(Asid::new(1), VirtPage::new(0)), 0);
+        assert_eq!(wc.record_walk(Asid::new(1), VirtPage::new(0)), 0);
+        assert_eq!(
+            wc.record_walk(Asid::new(1), VirtPage::new(0)),
+            3,
+            "now cached"
+        );
     }
 
     #[test]
-    fn fill_enables_deep_skip_for_neighbours() {
-        let mut wc = WalkCache::new();
+    fn a_walk_enables_deep_skip_for_neighbours() {
         let a = Asid::new(1);
-        wc.fill(a, VirtPage::new(0x1000));
+        let walked = |vpage: u64| {
+            let mut wc = WalkCache::new();
+            wc.record_walk(a, VirtPage::new(0x1000));
+            wc.record_walk(a, VirtPage::new(vpage))
+        };
         // Same 2 MB region (same PD entry): skip all three upper levels.
-        assert_eq!(wc.skip_levels(a, VirtPage::new(0x1001)), 3);
+        assert_eq!(walked(0x1001), 3);
         // Same 1 GB region only: skip two.
-        assert_eq!(wc.skip_levels(a, VirtPage::new(0x1000 + (1 << 9))), 2);
+        assert_eq!(walked(0x1000 + (1 << 9)), 2);
         // Same 512 GB region only: skip one.
-        assert_eq!(wc.skip_levels(a, VirtPage::new(0x1000 + (1 << 18))), 1);
+        assert_eq!(walked(0x1000 + (1 << 18)), 1);
         // Different top-level region: no skip.
-        assert_eq!(wc.skip_levels(a, VirtPage::new(0x1000 + (1 << 27))), 0);
+        assert_eq!(walked(0x1000 + (1 << 27)), 0);
     }
 
     #[test]
     fn asid_isolation_and_flush() {
         let mut wc = WalkCache::new();
-        wc.fill(Asid::new(1), VirtPage::new(7));
-        assert_eq!(wc.skip_levels(Asid::new(2), VirtPage::new(7)), 0);
+        wc.record_walk(Asid::new(1), VirtPage::new(7));
+        assert_eq!(wc.record_walk(Asid::new(2), VirtPage::new(7)), 0);
         wc.flush_asid(Asid::new(1));
-        assert_eq!(wc.skip_levels(Asid::new(1), VirtPage::new(7)), 0);
+        assert_eq!(wc.record_walk(Asid::new(1), VirtPage::new(7)), 0);
+        assert_eq!(wc.record_walk(Asid::new(2), VirtPage::new(7)), 3);
     }
 
     #[test]
@@ -113,11 +123,11 @@ mod tests {
         let mut wc = WalkCache::new();
         let a = Asid::new(1);
         for i in 0..(WAYS as u64 + 4) {
-            wc.fill(a, VirtPage::new(i << 9)); // distinct 2 MB regions
+            wc.record_walk(a, VirtPage::new(i << 9)); // distinct 2 MB regions
         }
-        // The oldest region was evicted from the deepest cache.
-        assert!(wc.skip_levels(a, VirtPage::new(0)) < 3);
         // The newest is still cached.
-        assert_eq!(wc.skip_levels(a, VirtPage::new((WAYS as u64 + 3) << 9)), 3);
+        assert_eq!(wc.record_walk(a, VirtPage::new((WAYS as u64 + 3) << 9)), 3);
+        // The oldest region was evicted from the deepest cache.
+        assert!(wc.record_walk(a, VirtPage::new(0)) < 3);
     }
 }

@@ -62,7 +62,7 @@ impl PageWalker {
         mut access: impl FnMut(PhysAddr) -> Cycles,
     ) -> Option<(Pte, Cycles)> {
         let (pte, path) = kernel.walk(asid, vpage)?;
-        let skip = self.walk_cache.skip_levels(asid, vpage).min(PT_LEVELS - 1);
+        let skip = self.walk_cache.record_walk(asid, vpage).min(PT_LEVELS - 1);
         let mut latency = Cycles::ZERO;
         for addr in &path[skip..] {
             latency += access(*addr);
@@ -72,7 +72,6 @@ impl PageWalker {
         self.stats.walks += 1;
         self.stats.walk_cycles += latency;
         self.stats.walk_latency.record(latency);
-        self.walk_cache.fill(asid, vpage);
         Some((pte, latency))
     }
 

@@ -275,9 +275,8 @@ impl Hypervisor {
             .get_mut(&a.0.as_u8())
             .ok_or(HvcError::BadId("unknown VMID"))?;
         let gpa_page_a = hvc_types::VirtPage::new(a.1.as_u64() >> PAGE_SHIFT);
-        if let Some(pte) = vm_a.ept.lookup_mut(gpa_page_a) {
-            pte.perm = pte.perm.downgraded_read_only();
-        }
+        vm_a.ept
+            .update(gpa_page_a, |pte| pte.perm = pte.perm.downgraded_read_only());
         // Point b's EPT entry at the kept frame, r/o; free b's old frame.
         let vm_b = self
             .vms

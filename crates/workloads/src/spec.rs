@@ -98,7 +98,7 @@ impl WorkloadSpec {
         let mut shared_vmas = Vec::with_capacity(nproc);
         for p in 0..nproc {
             let asid = kernel.create_process()?;
-            let mut pages: Vec<VirtPage> = Vec::new();
+            let mut pages = PageRuns::default();
             // Private regions: contiguous (heap-like) or scattered (mmap-
             // heavy), starting at a per-process base.
             let mut next_va = 0x1000_0000u64 + (p as u64) * 0x100_0000_0000;
@@ -115,7 +115,7 @@ impl WorkloadSpec {
                     .ceil()
                     .max(1.0) as u64;
                 let first = va.page_number();
-                pages.extend((0..touched_pages.min(len >> PAGE_SHIFT)).map(|i| first.offset(i)));
+                pages.push_run(first, touched_pages.min(len >> PAGE_SHIFT));
                 next_va += if self.contiguous {
                     len
                 } else {
@@ -125,7 +125,7 @@ impl WorkloadSpec {
                 };
             }
             // Shared region at a per-process virtual address (a synonym).
-            let mut shared_pages = Vec::new();
+            let mut shared_pages = PageRuns::default();
             if let (Some(shm), Some(s)) = (shm, self.sharing) {
                 let sva = VirtAddr::new(0x7000_0000_0000 + (p as u64) * 0x10_0000_0000);
                 kernel.mmap(
@@ -137,7 +137,7 @@ impl WorkloadSpec {
                 )?;
                 shared_vmas.push((sva, s.shared_bytes));
                 let first = sva.page_number();
-                shared_pages.extend((0..s.shared_bytes >> PAGE_SHIFT).map(|i| first.offset(i)));
+                shared_pages.push_run(first, s.shared_bytes >> PAGE_SHIFT);
             }
             procs.push(ProcMem {
                 asid,
@@ -187,9 +187,54 @@ pub struct ProcMem {
     /// The process's address space.
     pub asid: Asid,
     /// Private pages the process touches (pattern domain).
-    pub pages: Vec<VirtPage>,
+    pub pages: PageRuns,
     /// R/w shared (synonym) pages, if any.
-    pub shared_pages: Vec<VirtPage>,
+    pub shared_pages: PageRuns,
+}
+
+/// An indexed list of virtual pages stored as runs of consecutive
+/// pages — one run per region, or fewer where regions abut — so
+/// [`PageRuns::get`] is arithmetic instead of a load from a per-page
+/// array.
+#[derive(Clone, Debug, Default)]
+pub struct PageRuns {
+    /// `(index of the run's first page, first page)`, by index.
+    runs: Vec<(usize, VirtPage)>,
+    len: usize,
+}
+
+impl PageRuns {
+    /// Appends the `count` pages from `first` on.
+    fn push_run(&mut self, first: VirtPage, count: u64) {
+        let abuts = self
+            .runs
+            .last()
+            .is_some_and(|&(start, head)| head.offset((self.len - start) as u64) == first);
+        if count > 0 && !abuts {
+            self.runs.push((self.len, first));
+        }
+        self.len += count as usize;
+    }
+
+    /// Number of pages.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the list holds no page.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The page at `idx`, or `None` past the end.
+    #[inline]
+    pub fn get(&self, idx: usize) -> Option<VirtPage> {
+        if idx >= self.len {
+            return None;
+        }
+        let (start, first) = self.runs[self.runs.partition_point(|&(start, _)| start <= idx) - 1];
+        Some(first.offset((idx - start) as u64))
+    }
 }
 
 /// Per-process pattern cursor state.
@@ -506,7 +551,7 @@ impl WorkloadInstance {
             } else {
                 self.rng.gen_range(0..pages.len())
             };
-            let page = pages[idx];
+            let page = pages.get(idx).expect("index below the page count");
             let line = self.rng.gen_range(0..PAGE_SIZE / LINE_SIZE);
             return page.base() + line * LINE_SIZE;
         }
@@ -514,7 +559,9 @@ impl WorkloadInstance {
         // Stack / locals traffic: a tiny always-hot region.
         if self.stack_frac > 0.0 && self.rng.gen::<f64>() < self.stack_frac {
             let pages = &self.procs[p].pages;
-            let page = pages[self.rng.gen_range(0..pages.len().min(4))];
+            let page = pages
+                .get(self.rng.gen_range(0..pages.len().min(4)))
+                .expect("index below the page count");
             let line = self.rng.gen_range(0..64);
             return page.base() + line * LINE_SIZE;
         }
@@ -529,7 +576,10 @@ impl WorkloadInstance {
             if st.burst_left.is_multiple_of(3) {
                 st.burst_line = (st.burst_line + 1) % 64;
             }
-            let page = self.procs[p].pages[st.burst_page];
+            let page = self.procs[p]
+                .pages
+                .get(st.burst_page)
+                .expect("burst page sampled");
             return page.base() + st.burst_line * LINE_SIZE;
         }
         let (idx, line) = {
@@ -629,7 +679,10 @@ impl WorkloadInstance {
             st.burst_page = idx;
             st.burst_line = line % 64;
         }
-        let page = self.procs[p].pages[idx];
+        let page = self.procs[p]
+            .pages
+            .get(idx)
+            .expect("index below the page count");
         page.base() + (line % 64) * LINE_SIZE
     }
 }
@@ -768,8 +821,8 @@ mod tests {
         let frac = shared as f64 / total as f64;
         assert!((frac - 0.16).abs() < 0.02, "shared access fraction {frac}");
         // The shared pages are genuine synonyms: same frame, different VAs.
-        let p0 = inst.procs()[0].shared_pages[0];
-        let p1 = inst.procs()[1].shared_pages[0];
+        let p0 = inst.procs()[0].shared_pages.get(0).unwrap();
+        let p1 = inst.procs()[1].shared_pages.get(0).unwrap();
         assert_ne!(p0, p1);
         let f0 = k
             .translate_touch(inst.procs()[0].asid, p0.base())
@@ -806,6 +859,59 @@ mod tests {
             .count();
         let frac = writes as f64 / n as f64;
         assert!((frac - 0.3).abs() < 0.02, "write fraction {frac}");
+    }
+
+    #[test]
+    fn page_runs_match_the_flattened_page_list() {
+        // Scattered regions of different sizes and touch fractions, one
+        // of them touched for a single page.
+        let regions = [(16, 1.0), (5, 0.5), (1, 1.0), (40, 0.1), (7, 1.0)];
+        let spec = WorkloadSpec {
+            name: "runs".into(),
+            regions: regions
+                .iter()
+                .map(|&(pages, touch_frac)| RegionSpec {
+                    len: pages * PAGE_SIZE,
+                    touch_frac,
+                })
+                .collect(),
+            contiguous: false,
+            ..basic_spec(AccessPattern::Uniform)
+        };
+        let mut k = kernel();
+        let inst = spec.instantiate(&mut k, 1).unwrap();
+        // The page list as one `Vec` entry per touched page.
+        let mut flat = Vec::new();
+        let mut next_va = 0x1000_0000u64;
+        for r in &spec.regions {
+            let len = r.len >> PAGE_SHIFT;
+            let touched = ((len as f64 * r.touch_frac).ceil().max(1.0) as u64).min(len);
+            let first = VirtAddr::new(next_va).page_number();
+            flat.extend((0..touched).map(|i| first.offset(i)));
+            next_va += (r.len + (64 << 20)).next_power_of_two();
+        }
+        let runs = &inst.procs()[0].pages;
+        assert_eq!(runs.len(), flat.len());
+        assert!(!runs.is_empty());
+        for (i, &page) in flat.iter().enumerate() {
+            assert_eq!(runs.get(i), Some(page), "index {i}");
+        }
+        assert_eq!(runs.get(flat.len()), None);
+        assert!(inst.procs()[0].shared_pages.is_empty());
+    }
+
+    #[test]
+    fn abutting_regions_share_one_run() {
+        let mut runs = PageRuns::default();
+        runs.push_run(VirtPage::new(10), 4);
+        runs.push_run(VirtPage::new(14), 2);
+        runs.push_run(VirtPage::new(100), 0);
+        runs.push_run(VirtPage::new(20), 1);
+        assert_eq!(runs.runs.len(), 2);
+        let pages: Vec<u64> = (0..runs.len())
+            .map(|i| runs.get(i).unwrap().as_u64())
+            .collect();
+        assert_eq!(pages, [10, 11, 12, 13, 14, 15, 20]);
     }
 
     #[test]

@@ -29,17 +29,17 @@ fn main() -> Result<(), HvcError> {
     );
     let p0 = &workload.procs()[0];
     let p1 = &workload.procs()[1];
-    let f0 = kernel
-        .translate_touch(p0.asid, p0.shared_pages[0].base())?
-        .frame;
-    let f1 = kernel
-        .translate_touch(p1.asid, p1.shared_pages[0].base())?
-        .frame;
+    let (s0, s1) = (
+        p0.shared_pages.get(0).expect("backend 0 maps the pool"),
+        p1.shared_pages.get(0).expect("backend 1 maps the pool"),
+    );
+    let f0 = kernel.translate_touch(p0.asid, s0.base())?.frame;
+    let f1 = kernel.translate_touch(p1.asid, s1.base())?.frame;
     println!(
         "  backend 0 maps frame {:#x} at {}, backend 1 maps it at {}",
         f0.as_u64(),
-        p0.shared_pages[0].base(),
-        p1.shared_pages[0].base()
+        s0.base(),
+        s1.base()
     );
     assert_eq!(f0, f1, "one physical frame, two virtual names: a synonym");
 
@@ -47,11 +47,13 @@ fn main() -> Result<(), HvcError> {
     let space = kernel.space(p0.asid).expect("space exists");
     println!(
         "  synonym filter flags the shared pool: {}",
-        space.filter.is_candidate(p0.shared_pages[0].base())
+        space.filter.is_candidate(s0.base())
     );
     println!(
         "  …but not the private heap: {}\n",
-        space.filter.is_candidate(p0.pages[0].base())
+        space
+            .filter
+            .is_candidate(p0.pages.get(0).expect("private heap").base())
     );
 
     // Simulate under hybrid virtual caching.

@@ -272,10 +272,10 @@ proptest! {
             let asid = Asid::new(asid);
             let vpage = VirtPage::new(top << 27 | mid << 18 | low << 9 | page);
             match op {
-                0..=31 => prop_assert_eq!(wc.skip_levels(asid, vpage), model.skip_levels(asid, vpage)),
-                32..=62 => {
-                    wc.fill(asid, vpage);
+                0..=62 => {
+                    let skip = model.skip_levels(asid, vpage);
                     model.fill(asid, vpage);
+                    prop_assert_eq!(wc.record_walk(asid, vpage), skip);
                 }
                 _ => {
                     wc.flush_asid(asid);
