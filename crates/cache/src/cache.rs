@@ -3,7 +3,7 @@
 use crate::{CacheConfig, LevelStats};
 #[cfg(test)]
 use hvc_types::LineAddr;
-use hvc_types::{Asid, BlockName, Permissions, LINE_SHIFT, PAGE_SHIFT};
+use hvc_types::{Asid, BlockName, LruSets, Permissions, LINE_SHIFT, PAGE_SHIFT};
 
 /// An evicted line returned to the caller for writeback handling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,9 +27,8 @@ struct Meta {
     sharers: u32,
 }
 
-/// State word layout (one `u64` per way): bit 0 the dirty flag, bits
-/// 8..16 the permission bits, bits 32..64 the sharer bitmap. Recency is
-/// kept per set, in the row's recency word (see [`promote`]).
+/// State word layout (the store's one payload column): bit 0 the dirty
+/// flag, bits 8..16 the permission bits, bits 32..64 the sharer bitmap.
 const STATE_DIRTY: u64 = 1;
 const STATE_PERM_SHIFT: u32 = 8;
 const STATE_SHARERS_SHIFT: u32 = 32;
@@ -88,11 +87,6 @@ fn virt_tag(asid: Asid) -> u64 {
     VIRT_TAG | asid.as_u16() as u64
 }
 
-/// Key filler for invalid slots. Keys use at most 63 bits (a 17-bit tag
-/// above the 46-bit line), so no [`BlockName`] packs to `u64::MAX` and an
-/// invalid slot never compares equal to a probe key.
-const EMPTY_KEY: u64 = u64::MAX;
-
 /// Packs a tag field and a line address into one key word.
 #[inline]
 fn pack_key(tag: u64, line: u64) -> u64 {
@@ -107,6 +101,9 @@ fn pack_key(tag: u64, line: u64) -> u64 {
 /// line address, the synonym/ASID tag above it (`0` = physical,
 /// `VIRT_TAG | asid` = virtual). The packing is injective, so key
 /// equality is name equality and a set probe is a bare 64-bit compare.
+/// The line address at the bottom selects the set, as in hardware. Keys
+/// use at most 63 bits (a 17-bit tag above the 46-bit line), so no name
+/// packs to `u64::MAX`, the store's free-way filler.
 #[inline]
 fn key_of(name: BlockName) -> u64 {
     match name {
@@ -115,41 +112,7 @@ fn key_of(name: BlockName) -> u64 {
     }
 }
 
-/// Most associativity a [`Cache`] supports: a set's recency order is
-/// one 4-bit way number per rank in one `u64`.
-pub(crate) const MAX_WAYS: usize = 16;
-
-/// `0x1` in every nibble.
-const NIBBLE_ONES: u64 = 0x1111_1111_1111_1111;
-
-/// The recency word of an empty set of `ways` ways: rank `i` holds way
-/// `i`, and ranks past `ways` hold `0xF`, which is no way's number when
-/// `ways < 16`, so [`promote`] never finds a rank there.
-fn initial_recency(ways: usize) -> u64 {
-    (0..ways).fold(u64::MAX, |rec, w| {
-        rec & !(0xF << (4 * w)) | (w as u64) << (4 * w)
-    })
-}
-
-/// Moves `way` to rank 0 (most recent) of the recency word `rec`; each
-/// way that was more recent than it moves one rank older. Nibble `i` of
-/// `rec` holds the way at rank `i`; every way appears exactly once, so
-/// the lowest nibble equal to `way` is found with the zero-nibble test
-/// on `rec ^ way * 0x1111…`. Branch-free.
-#[inline]
-fn promote(rec: u64, way: usize) -> u64 {
-    let x = rec ^ (way as u64).wrapping_mul(NIBBLE_ONES);
-    // The lowest flagged nibble is the lowest zero nibble of `x` (a
-    // borrow flags only nibbles above a zero one).
-    let zero = x.wrapping_sub(NIBBLE_ONES) & !x & (NIBBLE_ONES << 3);
-    debug_assert!(zero != 0, "way {way} missing from recency word {rec:#x}");
-    let shift = zero.trailing_zeros() & !3;
-    let newer = (1u64 << shift) - 1;
-    let through = newer | (0xF << shift);
-    (rec & !through) | ((rec & newer) << 4) | way as u64
-}
-
-/// Inverse of [`key_of`] for live slots (never called on `EMPTY_KEY`).
+/// Inverse of [`key_of`] for live slots.
 #[inline]
 fn name_of(key: u64) -> BlockName {
     let line = hvc_types::LineAddr::new(key & LINE_MASK);
@@ -167,32 +130,17 @@ fn name_of(key: u64) -> BlockName {
 /// participates only in tag comparison, which is exactly the paper's tag
 /// extension (Figure 2): `ASID | PA/VA tag | S | permission`.
 ///
-/// Storage is one contiguous **set-interleaved** slab of `u64` words:
-/// set `s` occupies the row `rows[s * stride .. (s + 1) * stride]`, laid
-/// out as `[key[ways] | state[ways] | occupancy | recency | padding]` —
-/// the 8-byte packed block-name keys a probe scans (see `key_of`) open
-/// the row, then one packed dirty/permission/sharer state word per way,
-/// touched only on the way that hit, then the occupancy bitmask that
-/// fills and sweeps read, then the set's recency word: nibble `i` holds
-/// the way at recency rank `i`, most recent first (see `promote`).
-/// A touch or fill moves its way to rank 0, and the victim of a full
-/// set is the way at the last rank. Free ways are taken from the
-/// occupancy mask first, so an invalidation leaves the recency word
-/// alone. The stride is rounded up to a whole number of 64-byte host
-/// cache lines, so a 16-way row is 320 B and a probe scans the row's
-/// first 128 B. At most 16 ways.
+/// The tags are one [`LruSets`] store with one payload column, so a row
+/// is `[key[ways] | state[ways] | occupancy | recency]`: the packed
+/// block-name keys a probe scans (see `key_of`), one packed
+/// dirty/permission/sharer state word per way, touched only on the way
+/// that hit, the occupancy bitmask that fills and sweeps read, and the
+/// set's recency word. A 16-way row is 320 B and a probe scans its first
+/// 128 B. At most 16 ways.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    /// The set-interleaved slab (see the struct docs for the row layout).
-    /// Key slots of invalid ways hold [`EMPTY_KEY`] filler, which matches
-    /// no probe; padding words are zero and never read.
-    rows: Box<[u64]>,
-    ways: usize,
-    /// Row length in words: `2 * ways + 2`, rounded up to a multiple of
-    /// eight words (one 64-byte host line).
-    stride: usize,
-    set_mask: usize,
+    tags: LruSets,
     stats: LevelStats,
 }
 
@@ -203,21 +151,8 @@ impl Cache {
     ///
     /// Panics if the geometry has more than 16 ways.
     pub fn new(config: CacheConfig) -> Self {
-        let sets = config.sets();
-        let ways = config.ways;
-        assert!(ways <= MAX_WAYS, "at most {MAX_WAYS} ways per set");
-        let stride = (2 * ways + 2 + 7) & !7;
-        let mut rows = vec![0u64; sets * stride].into_boxed_slice();
-        let recency = initial_recency(ways);
-        for row in rows.chunks_exact_mut(stride) {
-            row[..ways].fill(EMPTY_KEY);
-            row[2 * ways + 1] = recency;
-        }
         Cache {
-            rows,
-            ways,
-            stride,
-            set_mask: sets - 1,
+            tags: LruSets::new(config.sets(), config.ways, 1),
             config,
             stats: LevelStats::default(),
         }
@@ -238,63 +173,33 @@ impl Cache {
         self.stats = LevelStats::default();
     }
 
+    /// The set and key of `name`.
     #[inline]
-    fn set_index(&self, name: BlockName) -> usize {
-        (name.line().as_u64() as usize) & self.set_mask
+    fn locate(&self, name: BlockName) -> (usize, u64) {
+        let key = key_of(name);
+        (self.tags.set_of(key), key)
     }
 
-    /// Slab index of `set`'s row, which is also its first key.
+    /// The way holding `name` and its set, if resident.
     #[inline]
-    fn row(&self, set: usize) -> usize {
-        set * self.stride
-    }
-
-    /// Slab index of `way`'s packed state word within `set`.
-    #[inline]
-    fn state_idx(&self, set: usize, way: usize) -> usize {
-        self.row(set) + self.ways + way
-    }
-
-    /// Slab index of `set`'s occupancy bitmask.
-    #[inline]
-    fn occ_idx(&self, set: usize) -> usize {
-        self.row(set) + 2 * self.ways
-    }
-
-    /// Slab index of `set`'s recency word.
-    #[inline]
-    fn rec_idx(&self, set: usize) -> usize {
-        self.occ_idx(set) + 1
-    }
-
-    /// Finds the way holding `key` within `set` with one linear scan of
-    /// the set's keys. Invalid slots hold [`EMPTY_KEY`], which matches no
-    /// probe, so the scan needs no occupancy mask (measured faster than a
-    /// walk of the occupancy bits).
-    #[inline]
-    fn find(&self, set: usize, key: u64) -> Option<usize> {
-        let row = self.row(set);
-        self.rows[row..row + self.ways]
-            .iter()
-            .position(|&k| k == key)
+    fn find(&self, name: BlockName) -> Option<(usize, usize)> {
+        let (set, key) = self.locate(name);
+        self.tags.find(set, key).map(|way| (set, way))
     }
 
     /// Moves `way` of `set` to the most recent rank and returns its
     /// state word for the caller to update.
     #[inline]
     fn touch(&mut self, set: usize, way: usize) -> &mut u64 {
-        let ri = self.rec_idx(set);
-        self.rows[ri] = promote(self.rows[ri], way);
-        let si = self.state_idx(set, way);
-        &mut self.rows[si]
+        self.tags.touch(set, way);
+        self.tags.payload_mut(set, way, 0)
     }
 
     /// Looks up `name`; on a hit updates LRU and (for writes) the dirty
     /// bit, and returns `true`.
     #[inline]
     pub fn access(&mut self, name: BlockName, write: bool) -> bool {
-        let set = self.set_index(name);
-        if let Some(way) = self.find(set, key_of(name)) {
+        if let Some((set, way)) = self.find(name) {
             let state = self.touch(set, way);
             // A read hit leaves the state word (a separate host line) alone.
             if write {
@@ -313,8 +218,7 @@ impl Cache {
     /// two.
     #[inline]
     pub fn access_perm(&mut self, name: BlockName, write: bool) -> Option<Permissions> {
-        let set = self.set_index(name);
-        if let Some(way) = self.find(set, key_of(name)) {
+        if let Some((set, way)) = self.find(name) {
             let state = self.touch(set, way);
             if write {
                 *state |= STATE_DIRTY;
@@ -339,8 +243,7 @@ impl Cache {
         write: bool,
         core: usize,
     ) -> Option<Permissions> {
-        let set = self.set_index(name);
-        if let Some(way) = self.find(set, key_of(name)) {
+        if let Some((set, way)) = self.find(name) {
             let state = self.touch(set, way);
             *state |= (write as u64) | sharer_bit(core);
             let perm = state_perm(*state);
@@ -355,31 +258,28 @@ impl Cache {
     /// Probes for `name` without updating LRU or statistics.
     #[inline]
     pub fn contains(&self, name: BlockName) -> bool {
-        self.find(self.set_index(name), key_of(name)).is_some()
+        self.find(name).is_some()
     }
 
     /// Returns the permission bits cached with `name`, if present.
     #[inline]
     pub fn permissions(&self, name: BlockName) -> Option<Permissions> {
-        let set = self.set_index(name);
-        self.find(set, key_of(name))
-            .map(|way| state_perm(self.rows[self.state_idx(set, way)]))
+        self.find(name)
+            .map(|(set, way)| state_perm(self.tags.payload(set, way, 0)))
     }
 
     /// Inserts `name` (filling after a miss); returns the victim if the
     /// set was full. If the block is already present this refreshes its
     /// LRU/dirty state instead of duplicating it.
     pub fn fill(&mut self, name: BlockName, dirty: bool, perm: Permissions) -> Option<Victim> {
-        let set = self.set_index(name);
-        if let Some(way) = self.find(set, key_of(name)) {
+        if let Some((set, way)) = self.find(name) {
             let state = self.touch(set, way);
             *state = (*state & (STATE_SHARERS_MASK | STATE_DIRTY))
                 | (dirty as u64)
                 | ((perm.bits() as u64) << STATE_PERM_SHIFT);
             return None;
         }
-        self.insert_absent(set, name, dirty, perm, 0)
-            .map(|(v, _)| v)
+        self.insert_absent(name, dirty, perm, 0).map(|(v, _)| v)
     }
 
     /// Inserts `name` directly after a miss of the same name, skipping the
@@ -393,13 +293,7 @@ impl Cache {
         dirty: bool,
         perm: Permissions,
     ) -> Option<Victim> {
-        let set = self.set_index(name);
-        debug_assert!(
-            self.find(set, key_of(name)).is_none(),
-            "fill_after_miss of a resident line"
-        );
-        self.insert_absent(set, name, dirty, perm, 0)
-            .map(|(v, _)| v)
+        self.insert_absent(name, dirty, perm, 0).map(|(v, _)| v)
     }
 
     /// Merges a private-cache victim into its (inclusive-resident) LLC
@@ -414,16 +308,14 @@ impl Cache {
         perm: Permissions,
         core: usize,
     ) -> Option<Victim> {
-        let set = self.set_index(name);
-        if let Some(way) = self.find(set, key_of(name)) {
+        if let Some((set, way)) = self.find(name) {
             let state = self.touch(set, way);
             *state = (*state & (STATE_SHARERS_MASK | STATE_DIRTY) & !sharer_bit(core))
                 | (dirty as u64)
                 | ((perm.bits() as u64) << STATE_PERM_SHIFT);
             return None;
         }
-        self.insert_absent(set, name, dirty, perm, 0)
-            .map(|(v, _)| v)
+        self.insert_absent(name, dirty, perm, 0).map(|(v, _)| v)
     }
 
     /// [`Cache::fill_after_miss`] for the directory-holding LLC: seeds the
@@ -438,66 +330,48 @@ impl Cache {
         perm: Permissions,
         sharers: u32,
     ) -> Option<(Victim, u32)> {
-        let set = self.set_index(name);
-        debug_assert!(
-            self.find(set, key_of(name)).is_none(),
-            "fill_after_miss of a resident line"
-        );
-        self.insert_absent(set, name, dirty, perm, sharers)
+        self.insert_absent(name, dirty, perm, sharers)
     }
 
-    /// Places `name` into `set`, evicting the way at the last recency
-    /// rank if the set is full. Every way of a full set was moved to rank
-    /// 0 by its latest fill or touch, so that way is the least recently
-    /// used one. Returns the victim together with its sharer bitmap.
+    /// Places the absent `name`, evicting the least recently used line
+    /// if its set is full. Returns the victim together with its sharer
+    /// bitmap.
     fn insert_absent(
         &mut self,
-        set: usize,
         name: BlockName,
         dirty: bool,
         perm: Permissions,
         sharers: u32,
     ) -> Option<(Victim, u32)> {
-        let row = self.row(set);
-        let mask = self.rows[self.occ_idx(set)];
-        let rec = self.rows[self.rec_idx(set)];
-        let mut victim = None;
-        let way = if mask.count_ones() as usize == self.ways {
-            let best = (rec >> (4 * (self.ways - 1))) as usize & 0xF;
-            let old = unpack_meta(self.rows[self.state_idx(set, best)]);
-            self.stats.evictions += 1;
-            if old.dirty {
-                self.stats.writebacks += 1;
-            }
-            victim = Some((
-                Victim {
-                    name: name_of(self.rows[row + best]),
-                    dirty: old.dirty,
-                },
-                old.sharers,
-            ));
-            best
-        } else {
-            (!mask).trailing_zeros() as usize
-        };
-        self.rows[row + way] = key_of(name);
-        self.rows[self.rec_idx(set)] = promote(rec, way);
-        self.rows[self.state_idx(set, way)] = pack_meta(Meta {
+        let (set, key) = self.locate(name);
+        let (way, evicted) = self.tags.insert(set, key);
+        let state = self.tags.payload_mut(set, way, 0);
+        let old = unpack_meta(*state);
+        *state = pack_meta(Meta {
             dirty,
             perm,
             sharers,
         });
-        self.rows[self.occ_idx(set)] |= 1 << way;
-        victim
+        let victim = evicted?;
+        self.stats.evictions += 1;
+        if old.dirty {
+            self.stats.writebacks += 1;
+        }
+        Some((
+            Victim {
+                name: name_of(victim),
+                dirty: old.dirty,
+            },
+            old.sharers,
+        ))
     }
 
     /// Removes `name` if present, returning its victim record (dirty state
     /// preserved so the caller can write it back).
     pub fn invalidate(&mut self, name: BlockName) -> Option<Victim> {
-        let set = self.set_index(name);
-        if let Some(way) = self.find(set, key_of(name)) {
-            let dirty = (self.rows[self.state_idx(set, way)] & STATE_DIRTY) != 0;
-            self.clear_way(set, way);
+        if let Some((set, way)) = self.find(name) {
+            let dirty = (self.tags.payload(set, way, 0) & STATE_DIRTY) != 0;
+            self.tags.clear_way(set, way);
             self.stats.invalidations += 1;
             Some(Victim { name, dirty })
         } else {
@@ -508,19 +382,15 @@ impl Cache {
     /// Marks `name` dirty if present, without touching LRU or statistics
     /// (coherence fold-in of a remote modified copy).
     pub fn mark_dirty(&mut self, name: BlockName) {
-        let set = self.set_index(name);
-        if let Some(way) = self.find(set, key_of(name)) {
-            let si = self.state_idx(set, way);
-            self.rows[si] |= STATE_DIRTY;
+        if let Some((set, way)) = self.find(name) {
+            *self.tags.payload_mut(set, way, 0) |= STATE_DIRTY;
         }
     }
 
     /// Marks `name` clean (after a writeback) if present.
     pub fn clean(&mut self, name: BlockName) {
-        let set = self.set_index(name);
-        if let Some(way) = self.find(set, key_of(name)) {
-            let si = self.state_idx(set, way);
-            self.rows[si] &= !STATE_DIRTY;
+        if let Some((set, way)) = self.find(name) {
+            *self.tags.payload_mut(set, way, 0) &= !STATE_DIRTY;
         }
     }
 
@@ -609,47 +479,37 @@ impl Cache {
 
     /// Number of resident lines (for tests and occupancy reporting).
     pub fn occupancy(&self) -> usize {
-        (0..=self.set_mask)
-            .map(|set| self.rows[self.occ_idx(set)].count_ones() as usize)
-            .sum()
+        self.tags.slots().count()
     }
 
     /// Iterates over resident block names (used by inclusion checks in
     /// tests).
     pub fn resident_names(&self) -> impl Iterator<Item = BlockName> + '_ {
-        self.rows.chunks_exact(self.stride).flat_map(move |row| {
-            row[..self.ways]
-                .iter()
-                .filter(|&&key| key != EMPTY_KEY)
-                .map(|&key| name_of(key))
-        })
+        self.tags
+            .slots()
+            .map(|(set, way)| name_of(self.tags.key(set, way)))
     }
 
     // --- LLC sharer tracking (MESI-style directory-in-LLC) ---
 
     /// Adds `core` to the sharer set of `name` (LLC use only).
     pub fn add_sharer(&mut self, name: BlockName, core: usize) {
-        let set = self.set_index(name);
-        if let Some(way) = self.find(set, key_of(name)) {
-            let si = self.state_idx(set, way);
-            self.rows[si] |= sharer_bit(core);
+        if let Some((set, way)) = self.find(name) {
+            *self.tags.payload_mut(set, way, 0) |= sharer_bit(core);
         }
     }
 
     /// Removes `core` from the sharer set of `name` (LLC use only).
     pub fn remove_sharer(&mut self, name: BlockName, core: usize) {
-        let set = self.set_index(name);
-        if let Some(way) = self.find(set, key_of(name)) {
-            let si = self.state_idx(set, way);
-            self.rows[si] &= !sharer_bit(core);
+        if let Some((set, way)) = self.find(name) {
+            *self.tags.payload_mut(set, way, 0) &= !sharer_bit(core);
         }
     }
 
     /// Returns the sharer bitmap of `name` (LLC use only).
     pub fn sharers(&self, name: BlockName) -> u32 {
-        let set = self.set_index(name);
-        self.find(set, key_of(name)).map_or(0, |way| {
-            (self.rows[self.state_idx(set, way)] >> STATE_SHARERS_SHIFT) as u32
+        self.find(name).map_or(0, |(set, way)| {
+            (self.tags.payload(set, way, 0) >> STATE_SHARERS_SHIFT) as u32
         })
     }
 
@@ -671,7 +531,8 @@ impl Cache {
     /// `[first, first + lines)`, and invalidates those for which `f`
     /// returns `false`.
     ///
-    /// `set_index` is `line & set_mask`, so consecutive lines sit in
+    /// A key's set is its line address modulo the set count, so
+    /// consecutive lines sit in
     /// consecutive sets. A range of fewer lines than the cache has sets
     /// is therefore served by one keyed probe per line (as
     /// `Tlb::flush_page` probes one set); anything larger is one sweep of
@@ -685,21 +546,22 @@ impl Cache {
         lines: u64,
         mut f: impl FnMut(BlockName, &mut Meta) -> bool,
     ) {
-        if lines <= self.set_mask as u64 {
+        if lines < self.tags.sets() as u64 {
             for line in first..first + lines {
-                let set = line as usize & self.set_mask;
-                if let Some(way) = self.find(set, pack_key(tag, line)) {
+                let key = pack_key(tag, line);
+                let set = self.tags.set_of(key);
+                if let Some(way) = self.tags.find(set, key) {
                     self.update_way(set, way, &mut f);
                 }
             }
             return;
         }
-        for set in 0..=self.set_mask {
-            let mut live = self.rows[self.occ_idx(set)];
+        for set in 0..self.tags.sets() {
+            let mut live = self.tags.occupied(set);
             while live != 0 {
                 let w = live.trailing_zeros() as usize;
                 live &= live - 1;
-                let key = self.rows[self.row(set) + w];
+                let key = self.tags.key(set, w);
                 if key >> LINE_BITS == tag && (key & LINE_MASK).wrapping_sub(first) < lines {
                     self.update_way(set, w, &mut f);
                 }
@@ -715,26 +577,12 @@ impl Cache {
         way: usize,
         f: &mut impl FnMut(BlockName, &mut Meta) -> bool,
     ) {
-        let si = self.state_idx(set, way);
-        let mut meta = unpack_meta(self.rows[si]);
-        if f(name_of(self.rows[self.row(set) + way]), &mut meta) {
-            self.rows[si] = pack_meta(meta);
+        let mut meta = unpack_meta(self.tags.payload(set, way, 0));
+        if f(name_of(self.tags.key(set, way)), &mut meta) {
+            *self.tags.payload_mut(set, way, 0) = pack_meta(meta);
         } else {
-            self.clear_way(set, way);
+            self.tags.clear_way(set, way);
         }
-    }
-
-    /// Clears `way` of `set` back to filler and drops its occupancy bit.
-    /// The recency word keeps the way's rank: a free way is refilled
-    /// from the occupancy mask, and the fill moves it to rank 0.
-    #[inline]
-    fn clear_way(&mut self, set: usize, way: usize) {
-        let occ = self.occ_idx(set);
-        self.rows[occ] &= !(1 << way);
-        let key = self.row(set) + way;
-        self.rows[key] = EMPTY_KEY;
-        let state = self.state_idx(set, way);
-        self.rows[state] = 0;
     }
 }
 
@@ -789,7 +637,7 @@ mod tests {
         ];
         for name in names {
             let key = key_of(name);
-            assert_ne!(key, EMPTY_KEY, "{name:?}");
+            assert_ne!(key, u64::MAX, "{name:?}");
             assert_eq!(name_of(key), name);
         }
         // Physical and virtual names of one line never share a key.
@@ -817,45 +665,6 @@ mod tests {
     #[cfg(debug_assertions)]
     fn oversized_line_is_caught() {
         let _ = key_of(p(LINE_MASK + 1));
-    }
-
-    #[test]
-    fn row_stride_is_whole_host_lines() {
-        for ways in [1usize, 2, 4, 8, 16] {
-            let c = Cache::new(CacheConfig::new(
-                (64 * ways * 4) as u64,
-                ways,
-                Cycles::new(1),
-            ));
-            assert_eq!(c.stride % 8, 0, "ways {ways}");
-            assert!(c.stride >= 2 * ways + 2, "ways {ways}");
-            assert_eq!(c.rows.len(), c.stride * 4, "ways {ways}");
-        }
-        let llc = Cache::new(CacheConfig::new(8 << 20, 16, Cycles::new(1)));
-        assert_eq!(llc.stride * 8, 320, "16-way row bytes");
-    }
-
-    #[test]
-    fn promote_moves_a_way_to_rank_zero_at_every_rank() {
-        for ways in [1usize, 2, 4, 8, 15, 16] {
-            let start = initial_recency(ways);
-            for way in 0..ways {
-                let rec = promote(start, way);
-                let mut order: Vec<usize> = (0..ways).filter(|&w| w != way).collect();
-                order.insert(0, way);
-                for (rank, &w) in order.iter().enumerate() {
-                    assert_eq!(
-                        (rec >> (4 * rank)) as usize & 0xF,
-                        w,
-                        "ways {ways} way {way}"
-                    );
-                }
-                let used = 1u64
-                    .checked_shl(4 * ways as u32)
-                    .map_or(u64::MAX, |b| b - 1);
-                assert_eq!(rec & !used, start & !used, "ranks past {ways} untouched");
-            }
-        }
     }
 
     #[test]

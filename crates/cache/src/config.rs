@@ -1,6 +1,6 @@
 //! Cache geometry and hierarchy configuration.
 
-use hvc_types::{Cycles, LINE_SIZE};
+use hvc_types::{Cycles, LruSets, LINE_SIZE};
 
 /// Geometry and latency of a single cache level.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -24,9 +24,9 @@ impl CacheConfig {
     /// (a set's recency order is one nibble per way in one `u64`).
     pub fn new(size_bytes: u64, ways: usize, latency: Cycles) -> Self {
         assert!(
-            ways <= crate::cache::MAX_WAYS,
+            ways <= LruSets::MAX_WAYS,
             "at most {} ways per set",
-            crate::cache::MAX_WAYS
+            LruSets::MAX_WAYS
         );
         let c = CacheConfig {
             size_bytes,

@@ -1,7 +1,7 @@
 //! The hardware index cache: a small physically-addressed cache of
 //! index-tree nodes.
 
-use hvc_types::{Cycles, PhysAddr, LINE_SHIFT};
+use hvc_types::{Cycles, LruSets, PhysAddr, LINE_SHIFT};
 
 /// Hit/miss counters for the index cache.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -25,21 +25,14 @@ impl IndexCacheStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Line {
-    tag: u64,
-    lru: u64,
-}
-
 /// An 8-way set-associative cache of 64-byte index-tree nodes, addressed
 /// by physical address (the paper's Figure 7 sweeps its size from 128 B
-/// to 64 KB; 32 KB has a 3-cycle latency by CACTI).
+/// to 64 KB; 32 KB has a 3-cycle latency by CACTI). The tags are one
+/// [`LruSets`] store of block numbers with no payload.
 #[derive(Clone, Debug)]
 pub struct IndexCache {
-    sets: Vec<Vec<Line>>,
-    ways: usize,
+    tags: LruSets,
     latency: Cycles,
-    tick: u64,
     stats: IndexCacheStats,
 }
 
@@ -61,10 +54,8 @@ impl IndexCache {
         let ways = lines.min(8);
         let sets = (lines / ways).max(1);
         IndexCache {
-            sets: vec![Vec::with_capacity(ways); sets],
-            ways,
+            tags: LruSets::new(sets, ways, 0),
             latency,
-            tick: 0,
             stats: IndexCacheStats::default(),
         }
     }
@@ -82,37 +73,28 @@ impl IndexCache {
     /// Accesses the node at `addr`; returns `true` on a hit and fills the
     /// line on a miss.
     pub fn access(&mut self, addr: PhysAddr) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
         let block = addr.as_u64() >> LINE_SHIFT;
-        let idx = (block as usize) & (self.sets.len() - 1);
-        let set = &mut self.sets[idx];
-        if let Some(line) = set.iter_mut().find(|l| l.tag == block) {
-            line.lru = tick;
+        let set = self.tags.set_of(block);
+        if let Some(way) = self.tags.find(set, block) {
+            self.tags.touch(set, way);
             self.stats.hits += 1;
             return true;
         }
         self.stats.misses += 1;
-        if set.len() == self.ways {
-            let (slot, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                .expect("non-empty");
-            set.swap_remove(slot);
-        }
-        set.push(Line {
-            tag: block,
-            lru: tick,
-        });
+        self.tags.insert(set, block);
         false
+    }
+
+    /// Whether the node at `addr` is cached, without updating LRU or
+    /// counters.
+    pub fn contains(&self, addr: PhysAddr) -> bool {
+        let block = addr.as_u64() >> LINE_SHIFT;
+        self.tags.find(self.tags.set_of(block), block).is_some()
     }
 
     /// Invalidates everything (index-tree rebuild).
     pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.tags.clear();
     }
 
     /// Counters.

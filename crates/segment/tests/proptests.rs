@@ -1,8 +1,10 @@
 //! Property tests for many-segment translation, native and 2D.
 
 use hvc_os::{AllocPolicy, Kernel, MapIntent, SegmentTable};
-use hvc_segment::{ManySegmentTranslator, Rmm, SegmentCache};
-use hvc_types::{Asid, Cycles, GuestPhysAddr, Permissions, PhysAddr, VirtAddr, PAGE_SIZE};
+use hvc_segment::{IndexCache, ManySegmentTranslator, Rmm, SegmentCache};
+use hvc_types::{
+    Asid, Cycles, GuestPhysAddr, Permissions, PhysAddr, VirtAddr, LINE_SHIFT, PAGE_SIZE,
+};
 use hvc_virt::{Hypervisor, NestedSegments};
 use proptest::prelude::*;
 
@@ -179,5 +181,134 @@ proptest! {
             prop_assert_eq!(got, truth);
         }
         prop_assert!(rmm.entries().count() <= 32);
+    }
+}
+
+// --- Differential model: IndexCache vs. the per-set stamp model ---
+
+#[derive(Clone, Copy, Debug)]
+struct Line {
+    tag: u64,
+    lru: u64,
+}
+
+/// The index cache's storage before it shared the set-associative tag
+/// store: one `Vec` of lines per set, each with a global-tick stamp, and
+/// a miss in a full set evicts the minimum stamp.
+struct RefIndexCache {
+    sets: Vec<Vec<Line>>,
+    ways: usize,
+    tick: u64,
+}
+
+impl RefIndexCache {
+    /// The geometry `IndexCache::new` gives `size_bytes`.
+    fn new(size_bytes: u64) -> Self {
+        let lines = (size_bytes >> LINE_SHIFT) as usize;
+        let ways = lines.min(8);
+        RefIndexCache {
+            sets: vec![Vec::with_capacity(ways); lines / ways],
+            ways,
+            tick: 0,
+        }
+    }
+
+    fn access(&mut self, addr: PhysAddr) -> bool {
+        self.tick += 1;
+        let tick = self.tick;
+        let block = addr.as_u64() >> LINE_SHIFT;
+        let idx = (block as usize) & (self.sets.len() - 1);
+        let set = &mut self.sets[idx];
+        if let Some(line) = set.iter_mut().find(|l| l.tag == block) {
+            line.lru = tick;
+            return true;
+        }
+        if set.len() == self.ways {
+            let (slot, _) = set
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, l)| l.lru)
+                .expect("non-empty");
+            set.swap_remove(slot);
+        }
+        set.push(Line {
+            tag: block,
+            lru: tick,
+        });
+        false
+    }
+
+    fn contains(&self, addr: PhysAddr) -> bool {
+        let block = addr.as_u64() >> LINE_SHIFT;
+        self.sets[(block as usize) & (self.sets.len() - 1)]
+            .iter()
+            .any(|l| l.tag == block)
+    }
+
+    fn flush(&mut self) {
+        self.sets.iter_mut().for_each(Vec::clear);
+    }
+}
+
+/// Sets of an index cache of `size_bytes`, and the blocks its test
+/// reads: at least three times its capacity and 24 blocks per set.
+fn index_cache_space(size_bytes: u64) -> (u64, u64) {
+    let lines = size_bytes >> LINE_SHIFT;
+    let sets = lines / lines.min(8);
+    (sets, (3 * lines).max(24 * sets))
+}
+
+/// Asserts that `cache` and `model` hold the same blocks of the test's
+/// block space.
+fn assert_same_residency(cache: &IndexCache, model: &RefIndexCache, size_bytes: u64) {
+    for block in 0..index_cache_space(size_bytes).1 {
+        let addr = PhysAddr::new(block << LINE_SHIFT);
+        prop_assert_eq!(
+            cache.contains(addr),
+            model.contains(addr),
+            "block {}",
+            block
+        );
+    }
+}
+
+proptest! {
+    /// The index cache on the shared tag store is observationally equal
+    /// to the stamp model at its smallest (2 ways, 1 set), one-set
+    /// (8 ways) and paper (32 KB, 64 sets) sizes: the same hit or miss
+    /// on every node read, the same residency before every flush and at
+    /// the end, and the same counters. One op in fifty is a flush. Half
+    /// the reads fall in at most four sets, 24 blocks each, so sets fill
+    /// and evict between flushes; the rest spread over the whole block
+    /// space.
+    #[test]
+    fn index_cache_matches_the_stamp_model(
+        size in prop_oneof![Just(128u64), Just(512), Just(32 * 1024)],
+        ops in prop::collection::vec(
+            (0u8..50, any::<bool>(), 0u64..4, 0u64..24, 0u64..1 << 20, 0u64..64),
+            1..1500,
+        ),
+    ) {
+        let (sets, space) = index_cache_space(size);
+        let mut cache = IndexCache::new(size, Cycles::new(3));
+        let mut model = RefIndexCache::new(size);
+        let (mut hits, mut reads) = (0u64, 0u64);
+        for (i, (roll, near, set, k, far, off)) in ops.into_iter().enumerate() {
+            if roll == 0 {
+                assert_same_residency(&cache, &model, size);
+                cache.flush();
+                model.flush();
+                continue;
+            }
+            let block = if near { set % sets + k * sets } else { far % space };
+            let addr = PhysAddr::new((block << LINE_SHIFT) + off);
+            let hit = model.access(addr);
+            hits += hit as u64;
+            reads += 1;
+            prop_assert_eq!(cache.access(addr), hit, "read {} of block {}", i, block);
+        }
+        assert_same_residency(&cache, &model, size);
+        prop_assert_eq!(cache.stats().hits, hits);
+        prop_assert_eq!(cache.stats().misses, reads - hits);
     }
 }

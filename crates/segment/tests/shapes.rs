@@ -84,6 +84,27 @@ fn worst_case_hit_rates(n: u64, probes: usize) -> Vec<f64> {
     index_cache_hit_rates(&tree, probes)
 }
 
+/// Prints one row of hit rates per entry of `rows` under a header of
+/// the sizes in [`SIZES`] (visible with `--nocapture`).
+fn print_hit_rates(title: &str, rows: &[(&str, &[f64])]) {
+    println!("{title}");
+    let header: String = SIZES
+        .iter()
+        .map(|&s| match s {
+            s if s < 1024 => format!("{:>8}", format!("{s} B")),
+            s => format!("{:>8}", format!("{} KB", s / 1024)),
+        })
+        .collect();
+    println!("{:<14}{header}", "hit rate (%)");
+    for (name, rates) in rows {
+        let cells: String = rates
+            .iter()
+            .map(|r| format!("{:>8.2}", 100.0 * r))
+            .collect();
+        println!("{name:<14}{cells}");
+    }
+}
+
 fn at(rates: &[f64], size: u64) -> f64 {
     rates[SIZES
         .iter()
@@ -96,8 +117,15 @@ fn at(rates: &[f64], size: u64) -> f64 {
 /// less. xalancbmk's tree outgrows the smallest caches.
 #[test]
 fn figure7_real_workloads_hit_by_8kb() {
-    for spec in [apps::xalancbmk(), apps::omnetpp(), apps::astar()] {
-        let rates = app_hit_rates(&spec, 100_000);
+    let specs = [apps::xalancbmk(), apps::omnetpp(), apps::astar()];
+    let all: Vec<Vec<f64>> = specs.iter().map(|s| app_hit_rates(s, 100_000)).collect();
+    let rows: Vec<(&str, &[f64])> = specs
+        .iter()
+        .zip(&all)
+        .map(|(s, r)| (s.name.as_str(), r.as_slice()))
+        .collect();
+    print_hit_rates("Figure 7(a): index-cache hit rate, 100 k references", &rows);
+    for (spec, rates) in specs.iter().zip(all) {
         assert!(at(&rates, 8192) >= 0.99, "{}: {rates:?}", spec.name);
         assert!(
             rates.windows(2).all(|w| w[0] <= w[1] + 1e-9),
@@ -118,6 +146,10 @@ fn figure7_real_workloads_hit_by_8kb() {
 fn figure7_worst_case_needs_32kb() {
     let seg1024 = worst_case_hit_rates(1024, 200_000);
     let seg2048 = worst_case_hit_rates(2048, 200_000);
+    print_hit_rates(
+        "Figure 7(b): index-cache hit rate, 200 k uniform probes",
+        &[("1024 segments", &seg1024), ("2048 segments", &seg2048)],
+    );
     assert!(at(&seg1024, 8192) < 0.95, "{seg1024:?}");
     assert!(at(&seg1024, 32768) >= 0.99, "{seg1024:?}");
     for (&size, (a, b)) in SIZES.iter().zip(seg1024.iter().zip(&seg2048)) {

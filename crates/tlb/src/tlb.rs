@@ -1,7 +1,7 @@
 //! A generic set-associative TLB.
 
 use hvc_os::Pte;
-use hvc_types::{Asid, Cycles, MergeStats, Permissions, PhysFrame, VirtPage};
+use hvc_types::{Asid, Cycles, LruSets, MergeStats, Permissions, PhysFrame, VirtPage};
 
 /// Geometry and latency of a TLB.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -20,8 +20,14 @@ impl TlbConfig {
     /// # Panics
     ///
     /// Panics if `entries` is not divisible into a power-of-two number of
-    /// sets of `ways` entries.
+    /// sets of `ways` entries, or `ways` exceeds 16 (a set's recency
+    /// order is one nibble per way in one `u64`).
     pub fn new(entries: usize, ways: usize, latency: Cycles) -> Self {
+        assert!(
+            ways <= LruSets::MAX_WAYS,
+            "at most {} ways per set",
+            LruSets::MAX_WAYS
+        );
         assert!(
             ways > 0 && entries.is_multiple_of(ways),
             "entries must divide into ways"
@@ -101,15 +107,11 @@ const FIELD_BITS: u32 = 48;
 /// VPN field of a key, frame field of a PTE word.
 const FIELD_MASK: u64 = (1 << FIELD_BITS) - 1;
 
-/// Key filler for invalid slots. [`key_of`] puts the 16-bit ASID above a
-/// VPN of at most 36 bits, so it never produces `u64::MAX` and an invalid
-/// slot never compares equal to a probe key.
-const EMPTY_KEY: u64 = u64::MAX;
-
-/// Packs a TLB tag into the 8-byte form the tag slab stores: bits 0..48
-/// the virtual page number, the ASID above it. Injective, so key
-/// equality is `(asid, vpn)` equality and a set probe is a bare 64-bit
-/// compare.
+/// Packs a TLB tag into the 8-byte form the tag store keeps: bits 0..48
+/// the virtual page number, which selects the set, and the ASID above
+/// it. Injective, so key equality is `(asid, vpn)` equality and a set
+/// probe is a bare 64-bit compare. The ASID is 16 bits and the VPN at
+/// most 36, so no key is `u64::MAX`, the store's free-way filler.
 #[inline]
 fn key_of(asid: Asid, vpn: u64) -> u64 {
     debug_assert!(
@@ -119,7 +121,7 @@ fn key_of(asid: Asid, vpn: u64) -> u64 {
     vpn | ((asid.as_u16() as u64) << FIELD_BITS)
 }
 
-/// ASID half of a packed key (never called on `EMPTY_KEY`).
+/// ASID half of a packed key.
 #[inline]
 fn asid_of(key: u64) -> Asid {
     Asid::new((key >> FIELD_BITS) as u16)
@@ -130,6 +132,11 @@ fn asid_of(key: u64) -> Asid {
 fn vpn_of(key: u64) -> u64 {
     key & FIELD_MASK
 }
+
+/// Payload columns of a way: its packed PTE word and the ASID generation
+/// captured at insert.
+const PTE: usize = 0;
+const GEN: usize = 1;
 
 /// PTE word layout: the frame number in bits 0..48, the permission bits
 /// at 48..56, and the shared flag at bit 56.
@@ -161,35 +168,23 @@ fn unpack_pte(w: u64) -> Pte {
 /// ASID tagging means context switches need no flush (homonyms cannot
 /// hit), matching the paper's ASID-based design.
 ///
-/// Storage is one contiguous **set-interleaved** slab of `u64` words:
-/// set `s` occupies the row `rows[s * stride .. (s + 1) * stride]`, laid
-/// out as `[key[ways] | pte[ways] | lru[ways] | gen[ways] | occupancy |
-/// padding]` — the packed 8-byte `(asid, vpn)` tags a probe scans open
-/// the row, then each way's packed PTE word, LRU stamp, and the ASID
-/// generation captured at insert (the entry is live only while that
-/// generation matches its ASID's current one), then the occupancy
-/// bitmask that inserts read. The stride is rounded up to a whole number
-/// of 64-byte host cache lines, so a probe of an 8-way TLB scans the
-/// row's first 64 bytes. Address-space shootdowns are O(1):
+/// The tags are one [`LruSets`] store with two payload columns, so a
+/// row is `[key[ways] | pte[ways] | gen[ways] | occupancy | recency]`:
+/// the packed 8-byte `(asid, vpn)` tags a probe scans, each way's packed
+/// PTE word and the ASID generation captured at insert (the entry is
+/// live only while that generation matches its ASID's current one), the
+/// occupancy bitmask and the set's recency word. An 8-way row is 256 B
+/// and a probe scans its first 64 B. Address-space shootdowns are O(1):
 /// [`Tlb::flush_asid`] just bumps the generation, and
 /// generation-mismatched entries never hit — they are reclaimed lazily
 /// as preferred free slots on insert.
 #[derive(Clone, Debug)]
 pub struct Tlb {
     config: TlbConfig,
-    /// The set-interleaved slab (see the struct docs for the row layout).
-    /// Key slots of invalid ways hold [`EMPTY_KEY`] filler, which matches
-    /// no probe; padding words are zero and never read.
-    rows: Box<[u64]>,
-    ways: usize,
-    /// Row length in words: `4 * ways + 1`, rounded up to a multiple of
-    /// eight words (one 64-byte host line).
-    stride: usize,
-    set_mask: usize,
+    tags: LruSets,
     /// Current generation per ASID, grown lazily; absent ASIDs are at
     /// generation 0.
     asid_gen: Vec<u64>,
-    tick: u64,
     stats: TlbStats,
 }
 
@@ -198,25 +193,12 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry has more than 64 ways (the per-set
-    /// occupancy bitmask is a `u64`).
+    /// Panics if the geometry has more than 16 ways.
     pub fn new(config: TlbConfig) -> Self {
-        let sets = config.sets();
-        let ways = config.ways;
-        assert!(ways <= 64, "at most 64 ways per set");
-        let stride = (4 * ways + 1 + 7) & !7;
-        let mut rows = vec![0u64; sets * stride].into_boxed_slice();
-        for row in rows.chunks_exact_mut(stride) {
-            row[..ways].fill(EMPTY_KEY);
-        }
         Tlb {
-            rows,
-            ways,
-            stride,
-            set_mask: sets - 1,
+            tags: LruSets::new(config.sets(), config.ways, 2),
             asid_gen: Vec::new(),
             config,
-            tick: 0,
             stats: TlbStats::default(),
         }
     }
@@ -236,39 +218,11 @@ impl Tlb {
         self.stats = TlbStats::default();
     }
 
+    /// The set and key of `(asid, vpage)`.
     #[inline]
-    fn set_index(&self, vpn: u64) -> usize {
-        (vpn as usize) & self.set_mask
-    }
-
-    /// Slab index of `set`'s row, which is also its first key.
-    #[inline]
-    fn row(&self, set: usize) -> usize {
-        set * self.stride
-    }
-
-    /// Slab index of `way`'s packed PTE word within `set`.
-    #[inline]
-    fn pte_idx(&self, set: usize, way: usize) -> usize {
-        self.row(set) + self.ways + way
-    }
-
-    /// Slab index of `way`'s LRU stamp within `set`.
-    #[inline]
-    fn lru_idx(&self, set: usize, way: usize) -> usize {
-        self.row(set) + 2 * self.ways + way
-    }
-
-    /// Slab index of `way`'s insert-time ASID generation within `set`.
-    #[inline]
-    fn gen_idx(&self, set: usize, way: usize) -> usize {
-        self.row(set) + 3 * self.ways + way
-    }
-
-    /// Slab index of `set`'s occupancy bitmask.
-    #[inline]
-    fn occ_idx(&self, set: usize) -> usize {
-        self.row(set) + 4 * self.ways
+    fn locate(&self, asid: Asid, vpage: VirtPage) -> (usize, u64) {
+        let key = key_of(asid, vpage.as_u64());
+        (self.tags.set_of(key), key)
     }
 
     /// Current generation of `asid` (0 if never flushed).
@@ -284,49 +238,23 @@ impl Tlb {
     /// current).
     #[inline]
     fn is_live(&self, set: usize, way: usize) -> bool {
-        self.rows[self.gen_idx(set, way)] == self.gen_of(asid_of(self.rows[self.row(set) + way]))
+        self.tags.payload(set, way, GEN) == self.gen_of(asid_of(self.tags.key(set, way)))
     }
 
-    /// Clears `(set, way)` back to filler and drops its occupancy bit.
-    #[inline]
-    fn clear_way(&mut self, set: usize, way: usize) {
-        let row = self.row(set);
-        self.rows[row + way] = EMPTY_KEY;
-        self.rows[row + self.ways + way] = 0;
-        self.rows[row + 2 * self.ways + way] = 0;
-        self.rows[row + 3 * self.ways + way] = 0;
-        self.rows[self.occ_idx(set)] &= !(1 << way);
-    }
-
-    /// Finds the way of the entry tagged `key` within `set`, live or
-    /// stale, with one linear scan of the set's keys; invalid slots hold
-    /// [`EMPTY_KEY`], which matches no probe. At most one slot can match:
-    /// [`Tlb::insert`] refreshes a live duplicate in place and reclaims
-    /// every stale slot of the set before placing a tag, so duplicates
-    /// never coexist.
-    #[inline]
-    fn find(&self, set: usize, key: u64) -> Option<usize> {
-        let row = self.row(set);
-        self.rows[row..row + self.ways]
-            .iter()
-            .position(|&k| k == key)
-    }
-
-    /// Looks up a translation, updating LRU and counters.
+    /// Looks up a translation, updating LRU and counters. At most one way
+    /// of a set holds a tag: [`Tlb::insert`] refreshes a live duplicate
+    /// in place and reclaims every stale way of the set before placing a
+    /// tag, so duplicates never coexist.
     pub fn lookup(&mut self, asid: Asid, vpage: VirtPage) -> Option<Pte> {
-        self.tick += 1;
-        let vpn = vpage.as_u64();
-        let set = self.set_index(vpn);
-        let gen = self.gen_of(asid);
-        if let Some(way) = self.find(set, key_of(asid, vpn)) {
-            if self.rows[self.gen_idx(set, way)] == gen {
-                let li = self.lru_idx(set, way);
-                self.rows[li] = self.tick;
+        let (set, key) = self.locate(asid, vpage);
+        if let Some(way) = self.tags.find(set, key) {
+            if self.tags.payload(set, way, GEN) == self.gen_of(asid) {
+                self.tags.touch(set, way);
                 self.stats.hits += 1;
-                return Some(unpack_pte(self.rows[self.pte_idx(set, way)]));
+                return Some(unpack_pte(self.tags.payload(set, way, PTE)));
             }
             // Stale survivor of a generation flush: reclaim the slot.
-            self.clear_way(set, way);
+            self.tags.clear_way(set, way);
         }
         self.stats.misses += 1;
         None
@@ -334,10 +262,10 @@ impl Tlb {
 
     /// Probes without updating LRU or counters.
     pub fn contains(&self, asid: Asid, vpage: VirtPage) -> bool {
-        let vpn = vpage.as_u64();
-        let set = self.set_index(vpn);
-        self.find(set, key_of(asid, vpn))
-            .is_some_and(|way| self.rows[self.gen_idx(set, way)] == self.gen_of(asid))
+        let (set, key) = self.locate(asid, vpage);
+        self.tags
+            .find(set, key)
+            .is_some_and(|way| self.tags.payload(set, way, GEN) == self.gen_of(asid))
     }
 
     /// Inserts (or refreshes) a translation after a miss/page walk.
@@ -346,47 +274,30 @@ impl Tlb {
     /// targets, so a set never evicts a live entry while it holds dead
     /// ones — exactly the occupancy an eager flush would have left.
     pub fn insert(&mut self, asid: Asid, vpage: VirtPage, pte: Pte) {
-        self.tick += 1;
-        let vpn = vpage.as_u64();
-        let set = self.set_index(vpn);
-        let gen = self.gen_of(asid);
-        let row = self.row(set);
-        let key = key_of(asid, vpn);
-        let mut used = self.rows[self.occ_idx(set)];
+        let (set, key) = self.locate(asid, vpage);
+        let mut used = self.tags.occupied(set);
         while used != 0 {
             let w = used.trailing_zeros() as usize;
             if !self.is_live(set, w) {
                 // Lazily reclaim any stale entry encountered on the way.
-                self.clear_way(set, w);
-            } else if self.rows[row + w] == key {
-                self.rows[row + self.ways + w] = pack_pte(pte);
-                self.rows[row + 2 * self.ways + w] = self.tick;
+                self.tags.clear_way(set, w);
+            } else if self.tags.key(set, w) == key {
+                *self.tags.payload_mut(set, w, PTE) = pack_pte(pte);
+                self.tags.touch(set, w);
                 return;
             }
             used &= used - 1;
         }
-        let mask = self.rows[self.occ_idx(set)];
-        let way = if mask.count_ones() as usize == self.ways {
-            // All ways live: evict the unique LRU minimum (ticks are
-            // unique among live entries, so slot order cannot matter).
-            let lru = &self.rows[row + 2 * self.ways..row + 3 * self.ways];
-            (0..self.ways).min_by_key(|&w| lru[w]).unwrap_or(0)
-        } else {
-            (!mask).trailing_zeros() as usize
-        };
-        self.rows[row + way] = key;
-        self.rows[row + self.ways + way] = pack_pte(pte);
-        self.rows[row + 2 * self.ways + way] = self.tick;
-        self.rows[row + 3 * self.ways + way] = gen;
-        self.rows[self.occ_idx(set)] |= 1 << way;
+        let (way, _) = self.tags.insert(set, key);
+        *self.tags.payload_mut(set, way, PTE) = pack_pte(pte);
+        *self.tags.payload_mut(set, way, GEN) = self.gen_of(asid);
     }
 
     /// Invalidates one page's entry (TLB shootdown).
     pub fn flush_page(&mut self, asid: Asid, vpage: VirtPage) {
-        let vpn = vpage.as_u64();
-        let set = self.set_index(vpn);
-        if let Some(way) = self.find(set, key_of(asid, vpn)) {
-            self.clear_way(set, way);
+        let (set, key) = self.locate(asid, vpage);
+        if let Some(way) = self.tags.find(set, key) {
+            self.tags.clear_way(set, way);
         }
     }
 
@@ -402,11 +313,7 @@ impl Tlb {
 
     /// Invalidates everything.
     pub fn flush_all(&mut self) {
-        self.rows.fill(0);
-        let ways = self.ways;
-        for row in self.rows.chunks_exact_mut(self.stride) {
-            row[..ways].fill(EMPTY_KEY);
-        }
+        self.tags.clear();
     }
 
     /// Number of valid (live) entries.
@@ -419,11 +326,11 @@ impl Tlb {
     /// against the page tables; not on any simulation fast path.
     pub fn entries(&self) -> impl Iterator<Item = (Asid, VirtPage, Pte)> + '_ {
         self.live_slots().map(|(set, way)| {
-            let key = self.rows[self.row(set) + way];
+            let key = self.tags.key(set, way);
             (
                 asid_of(key),
                 VirtPage::new(vpn_of(key)),
-                unpack_pte(self.rows[self.pte_idx(set, way)]),
+                unpack_pte(self.tags.payload(set, way, PTE)),
             )
         })
     }
@@ -431,9 +338,7 @@ impl Tlb {
     /// `(set, way)` coordinates of all live (in-use and
     /// generation-current) entries.
     fn live_slots(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..=self.set_mask)
-            .flat_map(move |set| (0..self.ways).map(move |w| (set, w)))
-            .filter(|&(set, w)| self.rows[self.row(set) + w] != EMPTY_KEY && self.is_live(set, w))
+        self.tags.slots().filter(|&(set, w)| self.is_live(set, w))
     }
 }
 
@@ -475,7 +380,7 @@ mod tests {
         for asid in [0u16, 1, 0xFFFF] {
             for vpn in [0, top] {
                 let key = key_of(Asid::new(asid), vpn);
-                assert_ne!(key, EMPTY_KEY, "asid {asid} vpn {vpn:#x}");
+                assert_ne!(key, u64::MAX, "asid {asid} vpn {vpn:#x}");
                 assert_eq!(asid_of(key), Asid::new(asid));
                 assert_eq!(vpn_of(key), vpn);
             }
@@ -487,16 +392,6 @@ mod tests {
     #[cfg(debug_assertions)]
     fn oversized_vpn_is_caught() {
         let _ = key_of(Asid::new(1), FIELD_MASK + 1);
-    }
-
-    #[test]
-    fn row_stride_is_whole_host_lines() {
-        for ways in [1usize, 2, 4, 8, 16] {
-            let t = Tlb::new(TlbConfig::new(4 * ways, ways, Cycles::new(1)));
-            assert_eq!(t.stride % 8, 0, "ways {ways}");
-            assert!(t.stride > 4 * ways, "ways {ways}");
-            assert_eq!(t.rows.len(), t.stride * 4, "ways {ways}");
-        }
     }
 
     #[test]
@@ -603,6 +498,12 @@ mod tests {
         assert_eq!(TlbConfig::l1_64().sets(), 16);
         assert_eq!(TlbConfig::l2_1024().sets(), 128);
         assert_eq!(TlbConfig::delayed(32 * 1024).entries, 32768);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 ways")]
+    fn more_than_sixteen_ways_is_rejected() {
+        let _ = TlbConfig::new(64, 32, Cycles::new(1));
     }
 
     #[test]

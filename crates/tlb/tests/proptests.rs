@@ -223,6 +223,26 @@ fn tlb_op() -> impl Strategy<Value = TlbOp> {
     ]
 }
 
+/// The insert-heavy mix: inserts and lookups over 2 ASIDs × 32 pages,
+/// and one op in 32 drawn from [`tlb_op`]. 8-way sets fill, hit and
+/// evict between flushes, so touches and victims reach every recency
+/// rank.
+fn insert_heavy_op() -> impl Strategy<Value = TlbOp> {
+    (
+        0u8..32,
+        any::<bool>(),
+        1u16..3,
+        0u64..32,
+        0u64..1024,
+        tlb_op(),
+    )
+        .prop_map(|(roll, insert, a, p, f, rare)| match roll {
+            0 => rare,
+            _ if insert => TlbOp::Insert(a, p, f),
+            _ => TlbOp::Lookup(a, p),
+        })
+}
+
 proptest! {
     /// The flat generation-tagged `Tlb` is observationally equal to the
     /// naive eager-flush model under arbitrary interleavings of lookups,
@@ -232,12 +252,17 @@ proptest! {
     /// counters, occupancy, and live-entry sets.
     #[test]
     fn flat_tlb_matches_naive_model(
-        ops in prop::collection::vec(tlb_op(), 1..300),
+        ways in prop_oneof![Just(2usize), Just(4), Just(8)],
+        ops in prop_oneof![
+            prop::collection::vec(tlb_op(), 1..300),
+            prop::collection::vec(insert_heavy_op(), 1..400),
+        ],
     ) {
-        // 8 sets × 2 ways over 64 pages × 3 ASIDs: dense conflicts and
-        // frequent cross-generation slot reuse.
-        let mut flat = Tlb::new(TlbConfig::new(16, 2, Cycles::new(1)));
-        let mut model = RefTlb::new(8, 2);
+        // 16 entries as 8 sets × 2 ways, 4 × 4 or 2 × 8 (the geometries
+        // of the repo's TLBs) over 64 pages × 3 ASIDs: dense conflicts
+        // and frequent cross-generation slot reuse.
+        let mut flat = Tlb::new(TlbConfig::new(16, ways, Cycles::new(1)));
+        let mut model = RefTlb::new(16 / ways, ways);
         let mut hits = 0u64;
         let mut misses = 0u64;
         for op in ops {

@@ -37,6 +37,7 @@ mod error;
 mod fx;
 mod ids;
 mod lru;
+mod lru_sets;
 mod merge;
 mod perm;
 
@@ -50,5 +51,6 @@ pub use error::{HvcError, Result};
 pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use ids::{Asid, BlockName, Vmid};
 pub use lru::LruTags;
+pub use lru_sets::LruSets;
 pub use merge::MergeStats;
 pub use perm::Permissions;
