@@ -1,8 +1,6 @@
 //! A single set-associative cache level keyed by [`BlockName`].
 
 use crate::{CacheConfig, LevelStats};
-#[cfg(test)]
-use hvc_types::LineAddr;
 use hvc_types::{Asid, BlockName, LruSets, Permissions, LINE_SHIFT, PAGE_SHIFT};
 
 /// An evicted line returned to the caller for writeback handling.
@@ -387,22 +385,8 @@ impl Cache {
         }
     }
 
-    /// Marks `name` clean (after a writeback) if present.
-    pub fn clean(&mut self, name: BlockName) {
-        if let Some((set, way)) = self.find(name) {
-            *self.tags.payload_mut(set, way, 0) &= !STATE_DIRTY;
-        }
-    }
-
-    /// Downgrades the cached permissions of every line of the given
-    /// virtual page to read-only (the paper's content-sharing transition).
-    /// One-page form of [`Cache::downgrade_pages_read_only`].
-    pub fn downgrade_page_read_only(&mut self, asid: Asid, vpage: u64) {
-        self.downgrade_pages_read_only(asid, vpage, 1);
-    }
-
     /// Downgrades every line of the `count` virtual pages starting at
-    /// `first` to read-only. Small ranges probe each line's own set,
+    /// `first` to read-only (the paper's content-sharing transition). Small ranges probe each line's own set,
     /// large ones sweep the cache once (see `update_range`); the result
     /// is identical either way.
     pub fn downgrade_pages_read_only(&mut self, asid: Asid, first: u64, count: u64) {
@@ -417,16 +401,9 @@ impl Cache {
         );
     }
 
-    /// Invalidates every line belonging to the virtual page `(asid,
-    /// vpage)`, appending dirty victims to `victims` (a reusable scratch
-    /// buffer the caller clears between flushes). One-page form of
-    /// [`Cache::flush_virt_pages`].
-    pub fn flush_virt_page(&mut self, asid: Asid, vpage: u64, victims: &mut Vec<Victim>) {
-        self.flush_virt_pages(asid, vpage, 1, victims);
-    }
-
     /// Invalidates every line of the `count` virtual pages of `asid`
-    /// starting at `first`, appending dirty victims to `victims`. A range
+    /// starting at `first`, appending dirty victims to `victims` (a
+    /// reusable scratch buffer the caller clears between flushes). A range
     /// with fewer lines than the cache has sets probes each line's key in
     /// its own set; a larger one sweeps every set once with a range test.
     /// Contents, statistics, and the victim multiset are identical either
@@ -446,19 +423,12 @@ impl Cache {
         );
     }
 
-    /// Invalidates every physically-named line of the frame whose base
-    /// byte address is `frame_base`, appending dirty victims to `victims`.
-    /// The OS requests this when a freed synonym frame goes back to the
-    /// allocator — physically-tagged lines survive every per-space flush.
-    /// One-frame form of [`Cache::flush_phys_frames`].
-    pub fn flush_phys_frame(&mut self, frame_base: u64, victims: &mut Vec<Victim>) {
-        self.flush_phys_frames(frame_base, 1, victims);
-    }
-
     /// Invalidates every physically-named line of the `count` frames
     /// starting at byte address `frame_base`, appending dirty victims to
     /// `victims`; probes or sweeps by size as [`Cache::flush_virt_pages`]
-    /// does, and identical to `count` one-frame flushes.
+    /// does. The OS requests this when a freed synonym frame goes back to
+    /// the allocator — physically-tagged lines survive every per-space
+    /// flush.
     pub fn flush_phys_frames(&mut self, frame_base: u64, count: u64, victims: &mut Vec<Victim>) {
         self.flush_range(
             PHYS_TAG,
@@ -586,17 +556,15 @@ impl Cache {
     }
 }
 
-/// Returns the block names of all 64 lines of a virtual page — a helper
-/// for page-granularity operations on physical names.
-#[cfg(test)]
-pub(crate) fn lines_of_virt_page(asid: Asid, vpage: u64) -> impl Iterator<Item = BlockName> {
-    (0..PAGE_LINES).map(move |i| BlockName::Virt(asid, LineAddr::new(vpage * PAGE_LINES + i)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hvc_types::Cycles;
+    use hvc_types::{Cycles, LineAddr};
+
+    /// The block names of all 64 lines of a virtual page.
+    fn lines_of_virt_page(asid: Asid, vpage: u64) -> impl Iterator<Item = BlockName> {
+        (0..PAGE_LINES).map(move |i| v(asid.as_u16(), vpage * PAGE_LINES + i))
+    }
 
     fn tiny() -> Cache {
         // 4 lines, 2 ways, 2 sets.
@@ -743,14 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn clean_clears_dirty() {
-        let mut c = tiny();
-        c.fill(v(1, 0), true, Permissions::RW);
-        c.clean(v(1, 0));
-        assert!(!c.invalidate(v(1, 0)).unwrap().dirty);
-    }
-
-    #[test]
     fn refill_of_resident_line_does_not_duplicate() {
         let mut c = tiny();
         c.fill(v(1, 0), false, Permissions::RW);
@@ -834,7 +794,7 @@ mod tests {
         c.fill(p(64), false, Permissions::RW);
         c.fill(v(1, 0), false, Permissions::RW);
         let mut victims = Vec::new();
-        c.flush_phys_frame(0, &mut victims);
+        c.flush_phys_frames(0, 1, &mut victims);
         assert_eq!(victims.len(), 1, "one dirty line in the frame");
         assert_eq!(victims[0].name, p(5));
         assert!(!c.contains(p(0)) && !c.contains(p(5)));
@@ -851,7 +811,7 @@ mod tests {
         }
         c.access(v(1, 5), true); // dirty one line
         let mut victims = Vec::new();
-        c.flush_virt_page(Asid::new(1), 0, &mut victims);
+        c.flush_virt_pages(Asid::new(1), 0, 1, &mut victims);
         assert_eq!(victims.len(), 1);
         assert_eq!(victims[0].name, v(1, 5));
         assert_eq!(c.occupancy(), 0);
@@ -886,7 +846,7 @@ mod tests {
     fn downgrade_page_clears_write_permission() {
         let mut c = tiny();
         c.fill(v(1, 0), false, Permissions::RW);
-        c.downgrade_page_read_only(Asid::new(1), 0);
+        c.downgrade_pages_read_only(Asid::new(1), 0, 1);
         assert_eq!(c.permissions(v(1, 0)), Some(Permissions::READ));
     }
 

@@ -130,97 +130,21 @@ impl Hierarchy {
         &self.config
     }
 
-    /// Accesses `name` from `core` with read/write permissions cached as
-    /// given (stored in the tag on fill, per the paper's Figure 2).
-    ///
-    /// On a complete miss the block is auto-filled into LLC, L2 and L1
-    /// (the simulator carries no data, so fill and access fold together);
-    /// the returned latency covers the on-chip lookups only.
+    /// Accesses `name` from `core`: a [`Hierarchy::lookup`] and, on a
+    /// complete miss, a [`Hierarchy::fill_miss`] with read-write
+    /// permissions into LLC, L2 and L1 (the simulator carries no data, so
+    /// fill and access fold together). The returned latency covers the
+    /// on-chip lookups only.
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn access_with_perm(
-        &mut self,
-        core: usize,
-        name: BlockName,
-        kind: AccessKind,
-        perm: Permissions,
-    ) -> AccessResult {
-        let result = self.access_with_perm_inner(core, name, kind, perm);
-        self.lookup_latency.record(result.latency);
-        result
-    }
-
-    fn access_with_perm_inner(
-        &mut self,
-        core: usize,
-        name: BlockName,
-        kind: AccessKind,
-        perm: Permissions,
-    ) -> AccessResult {
-        assert!(core < self.config.cores, "core {core} out of range");
-        self.may_cache_readonly |= !perm.is_writable();
-        let write = kind.is_write();
-        // MESI upgrade: any write must remove other cores' copies, even if
-        // the writer hits its own (Shared-state) L1 copy.
-        if write && self.config.cores > 1 {
-            self.invalidate_other_sharers(core, name);
-        }
-        let mut latency = if kind.is_fetch() {
-            self.config.l1i.latency
-        } else {
-            self.config.l1d.latency
-        };
-
-        // L1.
-        let l1 = if kind.is_fetch() {
-            &mut self.l1i[core]
-        } else {
-            &mut self.l1d[core]
-        };
-        if l1.access(name, write) {
-            return AccessResult {
-                hit_level: Some(0),
-                latency,
-                llc_victim: None,
-            };
-        }
-
-        // L2.
-        latency += self.config.l2.latency;
-        if self.l2[core].access(name, write) {
-            self.fill_l1(core, kind, name, write, perm);
-            return AccessResult {
-                hit_level: Some(1),
-                latency,
-                llc_victim: None,
-            };
-        }
-
-        // LLC (one scan: hit bookkeeping + sharer registration fused).
-        latency += self.config.llc.latency;
-        if self.llc.access_sharing(name, write, core).is_some() {
-            self.fill_private(core, kind, name, write, perm);
-            return AccessResult {
-                hit_level: Some(2),
-                latency,
-                llc_victim: None,
-            };
-        }
-
-        // Miss everywhere: fill bottom-up, maintaining inclusion.
-        let llc_victim = self.fill_miss(core, kind, name, write, perm);
-        AccessResult {
-            hit_level: None,
-            latency,
-            llc_victim,
-        }
-    }
-
-    /// Accesses with default read-write permissions.
     pub fn access(&mut self, core: usize, name: BlockName, kind: AccessKind) -> AccessResult {
-        self.access_with_perm(core, name, kind, Permissions::RW)
+        let mut result = self.lookup(core, name, kind);
+        if result.llc_miss() {
+            result.llc_victim = self.fill_miss(core, kind, name, kind.is_write(), Permissions::RW);
+        }
+        result
     }
 
     /// Probes the hierarchy without filling on a complete miss — the
@@ -736,7 +660,7 @@ mod tests {
     #[test]
     fn permissions_are_cached_and_downgradable() {
         let mut h = tiny(1);
-        h.access_with_perm(0, v(1, 0), AccessKind::Read, Permissions::RW);
+        h.access(0, v(1, 0), AccessKind::Read);
         assert_eq!(h.cached_permissions(0, v(1, 0)), Some(Permissions::RW));
         h.downgrade_page_read_only(Asid::new(1), 0);
         assert_eq!(h.cached_permissions(0, v(1, 0)), Some(Permissions::READ));

@@ -291,8 +291,9 @@ fn sorted_victims(mut v: Vec<Victim>) -> Vec<Victim> {
 }
 
 /// The operation alphabet of the differential test — every hot-path
-/// entry point of `Cache` plus the flush/maintenance surface, in both
-/// its one-page and page-range forms.
+/// entry point of `Cache` plus the flush/maintenance surface. Each
+/// virtual-page op has one arm that draws a single page beside the arm
+/// that draws a range.
 #[derive(Clone, Debug)]
 enum CacheOp {
     Access(BlockName, bool),
@@ -303,11 +304,9 @@ enum CacheOp {
     Invalidate(BlockName),
     AddSharer(BlockName, usize),
     RemoveSharer(BlockName, usize),
-    FlushPage(u16, u64),
     FlushPages(u16, u64, u64),
     FlushFrame(u64),
     FlushAsid(u16),
-    DowngradePage(u16, u64),
     DowngradePages(u16, u64, u64),
 }
 
@@ -340,11 +339,11 @@ fn cache_op(pages: u64, max_count: u64) -> impl Strategy<Value = CacheOp> {
         model_name(pages).prop_map(CacheOp::Invalidate),
         (model_name(pages), 0usize..4).prop_map(|(n, c)| CacheOp::AddSharer(n, c)),
         (model_name(pages), 0usize..4).prop_map(|(n, c)| CacheOp::RemoveSharer(n, c)),
-        (1u16..3, 0..pages).prop_map(|(a, p)| CacheOp::FlushPage(a, p)),
+        (1u16..3, 0..pages).prop_map(|(a, p)| CacheOp::FlushPages(a, p, 1)),
         (1u16..3, 0..pages, 1..=max_count).prop_map(|(a, p, n)| CacheOp::FlushPages(a, p, n)),
         (0..pages).prop_map(|f| CacheOp::FlushFrame(f << PAGE_SHIFT)),
         (1u16..3).prop_map(CacheOp::FlushAsid),
-        (1u16..3, 0..pages).prop_map(|(a, p)| CacheOp::DowngradePage(a, p)),
+        (1u16..3, 0..pages).prop_map(|(a, p)| CacheOp::DowngradePages(a, p, 1)),
         (1u16..3, 0..pages, 1..=max_count).prop_map(|(a, p, n)| CacheOp::DowngradePages(a, p, n)),
     ]
 }
@@ -393,12 +392,6 @@ fn apply_op(flat: &mut Cache, model: &mut RefCache, scratch: &mut Vec<Victim>, o
             flat.remove_sharer(n, c);
             model.set_sharer(n, c, false);
         }
-        CacheOp::FlushPage(a, p) => {
-            scratch.clear();
-            flat.flush_virt_page(Asid::new(a), p, scratch);
-            let expect = model.flush_matching(|n| in_pages(n, Asid::new(a), p, 1));
-            prop_assert_eq!(sorted_victims(scratch.clone()), sorted_victims(expect));
-        }
         CacheOp::FlushPages(a, p, count) => {
             scratch.clear();
             let before = flat.stats().invalidations;
@@ -413,7 +406,7 @@ fn apply_op(flat: &mut Cache, model: &mut RefCache, scratch: &mut Vec<Victim>, o
         }
         CacheOp::FlushFrame(base) => {
             scratch.clear();
-            flat.flush_phys_frame(base, scratch);
+            flat.flush_phys_frames(base, 1, scratch);
             let expect = model.flush_matching(|n| {
                 matches!(n, BlockName::Phys(line)
                 if line.base_raw() >> PAGE_SHIFT == base >> PAGE_SHIFT)
@@ -425,10 +418,6 @@ fn apply_op(flat: &mut Cache, model: &mut RefCache, scratch: &mut Vec<Victim>, o
             flat.flush_asid(Asid::new(a), scratch);
             let expect = model.flush_matching(|n| n.asid() == Some(Asid::new(a)));
             prop_assert_eq!(sorted_victims(scratch.clone()), sorted_victims(expect));
-        }
-        CacheOp::DowngradePage(a, p) => {
-            flat.downgrade_page_read_only(Asid::new(a), p);
-            model.downgrade_pages(Asid::new(a), p, 1);
         }
         CacheOp::DowngradePages(a, p, count) => {
             flat.downgrade_pages_read_only(Asid::new(a), p, count);
@@ -592,7 +581,7 @@ proptest! {
 }
 
 proptest! {
-    /// Real inclusion: after any mix of accesses and lookup-fills on three
+    /// Real inclusion: after any mix of lookup-fills on three
     /// cores, range, batched and whole-space flushes, and downgrades,
     /// every name resident in some L1 or L2 is resident in the LLC. The
     /// LLC holds 256 lines, so the ops evict from it often.
@@ -627,9 +616,6 @@ proptest! {
                 3 => h.downgrade_pages_read_only(Asid::new(a), first, count),
                 4 => {
                     h.apply_batch(&mut chunks.next().expect("cycled"));
-                }
-                5..=10 => {
-                    h.access_with_perm(core, name, kind, perm);
                 }
                 _ => {
                     if h.lookup(core, name, kind).hit_level.is_none() {

@@ -1143,7 +1143,8 @@ fn phys_of(pte: Pte, vaddr: VirtAddr) -> PhysAddr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hvc_os::AllocPolicy;
+    use hvc_os::{AllocPolicy, MapIntent};
+    use hvc_types::PAGE_SIZE;
     use hvc_workloads::apps;
 
     fn run_scheme(scheme: TranslationScheme, policy: AllocPolicy, refs: usize) -> RunReport {
@@ -1256,6 +1257,53 @@ mod tests {
         // False positives exist but are rare relative to all accesses.
         let fp_rate = r.translation.false_positives as f64 / r.translation.filter_lookups as f64;
         assert!(fp_rate < 0.05, "false positive rate {fp_rate}");
+    }
+
+    #[test]
+    fn destroyed_process_leaves_no_tlb_entries_and_its_asid_misses() {
+        // The baseline fills the L1/L2 TLBs; the hybrid scheme fills the
+        // synonym TLB (postgres shares memory r/w) and the delayed TLB.
+        for scheme in [
+            TranslationScheme::Baseline,
+            TranslationScheme::HybridDelayedTlb(1024),
+        ] {
+            let mut kernel = Kernel::new(8 << 30, AllocPolicy::DemandPaging);
+            let mut wl = apps::postgres().instantiate(&mut kernel, 11).unwrap();
+            let mut sim = SystemSim::new(kernel, SystemConfig::isca2016(), scheme);
+            let a = wl.procs()[0].asid;
+            sim.run(&mut wl, 20_000);
+            // Entries of the TLBs a private page's translation goes
+            // through come first.
+            let owned = |sim: &SystemSim| -> Vec<VirtPage> {
+                let data = sim.data_tlbs().iter().flat_map(TwoLevelTlb::entries);
+                let synonym = sim.synonym_tlbs().iter().flat_map(Tlb::entries);
+                data.chain(sim.delayed_tlb().entries())
+                    .chain(synonym)
+                    .filter(|&(asid, _, _)| asid == a)
+                    .map(|(_, page, _)| page)
+                    .collect()
+            };
+            let pages = owned(&sim);
+            assert!(!pages.is_empty(), "{scheme:?}: warm-up caches translations");
+            sim.os(|k| k.destroy_process(a).unwrap());
+            assert_eq!(owned(&sim), [], "{scheme:?}: entries survived teardown");
+
+            // A new process under the same ASID maps a page the old one
+            // had cached: its first reference walks the page table.
+            let va = pages[0].base();
+            sim.os(|k| {
+                k.create_process_with_asid(a).unwrap();
+                k.mmap(a, va, PAGE_SIZE, Permissions::RW, MapIntent::Private)
+                    .unwrap();
+            });
+            sim.reset_stats();
+            sim.step(TraceItem::new(0, MemRef::read(a, va)), 1);
+            let t = sim.report().translation;
+            assert!(
+                t.pte_reads > 0,
+                "{scheme:?}: the reused ASID hit a stale entry"
+            );
+        }
     }
 
     #[test]

@@ -6,14 +6,12 @@
 //! when they touch the same shard — the classic concurrent keyed-cache
 //! shape (cf. mini-moka), hand-rolled because the workspace is offline.
 //!
-//! Eviction is LRU with a global capacity bound: every hit stamps the
-//! entry with a monotonically increasing tick, and an insert into a
-//! full shard evicts that shard's stalest entry. Scanning the shard for
-//! the minimum stamp is O(shard size), which at the default capacity
-//! (a few thousand entries across 16 shards) is far cheaper than the
-//! multi-millisecond simulations the cache fronts.
+//! Each shard is an exact-LRU [`LruTags`] array holding its share of a
+//! global capacity bound: a hit makes its entry the most recent, and an
+//! insert into a full shard evicts that shard's least recently used
+//! entry, both in O(1).
 
-use std::collections::HashMap;
+use hvc_types::LruTags;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -39,16 +37,6 @@ pub struct CachedCell {
     pub origin: Origin,
 }
 
-struct Entry {
-    value: Arc<CachedCell>,
-    last_used: u64,
-}
-
-#[derive(Default)]
-struct Shard {
-    map: HashMap<u64, Entry>,
-}
-
 /// Monotonic counters describing cache traffic, for `GET /stats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -66,12 +54,15 @@ pub struct CacheStats {
     pub capacity: u64,
 }
 
+/// The one key [`LruTags`] reserves for its free slots; a cell whose key
+/// hashes to it is never memoized.
+const RESERVED_KEY: u64 = u64::MAX;
+
 /// A sharded `cell_key → CachedCell` LRU cache, safe to share across
 /// request-handler and worker threads behind an `Arc`.
 pub struct ResultCache {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Mutex<LruTags<Arc<CachedCell>>>>,
     per_shard_capacity: usize,
-    tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
@@ -82,16 +73,24 @@ impl ResultCache {
     /// Number of shards; a power of two so shard selection is a mask.
     const SHARDS: usize = 16;
 
+    /// Largest capacity [`ResultCache::new`] accepts: every shard's share
+    /// must fit one [`LruTags`] array.
+    pub const MAX_CAPACITY: usize = Self::SHARDS * LruTags::<()>::MAX_CAPACITY;
+
     /// Creates a cache holding at most `capacity` entries (rounded up
     /// to a multiple of the shard count; a zero capacity still admits
     /// one entry per shard so the cache degrades rather than panics).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` exceeds [`ResultCache::MAX_CAPACITY`].
     pub fn new(capacity: usize) -> ResultCache {
+        let per_shard_capacity = capacity.div_ceil(Self::SHARDS).max(1);
         ResultCache {
             shards: (0..Self::SHARDS)
-                .map(|_| Mutex::new(Shard::default()))
+                .map(|_| Mutex::new(LruTags::new(per_shard_capacity)))
                 .collect(),
-            per_shard_capacity: capacity.div_ceil(Self::SHARDS).max(1),
-            tick: AtomicU64::new(0),
+            per_shard_capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
@@ -101,19 +100,18 @@ impl ResultCache {
 
     /// The key is already an FNV-1a hash with well-mixed low bits, so
     /// shard selection is a plain mask.
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
+    fn shard(&self, key: u64) -> &Mutex<LruTags<Arc<CachedCell>>> {
         &self.shards[(key as usize) & (Self::SHARDS - 1)]
     }
 
-    /// Looks up `key`, refreshing its LRU stamp on a hit.
+    /// Looks up `key`, making it the shard's most recent entry on a hit.
     pub fn get(&self, key: u64) -> Option<Arc<CachedCell>> {
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard(key).lock().unwrap();
-        match shard.map.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = stamp;
+        match (key != RESERVED_KEY).then(|| shard.find(key)).flatten() {
+            Some(slot) => {
+                shard.touch(slot);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.value))
+                Some(Arc::clone(shard.payload(slot)))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -125,32 +123,18 @@ impl ResultCache {
     /// Inserts (or refreshes) `key`, evicting the shard's
     /// least-recently-used entry if the shard is full.
     pub fn insert(&self, key: u64, value: Arc<CachedCell>) {
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
+        if key == RESERVED_KEY {
+            return;
+        }
         let mut shard = self.shard(key).lock().unwrap();
-        if !shard.map.contains_key(&key) && shard.map.len() >= self.per_shard_capacity {
-            if let Some(&victim) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k)
-            {
-                shard.map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        if shard.find(key).is_some() {
+            shard.put(key, value);
+            return;
         }
-        if shard
-            .map
-            .insert(
-                key,
-                Entry {
-                    value,
-                    last_used: stamp,
-                },
-            )
-            .is_none()
-        {
-            self.insertions.fetch_add(1, Ordering::Relaxed);
+        if shard.insert(key, value).is_some() {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
+        self.insertions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A consistent-enough snapshot of the traffic counters (each
@@ -164,7 +148,7 @@ impl ResultCache {
             entries: self
                 .shards
                 .iter()
-                .map(|s| s.lock().unwrap().map.len() as u64)
+                .map(|s| s.lock().unwrap().keys_by_recency().count() as u64)
                 .sum(),
             capacity: (self.per_shard_capacity * Self::SHARDS) as u64,
         }
@@ -228,6 +212,15 @@ mod tests {
         assert_eq!(cache.get(5).unwrap().stats, Value::UInt(2));
         let s = cache.stats();
         assert_eq!((s.insertions, s.entries, s.evictions), (1, 1, 0));
+    }
+
+    #[test]
+    fn the_reserved_key_is_never_memoized() {
+        let cache = ResultCache::new(64);
+        cache.insert(RESERVED_KEY, cell(1));
+        assert!(cache.get(RESERVED_KEY).is_none());
+        let s = cache.stats();
+        assert_eq!((s.insertions, s.entries, s.misses), (0, 0, 1));
     }
 
     #[test]

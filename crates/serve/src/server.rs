@@ -86,7 +86,23 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port), replays the
     /// spool into the cache, and starts accepting connections.
+    ///
+    /// # Errors
+    ///
+    /// [`std::io::ErrorKind::InvalidInput`] when `config.cache_capacity`
+    /// exceeds [`ResultCache::MAX_CAPACITY`]; otherwise any error of
+    /// binding `addr` or reading the spool.
     pub fn start(addr: &str, config: ServeConfig) -> std::io::Result<Server> {
+        if config.cache_capacity > ResultCache::MAX_CAPACITY {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "cache capacity {} exceeds the maximum of {}",
+                    config.cache_capacity,
+                    ResultCache::MAX_CAPACITY
+                ),
+            ));
+        }
         let (mut replayed, mut skipped) = (0, 0);
         let cache = ResultCache::new(config.cache_capacity);
         if let Some(dir) = &config.spool_dir {
@@ -604,6 +620,19 @@ fn strip_obs(stats: &Value) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn oversized_cache_capacity_is_invalid_input() {
+        let config = ServeConfig {
+            cache_capacity: ResultCache::MAX_CAPACITY + 1,
+            ..ServeConfig::default()
+        };
+        let err = Server::start("127.0.0.1:0", config)
+            .err()
+            .expect("an oversized cache is refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("cache capacity"), "{err}");
+    }
 
     #[test]
     fn finished_handlers_are_reaped_between_connections() {

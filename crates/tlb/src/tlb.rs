@@ -133,10 +133,8 @@ fn vpn_of(key: u64) -> u64 {
     key & FIELD_MASK
 }
 
-/// Payload columns of a way: its packed PTE word and the ASID generation
-/// captured at insert.
+/// The store's one payload column: a way's packed PTE word.
 const PTE: usize = 0;
-const GEN: usize = 1;
 
 /// PTE word layout: the frame number in bits 0..48, the permission bits
 /// at 48..56, and the shared flag at bit 56.
@@ -168,23 +166,15 @@ fn unpack_pte(w: u64) -> Pte {
 /// ASID tagging means context switches need no flush (homonyms cannot
 /// hit), matching the paper's ASID-based design.
 ///
-/// The tags are one [`LruSets`] store with two payload columns, so a
-/// row is `[key[ways] | pte[ways] | gen[ways] | occupancy | recency]`:
-/// the packed 8-byte `(asid, vpn)` tags a probe scans, each way's packed
-/// PTE word and the ASID generation captured at insert (the entry is
-/// live only while that generation matches its ASID's current one), the
-/// occupancy bitmask and the set's recency word. An 8-way row is 256 B
-/// and a probe scans its first 64 B. Address-space shootdowns are O(1):
-/// [`Tlb::flush_asid`] just bumps the generation, and
-/// generation-mismatched entries never hit — they are reclaimed lazily
-/// as preferred free slots on insert.
+/// The tags are one [`LruSets`] store with one payload column, so a row
+/// is `[key[ways] | pte[ways] | occupancy | recency]`: the packed 8-byte
+/// `(asid, vpn)` tags a probe scans, each way's packed PTE word, the
+/// occupancy bitmask and the set's recency word. An 8-way row is 192 B
+/// and a probe scans its first 64 B.
 #[derive(Clone, Debug)]
 pub struct Tlb {
     config: TlbConfig,
     tags: LruSets,
-    /// Current generation per ASID, grown lazily; absent ASIDs are at
-    /// generation 0.
-    asid_gen: Vec<u64>,
     stats: TlbStats,
 }
 
@@ -196,8 +186,7 @@ impl Tlb {
     /// Panics if the geometry has more than 16 ways.
     pub fn new(config: TlbConfig) -> Self {
         Tlb {
-            tags: LruSets::new(config.sets(), config.ways, 2),
-            asid_gen: Vec::new(),
+            tags: LruSets::new(config.sets(), config.ways, 1),
             config,
             stats: TlbStats::default(),
         }
@@ -225,72 +214,29 @@ impl Tlb {
         (self.tags.set_of(key), key)
     }
 
-    /// Current generation of `asid` (0 if never flushed).
-    #[inline]
-    fn gen_of(&self, asid: Asid) -> u64 {
-        self.asid_gen
-            .get(asid.as_u16() as usize)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Whether the in-use entry at `(set, way)` is live (generation
-    /// current).
-    #[inline]
-    fn is_live(&self, set: usize, way: usize) -> bool {
-        self.tags.payload(set, way, GEN) == self.gen_of(asid_of(self.tags.key(set, way)))
-    }
-
-    /// Looks up a translation, updating LRU and counters. At most one way
-    /// of a set holds a tag: [`Tlb::insert`] refreshes a live duplicate
-    /// in place and reclaims every stale way of the set before placing a
-    /// tag, so duplicates never coexist.
+    /// Looks up a translation, updating LRU and counters.
     pub fn lookup(&mut self, asid: Asid, vpage: VirtPage) -> Option<Pte> {
         let (set, key) = self.locate(asid, vpage);
         if let Some(way) = self.tags.find(set, key) {
-            if self.tags.payload(set, way, GEN) == self.gen_of(asid) {
-                self.tags.touch(set, way);
-                self.stats.hits += 1;
-                return Some(unpack_pte(self.tags.payload(set, way, PTE)));
-            }
-            // Stale survivor of a generation flush: reclaim the slot.
-            self.tags.clear_way(set, way);
+            self.tags.touch(set, way);
+            self.stats.hits += 1;
+            return Some(unpack_pte(self.tags.payload(set, way, PTE)));
         }
         self.stats.misses += 1;
         None
     }
 
-    /// Probes without updating LRU or counters.
-    pub fn contains(&self, asid: Asid, vpage: VirtPage) -> bool {
-        let (set, key) = self.locate(asid, vpage);
-        self.tags
-            .find(set, key)
-            .is_some_and(|way| self.tags.payload(set, way, GEN) == self.gen_of(asid))
-    }
-
     /// Inserts (or refreshes) a translation after a miss/page walk.
-    ///
-    /// Stale (generation-flushed) entries are preferred reclamation
-    /// targets, so a set never evicts a live entry while it holds dead
-    /// ones — exactly the occupancy an eager flush would have left.
     pub fn insert(&mut self, asid: Asid, vpage: VirtPage, pte: Pte) {
         let (set, key) = self.locate(asid, vpage);
-        let mut used = self.tags.occupied(set);
-        while used != 0 {
-            let w = used.trailing_zeros() as usize;
-            if !self.is_live(set, w) {
-                // Lazily reclaim any stale entry encountered on the way.
-                self.tags.clear_way(set, w);
-            } else if self.tags.key(set, w) == key {
-                *self.tags.payload_mut(set, w, PTE) = pack_pte(pte);
-                self.tags.touch(set, w);
-                return;
+        let way = match self.tags.find(set, key) {
+            Some(way) => {
+                self.tags.touch(set, way);
+                way
             }
-            used &= used - 1;
-        }
-        let (way, _) = self.tags.insert(set, key);
+            None => self.tags.insert(set, key).0,
+        };
         *self.tags.payload_mut(set, way, PTE) = pack_pte(pte);
-        *self.tags.payload_mut(set, way, GEN) = self.gen_of(asid);
     }
 
     /// Invalidates one page's entry (TLB shootdown).
@@ -301,31 +247,31 @@ impl Tlb {
         }
     }
 
-    /// Invalidates every entry of an address space — O(1): the ASID's
-    /// generation is bumped and surviving entries can never hit again.
+    /// Invalidates every entry of an address space (process teardown)
+    /// with one sweep of the sets, as `Cache::flush_asid` does.
     pub fn flush_asid(&mut self, asid: Asid) {
-        let idx = asid.as_u16() as usize;
-        if idx >= self.asid_gen.len() {
-            self.asid_gen.resize(idx + 1, 0);
+        for set in 0..self.tags.sets() {
+            let mut live = self.tags.occupied(set);
+            while live != 0 {
+                let way = live.trailing_zeros() as usize;
+                live &= live - 1;
+                if asid_of(self.tags.key(set, way)) == asid {
+                    self.tags.clear_way(set, way);
+                }
+            }
         }
-        self.asid_gen[idx] += 1;
     }
 
-    /// Invalidates everything.
-    pub fn flush_all(&mut self) {
-        self.tags.clear();
-    }
-
-    /// Number of valid (live) entries.
+    /// Number of valid entries.
     pub fn occupancy(&self) -> usize {
-        self.live_slots().count()
+        self.tags.slots().count()
     }
 
-    /// Iterates over all live entries as `(asid, vpage, pte)`. Used by
+    /// Iterates over all valid entries as `(asid, vpage, pte)`. Used by
     /// the `hvc-check` invariant sweeps to audit cached translations
     /// against the page tables; not on any simulation fast path.
     pub fn entries(&self) -> impl Iterator<Item = (Asid, VirtPage, Pte)> + '_ {
-        self.live_slots().map(|(set, way)| {
+        self.tags.slots().map(|(set, way)| {
             let key = self.tags.key(set, way);
             (
                 asid_of(key),
@@ -333,12 +279,6 @@ impl Tlb {
                 unpack_pte(self.tags.payload(set, way, PTE)),
             )
         })
-    }
-
-    /// `(set, way)` coordinates of all live (in-use and
-    /// generation-current) entries.
-    fn live_slots(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.tags.slots().filter(|&(set, w)| self.is_live(set, w))
     }
 }
 
@@ -357,6 +297,13 @@ mod tests {
 
     fn tiny() -> Tlb {
         Tlb::new(TlbConfig::new(4, 2, Cycles::new(1)))
+    }
+
+    /// Whether `t` holds an entry for `(asid, page)`, without touching
+    /// recency or counters.
+    fn holds(t: &Tlb, asid: Asid, page: u64) -> bool {
+        t.entries()
+            .any(|(a, p, _)| a == asid && p == VirtPage::new(page))
     }
 
     #[test]
@@ -422,8 +369,8 @@ mod tests {
         t.insert(a, VirtPage::new(2), pte(2));
         t.lookup(a, VirtPage::new(0));
         t.insert(a, VirtPage::new(4), pte(4));
-        assert!(t.contains(a, VirtPage::new(0)));
-        assert!(!t.contains(a, VirtPage::new(2)));
+        assert!(holds(&t, a, 0));
+        assert!(!holds(&t, a, 2));
     }
 
     #[test]
@@ -445,29 +392,27 @@ mod tests {
         t.insert(a, VirtPage::new(1), pte(2));
         t.insert(b, VirtPage::new(1), pte(3));
         t.flush_page(a, VirtPage::new(0));
-        assert!(!t.contains(a, VirtPage::new(0)));
-        assert!(t.contains(a, VirtPage::new(1)));
+        assert!(!holds(&t, a, 0));
+        assert!(holds(&t, a, 1));
         t.flush_asid(a);
-        assert!(!t.contains(a, VirtPage::new(1)));
-        assert!(t.contains(b, VirtPage::new(1)));
-        t.flush_all();
-        assert_eq!(t.occupancy(), 0);
+        assert!(!holds(&t, a, 1));
+        assert!(holds(&t, b, 1));
     }
 
     #[test]
-    fn generation_flush_hides_entries_immediately() {
+    fn asid_flush_hides_entries_immediately() {
         let mut t = tiny();
         let a = Asid::new(1);
         t.insert(a, VirtPage::new(0), pte(1));
         t.flush_asid(a);
-        // The stale entry never hits, never shows in occupancy/entries.
+        // The flushed entry never hits, never shows in occupancy/entries.
         assert_eq!(t.lookup(a, VirtPage::new(0)), None);
         assert_eq!(t.occupancy(), 0);
         assert_eq!(t.entries().count(), 0);
     }
 
     #[test]
-    fn stale_slots_are_reclaimed_before_evicting_live_entries() {
+    fn flushed_ways_are_reused_before_evicting_live_entries() {
         let mut t = tiny();
         let a = Asid::new(1);
         let b = Asid::new(2);
@@ -475,22 +420,22 @@ mod tests {
         t.insert(a, VirtPage::new(0), pte(1));
         t.insert(b, VirtPage::new(2), pte(2));
         t.flush_asid(a);
-        // Inserting into the full-looking set must reuse the stale slot,
-        // keeping ASID 2's live entry resident.
+        // Inserting into the set must reuse the flushed way, keeping
+        // ASID 2's live entry resident.
         t.insert(b, VirtPage::new(4), pte(4));
-        assert!(t.contains(b, VirtPage::new(2)));
-        assert!(t.contains(b, VirtPage::new(4)));
+        assert!(holds(&t, b, 2));
+        assert!(holds(&t, b, 4));
     }
 
     #[test]
-    fn reinsert_after_generation_flush_is_fresh() {
+    fn reinsert_after_asid_flush_is_fresh() {
         let mut t = tiny();
         let a = Asid::new(1);
         t.insert(a, VirtPage::new(0), pte(1));
         t.flush_asid(a);
         t.insert(a, VirtPage::new(0), pte(7));
         assert_eq!(t.lookup(a, VirtPage::new(0)), Some(pte(7)));
-        assert_eq!(t.occupancy(), 1, "stale duplicate must not linger");
+        assert_eq!(t.occupancy(), 1, "flushed duplicate must not linger");
     }
 
     #[test]

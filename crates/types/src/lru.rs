@@ -48,14 +48,18 @@ pub struct LruTags<P> {
 }
 
 impl<P> LruTags<P> {
+    /// Most slots an array can have: slot indices, and the list head one
+    /// past the last slot, are `u16`s.
+    pub const MAX_CAPACITY: usize = u16::MAX as usize - 1;
+
     /// An empty array of `capacity` slots (zero keeps nothing).
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` does not fit the `u16` slot indices.
+    /// Panics if `capacity` exceeds [`LruTags::MAX_CAPACITY`].
     pub fn new(capacity: usize) -> Self {
         assert!(
-            capacity < usize::from(u16::MAX),
+            capacity <= Self::MAX_CAPACITY,
             "LruTags capacity {capacity}"
         );
         let head = capacity as u16;

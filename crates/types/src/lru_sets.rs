@@ -44,7 +44,7 @@ fn promote(rec: u64, way: usize) -> u64 {
 /// `s` is the row `rows[s * stride..][..stride]`, laid out as
 /// `[key[ways] | column 0[ways] | … | occupancy | recency | padding]`
 /// and rounded up to whole 64-byte host lines, so a 16-way row with one
-/// column is 320 B and an 8-way row with two is 256 B. The keys a probe
+/// column is 320 B and an 8-way row with one is 192 B. The keys a probe
 /// scans open the row. Nibble `i` of the recency word holds the way at
 /// rank `i`, most recent first (see `promote`); an insert or a touch
 /// moves its way to rank 0, so in a full set the last rank holds the
@@ -270,7 +270,7 @@ mod tests {
         // The cache's 16-way rows, the TLB's 8-way rows and the index
         // cache's 8-way rows.
         assert_eq!(LruSets::new(1, 16, 1).stride * 8, 320);
-        assert_eq!(LruSets::new(1, 8, 2).stride * 8, 256);
+        assert_eq!(LruSets::new(1, 8, 1).stride * 8, 192);
         assert_eq!(LruSets::new(1, 8, 0).stride * 8, 128);
     }
 

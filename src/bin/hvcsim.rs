@@ -435,7 +435,7 @@ fn serve_main(args: &[String]) -> ExitCode {
     let server = match Server::start(&addr, config) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("cannot bind {addr}: {e}");
+            eprintln!("cannot start the server on {addr}: {e}");
             return ExitCode::FAILURE;
         }
     };

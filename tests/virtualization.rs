@@ -4,9 +4,10 @@
 
 use hvc::core::{PerCoreStats, SystemConfig, SystemSim, VirtScheme};
 use hvc::os::{AllocPolicy, MapIntent};
+use hvc::tlb::{Tlb, TwoLevelTlb};
 use hvc::types::{
     AccessKind, Asid, BlockName, Cycles, GuestPhysAddr, MemRef, Permissions, TraceItem, VirtAddr,
-    Vmid,
+    VirtPage, Vmid, PAGE_SIZE,
 };
 use hvc::virt::{Hypervisor, NestedSegments, NestedWalker};
 use hvc::workloads::{apps, WorkloadInstance};
@@ -328,17 +329,22 @@ fn destroyed_guest_space_leaves_no_stale_lines() {
         let (mut sim, mut wl) = guest_sim(SystemConfig::isca2016(), scheme);
         let asid = wl.procs()[0].asid;
         sim.run(&mut wl, 2000);
-        let owned = |(a, _, _): (Asid, _, _)| a == asid;
-        let stale_tlb_entries = |sim: &SystemSim| {
-            sim.gva_tlb()
-                .expect("a guest has a gVA TLB")
-                .entries()
-                .any(owned)
-                || sim.synonym_tlbs().iter().any(|t| t.entries().any(owned))
-                || sim.delayed_tlb().entries().any(owned)
+        // The process's cached translations, those of the TLBs a private
+        // page's translation goes through first.
+        let owned = |sim: &SystemSim| -> Vec<VirtPage> {
+            let gva = sim.gva_tlb().expect("a guest has a gVA TLB").entries();
+            let data = sim.data_tlbs().iter().flat_map(TwoLevelTlb::entries);
+            let synonym = sim.synonym_tlbs().iter().flat_map(Tlb::entries);
+            gva.chain(data)
+                .chain(sim.delayed_tlb().entries())
+                .chain(synonym)
+                .filter(|&(a, _, _)| a == asid)
+                .map(|(_, page, _)| page)
+                .collect()
         };
+        let pages = owned(&sim);
         assert!(
-            stale_tlb_entries(&sim) || has_virt_lines_of(&sim, asid),
+            !pages.is_empty() || has_virt_lines_of(&sim, asid),
             "{scheme:?}: warm-up should leave lines or TLB entries for the process"
         );
         sim.os(|gk| gk.destroy_process(asid).unwrap());
@@ -346,10 +352,32 @@ fn destroyed_guest_space_leaves_no_stale_lines() {
             !has_virt_lines_of(&sim, asid),
             "{scheme:?}: stale virtually tagged lines survived guest ASID destruction"
         );
-        assert!(
-            !stale_tlb_entries(&sim),
+        assert_eq!(
+            owned(&sim),
+            [],
             "{scheme:?}: stale TLB entries survived guest ASID destruction"
         );
+        // A new process under the same ASID maps a page the old one had
+        // cached: its first reference walks the page tables.
+        if let Some(&page) = pages.first() {
+            sim.os(|gk| {
+                gk.create_process_with_asid(asid).unwrap();
+                gk.mmap(
+                    asid,
+                    page.base(),
+                    PAGE_SIZE,
+                    Permissions::RW,
+                    MapIntent::Private,
+                )
+                .unwrap();
+            });
+            sim.reset_stats();
+            sim.step(TraceItem::new(0, MemRef::read(asid, page.base())), 1);
+            assert!(
+                sim.report().translation.pte_reads > 0,
+                "{scheme:?}: the reused ASID hit a stale entry"
+            );
+        }
     }
 }
 
