@@ -1,7 +1,6 @@
 //! Cache statistics.
 
 use hvc_obs::LatencyHistogram;
-use hvc_types::MergeStats;
 
 /// Counters for a single cache level.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -31,16 +30,6 @@ impl LevelStats {
     }
 }
 
-impl MergeStats for LevelStats {
-    fn merge_from(&mut self, other: &Self) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.writebacks += other.writebacks;
-        self.invalidations += other.invalidations;
-    }
-}
-
 /// Aggregated statistics for a whole [`crate::Hierarchy`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -62,60 +51,9 @@ pub struct CacheStats {
     pub lookup_latency: LatencyHistogram,
 }
 
-impl MergeStats for CacheStats {
-    /// Merges elementwise. Per-core vectors of unequal length are merged
-    /// by padding the shorter with zero entries (see the `Vec` impl in
-    /// `hvc-types`), so shards from different core counts still combine.
-    fn merge_from(&mut self, other: &Self) {
-        self.l1i.merge_from(&other.l1i);
-        self.l1d.merge_from(&other.l1d);
-        self.l2.merge_from(&other.l2);
-        self.llc.merge_from(&other.llc);
-        self.coherence_invalidations += other.coherence_invalidations;
-        self.memory_writebacks += other.memory_writebacks;
-        self.lookup_latency.merge_from(&other.lookup_latency);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_is_elementwise() {
-        let one = |n: u64| LevelStats {
-            hits: n,
-            misses: n + 1,
-            evictions: n + 2,
-            writebacks: n + 3,
-            invalidations: n + 4,
-        };
-        let mut a = CacheStats {
-            l1i: vec![one(1)],
-            l1d: vec![one(2), one(3)],
-            l2: vec![],
-            llc: one(4),
-            coherence_invalidations: 5,
-            memory_writebacks: 6,
-            ..Default::default()
-        };
-        let b = CacheStats {
-            l1i: vec![one(10), one(20)],
-            l1d: vec![one(30)],
-            l2: vec![one(40)],
-            llc: one(50),
-            coherence_invalidations: 7,
-            memory_writebacks: 8,
-            ..Default::default()
-        };
-        a.merge_from(&b);
-        assert_eq!(a.l1i, vec![one(1).merged(&one(10)), one(20)]);
-        assert_eq!(a.l1d, vec![one(2).merged(&one(30)), one(3)]);
-        assert_eq!(a.l2, vec![one(40)]);
-        assert_eq!(a.llc.hits, 54);
-        assert_eq!(a.coherence_invalidations, 12);
-        assert_eq!(a.memory_writebacks, 14);
-    }
 
     #[test]
     fn miss_rate() {

@@ -4,7 +4,6 @@ use hvc_cache::CacheStats;
 use hvc_mem::DramStats;
 use hvc_obs::ObsReport;
 use hvc_os::KernelStats;
-use hvc_types::MergeStats;
 
 /// Event counts of the translation machinery, fed to the energy model
 /// and to the Table II metrics.
@@ -71,48 +70,13 @@ impl TranslationCounters {
     }
 }
 
-impl MergeStats for TranslationCounters {
-    fn merge_from(&mut self, other: &Self) {
-        self.l1_tlb_lookups += other.l1_tlb_lookups;
-        self.l2_tlb_lookups += other.l2_tlb_lookups;
-        self.filter_lookups += other.filter_lookups;
-        self.filter_candidates += other.filter_candidates;
-        self.false_positives += other.false_positives;
-        self.synonym_tlb_lookups += other.synonym_tlb_lookups;
-        self.synonym_tlb_misses += other.synonym_tlb_misses;
-        self.delayed_tlb_lookups += other.delayed_tlb_lookups;
-        self.delayed_tlb_misses += other.delayed_tlb_misses;
-        self.sc_lookups += other.sc_lookups;
-        self.index_cache_accesses += other.index_cache_accesses;
-        self.segment_table_accesses += other.segment_table_accesses;
-        self.pte_reads += other.pte_reads;
-        self.shared_accesses += other.shared_accesses;
-        self.writeback_translations += other.writeback_translations;
-        self.filter_reloads += other.filter_reloads;
-        self.segment_table_rebuilds += other.segment_table_rebuilds;
-        self.enigma_lookups += other.enigma_lookups;
-        self.prefetches += other.prefetches;
-        self.prefetches_blocked += other.prefetches_blocked;
-    }
-}
-
 /// One core's slice of a run (index in `RunReport::per_core` = core id).
-///
-/// Merging is elementwise addition per core, so sharded windows of a
-/// multi-core run reassemble each core's totals exactly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PerCoreStats {
     /// Instructions this core retired in the measured window.
     pub instructions: u64,
     /// Cycles this core's clock advanced in the measured window.
     pub cycles: u64,
-}
-
-impl MergeStats for PerCoreStats {
-    fn merge_from(&mut self, other: &Self) {
-        self.instructions += other.instructions;
-        self.cycles += other.cycles;
-    }
 }
 
 /// The complete result of one simulation run.
@@ -141,7 +105,7 @@ pub struct RunReport {
     /// cycle-attribution ledger.
     pub obs: ObsReport,
     /// Per-core instruction/cycle slices (one entry per simulated core;
-    /// `cycles` above is their sum, which keeps shard merging exact).
+    /// `cycles` above is their sum).
     pub per_core: Vec<PerCoreStats>,
 }
 
@@ -165,54 +129,9 @@ impl RunReport {
     }
 }
 
-impl MergeStats for RunReport {
-    /// Merges every counter; derived metrics ([`RunReport::ipc`],
-    /// [`RunReport::mpki`]) automatically reflect the merged counts
-    /// because they are recomputed on demand.
-    fn merge_from(&mut self, other: &Self) {
-        self.instructions += other.instructions;
-        self.cycles += other.cycles;
-        self.refs += other.refs;
-        self.translation.merge_from(&other.translation);
-        self.baseline_tlb_misses += other.baseline_tlb_misses;
-        self.cache.merge_from(&other.cache);
-        self.dram.merge_from(&other.dram);
-        self.minor_faults += other.minor_faults;
-        self.os.merge_from(&other.os);
-        self.obs.merge_from(&other.obs);
-        if self.per_core.len() < other.per_core.len() {
-            self.per_core
-                .resize(other.per_core.len(), PerCoreStats::default());
-        }
-        for (dst, src) in self.per_core.iter_mut().zip(other.per_core.iter()) {
-            dst.merge_from(src);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merged_report_recomputes_derived_metrics() {
-        let mut a = RunReport {
-            instructions: 1000,
-            cycles: 500,
-            refs: 10,
-            ..Default::default()
-        };
-        let b = RunReport {
-            instructions: 3000,
-            cycles: 1500,
-            refs: 30,
-            ..Default::default()
-        };
-        a.merge_from(&b);
-        assert_eq!(a.instructions, 4000);
-        assert_eq!(a.refs, 40);
-        assert!((a.ipc() - 2.0).abs() < 1e-12);
-    }
 
     #[test]
     fn ipc_and_mpki() {

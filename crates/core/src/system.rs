@@ -18,8 +18,8 @@ use hvc_os::{FlushRequest, Kernel, KernelStats, Pte, ShootdownModel};
 use hvc_segment::ManySegmentTranslator;
 use hvc_tlb::{PageWalker, Tlb, TwoLevelTlb};
 use hvc_types::{
-    AccessKind, Asid, BlockName, Cycles, MemRef, MergeStats, Permissions, PhysAddr, PhysFrame,
-    TraceItem, VirtAddr, VirtPage, Vmid,
+    AccessKind, Asid, BlockName, Cycles, MemRef, Permissions, PhysAddr, PhysFrame, TraceItem,
+    VirtAddr, VirtPage, Vmid,
 };
 use hvc_virt::{Hypervisor, NestedSegments, NestedWalker};
 use hvc_workloads::{ChurnOps, WorkloadInstance};

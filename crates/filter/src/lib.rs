@@ -24,9 +24,10 @@
 //! Bloom), and rebuilds the filter from the page tables when too much
 //! stale state accumulates ([`SynonymFilter::clear`] + re-insertion).
 //!
-//! For virtualized systems, [`GuestHostFilters`] pairs a guest-OS filter
-//! with a hypervisor (host) filter; both are indexed with the *guest
-//! virtual* address and a hit in either reports a candidate (Section V-A).
+//! For virtualized systems a guest-OS filter and a hypervisor (host)
+//! filter are both plain [`SynonymFilter`]s indexed with the *guest
+//! virtual* address; the simulation engine in `hvc-core` probes both
+//! and a hit in either reports a candidate (Section V-A).
 //!
 //! # Examples
 //!
@@ -50,4 +51,4 @@ mod synonym;
 
 pub use bloom::BloomFilter;
 pub use strategy::{BloomPair, FilterKind, RltFilter, SynonymStrategy, RLT_CAPACITY};
-pub use synonym::{GuestHostFilters, SynonymFilter, COARSE_SHIFT, FILTER_BITS, FINE_SHIFT};
+pub use synonym::{SynonymFilter, COARSE_SHIFT, FILTER_BITS, FINE_SHIFT};

@@ -155,34 +155,6 @@ impl Default for SynonymFilter {
     }
 }
 
-/// Guest + host filter pair for virtualized systems (Section V-A).
-///
-/// Both filters are indexed with the guest virtual address: the guest OS
-/// maintains the guest filter for OS-induced synonyms, and the hypervisor
-/// maintains the host filter for hypervisor-induced sharing (tracing gPA
-/// back to gVA through its inverse map). A hit in **either** filter makes
-/// the address a synonym candidate.
-#[derive(Clone, Debug, Default)]
-pub struct GuestHostFilters {
-    /// Filter maintained by the guest OS, switched on guest context
-    /// switches.
-    pub guest: SynonymFilter,
-    /// Filter maintained by the hypervisor, switched on VM switches.
-    pub host: SynonymFilter,
-}
-
-impl GuestHostFilters {
-    /// Creates an empty pair.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns `true` if either filter reports a candidate.
-    pub fn is_candidate(&self, gva: VirtAddr) -> bool {
-        self.guest.is_candidate(gva) || self.host.is_candidate(gva)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,18 +257,6 @@ mod tests {
             assert_eq!(f.saturation(), (0.0, 0.0));
             assert_eq!(f.kind(), kind, "clear preserves the strategy");
         }
-    }
-
-    #[test]
-    fn guest_host_composition_is_a_union() {
-        let mut gh = GuestHostFilters::new();
-        let guest_page = VirtAddr::new(0x4000_0000);
-        let host_page = VirtAddr::new(0x5000_0000);
-        gh.guest.insert_page(guest_page);
-        gh.host.insert_page(host_page);
-        assert!(gh.is_candidate(guest_page));
-        assert!(gh.is_candidate(host_page));
-        assert!(!gh.is_candidate(VirtAddr::new(0x6000_0000)));
     }
 
     #[test]

@@ -11,15 +11,13 @@
 //!
 //! Two properties are load-bearing:
 //!
-//! * **Determinism / shard invariance.** Dispatch is a pure function
-//!   of the fed reference stream: a quantum is released only once
-//!   `cores × quantum` references are buffered, queues are drained
-//!   round-robin from a persistent rotor, and nothing is flushed at
-//!   measurement-window boundaries (only [`McSim::drain`] — called at
-//!   the end of warm-up and before the final report — empties the
-//!   queues). Splitting a run into windows and merging the reports is
-//!   therefore bitwise identical to one long window, exactly like the
-//!   single-core engine.
+//! * **Determinism.** Dispatch is a pure function of the fed reference
+//!   stream: a quantum is released only once `cores × quantum`
+//!   references are buffered, queues are drained round-robin from a
+//!   persistent rotor, and only [`McSim::drain`] — called at the end of
+//!   warm-up and before the report — empties the queues. Feed
+//!   granularity is therefore invisible: feeding a run in many small
+//!   calls executes the same schedule, bitwise, as one call.
 //! * **Single-core equivalence.** With one core there is one queue and
 //!   one clock, so references execute in stream order on a fresh clock
 //!   and every shootdown round takes the free zero-responder fast
@@ -57,9 +55,9 @@ enum QueueEntry {
 ///
 /// Construct with [`McSim::new`], then either mirror the single-core
 /// API ([`warm_up`](McSim::warm_up) /
-/// [`run_to_completion`](McSim::run_to_completion)) or compose windows
-/// from [`run`](McSim::run) + [`drain`](McSim::drain) +
-/// [`reset_stats`](McSim::reset_stats) the way the sweep runner does.
+/// [`run_to_completion`](McSim::run_to_completion)) or compose a run
+/// from [`feed`](McSim::feed) + [`drain`](McSim::drain) +
+/// [`reset_stats`](McSim::reset_stats) + [`report`](McSim::report).
 pub struct McSim {
     sim: SystemSim,
     /// Per-core clocks, swapped into `sim` for the duration of a
@@ -68,7 +66,7 @@ pub struct McSim {
     clocks: Vec<CoreModel>,
     queues: Vec<VecDeque<QueueEntry>>,
     /// Next core considered for dispatch (persists across calls so
-    /// window boundaries cannot perturb the schedule).
+    /// feed boundaries cannot perturb the schedule).
     rotor: usize,
     /// Buffered `Item` entries across all queues (`Os` markers ride
     /// along for free).
@@ -138,9 +136,8 @@ impl McSim {
     }
 
     /// Executes all buffered work. Call once at the end of warm-up and
-    /// once before the final measurement window's report — never in
-    /// between, or the schedule (and thus the statistics) would depend
-    /// on where the window boundaries fall.
+    /// once before the report — never in between, or the schedule (and
+    /// thus the statistics) would depend on where the feed calls fall.
     pub fn drain(&mut self) {
         while self.buffered > 0 {
             self.dispatch_quantum();
@@ -228,8 +225,7 @@ impl McSim {
     /// Reports statistics since the last reset. Instructions and
     /// cycles are summed over the per-core clocks (the wrapped
     /// simulator's own clock slot is idle between quanta), and
-    /// `per_core` carries the per-core breakdown; both are additive,
-    /// so merged window reports equal one long window's report.
+    /// `per_core` carries the per-core breakdown.
     pub fn report(&self) -> RunReport {
         let mut report = self.sim.report();
         report.per_core = self
@@ -253,14 +249,6 @@ impl McSim {
         self.reset_stats();
     }
 
-    /// Feeds `refs` references and reports **without draining**: up to
-    /// `cores × quantum − 1` references stay buffered for the next
-    /// window. Use for all but the last window of a sharded run.
-    pub fn run(&mut self, workload: &mut WorkloadInstance, refs: usize) -> RunReport {
-        self.feed(workload, refs);
-        self.report()
-    }
-
     /// Feeds `refs` references, drains every queue, and reports — the
     /// multi-core analogue of a single-window [`SystemSim::run`].
     pub fn run_to_completion(&mut self, workload: &mut WorkloadInstance, refs: usize) -> RunReport {
@@ -275,7 +263,6 @@ mod tests {
     use super::*;
     use hvc_core::{SystemConfig, SystemSim, TranslationScheme};
     use hvc_os::{AllocPolicy, Kernel};
-    use hvc_types::MergeStats;
     use hvc_workloads::{apps, WorkloadInstance, WorkloadSpec};
 
     fn config(cores: usize) -> SystemConfig {
@@ -367,49 +354,6 @@ mod tests {
         assert!(report.os.shootdown_ipis >= 3, "{:?}", report.os);
     }
 
-    /// Splitting a run into windows (reset between, drain only at the
-    /// end) merges to the unsharded report bitwise — the property the
-    /// sweep runner's shard path depends on.
-    #[test]
-    fn sharded_windows_merge_to_whole_run() {
-        let spec = apps::fork_storm();
-        let (sim, mut wl_a) = build(&spec, 4, 11);
-        let mut whole = McSim::new(sim, 64);
-        whole.warm_up(&mut wl_a, 2_000);
-        let a = whole.run_to_completion(&mut wl_a, 24_000);
-
-        let (sim, mut wl_b) = build(&spec, 4, 11);
-        let mut sharded = McSim::new(sim, 64);
-        sharded.warm_up(&mut wl_b, 2_000);
-        let mut merged: Option<RunReport> = None;
-        for (i, window) in [9_000usize, 9_000, 6_000].into_iter().enumerate() {
-            if i == 2 {
-                sharded.feed(&mut wl_b, window);
-                sharded.drain();
-            } else {
-                sharded.feed(&mut wl_b, window);
-            }
-            let report = sharded.report();
-            sharded.reset_stats();
-            match &mut merged {
-                Some(m) => m.merge_from(&report),
-                None => merged = Some(report),
-            }
-        }
-        let b = merged.unwrap();
-        assert_eq!(a.instructions, b.instructions);
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.refs, b.refs);
-        assert_eq!(a.per_core, b.per_core);
-        assert_eq!(a.os.shootdown_ipis, b.os.shootdown_ipis);
-        assert_eq!(a.os.shootdown_cycles, b.os.shootdown_cycles);
-        assert_eq!(
-            format!("{:?}", a.translation),
-            format!("{:?}", b.translation)
-        );
-        assert_eq!(format!("{:?}", a.cache), format!("{:?}", b.cache));
-    }
-
     /// The schedule is a pure function of the fed stream: feeding in
     /// dribbles equals feeding in one call.
     #[test]
@@ -429,5 +373,52 @@ mod tests {
         dribble.drain();
         let b = dribble.report();
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    /// On several cores, a mid-run `report` and `reset_stats` leave the
+    /// schedule alone, and each window counts exactly what ran after
+    /// the reset before it: the windows' counters add up to one
+    /// whole run's.
+    #[test]
+    fn windowed_reports_sum_to_whole_run() {
+        let spec = apps::fork_storm();
+        let (sim, mut wl_a) = build(&spec, 4, 11);
+        let mut whole = McSim::new(sim, 64);
+        whole.warm_up(&mut wl_a, 2_000);
+        let a = whole.run_to_completion(&mut wl_a, 24_000);
+
+        let (sim, mut wl_b) = build(&spec, 4, 11);
+        let mut windowed = McSim::new(sim, 64);
+        windowed.warm_up(&mut wl_b, 2_000);
+        let mut sum = RunReport {
+            per_core: vec![PerCoreStats::default(); 4],
+            ..RunReport::default()
+        };
+        for (i, window) in [9_000usize, 9_000, 6_000].into_iter().enumerate() {
+            windowed.feed(&mut wl_b, window);
+            if i == 2 {
+                windowed.drain();
+            }
+            let report = windowed.report();
+            windowed.reset_stats();
+            sum.instructions += report.instructions;
+            sum.cycles += report.cycles;
+            sum.refs += report.refs;
+            sum.minor_faults += report.minor_faults;
+            sum.os.shootdown_ipis += report.os.shootdown_ipis;
+            sum.os.shootdown_cycles += report.os.shootdown_cycles;
+            for (s, c) in sum.per_core.iter_mut().zip(&report.per_core) {
+                s.instructions += c.instructions;
+                s.cycles += c.cycles;
+            }
+        }
+        assert_eq!(a.instructions, sum.instructions);
+        assert_eq!(a.cycles, sum.cycles);
+        assert_eq!(a.refs, sum.refs);
+        assert_eq!(a.minor_faults, sum.minor_faults);
+        assert_eq!(a.per_core, sum.per_core);
+        assert_eq!(a.os.shootdown_ipis, sum.os.shootdown_ipis);
+        assert_eq!(a.os.shootdown_cycles, sum.os.shootdown_cycles);
+        assert!(a.os.shootdown_ipis > 0, "windows must span shootdowns");
     }
 }

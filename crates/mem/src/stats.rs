@@ -2,7 +2,7 @@
 
 use crate::bank::RowOutcome;
 use hvc_obs::LatencyHistogram;
-use hvc_types::{Cycles, MergeStats};
+use hvc_types::Cycles;
 
 /// Counters accumulated by [`crate::Dram`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -58,35 +58,9 @@ impl DramStats {
     }
 }
 
-impl MergeStats for DramStats {
-    fn merge_from(&mut self, other: &Self) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.row_hits += other.row_hits;
-        self.row_misses += other.row_misses;
-        self.row_conflicts += other.row_conflicts;
-        self.total_latency += other.total_latency;
-        self.access_latency.merge_from(&other.access_latency);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_sums_all_counters() {
-        let mut a = DramStats::default();
-        a.record(RowOutcome::Hit, false, 10);
-        let mut b = DramStats::default();
-        b.record(RowOutcome::Conflict, true, 30);
-        a.merge_from(&b);
-        assert_eq!(a.reads, 1);
-        assert_eq!(a.writes, 1);
-        assert_eq!(a.row_hits, 1);
-        assert_eq!(a.row_conflicts, 1);
-        assert_eq!(a.total_latency, Cycles::new(40));
-    }
 
     #[test]
     fn rates_on_empty_stats_are_none() {

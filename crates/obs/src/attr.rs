@@ -1,7 +1,7 @@
 //! Cycle attribution: explaining *where* memory-access cycles went.
 
 use crate::hist::LatencyHistogram;
-use hvc_types::{Cycles, MergeStats};
+use hvc_types::Cycles;
 
 /// The named components a demand memory access's cycles are split into.
 ///
@@ -96,9 +96,6 @@ impl Component {
 
 /// A per-component cycle ledger.
 ///
-/// Merging adds elementwise, so the ledger obeys the [`MergeStats`]
-/// laws and per-window/per-shard attributions combine exactly.
-///
 /// # Examples
 ///
 /// ```
@@ -162,21 +159,19 @@ impl CycleAttribution {
         }
         Cycles::new(hidden.get() - left)
     }
-}
 
-impl MergeStats for CycleAttribution {
-    fn merge_from(&mut self, other: &Self) {
+    /// Adds `other`'s charges to `self`, component by component, so the
+    /// merged total is the sum of the two totals.
+    pub fn merge_from(&mut self, other: &Self) {
         for (dst, src) in self.cycles.iter_mut().zip(other.cycles.iter()) {
             *dst += *src;
         }
     }
 }
 
-/// The full observability record of one run window: latency
-/// distributions plus the cycle-attribution ledger.
-///
-/// Lives inside `RunReport` and merges with it, so sharded sweeps
-/// reconstruct exactly the whole-run observability picture.
+/// The full observability record of one run's measured window: latency
+/// distributions plus the cycle-attribution ledger. Lives inside
+/// `RunReport`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ObsReport {
     /// Distribution of demand memory-access latencies as charged to the
@@ -188,14 +183,6 @@ pub struct ObsReport {
     /// Where those memory cycles went; components sum to
     /// `mem_latency.total()`.
     pub attribution: CycleAttribution,
-}
-
-impl MergeStats for ObsReport {
-    fn merge_from(&mut self, other: &Self) {
-        self.mem_latency.merge_from(&other.mem_latency);
-        self.walk_latency.merge_from(&other.walk_latency);
-        self.attribution.merge_from(&other.attribution);
-    }
 }
 
 #[cfg(test)]
@@ -259,8 +246,13 @@ mod tests {
         b.add(Component::Dram, Cycles::new(11));
         let mut c = CycleAttribution::default();
         c.add(Component::L1Hit, Cycles::new(1));
-        assert_eq!(a.merged(&CycleAttribution::default()), a);
-        assert_eq!(a.merged(&b), b.merged(&a));
-        assert_eq!(a.merged(&b).merged(&c), a.merged(&b.merged(&c)));
+        let sum = |x: &CycleAttribution, y: &CycleAttribution| {
+            let mut out = x.clone();
+            out.merge_from(y);
+            out
+        };
+        assert_eq!(sum(&a, &CycleAttribution::default()), a);
+        assert_eq!(sum(&a, &b), sum(&b, &a));
+        assert_eq!(sum(&sum(&a, &b), &c), sum(&a, &sum(&b, &c)));
     }
 }

@@ -1,6 +1,6 @@
 //! Log₂-bucketed latency histograms.
 
-use hvc_types::{Cycles, MergeStats};
+use hvc_types::Cycles;
 
 /// Number of buckets: one per possible bit-width of a `u64` latency
 /// (0 through 64), so every recordable value has a bucket and the
@@ -12,14 +12,13 @@ pub const BUCKETS: usize = 65;
 /// Bucket `k > 0` covers the half-open value range `[2^(k-1), 2^k)`;
 /// bucket 0 holds exact zeros. Recording is two adds and a max — cheap
 /// enough for per-access hot paths — and merging is elementwise
-/// addition, so the histogram satisfies the [`MergeStats`] laws exactly
-/// and per-shard results combine into the same distribution a single
-/// whole run would have produced.
+/// addition, so a merged histogram is exactly the histogram of both
+/// sample sets.
 ///
 /// Percentile readout is deterministic: the reported quantile is the
 /// *inclusive upper bound* of the bucket containing the requested rank
 /// (clamped to the exact tracked maximum), so it is a pure function of
-/// the bucket counts and identical however the shards were merged.
+/// the bucket counts.
 ///
 /// # Examples
 ///
@@ -160,10 +159,10 @@ impl LatencyHistogram {
             .filter(|(_, &n)| n > 0)
             .map(|(k, &n)| (upper_bound(k), n))
     }
-}
 
-impl MergeStats for LatencyHistogram {
-    fn merge_from(&mut self, other: &Self) {
+    /// Adds `other`'s samples to `self`: the result is the histogram of
+    /// both sample sets.
+    pub fn merge_from(&mut self, other: &Self) {
         for (dst, src) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *dst += *src;
         }
@@ -211,7 +210,9 @@ mod tests {
 
     #[test]
     fn percentiles_track_the_distribution() {
-        let h = hist(&[1; 99]).merged(&hist(&[1_000_000]));
+        let mut samples = vec![1; 99];
+        samples.push(1_000_000);
+        let h = hist(&samples);
         assert_eq!(h.count(), 100);
         assert_eq!(h.p50(), 1);
         assert_eq!(h.p95(), 1);
@@ -231,10 +232,16 @@ mod tests {
         assert_eq!(h.p99(), 100);
     }
 
+    fn sum(a: &LatencyHistogram, b: &LatencyHistogram) -> LatencyHistogram {
+        let mut out = a.clone();
+        out.merge_from(b);
+        out
+    }
+
     #[test]
     fn merge_matches_whole_run() {
         let whole = hist(&[0, 3, 9, 9, 70, 300, 5000]);
-        let merged = hist(&[0, 3, 9]).merged(&hist(&[9, 70, 300, 5000]));
+        let merged = sum(&hist(&[0, 3, 9]), &hist(&[9, 70, 300, 5000]));
         assert_eq!(whole, merged);
         assert_eq!(whole.total(), Cycles::new(5391));
     }
@@ -244,8 +251,8 @@ mod tests {
         let a = hist(&[1, 2, 3]);
         let b = hist(&[100, 200]);
         let c = hist(&[7]);
-        assert_eq!(a.merged(&LatencyHistogram::default()), a);
-        assert_eq!(a.merged(&b), b.merged(&a));
-        assert_eq!(a.merged(&b).merged(&c), a.merged(&b.merged(&c)));
+        assert_eq!(sum(&a, &LatencyHistogram::default()), a);
+        assert_eq!(sum(&a, &b), sum(&b, &a));
+        assert_eq!(sum(&sum(&a, &b), &c), sum(&a, &sum(&b, &c)));
     }
 }

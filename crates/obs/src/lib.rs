@@ -6,9 +6,9 @@
 //! rest of the workspace wires through its models:
 //!
 //! * [`LatencyHistogram`] — a log₂-bucketed, allocation-free histogram
-//!   with p50/p95/p99/max readout. It implements
-//!   [`hvc_types::MergeStats`], so per-window and per-shard histograms
-//!   merge exactly and sweep results stay independent of `--jobs`.
+//!   with p50/p95/p99/max readout. Merging two histograms gives exactly
+//!   the histogram of both sample sets, which is how a report folds the
+//!   per-core walkers' histograms into one.
 //! * [`CycleAttribution`] — a ledger splitting every demand memory
 //!   access's cycles into named [`Component`]s (L1/L2/LLC hit,
 //!   synonym TLB, delayed walk, index cache, segment cache, DRAM, …),
@@ -22,16 +22,16 @@
 //!
 //! ```
 //! use hvc_obs::LatencyHistogram;
-//! use hvc_types::{Cycles, MergeStats};
+//! use hvc_types::Cycles;
 //!
-//! // Two shards of the same run merge into the whole-run histogram.
-//! let mut shard_a = LatencyHistogram::default();
-//! let mut shard_b = LatencyHistogram::default();
-//! shard_a.record(Cycles::new(4));
-//! shard_b.record(Cycles::new(900));
-//! let whole = shard_a.merged(&shard_b);
-//! assert_eq!(whole.count(), 2);
-//! assert_eq!(whole.max(), 900);
+//! // Two cores' walk latencies fold into one run-wide histogram.
+//! let mut core0 = LatencyHistogram::default();
+//! let mut core1 = LatencyHistogram::default();
+//! core0.record(Cycles::new(4));
+//! core1.record(Cycles::new(900));
+//! core0.merge_from(&core1);
+//! assert_eq!(core0.count(), 2);
+//! assert_eq!(core0.max(), 900);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -7,8 +7,8 @@ use crate::segment::{SegmentId, SegmentTable, DEFAULT_SEGMENT_CAPACITY};
 use crate::shm::{ShmId, ShmObject};
 use hvc_filter::FilterKind;
 use hvc_types::{
-    AccessKind, Asid, FxHashMap, HvcError, MergeStats, Permissions, Result, VirtAddr, VirtPage,
-    PAGE_SHIFT, PAGE_SIZE,
+    AccessKind, Asid, FxHashMap, HvcError, Permissions, Result, VirtAddr, VirtPage, PAGE_SHIFT,
+    PAGE_SIZE,
 };
 
 /// Physical memory allocation policy.
@@ -87,7 +87,7 @@ pub struct KernelStats {
     /// Hypervisor host-filter rebuilds (virtualized runs only; the
     /// hypervisor reconstructs a VM's host filter from its inverse
     /// gPA→gVA map and books the event against the guest kernel so the
-    /// counter merges through the same windows as the rest).
+    /// counter is windowed with the rest).
     pub host_filter_rebuilds: u64,
     /// Shootdown IPIs delivered to responder cores (directed rounds).
     pub shootdown_ipis: u64,
@@ -101,8 +101,8 @@ pub struct KernelStats {
 
 impl KernelStats {
     /// Counter deltas accumulated since `mark` was captured — the
-    /// windowing primitive the system simulator uses so per-window OS
-    /// stats merge back to the whole-run totals.
+    /// windowing primitive the system simulator uses so a report after a
+    /// statistics reset counts only the measured window's OS events.
     #[must_use]
     pub fn since(&self, mark: &KernelStats) -> KernelStats {
         KernelStats {
@@ -117,21 +117,6 @@ impl KernelStats {
             shootdown_fast_paths: self.shootdown_fast_paths - mark.shootdown_fast_paths,
             shootdown_cycles: self.shootdown_cycles - mark.shootdown_cycles,
         }
-    }
-}
-
-impl MergeStats for KernelStats {
-    fn merge_from(&mut self, other: &Self) {
-        self.minor_faults += other.minor_faults;
-        self.shootdowns += other.shootdowns;
-        self.cow_breaks += other.cow_breaks;
-        self.flushed_pages += other.flushed_pages;
-        self.filter_insertions += other.filter_insertions;
-        self.filter_rebuilds += other.filter_rebuilds;
-        self.host_filter_rebuilds += other.host_filter_rebuilds;
-        self.shootdown_ipis += other.shootdown_ipis;
-        self.shootdown_fast_paths += other.shootdown_fast_paths;
-        self.shootdown_cycles += other.shootdown_cycles;
     }
 }
 

@@ -1,6 +1,6 @@
 //! Stable cell keys for memoizing per-cell results.
 //!
-//! A cell's merged statistics are a **pure function** of the inputs
+//! A cell's statistics are a **pure function** of the inputs
 //! hashed here — workload profile, scheme string, synonym-filter
 //! strategy, the derived per-cell
 //! seed, LLC capacity, and the experiment-level knobs that shape the

@@ -266,7 +266,7 @@ fn occupancy_value(f: &FilterOccupancy) -> Value {
 }
 
 /// Serializes a log₂ latency histogram: exact counters plus the derived
-/// percentiles (pure functions of the buckets, hence merge-invariant).
+/// percentiles (pure functions of the buckets).
 fn histogram_value(h: &LatencyHistogram) -> Value {
     object(vec![
         ("count", Value::UInt(h.count())),

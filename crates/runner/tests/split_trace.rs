@@ -17,10 +17,10 @@ fn record_trace(path: &std::path::Path, refs: usize) {
 }
 
 #[test]
-fn split_replay_merges_to_the_whole_run() {
-    let dir = std::env::temp_dir().join(format!("hvc-runner-split-{}", std::process::id()));
+fn replay_sweep_is_invariant_under_jobs() {
+    let dir = std::env::temp_dir().join(format!("hvc-runner-replay-jobs-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let trace = dir.join("split.hvct");
+    let trace = dir.join("replay.hvct");
     record_trace(&trace, 6_000);
 
     let exp = Experiment {
@@ -34,7 +34,7 @@ fn split_replay_merges_to_the_whole_run() {
     };
 
     let whole = run_sweep(&exp, &RunOptions::default()).expect("serial run");
-    let split = run_sweep(
+    let parallel = run_sweep(
         &exp,
         &RunOptions {
             jobs: 2,
@@ -43,8 +43,8 @@ fn split_replay_merges_to_the_whole_run() {
     )
     .expect("parallel run");
 
-    assert_eq!(whole.results.len(), split.results.len());
-    for (a, b) in whole.results.iter().zip(split.results.iter()) {
+    assert_eq!(whole.results.len(), parallel.results.len());
+    for (a, b) in whole.results.iter().zip(parallel.results.iter()) {
         assert_eq!(a.cell, b.cell);
         assert_eq!(
             a.report.instructions, b.report.instructions,
@@ -70,8 +70,9 @@ fn split_replay_merges_to_the_whole_run() {
 }
 
 /// Reports with the observability sections enabled stay byte-identical
-/// whatever the job count — the log₂ histograms, percentiles, and the
-/// attribution ledger are all merge-invariant — and every cell's
+/// whatever the job count — each cell's log₂ histograms, percentiles
+/// and attribution ledger come from one simulator, whichever worker
+/// runs it — and every cell's
 /// attribution components sum exactly to its memory-latency total.
 #[test]
 fn obs_report_is_jobs_invariant_and_attribution_sums() {

@@ -190,13 +190,20 @@ fn segment_cache_latency(entries: usize, refs: usize) -> (f64, f64) {
 /// The segment cache hides the index-tree walk: the paper's 128 entries
 /// hit at least 90% of the time and cut the mean latency several-fold
 /// against no segment cache, and more entries never cost latency.
+/// Prints the table it measures (visible with `--nocapture`).
 #[test]
 fn segment_cache_ablation_128_entries_hide_the_tree_walk() {
     let refs = 50_000;
-    let (none, _) = segment_cache_latency(0, refs);
-    let (small, _) = segment_cache_latency(16, refs);
-    let (paper, hit_rate) = segment_cache_latency(128, refs);
-    let (large, _) = segment_cache_latency(512, refs);
+    let rows = [0, 16, 128, 512].map(|entries| (entries, segment_cache_latency(entries, refs)));
+    println!("Segment-cache size: memcached, 4-way split segments, 50 k references");
+    println!(
+        "{:<10}{:>16}{:>14}",
+        "entries", "mean (cycles)", "SC hit (%)"
+    );
+    for (entries, (mean, hits)) in rows {
+        println!("{entries:<10}{mean:>16.2}{:>14.2}", 100.0 * hits);
+    }
+    let [(_, (none, _)), (_, (small, _)), (_, (paper, hit_rate)), (_, (large, _))] = rows;
     assert!(hit_rate >= 0.9, "128-entry hit rate {hit_rate}");
     assert!(paper * 3.0 < none, "128 entries {paper} cy, none {none} cy");
     assert!(

@@ -530,10 +530,11 @@ fn stream_sweep(stream: &mut TcpStream, shared: &Arc<Shared>, exp: Experiment) {
     );
 }
 
-/// The deterministic final report: everything a `hvc-sweep-report/3`
-/// cell carries, minus wall-clock fields, plus per-cell keys — so an
-/// uninterrupted run, a fully cached re-run, and a crash-resumed run of
-/// the same grid serialize byte-identically.
+/// The deterministic final report: everything a cell of a sweep report
+/// ([`hvc_runner::report::SCHEMA`], `hvc-sweep-report/6`) carries, minus
+/// wall-clock fields, plus per-cell keys — so an uninterrupted run, a
+/// fully cached re-run, and a crash-resumed run of the same grid
+/// serialize byte-identically.
 fn report_value(
     exp: &Experiment,
     cells: &[Cell],

@@ -1,7 +1,7 @@
 //! A generic set-associative TLB.
 
 use hvc_os::Pte;
-use hvc_types::{Asid, Cycles, LruSets, MergeStats, Permissions, PhysFrame, VirtPage};
+use hvc_types::{Asid, Cycles, LruSets, Permissions, PhysFrame, VirtPage};
 
 /// Geometry and latency of a TLB.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -90,13 +90,6 @@ impl TlbStats {
     pub fn miss_rate(&self) -> Option<f64> {
         let n = self.accesses();
         (n > 0).then(|| self.misses as f64 / n as f64)
-    }
-}
-
-impl MergeStats for TlbStats {
-    fn merge_from(&mut self, other: &Self) {
-        self.hits += other.hits;
-        self.misses += other.misses;
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::WalkCache;
 use hvc_obs::LatencyHistogram;
 use hvc_os::{Kernel, Pte, PT_LEVELS};
-use hvc_types::{Asid, Cycles, MergeStats, PhysAddr, VirtPage};
+use hvc_types::{Asid, Cycles, PhysAddr, VirtPage};
 
 /// Walker event counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -18,16 +18,6 @@ pub struct WalkerStats {
     pub walk_cycles: Cycles,
     /// Distribution of per-walk latencies.
     pub walk_latency: LatencyHistogram,
-}
-
-impl MergeStats for WalkerStats {
-    fn merge_from(&mut self, other: &Self) {
-        self.walks += other.walks;
-        self.pte_reads += other.pte_reads;
-        self.skipped_reads += other.skipped_reads;
-        self.walk_cycles += other.walk_cycles;
-        self.walk_latency.merge_from(&other.walk_latency);
-    }
 }
 
 /// A hardware radix page walker with paging-structure caches.

@@ -132,121 +132,9 @@ impl TraceItem {
     }
 }
 
-/// An owned instruction/memory trace plus bookkeeping helpers.
-///
-/// # Examples
-///
-/// ```
-/// use hvc_types::{Asid, MemRef, Trace, TraceItem, VirtAddr};
-///
-/// let mut t = Trace::new();
-/// t.push(TraceItem::new(3, MemRef::read(Asid::new(1), VirtAddr::new(0x1000))));
-/// t.push(TraceItem::new(0, MemRef::write(Asid::new(1), VirtAddr::new(0x1040))));
-/// assert_eq!(t.instructions(), 5);
-/// assert_eq!(t.len(), 2);
-/// ```
-#[derive(Clone, Default, Debug)]
-pub struct Trace {
-    items: Vec<TraceItem>,
-}
-
-impl Trace {
-    /// Creates an empty trace.
-    #[inline]
-    pub fn new() -> Self {
-        Trace { items: Vec::new() }
-    }
-
-    /// Creates an empty trace with reserved capacity.
-    #[inline]
-    pub fn with_capacity(n: usize) -> Self {
-        Trace {
-            items: Vec::with_capacity(n),
-        }
-    }
-
-    /// Appends an item.
-    #[inline]
-    pub fn push(&mut self, item: TraceItem) {
-        self.items.push(item);
-    }
-
-    /// Number of memory references.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Returns `true` if the trace has no references.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Total instructions represented (gaps + references).
-    pub fn instructions(&self) -> u64 {
-        self.items.iter().map(TraceItem::instructions).sum()
-    }
-
-    /// Iterates over the items.
-    pub fn iter(&self) -> core::slice::Iter<'_, TraceItem> {
-        self.items.iter()
-    }
-
-    /// Borrows the underlying items.
-    #[inline]
-    pub fn as_slice(&self) -> &[TraceItem] {
-        &self.items
-    }
-}
-
-impl FromIterator<TraceItem> for Trace {
-    fn from_iter<I: IntoIterator<Item = TraceItem>>(iter: I) -> Self {
-        Trace {
-            items: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<TraceItem> for Trace {
-    fn extend<I: IntoIterator<Item = TraceItem>>(&mut self, iter: I) {
-        self.items.extend(iter);
-    }
-}
-
-impl<'a> IntoIterator for &'a Trace {
-    type Item = &'a TraceItem;
-    type IntoIter = core::slice::Iter<'a, TraceItem>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.items.iter()
-    }
-}
-
-impl IntoIterator for Trace {
-    type Item = TraceItem;
-    type IntoIter = std::vec::IntoIter<TraceItem>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.items.into_iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn r(va: u64) -> MemRef {
-        MemRef::read(Asid::new(1), VirtAddr::new(va))
-    }
-
-    #[test]
-    fn trace_instruction_accounting() {
-        let t: Trace = [TraceItem::new(9, r(0)), TraceItem::new(0, r(64))]
-            .into_iter()
-            .collect();
-        assert_eq!(t.instructions(), 11);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
-    }
 
     #[test]
     fn constructors_set_kind() {
@@ -257,18 +145,6 @@ mod tests {
         assert!(AccessKind::Write.is_write());
         assert!(AccessKind::Fetch.is_fetch());
         assert!(!AccessKind::Read.is_write());
-    }
-
-    #[test]
-    fn trace_iteration() {
-        let mut t = Trace::with_capacity(4);
-        t.extend([TraceItem::new(1, r(0))]);
-        t.push(TraceItem::new(2, r(64)));
-        let gaps: Vec<u32> = t.iter().map(|i| i.gap).collect();
-        assert_eq!(gaps, vec![1, 2]);
-        let owned: Vec<TraceItem> = t.clone().into_iter().collect();
-        assert_eq!(owned.len(), 2);
-        assert_eq!(t.as_slice().len(), 2);
     }
 
     #[test]

@@ -38,10 +38,9 @@ mod fx;
 mod ids;
 mod lru;
 mod lru_sets;
-mod merge;
 mod perm;
 
-pub use access::{AccessKind, MemRef, Trace, TraceItem};
+pub use access::{AccessKind, MemRef, TraceItem};
 pub use addr::{
     GuestPhysAddr, LineAddr, PhysAddr, PhysFrame, VirtAddr, VirtPage, LINE_SHIFT, LINE_SIZE,
     PAGE_SHIFT, PAGE_SIZE, PHYS_ADDR_BITS, VIRT_ADDR_BITS,
@@ -52,5 +51,4 @@ pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use ids::{Asid, BlockName, Vmid};
 pub use lru::LruTags;
 pub use lru_sets::LruSets;
-pub use merge::MergeStats;
 pub use perm::Permissions;

@@ -399,8 +399,8 @@ impl Hypervisor {
     /// the hypervisor-side analogue of `Kernel::rebuild_filter`. Clears
     /// the filter, re-inserts every live host share, resets the
     /// staleness tally, and books the rebuild (plus the shootdown that
-    /// publishes the fresh filter) against the guest kernel's stats so
-    /// it merges through [`hvc_os::KernelStats`].
+    /// publishes the fresh filter) against the guest kernel's
+    /// [`hvc_os::KernelStats`], so it shows in the run's report.
     ///
     /// # Errors
     ///

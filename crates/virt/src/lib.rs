@@ -7,10 +7,11 @@
 //! ASIDs embed the VMID ([`hvc_types::Asid::for_vm`]) so virtually-tagged
 //! cachelines never cross VMs.
 //!
-//! Synonym detection composes two filters looked up with the *guest
-//! virtual* address ([`hvc_filter::GuestHostFilters`]): the guest OS
-//! maintains the guest filter; the hypervisor maintains the host filter
-//! for hypervisor-induced r/w sharing. Content deduplication
+//! Synonym detection composes two [`hvc_filter::SynonymFilter`]s looked
+//! up with the *guest virtual* address: the guest OS maintains the guest
+//! filter; the hypervisor maintains the host filter
+//! ([`Hypervisor::host_filter`]) for hypervisor-induced r/w sharing, and
+//! the engine treats a hit in either as a synonym candidate. Content deduplication
 //! ([`Hypervisor::dedup_ro`]) uses the read-only optimization and stays
 //! out of the filters entirely.
 //!
