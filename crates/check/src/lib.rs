@@ -10,10 +10,10 @@
 //!   [`hvc_core::SystemSim`]'s [`hvc_core::CheckHooks`], it steps a
 //!   physically-addressed reference machine (natively, or the nested
 //!   baseline in a guest VM) with every reference and churn batch in the
-//!   order the measured machine executes them — on one core or inside
-//!   `McSim`'s quanta — and compares the OS-visible outcome of every
-//!   access (frame, permissions, synonym status) and the per-space
-//!   synonym partition.
+//!   order the measured machine executes them — on one core or across
+//!   the quantum schedule's per-core turns — and compares the
+//!   OS-visible outcome of every access (frame, permissions, synonym
+//!   status) and the per-space synonym partition.
 //! * [`check_system`] / [`check_virt`] sweep a native / virtualized
 //!   simulator's entire state:
 //!   no virtually tagged line without a mapping (stale line), at most

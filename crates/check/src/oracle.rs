@@ -4,9 +4,9 @@
 //!
 //! The oracle is installed as the measured [`SystemSim`]'s
 //! [`CheckHooks`], so it sees every reference and every churn batch in
-//! the order the measured machine executes them — inside `McSim`'s
-//! round-robin quanta, too — and steps its reference machine with the
-//! same items.
+//! the order the measured machine executes them — across the quantum
+//! schedule's per-core turns, too — and steps its reference machine
+//! with the same items.
 //!
 //! The native reference is [`TranslationScheme::Ideal`] — perfect
 //! physical caching whose kernel is touched on *every* access, so demand

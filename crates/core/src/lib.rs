@@ -55,4 +55,4 @@ pub use energy::{EnergyBreakdown, EnergyModel};
 /// Re-exported for callers that build a [`SystemSim::virtualized`] VM.
 pub use hvc_virt::Hypervisor;
 pub use stats::{PerCoreStats, RunReport, TranslationCounters};
-pub use system::{CheckHooks, SystemSim};
+pub use system::{CheckHooks, SystemSim, QUANTUM};

@@ -6,6 +6,7 @@
 //! once. Everything a translation scheme decides lives in its
 //! [`Translator`](translate::Translator) implementation.
 
+mod schedule;
 mod translate;
 
 use crate::config::{SystemConfig, TranslationScheme, VirtScheme};
@@ -23,18 +24,16 @@ use hvc_types::{
 };
 use hvc_virt::{Hypervisor, NestedSegments, NestedWalker};
 use hvc_workloads::{ChurnOps, WorkloadInstance};
+use schedule::Schedule;
+pub use schedule::QUANTUM;
 use std::any::Any;
 use translate::{Miss, Translator};
 
-/// References decoded and stepped per window by the batched pipeline
-/// ([`SystemSim::step_batch`] callers). Matches the multi-core dispatch
-/// quantum so batching never spans a scheduling boundary.
-pub const BATCH_WINDOW: usize = 64;
-
 /// An observer of a simulation, installed with
 /// [`SystemSim::set_check_hooks`]: it sees every reference and every
-/// churn batch in the order the simulator executes them (inside a
-/// multi-core driver, too), with the machine that executed them. The
+/// churn batch in the order the simulator executes them (across the
+/// per-core turns of a multi-core run, too), with the machine that
+/// executed them. The
 /// `hvc-check` oracle is one. With none installed, a run pays one
 /// branch per reference and one per churn batch.
 ///
@@ -157,14 +156,18 @@ impl Machine {
 /// machinery of one scheme: a [`TranslationScheme`] natively
 /// ([`SystemSim::new`]) or a [`VirtScheme`] in a VM
 /// ([`SystemSim::virtualized`]). Feed it a workload with
-/// [`SystemSim::run`].
+/// [`SystemSim::run`], which spreads the references over the cores in
+/// the quantum schedule of [`SystemSim::feed`].
 pub struct SystemSim {
     machine: Machine,
     config: SystemConfig,
     scheme: Scheme,
     hierarchy: Hierarchy,
     dram: Dram,
-    core: CoreModel,
+    /// Per-core clocks, indexed by the stepping core.
+    clocks: Vec<CoreModel>,
+    /// Per-core reference queues and the rotor of [`SystemSim::feed`].
+    schedule: Schedule,
     /// Per-core private translation structures (the delayed structures
     /// after the LLC are shared, as in the paper).
     dtlb: Vec<TwoLevelTlb>,
@@ -211,9 +214,8 @@ pub struct SystemSim {
     /// Fault injection for checker self-tests: drop every non-`Page`
     /// flush request.
     drop_non_page_flushes: bool,
-    /// Reusable window buffer for the batched drivers (`run`,
-    /// `warm_up`, `run_trace`), so batching allocates nothing per
-    /// reference or per window.
+    /// Reusable window buffer for [`SystemSim::run_trace`], so a replay
+    /// allocates nothing per reference or per window.
     batch_scratch: Vec<TraceItem>,
     /// Reusable hierarchy batch for flush application, so a drain
     /// allocates nothing on the steady state.
@@ -293,14 +295,13 @@ impl SystemSim {
         many: Option<ManySegmentTranslator>,
     ) -> Self {
         let cores = config.hierarchy.cores;
-        assert!(
-            cores <= 128,
-            "shootdown responder mask supports at most 128 cores"
-        );
         SystemSim {
             hierarchy: Hierarchy::new(config.hierarchy.clone()),
             dram: Dram::new(config.dram.clone()),
-            core: CoreModel::new(config.width, config.hidden_latency),
+            clocks: (0..cores)
+                .map(|_| CoreModel::new(config.width, config.hidden_latency))
+                .collect(),
+            schedule: Schedule::new(cores),
             dtlb: (0..cores)
                 .map(|_| TwoLevelTlb::new(config.l1_tlb.clone(), config.l2_tlb.clone()))
                 .collect(),
@@ -333,16 +334,16 @@ impl SystemSim {
             responder_stalls: vec![0; cores],
             hooks: None,
             drop_non_page_flushes: false,
-            batch_scratch: Vec::with_capacity(BATCH_WINDOW),
+            batch_scratch: Vec::with_capacity(QUANTUM),
             flush_batch: Vec::new(),
         }
     }
 
     /// The core `asid` runs on, placing it round-robin on first sight (a
-    /// multiprogrammed schedule). Multi-core drivers route each process's
-    /// trace items with this.
+    /// multiprogrammed schedule). [`SystemSim::feed`] queues each
+    /// process's trace items on this core.
     #[inline]
-    pub fn placement_of(&mut self, asid: Asid) -> usize {
+    fn placement_of(&mut self, asid: Asid) -> usize {
         let idx = asid.as_u16() as usize;
         if let Some(&core) = self.placement.get(idx) {
             if core != usize::MAX {
@@ -371,17 +372,10 @@ impl SystemSim {
         self.config.hierarchy.cores
     }
 
-    /// The active core clock. A multi-core driver swaps a per-core clock
-    /// in before dispatching that core's time quantum and back out after
-    /// (the simulator itself multiplexes one clock otherwise).
-    pub fn core_mut(&mut self) -> &mut CoreModel {
-        &mut self.core
-    }
-
-    /// A fresh clock with this system's issue width and hidden latency
-    /// (for per-core clocks in a multi-core driver).
-    pub fn new_clock(&self) -> CoreModel {
-        CoreModel::new(self.config.width, self.config.hidden_latency)
+    /// The current time of `core`'s clock.
+    #[inline]
+    fn now(&self, core: usize) -> Cycles {
+        self.clocks[core].now()
     }
 
     /// The kernel the workload runs on — the guest kernel in a VM (for
@@ -501,7 +495,7 @@ impl SystemSim {
             t.record(TraceEvent {
                 name,
                 cat,
-                ts: self.core.now().get(),
+                ts: self.clocks[core].now().get(),
                 dur: dur.get(),
                 tid: core as u32,
             });
@@ -546,52 +540,28 @@ impl SystemSim {
             vm.gva_tlb.reset_stats();
             vm.walker.reset_stats();
         }
-        self.core.mark();
+        for clock in &mut self.clocks {
+            clock.mark();
+        }
         self.kernel_mark = self.machine.kernel().stats().clone();
         self.obs = ObsReport::default();
     }
 
     /// Runs `refs` warm-up references (not measured) and then resets
-    /// statistics.
+    /// statistics: [`SystemSim::feed`], [`SystemSim::drain`],
+    /// [`SystemSim::reset_stats`].
     pub fn warm_up(&mut self, workload: &mut WorkloadInstance, refs: usize) {
-        let mlp = workload.mlp();
-        self.run_batched(workload, refs, mlp);
+        self.feed(workload, refs);
+        self.drain();
         self.reset_stats();
     }
 
-    /// Runs `refs` memory references of `workload` and reports.
+    /// Runs `refs` memory references of `workload` and reports:
+    /// [`SystemSim::feed`], [`SystemSim::drain`], [`SystemSim::report`].
     pub fn run(&mut self, workload: &mut WorkloadInstance, refs: usize) -> RunReport {
-        let mlp = workload.mlp();
-        self.run_batched(workload, refs, mlp);
+        self.feed(workload, refs);
+        self.drain();
         self.report()
-    }
-
-    /// Drives `refs` references through the batched pipeline: decode up
-    /// to [`BATCH_WINDOW`] items ahead, ending the window early when the
-    /// workload emits a churn batch so the kernel mutation lands at the
-    /// same stream position as unbatched stepping. Sound because the
-    /// workload generator's state is independent of simulator/kernel
-    /// state, so items can be drawn ahead of their timing pass.
-    fn run_batched(&mut self, workload: &mut WorkloadInstance, refs: usize, mlp: u32) {
-        let mut batch = std::mem::take(&mut self.batch_scratch);
-        let mut remaining = refs;
-        while remaining > 0 {
-            batch.clear();
-            let mut churn = None;
-            while batch.len() < BATCH_WINDOW.min(remaining) {
-                batch.push(workload.next_item());
-                if let Some(ops) = workload.take_churn_ops() {
-                    churn = Some(ops);
-                    break;
-                }
-            }
-            remaining -= batch.len();
-            self.step_batch(&batch, mlp);
-            if let Some(ops) = churn {
-                self.apply_churn(&ops);
-            }
-        }
-        self.batch_scratch = batch;
     }
 
     /// Replays a pre-recorded trace (e.g. loaded with `hvc-trace`) with
@@ -604,7 +574,7 @@ impl SystemSim {
         let mut iter = items.into_iter();
         loop {
             batch.clear();
-            batch.extend(iter.by_ref().take(BATCH_WINDOW));
+            batch.extend(iter.by_ref().take(QUANTUM));
             if batch.is_empty() {
                 break;
             }
@@ -637,9 +607,9 @@ impl SystemSim {
     /// The scheme-specialized body behind [`SystemSim::step`].
     #[inline]
     fn step_with<T: Translator>(&mut self, item: TraceItem, mlp: u32) {
-        self.core.retire(item.instructions());
-        self.refs += 1;
         let core = self.placement_of(item.mref.asid);
+        self.clocks[core].retire(item.instructions());
+        self.refs += 1;
         // Context switch: under hybrid schemes the OS loads the incoming
         // process's Bloom-filter pair into the core's filter registers
         // (two 1K-bit reads from memory, Section III-B).
@@ -663,7 +633,7 @@ impl SystemSim {
         let latency = T::front(self, core, item.mref);
         self.obs.mem_latency.record(latency);
         self.trace("access", "mem", latency, core);
-        self.core.memory(latency, mlp);
+        self.clocks[core].memory(latency, mlp);
         // Shootdown cycles owed to this core (initiator waits accrued by
         // OS mutations, responder interrupt+flush time): surface them on
         // the next retired access as an un-overlappable stall, recorded
@@ -677,7 +647,7 @@ impl SystemSim {
             self.obs.mem_latency.record(c);
             self.obs.attribution.add(Component::Shootdown, c);
             self.trace("shootdown", "coherence", c, core);
-            self.core.stall(c);
+            self.clocks[core].stall(c);
         }
         if self.hooks.is_some() {
             self.observe(item, mlp);
@@ -726,7 +696,9 @@ impl SystemSim {
         }
     }
 
-    /// Builds the report for everything simulated so far.
+    /// Builds the report for everything simulated since the last
+    /// [`SystemSim::reset_stats`]: instructions and cycles are summed
+    /// over the per-core clocks, and `per_core` lists each.
     pub fn report(&self) -> RunReport {
         let mut translation = self.counters.clone();
         if let Some(m) = &self.many {
@@ -740,9 +712,17 @@ impl SystemSim {
             obs.walk_latency.merge_from(&w.stats().walk_latency);
         }
         let os = self.machine.kernel().stats().since(&self.kernel_mark);
+        let per_core: Vec<PerCoreStats> = self
+            .clocks
+            .iter()
+            .map(|c| PerCoreStats {
+                instructions: c.instructions(),
+                cycles: c.cycles(),
+            })
+            .collect();
         RunReport {
-            instructions: self.core.instructions(),
-            cycles: self.core.cycles(),
+            instructions: per_core.iter().map(|c| c.instructions).sum(),
+            cycles: per_core.iter().map(|c| c.cycles).sum(),
             refs: self.refs,
             translation,
             baseline_tlb_misses: self.dtlb.iter().map(TwoLevelTlb::full_misses).sum::<u64>()
@@ -752,10 +732,7 @@ impl SystemSim {
             minor_faults: os.minor_faults,
             os,
             obs,
-            per_core: vec![PerCoreStats {
-                instructions: self.core.instructions(),
-                cycles: self.core.cycles(),
-            }],
+            per_core,
         }
     }
 
@@ -796,7 +773,7 @@ impl SystemSim {
             return;
         }
         self.counters.prefetches += 1;
-        let now = self.core.now();
+        let now = self.now(core);
         self.dram.access(now, next, false); // background fetch
         self.fill::<T>(core, AccessKind::Read, name, Permissions::RW);
     }
@@ -843,7 +820,7 @@ impl SystemSim {
         self.counters.prefetches += 1;
         let next = MemRef::read(asid, next_va);
         let (pa, _, perm, _) = T::delayed(self, core, Miss::new(next, None, false));
-        let now = self.core.now();
+        let now = self.now(core);
         self.dram.access(now, pa, false); // background fetch
         self.fill::<T>(core, AccessKind::Read, next_name, perm);
     }
@@ -914,7 +891,7 @@ impl SystemSim {
     fn dram_access(&mut self, core: usize, pa: PhysAddr, kind: AccessKind, lat: Cycles) -> Cycles {
         let dram_lat = self
             .dram
-            .access_latency(self.core.now() + lat, pa, kind.is_write());
+            .access_latency(self.now(core) + lat, pa, kind.is_write());
         self.obs.attribution.add(Component::Dram, dram_lat);
         self.trace("dram", "mem", dram_lat, core);
         dram_lat
@@ -940,16 +917,15 @@ impl SystemSim {
     /// Walks the page table in hardware, charging PTE reads through the
     /// (physically-addressed) cache hierarchy.
     fn charged_walk(&mut self, core_idx: usize, asid: Asid, vaddr: VirtAddr) -> Cycles {
+        let now = self.now(core_idx);
         let Self {
             walker,
             machine,
             hierarchy,
             dram,
-            core,
             counters,
             ..
         } = self;
-        let now = core.now();
         let lat = walker[core_idx]
             .walk(machine.kernel(), asid, vaddr.page_number(), |addr| {
                 pte_read(hierarchy, dram, counters, core_idx, now, addr)
@@ -989,7 +965,8 @@ impl SystemSim {
     /// Cost model (after the Linux shootdown measurements of
     /// arXiv 1701.07517): the batch's distinct home cores other than the
     /// `initiator` are its responders. With none — the common single-core
-    /// case — the round is an ASID-generation fast path and free.
+    /// case — the round is the zero-responder fast path and free: the
+    /// flushes happen locally and no IPI is sent.
     /// Otherwise the initiator owes the IPI issue + acknowledgement wait
     /// and each responder owes interrupt + flush time; the cycles are
     /// parked in `pending_shootdown` / `responder_stalls` and charged by
@@ -1005,7 +982,9 @@ impl SystemSim {
             return;
         }
         let mut initiator = initiator;
-        let mut responders: u128 = 0;
+        // One bit per core: `Hierarchy::new` caps the core count at
+        // `hvc_cache::MAX_CORES` (32).
+        let mut responders: u32 = 0;
         for &req in &reqs {
             let home = match req {
                 FlushRequest::Page(asid, _)
@@ -1107,7 +1086,7 @@ impl SystemSim {
                 T::delayed(self, core, Miss::new(victim, None, false)).0
             }
         };
-        let now = self.core.now();
+        let now = self.now(core);
         self.dram.access(now, pa, true);
     }
 }
@@ -1324,6 +1303,134 @@ mod tests {
         }
     }
 
+    fn build_cores(
+        spec: &hvc_workloads::WorkloadSpec,
+        cores: usize,
+        seed: u64,
+    ) -> (SystemSim, WorkloadInstance) {
+        let mut kernel = Kernel::new(4 << 30, AllocPolicy::DemandPaging);
+        let wl = spec.instantiate(&mut kernel, seed).unwrap();
+        let mut config = SystemConfig::isca2016();
+        config.hierarchy = hvc_cache::HierarchyConfig::isca2016(cores);
+        let sim = SystemSim::new(kernel, config, TranslationScheme::HybridDelayedTlb(1024));
+        (sim, wl)
+    }
+
+    /// Four cores running the fork-storm preset generate directed
+    /// shootdowns (master recycles a worker on another core), the
+    /// per-core breakdown covers every core, and it sums to the
+    /// headline instruction/cycle counts. On one core every round takes
+    /// the zero-responder fast path.
+    #[test]
+    fn fork_storm_on_four_cores_pays_for_shootdowns() {
+        let (mut sim, mut wl) = build_cores(&apps::fork_storm(), 4, 7);
+        sim.warm_up(&mut wl, 4_000);
+        let report = sim.run(&mut wl, 40_000);
+
+        assert_eq!(report.per_core.len(), 4);
+        assert!(report.per_core.iter().all(|c| c.instructions > 0));
+        assert_eq!(
+            report.per_core.iter().map(|c| c.instructions).sum::<u64>(),
+            report.instructions
+        );
+        assert_eq!(
+            report.per_core.iter().map(|c| c.cycles).sum::<u64>(),
+            report.cycles
+        );
+        assert!(
+            report.os.shootdown_ipis > 0,
+            "worker recycling must cross cores: {:?}",
+            report.os
+        );
+        assert!(report.os.shootdown_cycles > 0);
+        let shoot = report.obs.attribution.get(Component::Shootdown).get();
+        assert!(shoot > 0, "shootdown cycles must be attributed");
+
+        let (mut sim, mut wl) = build_cores(&apps::fork_storm(), 1, 7);
+        sim.warm_up(&mut wl, 4_000);
+        let report = sim.run(&mut wl, 40_000);
+        assert!(report.os.shootdowns > 0, "{:?}", report.os);
+        assert_eq!(
+            report.os.shootdown_ipis, 0,
+            "one core can have no responders"
+        );
+    }
+
+    /// The shm-remap preset shoots down every attached process at
+    /// once, so rounds are broadcast-shaped: responder IPIs arrive in
+    /// batches of cores − 1 (all other cores host an attachment).
+    #[test]
+    fn shm_heavy_broadcasts() {
+        let (mut sim, mut wl) = build_cores(&apps::shm_heavy(), 4, 7);
+        sim.warm_up(&mut wl, 4_000);
+        let report = sim.run(&mut wl, 40_000);
+        assert!(report.os.shootdown_ipis >= 3, "{:?}", report.os);
+    }
+
+    /// The schedule is a pure function of the fed stream: feeding in
+    /// dribbles equals feeding in one call.
+    #[test]
+    fn feed_granularity_is_invisible() {
+        let spec = apps::shm_heavy();
+        let (mut bulk, mut wl_a) = build_cores(&spec, 4, 3);
+        bulk.warm_up(&mut wl_a, 1_000);
+        let a = bulk.run(&mut wl_a, 10_000);
+
+        let (mut dribble, mut wl_b) = build_cores(&spec, 4, 3);
+        dribble.warm_up(&mut wl_b, 1_000);
+        for _ in 0..10 {
+            dribble.feed(&mut wl_b, 1_000);
+        }
+        dribble.drain();
+        let b = dribble.report();
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    /// On several cores, a mid-run `report` and `reset_stats` leave the
+    /// schedule alone, and each window counts exactly what ran after
+    /// the reset before it: the windows' counters add up to one
+    /// whole run's.
+    #[test]
+    fn windowed_reports_sum_to_whole_run() {
+        let spec = apps::fork_storm();
+        let (mut whole, mut wl_a) = build_cores(&spec, 4, 11);
+        whole.warm_up(&mut wl_a, 2_000);
+        let a = whole.run(&mut wl_a, 24_000);
+
+        let (mut windowed, mut wl_b) = build_cores(&spec, 4, 11);
+        windowed.warm_up(&mut wl_b, 2_000);
+        let mut sum = RunReport {
+            per_core: vec![PerCoreStats::default(); 4],
+            ..RunReport::default()
+        };
+        for (i, window) in [9_000usize, 9_000, 6_000].into_iter().enumerate() {
+            windowed.feed(&mut wl_b, window);
+            if i == 2 {
+                windowed.drain();
+            }
+            let report = windowed.report();
+            windowed.reset_stats();
+            sum.instructions += report.instructions;
+            sum.cycles += report.cycles;
+            sum.refs += report.refs;
+            sum.minor_faults += report.minor_faults;
+            sum.os.shootdown_ipis += report.os.shootdown_ipis;
+            sum.os.shootdown_cycles += report.os.shootdown_cycles;
+            for (s, c) in sum.per_core.iter_mut().zip(&report.per_core) {
+                s.instructions += c.instructions;
+                s.cycles += c.cycles;
+            }
+        }
+        assert_eq!(a.instructions, sum.instructions);
+        assert_eq!(a.cycles, sum.cycles);
+        assert_eq!(a.refs, sum.refs);
+        assert_eq!(a.minor_faults, sum.minor_faults);
+        assert_eq!(a.per_core, sum.per_core);
+        assert_eq!(a.os.shootdown_ipis, sum.os.shootdown_ipis);
+        assert_eq!(a.os.shootdown_cycles, sum.os.shootdown_cycles);
+        assert!(a.os.shootdown_ipis > 0, "windows must span shootdowns");
+    }
+
     #[test]
     fn single_core_multiprogramming_context_switches() {
         let mut kernel = Kernel::new(8 << 30, AllocPolicy::DemandPaging);
@@ -1351,6 +1458,21 @@ mod tests {
         };
         let base_off = run(TranslationScheme::Baseline, false);
         let base_on = run(TranslationScheme::Baseline, true);
+        let hyb_on = run(TranslationScheme::HybridDelayedTlb(4096), true);
+        println!("milc, 30000 refs   cycles      IPC  prefetches  blocked");
+        for (name, r) in [
+            ("baseline, off", &base_off),
+            ("baseline, on", &base_on),
+            ("dtlb:4096, on", &hyb_on),
+        ] {
+            println!(
+                "{name:<16} {:>8} {:>8.3} {:>11} {:>8}",
+                r.cycles,
+                r.ipc(),
+                r.translation.prefetches,
+                r.translation.prefetches_blocked
+            );
+        }
         assert!(
             base_on.cycles < base_off.cycles,
             "prefetch must help streaming"
@@ -1361,7 +1483,6 @@ mod tests {
             "physical prefetching stops at page boundaries"
         );
 
-        let hyb_on = run(TranslationScheme::HybridDelayedTlb(4096), true);
         assert_eq!(
             hyb_on.translation.prefetches_blocked, 0,
             "virtual prefetching crosses page boundaries"
@@ -1387,6 +1508,15 @@ mod tests {
         };
         let serial = run(false);
         let parallel = run(true);
+        println!("gups-16M manyseg   cycles      IPC  SC lookups");
+        for (name, r) in [("serial", &serial), ("parallel", &parallel)] {
+            println!(
+                "{name:<16} {:>8} {:>8.3} {:>11}",
+                r.cycles,
+                r.ipc(),
+                r.translation.sc_lookups
+            );
+        }
         assert!(
             parallel.cycles <= serial.cycles,
             "overlap can only help latency"

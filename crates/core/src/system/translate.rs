@@ -168,10 +168,10 @@ impl Translator for ManySegment {
 
     fn delayed(sim: &mut SystemSim, core: usize, miss: Miss) -> Delayed {
         let MemRef { asid, vaddr, .. } = miss.mref;
+        let now = sim.now(core);
         let SystemSim {
             many,
             dram,
-            core: clock,
             machine,
             counters,
             hooks,
@@ -186,7 +186,6 @@ impl Translator for ManySegment {
         if m.sync(kernel.segments()) {
             counters.segment_table_rebuilds += 1;
         }
-        let now = clock.now();
         if let Some((pa, cost)) = m.translate(asid, vaddr, |addr| {
             counters.pte_reads += 1; // index-tree node fetch from memory
             dram.access_latency(now, addr, false)
@@ -353,10 +352,10 @@ impl Translator for NestedHybridSegments {
     fn delayed(sim: &mut SystemSim, core: usize, miss: Miss) -> Delayed {
         let MemRef { asid, vaddr, .. } = miss.mref;
         sim.counters.sc_lookups += 1;
+        let now = sim.now(core);
         let SystemSim {
             machine,
             dram,
-            core: clock,
             counters,
             hooks,
             ..
@@ -369,7 +368,6 @@ impl Translator for NestedHybridSegments {
         if segments.sync(hv) {
             counters.segment_table_rebuilds += 1;
         }
-        let now = clock.now();
         if let Some((ma, cost)) = segments.translate(asid, vaddr, |addr| {
             counters.pte_reads += 1; // index-tree node fetch from memory
             dram.access_latency(now, addr, false)
@@ -566,16 +564,15 @@ fn nested_walk<T: Translator>(sim: &mut SystemSim, core: usize, mref: MemRef) ->
             .machine_addr(vm.vmid, GuestPhysAddr::new(gpa.as_u64()))
             .expect("machine memory available");
     }
+    let now = sim.now(core);
     let SystemSim {
         machine,
         hierarchy,
         dram,
-        core: clock,
         counters,
         ..
     } = sim;
     let vm = machine.vm_mut().expect(NESTED);
-    let now = clock.now();
     let (npte, lat) = vm
         .walker
         .walk(&vm.hv, vm.vmid, asid, vaddr.page_number(), |addr| {

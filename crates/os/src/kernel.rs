@@ -91,7 +91,7 @@ pub struct KernelStats {
     pub host_filter_rebuilds: u64,
     /// Shootdown IPIs delivered to responder cores (directed rounds).
     pub shootdown_ipis: u64,
-    /// Shootdown rounds resolved by the ASID-generation fast path (the
+    /// Shootdown rounds resolved by the zero-responder fast path (the
     /// mutated space was resident on no other core — no IPIs needed).
     pub shootdown_fast_paths: u64,
     /// Total modeled shootdown cycles (initiator IPI issue + ack waits
@@ -916,7 +916,7 @@ impl Kernel {
     }
 
     /// Accounts one directed shootdown round: `ipis` responder
-    /// interrupts (0 = ASID-generation fast path) costing `cycles` of
+    /// interrupts (0 = the zero-responder fast path) costing `cycles` of
     /// total modeled stall across initiator and responders. Called by
     /// the system simulator, which owns core residency and the
     /// [`ShootdownModel`](crate::ShootdownModel) — the kernel just keeps

@@ -18,10 +18,9 @@
 //!   paid once per shootdown round on the core that ran the mutation,
 //! * a **responder** charge — interrupt entry, flush handler, and return,
 //!   paid once by every core that must invalidate, and
-//! * an **ASID-generation fast path** — when the mutated space is
-//!   resident on no other core, the kernel just bumps the space's ASID
-//!   generation (the O(1) generation-tagged flush the TLBs already
-//!   implement) and no IPI round happens at all.
+//! * a **zero-responder fast path** — when the mutated space is
+//!   resident on no other core, the initiating core flushes its own
+//!   structures and no IPI round happens at all.
 //!
 //! The constants are round numbers in the range the paper reports for
 //! bare-metal Linux (interrupt delivery ~O(µs) end to end); they are
@@ -63,7 +62,7 @@ pub struct ShootdownCost {
 
 impl ShootdownModel {
     /// Cost of a round reaching `responders` other cores. Zero
-    /// responders is the ASID-generation fast path: no IPIs, no stall.
+    /// responders is the zero-responder fast path: no IPIs, no stall.
     #[must_use]
     pub fn round(&self, responders: usize) -> ShootdownCost {
         if responders == 0 {

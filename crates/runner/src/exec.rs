@@ -5,7 +5,7 @@
 //! global deque, which is all a sweep of independent, similarly-sized
 //! cells needs). Every cell is one continuous run — one warm-up, then
 //! one measured window — on its own [`SystemSim`] (native, or one guest
-//! VM for a `vm:` scheme; [`McSim`] for multi-core native cells) with a
+//! VM for a `vm:` scheme; native cells may run on several cores) with a
 //! seed derived from the grid position, so the
 //! reported statistics are a pure function of the experiment: identical
 //! whatever the job count or completion order. A simulated reference
@@ -16,7 +16,6 @@ use crate::grid::{Cell, Experiment};
 use crate::params;
 use hvc_check::{CheckConfig, Oracle};
 use hvc_core::{Hypervisor, RunReport, SystemConfig, SystemSim, TranslationScheme, VirtScheme};
-use hvc_mc::McSim;
 use hvc_os::{AllocPolicy, FilterKind, Kernel};
 use hvc_types::{Cycles, TraceItem, Vmid};
 use hvc_workloads::{WorkloadInstance, WorkloadSpec};
@@ -146,9 +145,9 @@ pub fn run_sweep(exp: &Experiment, opts: &RunOptions) -> Result<SweepOutcome, St
 /// Runs one cell as one continuous run: a fresh kernel (the guest
 /// kernel of a fresh VM for a `vm:` scheme) and workload seeded with
 /// `cell.seed`, `exp.warm` unmeasured warm-up references, then
-/// `exp.refs` measured ones — on the plain engine, or on the multi-core
-/// driver when `exp.cores > 1`. With `replay`, the recorded stream
-/// replaces the workload's references (warm-up eating its head).
+/// `exp.refs` measured ones, on `exp.cores` cores. With `replay`, the
+/// recorded stream replaces the workload's references (warm-up eating
+/// its head).
 /// Alongside the report, returns the end-of-run filter-occupancy gauges
 /// (sorted by ASID for deterministic serialization). With `check`, the
 /// oracle observes the run and any violation fails the cell.
@@ -171,25 +170,14 @@ pub fn run_cell(
         }
         return run_replay(exp, cell, &setup, items, check);
     }
-    run_continuous(exp, cell, &setup, exp.cores > 1, check)
+    run_continuous(exp, cell, &setup, check)
 }
 
-/// References a core executes per scheduling turn of the multi-core
-/// driver. Part of the experiment definition (it shapes how cores
-/// interleave on the shared LLC), so it is fixed rather than a CLI
-/// knob; [`crate::key::KEY_SCHEMA`] must be bumped if it changes.
-pub const MC_QUANTUM: usize = 64;
-
-/// Runs one cell on the multi-core driver: the same continuous run as
-/// [`run_cell`], as one feed-and-drain `McSim` run. Public so the
-/// single-core equivalence gate can force a `cores = 1` cell through
-/// this path and compare bitwise.
-pub fn run_cell_mc(
-    exp: &Experiment,
-    cell: &Cell,
-) -> Result<(RunReport, Vec<FilterOccupancy>), String> {
-    run_continuous(exp, cell, &CellSetup::resolve(exp, cell)?, true, false)
-}
+/// References a core executes per scheduling turn ([`hvc_core::QUANTUM`]).
+/// Part of the experiment definition (it shapes how cores interleave on
+/// the shared LLC), so it is fixed rather than a CLI knob;
+/// [`crate::key::KEY_SCHEMA`] must be bumped if it changes.
+pub const MC_QUANTUM: usize = hvc_core::QUANTUM;
 
 /// The machine a cell's scheme string names.
 #[derive(Clone, Copy)]
@@ -303,38 +291,19 @@ impl CellSetup {
     }
 }
 
-/// One warm-up, then `exp.refs` measured references on the plain engine
-/// (or the multi-core driver when `mc` is set).
+/// One warm-up, then `exp.refs` measured references.
 fn run_continuous(
     exp: &Experiment,
     cell: &Cell,
     setup: &CellSetup,
-    mc: bool,
     check: bool,
 ) -> Result<(RunReport, Vec<FilterOccupancy>), String> {
-    if mc && matches!(setup.machine, Machine::Vm(_)) {
-        return Err(format!(
-            "guest-VM scheme '{}' runs on one core",
-            cell.scheme
-        ));
+    let (mut sim, mut wl) = setup.build(cell.seed, check)?;
+    if exp.warm > 0 {
+        sim.warm_up(&mut wl, exp.warm);
     }
-    let (sim, mut wl) = setup.build(cell.seed, check)?;
-    if mc {
-        let mut sim = McSim::new(sim, MC_QUANTUM);
-        if exp.warm > 0 {
-            sim.warm_up(&mut wl, exp.warm);
-        }
-        sim.feed(&mut wl, exp.refs);
-        sim.drain();
-        outcome(sim.sim(), sim.report(), check)
-    } else {
-        let mut sim = sim;
-        if exp.warm > 0 {
-            sim.warm_up(&mut wl, exp.warm);
-        }
-        let report = sim.run(&mut wl, exp.refs);
-        outcome(&sim, report, check)
-    }
+    let report = sim.run(&mut wl, exp.refs);
+    outcome(&sim, report, check)
 }
 
 /// The trace-replay path: one simulator consumes the recorded stream in
@@ -532,8 +501,6 @@ mod tests {
         // `vm:seg` backs its guest eagerly, so 2D segments translate.
         assert!(out.results[2].report.translation.sc_lookups > 0);
         assert_eq!(out.results[0].report.translation.sc_lookups, 0);
-        let err = run_cell_mc(&exp, &exp.cells()[0]).unwrap_err();
-        assert!(err.contains("one core"), "unexpected error: {err}");
         let err = run_cell(&exp, &exp.cells()[2], Some(&[]), false).unwrap_err();
         assert!(err.contains("replay"), "unexpected error: {err}");
     }
@@ -592,16 +559,8 @@ mod tests {
             // The cell's LLC axis (2 MB) sizes the shared LLC.
             config.hierarchy.llc = hvc_cache::CacheConfig::new(cell.llc_bytes, 16, Cycles::new(27));
             let mut sim = SystemSim::new(kernel, config, scheme);
-            let expected = if cores == 1 {
-                sim.warm_up(&mut wl, exp.warm);
-                sim.run(&mut wl, exp.refs)
-            } else {
-                let mut mc = McSim::new(sim, MC_QUANTUM);
-                mc.warm_up(&mut wl, exp.warm);
-                mc.feed(&mut wl, exp.refs);
-                mc.drain();
-                mc.report()
-            };
+            sim.warm_up(&mut wl, exp.warm);
+            let expected = sim.run(&mut wl, exp.refs);
             assert_eq!(report.refs, exp.refs as u64);
             assert_eq!(
                 format!("{report:?}"),

@@ -52,8 +52,8 @@ pub mod report;
 pub mod tables;
 
 pub use exec::{
-    load_trace, run_cell, run_cell_mc, run_sweep, CellResult, FilterOccupancy, RunOptions,
-    SweepOutcome, MC_QUANTUM,
+    load_trace, run_cell, run_sweep, CellResult, FilterOccupancy, RunOptions, SweepOutcome,
+    MC_QUANTUM,
 };
 pub use fsio::write_atomic;
 pub use grid::{Cell, Experiment};

@@ -5,6 +5,12 @@
 //! values per node, where leaf values are segment ids (Figure 6). The
 //! tree is stored in (simulated) physical memory so the hardware's
 //! [`crate::IndexCache`] can cache its nodes by physical address.
+//!
+//! A leaf's id indexes the hardware segment table, which holds the
+//! segment's base, limit and offset. That table mirrors the OS table
+//! 1:1 and is rebuilt with the tree, so each simulated leaf keeps the
+//! segment itself beside the id, and the table read is only its
+//! latency.
 
 use hvc_os::{Segment, SegmentId, SegmentTable};
 use hvc_types::{Asid, PhysAddr, VirtAddr, LINE_SIZE};
@@ -25,8 +31,8 @@ struct Node {
     keys: Vec<u128>,
     /// Children node indices (internal) — `keys.len() + 1` of them.
     children: Vec<usize>,
-    /// Leaf payload: `(key, segment id)` pairs, ascending.
-    entries: Vec<(u128, SegmentId)>,
+    /// Leaf payload: segments in ascending key order.
+    entries: Vec<Segment>,
     leaf: bool,
 }
 
@@ -45,14 +51,7 @@ impl IndexTree {
     /// Builds a tree over the current contents of `table`, placing its
     /// nodes in physical memory starting at `base` (64 B per node).
     pub fn build(table: &SegmentTable, base: PhysAddr) -> Self {
-        let entries: Vec<(u128, SegmentId)> = table
-            .iter()
-            .map(|s: &Segment| (key_of(s.asid, s.base), s.id))
-            .collect();
-        Self::build_from_entries(entries, base)
-    }
-
-    fn build_from_entries(entries: Vec<(u128, SegmentId)>, base: PhysAddr) -> Self {
+        let entries: Vec<Segment> = table.iter().copied().collect();
         let mut nodes = Vec::new();
         // Build the leaf level; each level entry carries its subtree
         // minimum key for separator construction one level up.
@@ -68,7 +67,7 @@ impl IndexTree {
         } else {
             for chunk in entries.chunks(KEYS_PER_NODE) {
                 let idx = nodes.len();
-                let min = chunk[0].0;
+                let min = key_of(chunk[0].asid, chunk[0].base);
                 nodes.push(Node {
                     keys: vec![],
                     children: vec![],
@@ -126,6 +125,16 @@ impl IndexTree {
         va: VirtAddr,
         touched: &mut Vec<PhysAddr>,
     ) -> Option<SegmentId> {
+        self.predecessor(asid, va, touched).map(|s| s.id)
+    }
+
+    /// [`IndexTree::lookup`], returning the segment the leaf's id names.
+    pub(crate) fn predecessor(
+        &self,
+        asid: Asid,
+        va: VirtAddr,
+        touched: &mut Vec<PhysAddr>,
+    ) -> Option<&Segment> {
         let probe = key_of(asid, va);
         let mut idx = self.root;
         loop {
@@ -136,8 +145,7 @@ impl IndexTree {
                     .entries
                     .iter()
                     .rev()
-                    .find(|(k, _)| *k <= probe)
-                    .map(|&(_, id)| id);
+                    .find(|s| key_of(s.asid, s.base) <= probe);
             }
             // Leftmost child whose subtree may contain the predecessor:
             // descend into the rightmost child whose separator ≤ probe.

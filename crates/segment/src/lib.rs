@@ -8,8 +8,8 @@
 //! 2. on a miss, a traversal of the in-memory B-tree [`IndexTree`]
 //!    (sorted by `ASID ++ VA`) through the physically-addressed
 //!    [`IndexCache`] (8-way, 64 B blocks), yielding a segment id,
-//! 3. a lookup of the 2048-entry hardware [`HwSegmentTable`] and a
-//!    base/limit check + offset add.
+//! 3. a lookup of the 2048-entry hardware segment table (whose entries
+//!    the tree's leaves carry) and a base/limit check + offset add.
 //!
 //! [`SegmentWalk`] is steps 2 and 3 over one segment table, written once
 //! for native and two-dimensional translation; [`ManySegmentTranslator`]
@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod hw_table;
 mod index_cache;
 mod index_tree;
 mod many;
@@ -50,7 +49,6 @@ mod rmm;
 mod segment_cache;
 mod walk;
 
-pub use hw_table::HwSegmentTable;
 pub use index_cache::{IndexCache, IndexCacheStats};
 pub use index_tree::IndexTree;
 pub use many::ManySegmentTranslator;

@@ -1,9 +1,16 @@
 //! The segment walk both native and 2D translation take after a
 //! segment-cache miss: index tree → index cache → hardware segment table.
 
-use crate::{HwSegmentTable, IndexCache, IndexCacheStats, IndexTree};
+use crate::{IndexCache, IndexCacheStats, IndexTree};
 use hvc_os::{Segment, SegmentTable};
 use hvc_types::{Asid, Cycles, PhysAddr, VirtAddr};
+
+/// Read latency of the 2048-entry hardware segment table (CACTI). The
+/// table mirrors the OS table 1:1 ("segment misses occur only for cold
+/// misses, as the size of HW table is equal to the in-memory segment
+/// table size") and is re-mirrored with the index tree, so it never
+/// takes a cold miss.
+const SEGMENT_TABLE_LATENCY: Cycles = Cycles::new(7);
 
 /// Per-stage cost of one segment translation, so callers can attribute
 /// cycles to the structure that spent them.
@@ -25,18 +32,16 @@ impl SegmentCost {
 }
 
 /// One segment table's hardware mirror — the in-memory [`IndexTree`],
-/// the [`IndexCache`] over its nodes and the [`HwSegmentTable`] — and
-/// the walk through them.
+/// whose leaves carry the hardware segment table's entries, and the
+/// [`IndexCache`] over its nodes — and the walk through them.
 ///
 /// The mirror follows the OS table by version:
-/// [`SegmentWalk::sync`] rebuilds the tree, re-mirrors the hardware
-/// table and flushes the index cache whenever the table changed since
-/// the last build.
+/// [`SegmentWalk::sync`] rebuilds the tree and flushes the index cache
+/// whenever the table changed since the last build.
 #[derive(Clone, Debug)]
 pub struct SegmentWalk {
     tree: IndexTree,
     index_cache: IndexCache,
-    hw_table: HwSegmentTable,
     /// Where in physical memory the index tree lives.
     tree_base: PhysAddr,
     /// The segment-table version the mirror reflects.
@@ -53,7 +58,6 @@ impl SegmentWalk {
         SegmentWalk {
             tree: IndexTree::build(table, tree_base),
             index_cache: IndexCache::isca2016(),
-            hw_table: HwSegmentTable::mirror(table, Cycles::new(7)),
             tree_base,
             version: table.version(),
             touched: Vec::with_capacity(8),
@@ -68,7 +72,6 @@ impl SegmentWalk {
             return false;
         }
         self.tree = IndexTree::build(table, self.tree_base);
-        self.hw_table.sync(table);
         self.index_cache.flush();
         self.version = table.version();
         true
@@ -89,15 +92,16 @@ impl SegmentWalk {
         mut fetch: impl FnMut(PhysAddr) -> Cycles,
     ) -> Option<&Segment> {
         self.touched.clear();
-        let id = self.tree.lookup(asid, va, &mut self.touched)?;
+        let seg = self.tree.predecessor(asid, va, &mut self.touched)?;
         for &node in &self.touched {
             cost.index_cache += self.index_cache.latency();
             if !self.index_cache.access(node) {
                 cost.index_cache += fetch(node);
             }
         }
-        cost.segment_table += self.hw_table.latency();
-        self.hw_table.covering(id, asid, va)
+        cost.segment_table += SEGMENT_TABLE_LATENCY;
+        // The base/limit check.
+        seg.contains(asid, va).then_some(seg)
     }
 
     /// Index-cache counters.

@@ -22,8 +22,8 @@
 //! | [`obs`] | latency histograms, cycle attribution, event tracing |
 //! | [`segment`] | many-segment delayed translation + RMM baseline |
 //! | [`virt`] | hypervisor and nested (2D) translation |
-//! | [`core`] | translation schemes, system simulator, energy model |
-//! | [`mc`] | multi-core driver: per-core clocks, quanta, TLB shootdown timing |
+//! | [`core`] | translation schemes, system simulator (any core count), energy model |
+//! | [`mc`] | the benchmark's multi-core calls, forwarded to the system simulator |
 //! | [`workloads`] | synthetic application trace generators |
 //! | [`check`] | differential oracle + invariant checking |
 //! | [`runner`] | parallel experiment sweeps + JSON reports |

@@ -3,7 +3,8 @@
 //! identical to one-at-a-time stepping — same statistics bit for bit, for every
 //! translation scheme, both synonym-filter strategies, arbitrary
 //! workload shapes (including kernel churn landing mid-window), and
-//! every batch granularity down to single-item windows.
+//! every batch granularity down to single-item windows. On several
+//! cores, the quantum schedule makes feed granularity invisible.
 //!
 //! The reference executor below replays the exact workload call sequence
 //! the batched driver makes (`next_item` / `take_churn_ops` alternate
@@ -11,7 +12,6 @@
 //! generator's.
 
 use hvc::core::{RunReport, SystemConfig, SystemSim, TranslationScheme};
-use hvc::mc::McSim;
 use hvc::os::{AllocPolicy, FilterKind, Kernel};
 use hvc::types::PAGE_SIZE;
 use hvc::workloads::{AccessPattern, ChurnKind, ChurnSpec, RegionSpec, SharingSpec, WorkloadSpec};
@@ -140,8 +140,10 @@ fn assert_reports_identical(a: &RunReport, b: &RunReport, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `SystemSim::run` (64-item windows through `step_batch`) reports
-    /// bitwise the same statistics as one-at-a-time `step`.
+    /// `SystemSim::run` (on one core, the quantum schedule's 64-item
+    /// turns through `step_batch`) reports bitwise the same statistics
+    /// as one-at-a-time `step`, and a single core's shootdown rounds
+    /// send no IPIs.
     #[test]
     fn batched_run_matches_stepwise(
         spec in spec_strategy(),
@@ -154,6 +156,7 @@ proptest! {
         let batched = sim.run(&mut wl, refs);
         let stepwise = run_stepwise(&spec, scheme, filter, seed, refs);
         assert_reports_identical(&batched, &stepwise, "batched vs stepwise");
+        prop_assert_eq!(batched.os.shootdown_ipis, 0, "one core has no responders");
     }
 
     /// Window size is invisible, down to degenerate single-item
@@ -172,9 +175,9 @@ proptest! {
         assert_reports_identical(&windowed, &stepwise, "windowed vs stepwise");
     }
 
-    /// Multi-core: the quantum dispatcher's internal batching must keep
+    /// Multi-core: the quantum schedule's internal batching must keep
     /// the feed granularity invisible — driving the same workload in
-    /// arbitrary-size feed chunks yields the run-to-completion report.
+    /// arbitrary-size feed chunks yields the one-call `run` report.
     #[test]
     fn mc_feed_granularity_is_invisible(
         spec in spec_strategy(),
@@ -190,11 +193,11 @@ proptest! {
             let wl = spec.instantiate(&mut kernel, seed).unwrap();
             let mut config = SystemConfig::isca2016();
             config.hierarchy = hvc::cache::HierarchyConfig::isca2016(2);
-            (McSim::new(SystemSim::new(kernel, config, scheme), 64), wl)
+            (SystemSim::new(kernel, config, scheme), wl)
         };
 
         let (mut whole, mut wl_a) = make(&spec);
-        let whole_report = whole.run_to_completion(&mut wl_a, refs);
+        let whole_report = whole.run(&mut wl_a, refs);
 
         let (mut chunked, mut wl_b) = make(&spec);
         let mut fed = 0;

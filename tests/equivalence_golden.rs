@@ -41,8 +41,8 @@ use hvc::core::{RunReport, SystemConfig, SystemSim, VirtScheme};
 use hvc::os::AllocPolicy;
 use hvc::runner::json::Value;
 use hvc::runner::{
-    presets, run_cell, run_cell_mc, run_report_value, run_sweep, sweep_report, tables, Cell,
-    Experiment, RunOptions,
+    presets, run_cell, run_report_value, run_sweep, sweep_report, tables, Cell, Experiment,
+    RunOptions,
 };
 use hvc::virt::Hypervisor;
 
@@ -364,33 +364,6 @@ fn assert_text_matches_golden(path: &str, text: &str) {
              If the change is intentional, re-bless with HVC_BLESS=1.",
             &golden[ctx_from..(byte + 120).min(golden.len())],
             &text[ctx_from..(byte + 120).min(text.len())],
-        );
-    }
-}
-
-/// The multi-core driver at `--cores 1` must be a bitwise no-op: one
-/// queue, one clock, every shootdown round on the zero-responder fast
-/// path. Forcing a single-core cell through `run_cell_mc` and through
-/// the plain engine must serialize to the identical report — the
-/// strongest guarantee that the quantum scheduler adds no timing of its
-/// own.
-#[test]
-fn forced_single_core_mc_runs_are_bitwise_identical_to_the_plain_engine() {
-    let exp = native_grid();
-    for cell in &exp.cells() {
-        let (plain_report, plain_filters) =
-            run_cell(&exp, cell, None, false).expect("plain cell must run");
-        let (mc_report, mc_filters) = run_cell_mc(&exp, cell).expect("mc cell must run");
-        assert_eq!(
-            run_report_value(&plain_report, &plain_filters, &cell.scheme, exp.obs).to_pretty(),
-            run_report_value(&mc_report, &mc_filters, &cell.scheme, exp.obs).to_pretty(),
-            "{}/{} diverges between the plain and forced-mc engines",
-            cell.workload,
-            cell.scheme
-        );
-        assert_eq!(
-            mc_report.os.shootdown_ipis, 0,
-            "a single-core run must never issue shootdown IPIs"
         );
     }
 }

@@ -207,13 +207,12 @@ proptest! {
 mod multicore_attribution {
     //! The cycle-attribution ledger must keep summing to the recorded
     //! memory cycles once the `Shootdown` component joins it: every
-    //! stall the multi-core driver charges (initiator IPI waits,
+    //! stall a multi-core run charges (initiator IPI waits,
     //! responder interrupt + flush time) enters the latency histogram
     //! and the attribution ledger in the same place.
 
     use hvc::cache::HierarchyConfig;
     use hvc::core::{SystemConfig, SystemSim, TranslationScheme};
-    use hvc::mc::McSim;
     use hvc::obs::Component;
     use hvc::os::{AllocPolicy, Kernel};
     use proptest::prelude::*;
@@ -225,12 +224,9 @@ mod multicore_attribution {
         let mut wl = spec.instantiate(&mut kernel, seed).expect("workload");
         let mut config = SystemConfig::isca2016();
         config.hierarchy = HierarchyConfig::isca2016(cores);
-        let mut mc = McSim::new(
-            SystemSim::new(kernel, config, TranslationScheme::HybridDelayedTlb(1024)),
-            hvc::runner::MC_QUANTUM,
-        );
-        mc.warm_up(&mut wl, 1_000);
-        mc.run_to_completion(&mut wl, 6_000)
+        let mut sim = SystemSim::new(kernel, config, TranslationScheme::HybridDelayedTlb(1024));
+        sim.warm_up(&mut wl, 1_000);
+        sim.run(&mut wl, 6_000)
     }
 
     proptest! {

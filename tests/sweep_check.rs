@@ -13,10 +13,9 @@
 use hvc::cache::HierarchyConfig;
 use hvc::check::{CheckConfig, Oracle};
 use hvc::core::{SystemConfig, SystemSim, TranslationScheme};
-use hvc::mc::McSim;
 use hvc::os::Kernel;
 use hvc::runner::params::{parse_scheme, workload_by_name};
-use hvc::runner::{run_report_value, run_sweep, CellResult, Experiment, RunOptions, MC_QUANTUM};
+use hvc::runner::{run_report_value, run_sweep, CellResult, Experiment, RunOptions};
 
 /// `RunReport` has no `PartialEq`; compare cells through the same
 /// serialization the sweep report (and the golden fixture) uses.
@@ -99,8 +98,9 @@ fn multicore_ifetch_grid_passes_the_oracle() {
 
 /// Both churn profiles on 4 cores: the oracle applies each address-space
 /// mutation to the reference machine as the measured machine applies it,
-/// in `McSim`'s order, so a translation corrupted by a missed (or
-/// misdirected) TLB shootdown surfaces as a differential violation.
+/// in the quantum schedule's order, so a translation corrupted by a
+/// missed (or misdirected) TLB shootdown surfaces as a differential
+/// violation.
 #[test]
 fn fork_storm_grid_passes_the_oracle_on_four_cores() {
     checked(&Experiment {
@@ -158,12 +158,13 @@ fn frames(kernel: &Kernel) -> Vec<(u16, u64, u64)> {
     v
 }
 
-/// The oracle checks the order `McSim` executes, not the order the
-/// workload emits. On a `cores = 4` `fork_storm` cell it observes exactly
-/// `warm + refs` references, passes, and its reference kernel ends with
-/// the measured kernel's frames. The same items stepped in feed order
-/// map different frames (demand faults allocate in first-touch order),
-/// so an oracle fed in that order would diverge from the measured run.
+/// The oracle checks the order the quantum schedule executes, not the
+/// order the workload emits. On a `cores = 4` `fork_storm` cell it
+/// observes exactly `warm + refs` references, passes, and its reference
+/// kernel ends with the measured kernel's frames. The same items stepped
+/// in feed order map different frames (demand faults allocate in
+/// first-touch order), so an oracle fed in that order would diverge from
+/// the measured run.
 #[test]
 fn oracle_observes_a_four_core_fork_storm_cell_in_mcsim_order() {
     let (warm, refs) = (2_000, 6_000);
@@ -180,24 +181,28 @@ fn oracle_observes_a_four_core_fork_storm_cell_in_mcsim_order() {
     let (kernel, mut wl) = build();
     let mut sim = SystemSim::new(kernel, config.clone(), scheme);
     Oracle::native(&mut sim, build().0, CheckConfig::default());
-    let mut mc = McSim::new(sim, MC_QUANTUM);
-    mc.warm_up(&mut wl, warm);
-    mc.feed(&mut wl, refs);
-    mc.drain();
-    let violations = Oracle::verdict(mc.sim());
+    sim.warm_up(&mut wl, warm);
+    sim.run(&mut wl, refs);
+    let violations = Oracle::verdict(&sim);
     assert!(violations.is_empty(), "{violations:?}");
-    let oracle = Oracle::of(mc.sim()).unwrap();
+    let oracle = Oracle::of(&sim).unwrap();
     assert_eq!(oracle.refs(), (warm + refs) as u64);
-    let measured = frames(mc.sim().kernel());
+    let measured = frames(sim.kernel());
     assert_eq!(frames(oracle.reference().kernel()), measured);
 
     let (kernel, mut wl) = build();
     let mut feed_order = SystemSim::new(kernel, config, TranslationScheme::Ideal);
-    feed_order.run(&mut wl, warm + refs);
+    let mlp = wl.mlp();
+    for _ in 0..warm + refs {
+        feed_order.step(wl.next_item(), mlp);
+        if let Some(ops) = wl.take_churn_ops() {
+            feed_order.apply_churn(&ops);
+        }
+    }
     assert_ne!(
         frames(feed_order.kernel()),
         measured,
-        "feed order must map different frames than McSim order"
+        "feed order must map different frames than quantum-schedule order"
     );
 }
 
