@@ -44,7 +44,7 @@ impl CoreModel {
     }
 
     /// Marks the current point as the measurement origin: subsequent
-    /// [`CoreModel::instructions`] / [`CoreModel::cycles`] / IPC readings
+    /// [`CoreModel::instructions`] / [`CoreModel::cycles`] readings
     /// exclude everything before the mark (warm-up exclusion). Absolute
     /// time ([`CoreModel::now`]) is unaffected.
     pub fn mark(&mut self) {
@@ -86,16 +86,6 @@ impl CoreModel {
     pub fn cycles(&self) -> u64 {
         self.now().get() - self.mark_cycles
     }
-
-    /// Instructions per cycle.
-    pub fn ipc(&self) -> f64 {
-        let c = self.cycles();
-        if c == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / c as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -106,8 +96,24 @@ mod tests {
     fn pure_compute_ipc_equals_width() {
         let mut c = CoreModel::new(4, 12);
         c.retire(4000);
+        assert_eq!(c.instructions(), 4000);
         assert_eq!(c.cycles(), 1000);
-        assert!((c.ipc() - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn mark_restarts_instructions_and_cycles_from_zero() {
+        let mut c = CoreModel::new(4, 12);
+        c.retire(4000);
+        c.memory(Cycles::new(212), 1);
+        c.mark();
+        assert_eq!((c.instructions(), c.cycles()), (0, 0));
+        c.retire(400);
+        assert_eq!((c.instructions(), c.cycles()), (400, 100));
+        assert_eq!(
+            c.now().get(),
+            1000 + 200 + 100,
+            "absolute time keeps running"
+        );
     }
 
     #[test]

@@ -175,8 +175,7 @@ pub fn run_cell(
 
 /// References a core executes per scheduling turn ([`hvc_core::QUANTUM`]).
 /// Part of the experiment definition (it shapes how cores interleave on
-/// the shared LLC), so it is fixed rather than a CLI knob;
-/// [`crate::key::KEY_SCHEMA`] must be bumped if it changes.
+/// the shared LLC), so it is fixed rather than a CLI knob.
 pub const MC_QUANTUM: usize = hvc_core::QUANTUM;
 
 /// The machine a cell's scheme string names.

@@ -1,10 +1,10 @@
 //! Crash-safe file output.
 //!
-//! Report writers (`hvcsim sweep --out`, the experiment server's result
-//! spool) must never leave a truncated file
-//! behind: a half-written JSON document is worse than none, because
-//! downstream tooling — and the server's restart-resume path — trusts
-//! whatever parses. [`write_atomic`] gives all of them the standard
+//! Report writers (`hvcsim sweep --out`, a single run's
+//! `--trace-events`) must never leave a truncated file behind: a
+//! half-written JSON document is worse than none, because downstream
+//! tooling (`hvcsim table` among it) trusts whatever parses.
+//! [`write_atomic`] gives both of them the standard
 //! write-temp-then-rename protocol: the destination either keeps its
 //! old contents or holds the complete new ones, never a prefix. A
 //! destination that exists and is not a regular file (`/dev/null`, a

@@ -81,8 +81,8 @@ impl Value {
     }
 
     /// Serializes on a single line with no insignificant whitespace —
-    /// the NDJSON form used by the experiment server, where every
-    /// streamed event must be exactly one line. Like [`Value::to_pretty`]
+    /// for line-oriented output such as the benchmark's one record per
+    /// line. Like [`Value::to_pretty`]
     /// it is deterministic: identical values serialize byte-identically.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();

@@ -18,11 +18,8 @@
 //! * [`sweep_report`] — a self-describing JSON document (schema
 //!   [`report::SCHEMA`]) with exact `u64` counters, written and parsed
 //!   by the dependency-free [`json`] module,
-//! * [`cell_key`] — the stable 64-bit memoization key of one cell
-//!   (schema [`KEY_SCHEMA`]), which the `hvcsim serve` result cache and
-//!   crash-resume spool index by,
-//! * [`write_atomic`] — crash-safe write-temp-then-rename file output,
-//!   shared by the CLI report writers and the server spool.
+//! * [`write_atomic`] — crash-safe write-temp-then-rename file output
+//!   for the CLI's report and trace-event writers.
 //!
 //! # Examples
 //!
@@ -45,7 +42,6 @@ mod exec;
 pub mod fsio;
 mod grid;
 pub mod json;
-mod key;
 pub mod params;
 pub mod presets;
 pub mod report;
@@ -57,5 +53,4 @@ pub use exec::{
 };
 pub use fsio::write_atomic;
 pub use grid::{Cell, Experiment};
-pub use key::{cell_key, cell_key_hex, KEY_SCHEMA};
 pub use report::{run_report_value, sweep_report, trace_events_json};

@@ -1,5 +1,5 @@
-//! Property tests for the JSON parser, which reads request bodies and
-//! spool files from outside the process: arbitrary bytes and deep
+//! Property tests for the JSON parser, which reads sweep reports from
+//! outside the process (`hvcsim table`): arbitrary bytes and deep
 //! nesting are errors, never panics or stack overflows, and every value
 //! the serializer writes parses back to itself.
 

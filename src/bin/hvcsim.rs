@@ -18,7 +18,6 @@ use hvc::runner::{
     params, presets, run_cell, run_sweep, sweep_report, tables, write_atomic, Cell, Experiment,
     RunOptions,
 };
-use hvc::serve::{ServeConfig, Server};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -32,7 +31,6 @@ USAGE:
                                      table2, table3, fig4, fig9, fig10,
                                      energy)
     hvcsim check [CHECK OPTIONS]     run the correctness checker
-    hvcsim serve [SERVE OPTIONS]     run the HTTP experiment server
 
 OPTIONS:
     --workload <name>    workload profile (see --list)        [default: gups]
@@ -81,15 +79,6 @@ CHECK OPTIONS:
                          the nested baseline
     --seed-range <a..b>  randomized stress-script seeds       [default: 0..4]
     --stress-ops <n>     operations per stress script         [default: 400]
-
-SERVE OPTIONS:
-    --addr <host:port>   listen address (port 0 = ephemeral)
-                                                   [default: 127.0.0.1:8080]
-    --jobs <n>           simulation worker threads            [default: 2]
-    --cache-capacity <n> memoized cells kept in memory        [default: 4096]
-    --spool <dir>        crash-safe result spool; restarting with the same
-                         directory resumes interrupted sweeps (no spool:
-                         results are memoized in memory only)
 ";
 
 fn main() -> ExitCode {
@@ -98,7 +87,6 @@ fn main() -> ExitCode {
         Some("sweep") => sweep_main(&args[1..]),
         Some("table") => table_main(&args[1..]),
         Some("check") => check_main(&args[1..]),
-        Some("serve") => serve_main(&args[1..]),
         _ => single_main(&args),
     }
 }
@@ -377,77 +365,6 @@ fn check_main(args: &[String]) -> ExitCode {
     } else {
         eprintln!("all checks passed");
         ExitCode::SUCCESS
-    }
-}
-
-/// `hvcsim serve ...`: run the HTTP experiment server until killed.
-/// Results land in the memoizing cache (and the spool, when given), so
-/// restarting after a kill resumes any interrupted sweep.
-fn serve_main(args: &[String]) -> ExitCode {
-    let mut addr = "127.0.0.1:8080".to_string();
-    let mut config = ServeConfig::default();
-
-    let mut i = 0;
-    let next = |i: &mut usize| -> Option<String> {
-        *i += 1;
-        args.get(*i - 1).cloned()
-    };
-    while i < args.len() {
-        let arg = args[i].clone();
-        i += 1;
-        let bad = || {
-            eprintln!("invalid or missing value for {arg}\n\n{USAGE}");
-            ExitCode::FAILURE
-        };
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            "--addr" => match next(&mut i) {
-                Some(a) => addr = a,
-                None => return bad(),
-            },
-            "--jobs" => match next(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => config.jobs = n,
-                None => return bad(),
-            },
-            "--cache-capacity" => match next(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => config.cache_capacity = n,
-                None => return bad(),
-            },
-            "--spool" => match next(&mut i) {
-                Some(dir) => config.spool_dir = Some(dir.into()),
-                None => return bad(),
-            },
-            _ => {
-                eprintln!("unknown option {arg}\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let spool = config
-        .spool_dir
-        .as_ref()
-        .map(|d| d.display().to_string())
-        .unwrap_or_else(|| "off (in-memory only)".into());
-    let server = match Server::start(&addr, config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot start the server on {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!(
-        "hvcsim serve listening on http://{} (spool: {spool})",
-        server.addr()
-    );
-    eprintln!("endpoints: GET /healthz, GET /stats, GET /presets, POST /sweep");
-    // Serve until the process is killed; completed cells are already
-    // spooled, so a kill at any instant is resumable.
-    loop {
-        std::thread::park();
     }
 }
 

@@ -27,7 +27,6 @@
 //! | [`workloads`] | synthetic application trace generators |
 //! | [`check`] | differential oracle + invariant checking |
 //! | [`runner`] | parallel experiment sweeps + JSON reports |
-//! | [`serve`] | HTTP experiment server: memoizing cache + resumable sweeps |
 //!
 //! # Quickstart
 //!
@@ -62,7 +61,6 @@ pub use hvc_obs as obs;
 pub use hvc_os as os;
 pub use hvc_runner as runner;
 pub use hvc_segment as segment;
-pub use hvc_serve as serve;
 pub use hvc_tlb as tlb;
 pub use hvc_trace as trace;
 pub use hvc_types as types;

@@ -491,3 +491,29 @@ fn table_rejects_a_preset_without_a_reduction() {
     assert!(stderr.contains("'smoke' has no reduction"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn table_rejects_malformed_input_cleanly() {
+    let dir = std::env::temp_dir().join(format!("hvcsim-table-bad-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = table_of(&dir, &["--preset", "table1", "--workloads", "mcf"]);
+    assert!(out.status.success());
+    let bytes = std::fs::read(dir.join("report.json")).unwrap();
+    let truncated = dir.join("truncated.json");
+    std::fs::write(&truncated, &bytes[..bytes.len() / 2]).unwrap();
+    let not_a_report = dir.join("not_a_report.json");
+    std::fs::write(&not_a_report, "{\"schema\": \"x\", \"cells\": []}\n").unwrap();
+
+    for (path, message) in [
+        (truncated, "JSON error at byte"),
+        (not_a_report, "no experiment.name"),
+        (dir.join("missing.json"), "cannot read"),
+    ] {
+        let out = hvcsim().arg("table").arg(&path).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{path:?}: {stderr}");
+        assert!(stderr.contains(message), "{path:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{path:?} panicked: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
