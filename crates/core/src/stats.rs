@@ -43,7 +43,7 @@ pub struct TranslationCounters {
     /// (two 1K-bit Bloom filters read from OS memory, Section III-B).
     pub filter_reloads: u64,
     /// Re-mirrorings of the hardware segment structures after the OS
-    /// changed the segment table (reservation commits, unmaps).
+    /// changed the segment table (eager growth, unmaps).
     pub segment_table_rebuilds: u64,
     /// Enigma-style coarse first-level translations (every access under
     /// the Enigma scheme).

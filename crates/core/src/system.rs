@@ -214,9 +214,6 @@ pub struct SystemSim {
     /// Fault injection for checker self-tests: drop every non-`Page`
     /// flush request.
     drop_non_page_flushes: bool,
-    /// Reusable window buffer for [`SystemSim::run_trace`], so a replay
-    /// allocates nothing per reference or per window.
-    batch_scratch: Vec<TraceItem>,
     /// Reusable hierarchy batch for flush application, so a drain
     /// allocates nothing on the steady state.
     flush_batch: Vec<FlushOp>,
@@ -334,7 +331,6 @@ impl SystemSim {
             responder_stalls: vec![0; cores],
             hooks: None,
             drop_non_page_flushes: false,
-            batch_scratch: Vec::with_capacity(QUANTUM),
             flush_batch: Vec::new(),
         }
     }
@@ -561,26 +557,6 @@ impl SystemSim {
     pub fn run(&mut self, workload: &mut WorkloadInstance, refs: usize) -> RunReport {
         self.feed(workload, refs);
         self.drain();
-        self.report()
-    }
-
-    /// Replays a pre-recorded trace (e.g. loaded with `hvc-trace`) with
-    /// the given memory-level-parallelism hint.
-    pub fn run_trace<I>(&mut self, items: I, mlp: u32) -> RunReport
-    where
-        I: IntoIterator<Item = hvc_types::TraceItem>,
-    {
-        let mut batch = std::mem::take(&mut self.batch_scratch);
-        let mut iter = items.into_iter();
-        loop {
-            batch.clear();
-            batch.extend(iter.by_ref().take(QUANTUM));
-            if batch.is_empty() {
-                break;
-            }
-            self.step_batch(&batch, mlp);
-        }
-        self.batch_scratch = batch;
         self.report()
     }
 

@@ -202,15 +202,9 @@ impl Translator for ManySegment {
                     .map(|(pte, _)| pte.frame)
             });
         }
-        // Not covered by any segment: fault to the OS. Under the
-        // reservation policy this commits a sub-segment (changing the
-        // segment table), so the hardware structures re-mirror it; a
-        // plain paging-managed page falls back to a walk.
+        // Not covered by any segment: fault to the OS, which maps the
+        // page without touching the segment table, and walk.
         let pte = sim.ensure_pte::<Self>(core, miss.mref);
-        let m = sim.many.as_mut().expect("many-segment scheme");
-        if m.sync(sim.machine.kernel().segments()) {
-            sim.counters.segment_table_rebuilds += 1;
-        }
         let lat = sim.charged_walk(core, asid, vaddr);
         let mut parts = CycleAttribution::default();
         parts.add(Component::DelayedWalk, lat);

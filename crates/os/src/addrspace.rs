@@ -1,6 +1,5 @@
 //! Per-process address spaces: VMAs, page table, synonym filter.
 
-use crate::pageset::PageSet;
 use crate::pagetable::PageTable;
 use crate::segment::SegmentId;
 use crate::shm::ShmId;
@@ -62,10 +61,6 @@ pub struct AddressSpace {
     /// The OS-maintained synonym filter pair for this space.
     pub filter: SynonymFilter,
     pub(crate) vmas: BTreeMap<u64, Vma>,
-    /// Pages touched at least once (utilization accounting).
-    pub(crate) touched: PageSet,
-    /// Bytes eagerly allocated to this space (eager policy).
-    pub(crate) eager_allocated: u64,
 }
 
 impl AddressSpace {
@@ -75,8 +70,6 @@ impl AddressSpace {
             page_table,
             filter: SynonymFilter::with_kind(filter_kind),
             vmas: BTreeMap::new(),
-            touched: PageSet::new(),
-            eager_allocated: 0,
         }
     }
 
@@ -123,25 +116,6 @@ impl AddressSpace {
     /// Total pages across all VMAs.
     pub fn total_vma_pages(&self) -> u64 {
         self.vmas.values().map(|v| v.len >> PAGE_SHIFT).sum()
-    }
-
-    /// Distinct pages touched since creation.
-    pub fn touched_pages(&self) -> u64 {
-        self.touched.len()
-    }
-
-    /// Bytes eagerly allocated (eager segment policy).
-    pub fn eager_allocated_bytes(&self) -> u64 {
-        self.eager_allocated
-    }
-
-    /// Memory utilization: touched bytes over eagerly allocated bytes
-    /// (Table III's final column); `None` under demand paging.
-    pub fn eager_utilization(&self) -> Option<f64> {
-        (self.eager_allocated > 0).then(|| {
-            let touched = self.touched.len() << PAGE_SHIFT;
-            touched as f64 / self.eager_allocated as f64
-        })
     }
 
     /// Read-only view of the page table.
@@ -208,15 +182,5 @@ mod tests {
             .insert(0x30000, vma(0x30000, 0x1000, VmaBacking::Dma));
         assert_eq!(s.rw_shared_pages(), 2 + 1, "shm + dma count, r/o does not");
         assert_eq!(s.total_vma_pages(), 4 + 2 + 1 + 1);
-    }
-
-    #[test]
-    fn utilization_requires_eager_allocation() {
-        let (_b, mut s) = space();
-        assert_eq!(s.eager_utilization(), None);
-        s.eager_allocated = 4 * 4096;
-        s.touched.insert(1);
-        s.touched.insert(2);
-        assert!((s.eager_utilization().unwrap() - 0.5).abs() < 1e-12);
     }
 }

@@ -25,16 +25,6 @@ pub enum AllocPolicy {
         /// Number of pieces each allocation is broken into (≥ 1).
         split: u32,
     },
-    /// Reservation-based eager allocation (Section IV-B's refinement):
-    /// `mmap` *reserves* a contiguous physical region but commits it in
-    /// `sub_pages`-page sub-segments only on first touch; adjacent
-    /// committed sub-segments merge into one segment. Recovers the
-    /// memory stranded by pure eager allocation at the cost of more
-    /// segments and touch-time commit work.
-    ReservedSegments {
-        /// Pages per sub-segment commit unit.
-        sub_pages: u64,
-    },
 }
 
 /// What an `mmap` call is backed by.
@@ -142,26 +132,12 @@ pub struct Kernel {
     flush_queue: Vec<FlushRequest>,
     /// Last eagerly-allocated segment per space, for in-place extension.
     last_segment: FxHashMap<u16, SegmentId>,
-    /// Outstanding physical reservations (ReservedSegments policy).
-    reservations: Vec<Reservation>,
     /// Synonym-filter staleness per space: shared pages unmapped since
     /// the last rebuild. Crossing [`Kernel::FILTER_STALE_LIMIT`] triggers
     /// an automatic filter reconstruction (Section III-B).
     stale_filter_pages: FxHashMap<u16, u64>,
     /// Synonym-detection strategy newly created address spaces use.
     filter_kind: FilterKind,
-}
-
-/// A reserved-but-partially-committed physical region.
-#[derive(Clone, Debug)]
-struct Reservation {
-    asid: u16,
-    start_vpn: u64,
-    pages: u64,
-    base_frame: hvc_types::PhysFrame,
-    sub_pages: u64,
-    /// Segment id of each committed sub-unit (shared after merging).
-    committed: Vec<Option<SegmentId>>,
 }
 
 impl Kernel {
@@ -198,7 +174,6 @@ impl Kernel {
             stats: KernelStats::default(),
             flush_queue: Vec::new(),
             last_segment: FxHashMap::default(),
-            reservations: Vec::new(),
             stale_filter_pages: FxHashMap::default(),
             filter_kind: FilterKind::Bloom,
         }
@@ -310,43 +285,9 @@ impl Kernel {
         // reused ASID starts from zero instead of inheriting the dead
         // space's tally (which could trigger a premature rebuild).
         self.stale_filter_pages.remove(&asid.as_u16());
-        self.release_reservations(asid, 0, u64::MAX);
         self.flush_queue.push(FlushRequest::Space(asid));
         self.stats.shootdowns += 1;
         Ok(())
-    }
-
-    /// Releases every reservation of `asid` that lies inside
-    /// `[start_vpn, start_vpn + pages)`: frees uncommitted sub-units
-    /// (committed pages are freed through their page-table entries) and
-    /// drops the committed sub-segments from the segment table.
-    fn release_reservations(&mut self, asid: Asid, start_vpn: u64, pages: u64) {
-        let end = start_vpn.saturating_add(pages);
-        let mut kept = Vec::with_capacity(self.reservations.len());
-        for r in std::mem::take(&mut self.reservations) {
-            if r.asid != asid.as_u16() || r.start_vpn < start_vpn || r.start_vpn + r.pages > end {
-                kept.push(r);
-                continue;
-            }
-            let mut removed = std::collections::HashSet::new();
-            for (i, slot) in r.committed.iter().enumerate() {
-                let sub_start = i as u64 * r.sub_pages;
-                let sub_len = r.sub_pages.min(r.pages - sub_start);
-                match slot {
-                    Some(id) => {
-                        if removed.insert(*id) {
-                            self.segments.remove(*id);
-                        }
-                    }
-                    None => {
-                        // Never committed: free the reserved frames.
-                        self.frames
-                            .free_exact(r.base_frame.offset(sub_start), sub_len);
-                    }
-                }
-            }
-        }
-        self.reservations = kept;
     }
 
     /// Creates a shared-memory object of `len` bytes (page aligned up).
@@ -433,9 +374,6 @@ impl Kernel {
                 AllocPolicy::EagerSegments { split } => {
                     self.map_eager_private(asid, &mut vma, perm, split.max(1))?;
                 }
-                AllocPolicy::ReservedSegments { sub_pages } => {
-                    self.reserve_private(asid, &vma, sub_pages.max(1))?;
-                }
                 AllocPolicy::DemandPaging => {
                     // Nothing until first touch.
                 }
@@ -503,9 +441,6 @@ impl Kernel {
         for sid in vma.segments {
             self.segments.remove(sid);
         }
-        // Reservation-policy backing: free the uncommitted remainder and
-        // drop committed sub-segments (their frames were freed above).
-        self.release_reservations(asid, first.as_u64(), pages);
         // Unmapping synonym pages leaves stale state in the synonym
         // filter (Bloom bits cannot be removed individually; RLT
         // overflow regions cannot either); past a threshold the OS
@@ -544,7 +479,6 @@ impl Kernel {
             .get_mut(&asid.as_u16())
             .ok_or(HvcError::BadId("unknown ASID"))?;
         let vpage = va.page_number();
-        space.touched.insert(vpage.as_u64());
 
         if let Some(pte) = space.page_table.lookup(vpage) {
             if pte.perm.allows(required) {
@@ -584,12 +518,6 @@ impl Kernel {
             "non-private VMAs are populated eagerly"
         );
         let perm = vma.perm;
-        if matches!(self.policy, AllocPolicy::ReservedSegments { .. }) {
-            if let Some(pte) = self.commit_reserved(asid, vpage, perm)? {
-                self.stats.minor_faults += 1;
-                return Ok(pte);
-            }
-        }
         let frame = self.frames.alloc_frame()?;
         let pte = Pte {
             frame,
@@ -600,131 +528,6 @@ impl Kernel {
         space.page_table.map(&mut self.meta_frames, vpage, pte)?;
         self.stats.minor_faults += 1;
         Ok(pte)
-    }
-
-    /// Reserves contiguous physical backing for a private VMA without
-    /// committing it (ReservedSegments policy). Regions larger than the
-    /// maximum buddy block are reserved in max-block chunks.
-    fn reserve_private(
-        &mut self,
-        asid: Asid,
-        vma: &crate::addrspace::Vma,
-        sub_pages: u64,
-    ) -> Result<()> {
-        let total = vma.len >> PAGE_SHIFT;
-        let mut done = 0u64;
-        while done < total {
-            let chunk = (total - done).min(crate::frame::MAX_BLOCK_FRAMES);
-            let base_frame = self.frames.alloc_exact(chunk)?;
-            let subs = chunk.div_ceil(sub_pages) as usize;
-            self.reservations.push(Reservation {
-                asid: asid.as_u16(),
-                start_vpn: vma.start.page_number().as_u64() + done,
-                pages: chunk,
-                base_frame,
-                sub_pages,
-                committed: vec![None; subs],
-            });
-            done += chunk;
-        }
-        Ok(())
-    }
-
-    /// Commits the reserved sub-segment containing `vpage`: maps its
-    /// pages, registers (or extends) a segment, and accounts the newly
-    /// committed memory. Returns `None` if no reservation covers the
-    /// page.
-    fn commit_reserved(
-        &mut self,
-        asid: Asid,
-        vpage: VirtPage,
-        perm: Permissions,
-    ) -> Result<Option<Pte>> {
-        let vpn = vpage.as_u64();
-        let Some(ridx) = self.reservations.iter().position(|r| {
-            r.asid == asid.as_u16() && vpn >= r.start_vpn && vpn < r.start_vpn + r.pages
-        }) else {
-            return Ok(None);
-        };
-        let (sub_idx, sub_start, sub_len, sub_frame, left_seg, right_seg) = {
-            let r = &self.reservations[ridx];
-            let sub_idx = ((vpn - r.start_vpn) / r.sub_pages) as usize;
-            let sub_start = r.start_vpn + sub_idx as u64 * r.sub_pages;
-            let sub_len = r.sub_pages.min(r.start_vpn + r.pages - sub_start);
-            let sub_frame = r.base_frame.offset(sub_start - r.start_vpn);
-            let left_seg = if sub_idx > 0 {
-                r.committed[sub_idx - 1]
-            } else {
-                None
-            };
-            let right_seg = r.committed.get(sub_idx + 1).copied().flatten();
-            (sub_idx, sub_start, sub_len, sub_frame, left_seg, right_seg)
-        };
-
-        // Map the sub-segment's pages.
-        for i in 0..sub_len {
-            let pte = Pte {
-                frame: sub_frame.offset(i),
-                perm,
-                shared: false,
-            };
-            let space = self
-                .spaces
-                .get_mut(&asid.as_u16())
-                .expect("checked by caller");
-            space
-                .page_table
-                .map(&mut self.meta_frames, VirtPage::new(sub_start + i), pte)?;
-        }
-
-        // Register the segment, merging with committed neighbours (VA
-        // and PA are contiguous inside a reservation by construction).
-        let seg_id = match (left_seg, right_seg) {
-            (Some(l), Some(r)) => {
-                // Bridge: absorb the sub-unit and the whole right segment
-                // into the left segment.
-                let right = self.segments.remove(r).expect("live segment");
-                let left = *self.segments.get(l).expect("live segment");
-                self.segments
-                    .grow(l, left.len + (sub_len << PAGE_SHIFT) + right.len)?;
-                // Re-point every sub-unit that referenced the right
-                // segment at the merged left one.
-                for c in &mut self.reservations[ridx].committed {
-                    if *c == Some(r) {
-                        *c = Some(l);
-                    }
-                }
-                l
-            }
-            (Some(l), None) => {
-                let left = *self.segments.get(l).expect("live segment");
-                self.segments.grow(l, left.len + (sub_len << PAGE_SHIFT))?;
-                l
-            }
-            (None, Some(r)) => {
-                self.segments
-                    .extend_down(r, VirtPage::new(sub_start).base(), sub_frame.base())?;
-                r
-            }
-            (None, None) => self.segments.insert(
-                asid,
-                VirtPage::new(sub_start).base(),
-                sub_len << PAGE_SHIFT,
-                sub_frame.base(),
-            )?,
-        };
-        self.reservations[ridx].committed[sub_idx] = Some(seg_id);
-        let space = self
-            .spaces
-            .get_mut(&asid.as_u16())
-            .expect("checked by caller");
-        space.eager_allocated += sub_len << PAGE_SHIFT;
-        let off = vpn - sub_start;
-        Ok(Some(Pte {
-            frame: sub_frame.offset(off),
-            perm,
-            shared: false,
-        }))
     }
 
     /// Read-path convenience wrapper over [`Kernel::touch`].
@@ -935,11 +738,6 @@ impl Kernel {
         self.frames.free_frames()
     }
 
-    /// The allocation policy.
-    pub fn policy(&self) -> AllocPolicy {
-        self.policy
-    }
-
     // --- internals ---
 
     fn map_shared_object(
@@ -1116,11 +914,6 @@ impl Kernel {
             }
             mapped += pages;
         }
-        let space = self
-            .spaces
-            .get_mut(&asid.as_u16())
-            .expect("checked by caller");
-        space.eager_allocated += vma.len;
         Ok(())
     }
 
@@ -1270,7 +1063,6 @@ mod tests {
             seg.translate(VirtAddr::new(0x104000)).frame_number(),
             pte.frame
         );
-        assert_eq!(space.eager_allocated_bytes(), 0x10000);
     }
 
     #[test]
@@ -1703,69 +1495,6 @@ mod tests {
             ),
             Err(HvcError::BadConfig(_))
         ));
-    }
-
-    #[test]
-    fn reserved_policy_commits_on_touch_and_merges_left() {
-        let mut k = Kernel::new(GIB, AllocPolicy::ReservedSegments { sub_pages: 4 });
-        let a = k.create_process().unwrap();
-        k.mmap(
-            a,
-            VirtAddr::new(0x100000),
-            0x10000,
-            Permissions::RW,
-            MapIntent::Private,
-        )
-        .unwrap();
-        // Reservation made, nothing committed yet.
-        assert_eq!(k.space(a).unwrap().mapped_pages(), 0);
-        assert_eq!(k.segments().count_asid(a), 0);
-        assert_eq!(k.space(a).unwrap().eager_allocated_bytes(), 0);
-
-        // First touch commits one 4-page sub-segment.
-        let pte = k.translate_touch(a, VirtAddr::new(0x100000)).unwrap();
-        assert_eq!(k.space(a).unwrap().mapped_pages(), 4);
-        assert_eq!(k.segments().count_asid(a), 1);
-        assert_eq!(k.space(a).unwrap().eager_allocated_bytes(), 4 * 0x1000);
-
-        // Touching the next sub-segment merges it into the same segment.
-        let pte2 = k.translate_touch(a, VirtAddr::new(0x104000)).unwrap();
-        assert_eq!(k.segments().count_asid(a), 1, "left merge");
-        let seg = k.segments().iter_asid(a).next().unwrap();
-        assert_eq!(seg.len, 8 * 0x1000);
-        // Physical contiguity within the reservation.
-        assert_eq!(pte2.frame.as_u64(), pte.frame.as_u64() + 4);
-
-        // A hole: touching a later sub-segment creates a second segment.
-        k.translate_touch(a, VirtAddr::new(0x10c000)).unwrap();
-        assert_eq!(k.segments().count_asid(a), 2);
-        // Segment translation agrees with the page table everywhere.
-        for off in [0u64, 0x4000, 0xc000] {
-            let va = VirtAddr::new(0x100000 + off);
-            let seg = k.segments().find(a, va).unwrap();
-            let pte = k.walk(a, va.page_number()).unwrap().0;
-            assert_eq!(seg.translate(va).frame_number(), pte.frame);
-        }
-    }
-
-    #[test]
-    fn reserved_policy_improves_utilization_accounting() {
-        // Eager: allocates everything up front. Reserved: only touched
-        // sub-segments count.
-        let mut k = Kernel::new(GIB, AllocPolicy::ReservedSegments { sub_pages: 8 });
-        let a = k.create_process().unwrap();
-        k.mmap(
-            a,
-            VirtAddr::new(0x100000),
-            0x100000,
-            Permissions::RW,
-            MapIntent::Private,
-        )
-        .unwrap();
-        k.translate_touch(a, VirtAddr::new(0x100000)).unwrap();
-        let space = k.space(a).unwrap();
-        assert_eq!(space.eager_allocated_bytes(), 8 * 0x1000);
-        assert!(space.eager_utilization().unwrap() > 0.1);
     }
 
     #[test]

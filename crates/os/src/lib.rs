@@ -12,9 +12,10 @@
 //! * [`PageTable`] — 4-level x86-64 radix tables whose node addresses are
 //!   real simulated physical addresses (so page walks generate memory
 //!   references),
-//! * [`AddressSpace`] / [`Kernel`] — processes, VMAs, demand paging vs.
-//!   eager segment allocation, shared-memory objects (synonym pages),
-//!   read-only content sharing, DMA pinning, and shootdown accounting.
+//! * [`AddressSpace`] / [`Kernel`] — processes, VMAs, the two
+//!   [`AllocPolicy`]s (demand paging, and eager segments as in Redundant
+//!   Memory Mappings), shared-memory objects (synonym pages), read-only
+//!   content sharing, DMA pinning, and shootdown accounting.
 //!
 //! # Examples
 //!
@@ -38,7 +39,6 @@
 mod addrspace;
 mod frame;
 mod kernel;
-mod pageset;
 mod pagetable;
 mod segment;
 mod shm;
@@ -48,7 +48,6 @@ pub use addrspace::{AddressSpace, Vma};
 pub use frame::{BuddyAllocator, MAX_BLOCK_FRAMES};
 pub use hvc_filter::FilterKind;
 pub use kernel::{AllocPolicy, FlushRequest, Kernel, KernelStats, MapIntent};
-pub use pageset::PageSet;
 pub use pagetable::{PageTable, Pte, WalkPath, PT_LEVELS};
 pub use segment::{Segment, SegmentId, SegmentTable};
 pub use shm::ShmId;

@@ -79,7 +79,7 @@ impl SegmentTable {
         }
     }
 
-    /// Monotonic mutation counter (insert / remove / grow / extend).
+    /// Monotonic mutation counter (insert / remove / grow).
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -191,56 +191,6 @@ impl SegmentTable {
             }
         }
         self.by_key.get_mut(&key).expect("checked").len = new_len;
-        self.version += 1;
-        Ok(())
-    }
-
-    /// Extends segment `id` downwards: its base moves to `new_base` and
-    /// its physical base to `new_phys_base` (the added range must be
-    /// physically contiguous with the old base, which the caller
-    /// guarantees for reservation commits).
-    ///
-    /// # Errors
-    ///
-    /// [`HvcError::BadId`] for an unknown id; [`HvcError::RegionOverlap`]
-    /// if the previous segment of the space reaches past `new_base`.
-    pub fn extend_down(
-        &mut self,
-        id: SegmentId,
-        new_base: VirtAddr,
-        new_phys_base: PhysAddr,
-    ) -> Result<()> {
-        let key = self
-            .by_id
-            .get(id.0 as usize)
-            .and_then(|k| *k)
-            .ok_or(HvcError::BadId("unknown segment id"))?;
-        let seg = self.by_key[&key];
-        assert!(new_base < seg.base, "extend_down must move the base down");
-        let grow = seg.base - new_base;
-        // Check the predecessor in the same space.
-        if let Some((_, prev)) = self.by_key.range(..key).next_back() {
-            if prev.asid == seg.asid && prev.end() > new_base {
-                return Err(HvcError::RegionOverlap {
-                    asid: seg.asid,
-                    vaddr: new_base,
-                    len: seg.len + grow,
-                });
-            }
-        }
-        self.by_key.remove(&key);
-        let new_key = (seg.asid.as_u16(), new_base.as_u64());
-        self.by_key.insert(
-            new_key,
-            Segment {
-                id,
-                asid: seg.asid,
-                base: new_base,
-                len: seg.len + grow,
-                phys_base: new_phys_base,
-            },
-        );
-        self.by_id[id.0 as usize] = Some(new_key);
         self.version += 1;
         Ok(())
     }

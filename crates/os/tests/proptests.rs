@@ -147,18 +147,17 @@ proptest! {
     }
 
     /// mmap / munmap round-trips leave no leaked frames and no stale
-    /// mappings, under both policies.
+    /// mappings, under demand paging and eager segments (whole or split).
     #[test]
     fn mmap_munmap_conserves_memory(
         lens in prop::collection::vec(1u64..64, 1..10),
-        policy_pick in 0u8..4,
+        policy_pick in 0u8..3,
         touches in prop::collection::vec(0u64..64, 0..20),
     ) {
         let policy = match policy_pick {
             0 => AllocPolicy::DemandPaging,
             1 => AllocPolicy::EagerSegments { split: 1 },
-            2 => AllocPolicy::EagerSegments { split: 3 },
-            _ => AllocPolicy::ReservedSegments { sub_pages: 4 },
+            _ => AllocPolicy::EagerSegments { split: 3 },
         };
         let mut k = Kernel::new(1 << 30, policy);
         let a = k.create_process().unwrap();
@@ -182,24 +181,5 @@ proptest! {
         }
         prop_assert_eq!(k.free_frames(), before);
         prop_assert_eq!(k.segments().count_asid(a), 0);
-    }
-
-    /// Under the reservation policy, segment translation always agrees
-    /// with the page table for every touched page.
-    #[test]
-    fn reserved_commits_agree_with_page_table(
-        touches in prop::collection::vec(0u64..64, 1..40),
-        sub_pages in prop::sample::select(vec![2u64, 4, 8, 16]),
-    ) {
-        let mut k = Kernel::new(1 << 30, AllocPolicy::ReservedSegments { sub_pages });
-        let a = k.create_process().unwrap();
-        k.mmap(a, VirtAddr::new(0x100000), 64 * PAGE_SIZE, Permissions::RW, MapIntent::Private)
-            .unwrap();
-        for &page in &touches {
-            let va = VirtAddr::new(0x100000 + page * PAGE_SIZE);
-            let pte = k.translate_touch(a, va).unwrap();
-            let seg = k.segments().find(a, va).expect("committed segment covers touch");
-            prop_assert_eq!(seg.translate(va).frame_number(), pte.frame);
-        }
     }
 }

@@ -321,13 +321,13 @@ fn run_replay(
     let mut pos = 0usize;
     if exp.warm > 0 {
         let end = exp.warm.min(items.len());
-        sim.run_trace(items[..end].iter().copied(), mlp);
+        sim.step_batch(&items[..end], mlp);
         sim.reset_stats();
         pos = end;
     }
     let end = (pos + exp.refs).min(items.len());
-    let report = sim.run_trace(items[pos..end].iter().copied(), mlp);
-    outcome(&sim, report, check)
+    sim.step_batch(&items[pos..end], mlp);
+    outcome(&sim, sim.report(), check)
 }
 
 /// A finished run's report and filter gauges — or, with `check`, the

@@ -111,11 +111,11 @@ impl WorkloadSpec {
                     arenas.push((va, len));
                 }
                 kernel.mmap(asid, va, len, Permissions::RW, MapIntent::Private)?;
-                let touched_pages = (((len >> PAGE_SHIFT) as f64) * r.touch_frac)
+                let touched = (((len >> PAGE_SHIFT) as f64) * r.touch_frac)
                     .ceil()
                     .max(1.0) as u64;
                 let first = va.page_number();
-                pages.push_run(first, touched_pages.min(len >> PAGE_SHIFT));
+                pages.push_run(first, touched.min(len >> PAGE_SHIFT));
                 next_va += if self.contiguous {
                     len
                 } else {

@@ -413,11 +413,15 @@ fn check_subcommand_passes_on_a_bounded_run() {
 
 #[test]
 fn check_subcommand_rejects_bad_seed_range() {
-    let out = hvcsim()
-        .args(["check", "--seed-range", "five..six"])
-        .output()
-        .expect("spawn");
-    assert!(!out.status.success());
+    for range in ["five..six", "3..1"] {
+        let out = hvcsim()
+            .args(["check", "--seed-range", range])
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{range}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{range} panicked: {stderr}");
+    }
 }
 
 /// Sweeps a tiny grid to a report in `dir` and runs `hvcsim table` on it.
