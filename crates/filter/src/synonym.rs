@@ -1,8 +1,10 @@
-//! The per-address-space synonym filter (strategy dispatch + exact
-//! page bookkeeping) and its virtualized (guest + host) composition.
+//! The per-address-space synonym filter: dispatch to the selected
+//! strategy (the paper's Bloom pair or the reverse lookup table) over
+//! an exact set of the shared pages, kept as runs of consecutive pages.
 
 use crate::strategy::{BloomPair, FilterKind, RltFilter, SynonymStrategy};
-use hvc_types::{FxHashSet, VirtAddr, PAGE_SHIFT};
+use hvc_types::{VirtAddr, PAGE_SHIFT};
+use std::collections::BTreeMap;
 
 /// Granularity shift of the coarse filter (16 MB regions).
 pub const COARSE_SHIFT: u32 = 24;
@@ -11,6 +13,68 @@ pub const COARSE_SHIFT: u32 = 24;
 pub const FINE_SHIFT: u32 = 15;
 /// Bits per component Bloom filter.
 pub const FILTER_BITS: usize = 1024;
+
+/// A set of page numbers stored as maximal runs of consecutive pages,
+/// `first → end` (exclusive). Shared pages are mapped a region at a
+/// time, so a space holds a handful of runs however many pages it
+/// shares. Runs never abut or overlap, which keeps the representation
+/// canonical: two sets holding the same pages compare equal.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct RunSet {
+    runs: BTreeMap<u64, u64>,
+    len: u64,
+}
+
+impl RunSet {
+    /// The run containing or ending right before `page`, as
+    /// `(first, end)`.
+    fn run_at_or_before(&self, page: u64) -> Option<(u64, u64)> {
+        self.runs
+            .range(..=page)
+            .next_back()
+            .map(|(&first, &end)| (first, end))
+    }
+
+    /// Adds `page`; `false` if it was already present. A page next to a
+    /// run extends it, and one that fills the gap between two runs
+    /// joins them.
+    fn insert(&mut self, page: u64) -> bool {
+        let left = self.run_at_or_before(page);
+        if matches!(left, Some((_, end)) if page < end) {
+            return false;
+        }
+        let end = self.runs.remove(&(page + 1)).unwrap_or(page + 1);
+        match left {
+            Some((first, left_end)) if left_end == page => self.runs.insert(first, end),
+            _ => self.runs.insert(page, end),
+        };
+        self.len += 1;
+        true
+    }
+
+    /// Drops `page`; `false` if it was absent. Removing a page inside a
+    /// run splits it in two.
+    fn remove(&mut self, page: u64) -> bool {
+        let Some((first, end)) = self.run_at_or_before(page).filter(|&(_, end)| page < end) else {
+            return false;
+        };
+        if first == page {
+            self.runs.remove(&first);
+        } else {
+            self.runs.insert(first, page);
+        }
+        if page + 1 < end {
+            self.runs.insert(page + 1, end);
+        }
+        self.len -= 1;
+        true
+    }
+
+    fn clear(&mut self) {
+        self.runs.clear();
+        self.len = 0;
+    }
+}
 
 /// The selected strategy's state.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -23,9 +87,9 @@ enum Strategy {
 /// pluggable ([`FilterKind`]): the paper's dual Bloom pair (a coarse
 /// 16 MB and a fine 32 KB filter that must **both** hit, Figure 3) or
 /// the exact bounded reverse lookup table. The wrapper additionally
-/// keeps the exact set of inserted pages, which makes
-/// [`SynonymFilter::insert_page`] idempotent in its accounting and
-/// gives every strategy precise region reference counts.
+/// keeps the exact set of inserted pages (as runs of consecutive
+/// pages), which makes [`SynonymFilter::insert_page`] idempotent in its
+/// accounting and gives every strategy precise region reference counts.
 ///
 /// Guarantees: [`SynonymFilter::is_candidate`] never returns `false`
 /// for a page previously passed to [`SynonymFilter::insert_page`] and
@@ -34,7 +98,7 @@ enum Strategy {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SynonymFilter {
     strategy: Strategy,
-    pages: FxHashSet<u64>,
+    pages: RunSet,
 }
 
 impl SynonymFilter {
@@ -52,7 +116,7 @@ impl SynonymFilter {
         };
         SynonymFilter {
             strategy,
-            pages: FxHashSet::default(),
+            pages: RunSet::default(),
         }
     }
 
@@ -96,7 +160,7 @@ impl SynonymFilter {
     /// conservatively until the OS rebuilds. Unknown pages are ignored.
     pub fn remove_page(&mut self, va: VirtAddr) {
         let page = va.as_u64() >> PAGE_SHIFT;
-        if self.pages.remove(&page) {
+        if self.pages.remove(page) {
             self.strategy_mut().remove_known_page(va);
         }
     }
@@ -121,7 +185,7 @@ impl SynonymFilter {
     /// Number of distinct pages currently marked shared (exact; a
     /// re-shared page counts once).
     pub fn insertions(&self) -> u64 {
-        self.pages.len() as u64
+        self.pages.len
     }
 
     /// Two occupancy gauges in `[0, 1]`: (coarse, fine) bit saturation
@@ -257,6 +321,23 @@ mod tests {
             assert_eq!(f.saturation(), (0.0, 0.0));
             assert_eq!(f.kind(), kind, "clear preserves the strategy");
         }
+    }
+
+    #[test]
+    fn runs_merge_on_fill_and_split_on_removal() {
+        let mut runs = RunSet::default();
+        for page in [10, 12, 11, 20] {
+            assert!(runs.insert(page));
+        }
+        assert!(!runs.insert(11), "already present");
+        assert_eq!(runs.runs, BTreeMap::from([(10, 13), (20, 21)]));
+        assert!(runs.remove(11));
+        assert!(!runs.remove(11), "already absent");
+        assert!(!runs.remove(15), "never present");
+        assert_eq!(runs.runs, BTreeMap::from([(10, 11), (12, 13), (20, 21)]));
+        assert!(runs.remove(10) && runs.remove(20));
+        assert_eq!(runs.runs, BTreeMap::from([(12, 13)]));
+        assert_eq!(runs.len, 1);
     }
 
     #[test]

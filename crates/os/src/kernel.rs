@@ -155,12 +155,17 @@ impl Kernel {
     ///
     /// # Panics
     ///
-    /// Panics if `phys_bytes` is not page aligned or not larger than the
-    /// metadata reservation.
+    /// Panics if `phys_bytes` is not page aligned, not larger than the
+    /// metadata reservation, or beyond the [`crate::MAX_PHYS_BYTES`] a
+    /// page-table entry can name.
     pub fn new(phys_bytes: u64, policy: AllocPolicy) -> Self {
         assert!(
             phys_bytes > Self::META_BYTES,
             "need more than the metadata reservation"
+        );
+        assert!(
+            phys_bytes <= crate::MAX_PHYS_BYTES,
+            "physical memory beyond the page-table entry's frame range"
         );
         let user_base = hvc_types::PhysFrame::new(Self::META_BYTES >> PAGE_SHIFT);
         Kernel {
@@ -604,13 +609,7 @@ impl Kernel {
             .get_mut(&asid.as_u16())
             .ok_or(HvcError::BadId("unknown ASID"))?;
         space.filter.clear();
-        let shared: Vec<VirtPage> = space
-            .page_table
-            .iter()
-            .filter(|(_, pte)| pte.shared)
-            .map(|(vp, _)| vp)
-            .collect();
-        for vp in shared {
+        for (vp, _) in space.page_table.iter().filter(|(_, pte)| pte.shared) {
             space.filter.insert_page(vp.base());
             self.stats.filter_insertions += 1;
         }

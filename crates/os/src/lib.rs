@@ -48,7 +48,7 @@ pub use addrspace::{AddressSpace, Vma};
 pub use frame::{BuddyAllocator, MAX_BLOCK_FRAMES};
 pub use hvc_filter::FilterKind;
 pub use kernel::{AllocPolicy, FlushRequest, Kernel, KernelStats, MapIntent};
-pub use pagetable::{PageTable, Pte, WalkPath, PT_LEVELS};
+pub use pagetable::{PageTable, Pte, WalkPath, MAX_PHYS_BYTES, PTE_FRAMES, PT_LEVELS};
 pub use segment::{Segment, SegmentId, SegmentTable};
 pub use shm::ShmId;
 pub use shootdown::{ShootdownCost, ShootdownModel};

@@ -7,7 +7,7 @@
 
 use crate::BuddyAllocator;
 use hvc_types::{
-    FxHashMap, Permissions, PhysAddr, PhysFrame, Result, VirtPage, PAGE_SHIFT, PHYS_ADDR_BITS,
+    FxHashMap, HvcError, Permissions, PhysAddr, PhysFrame, Result, VirtPage, PAGE_SHIFT,
 };
 
 /// Radix levels of an x86-64 page table (PML4 → PDPT → PD → PT).
@@ -33,27 +33,35 @@ pub struct Pte {
     pub shared: bool,
 }
 
-/// Packed leaf-entry layout (one `u64` per PT slot): bits 0..40 the
-/// frame number, bits 48..56 the permission bits, bit 62 the shared bit,
-/// bit 63 the valid bit. An all-zero word is an unmapped slot.
-const ENTRY_FRAME_MASK: u64 = (1 << (PHYS_ADDR_BITS - PAGE_SHIFT)) - 1;
-const ENTRY_PERM_SHIFT: u32 = 48;
-const ENTRY_SHARED: u64 = 1 << 62;
-const ENTRY_VALID: u64 = 1 << 63;
+/// Frames a leaf entry can name: 2^27, a machine of up to 512 GiB.
+/// [`PageTable::map`] rejects a frame at or beyond this bound.
+pub const PTE_FRAMES: u64 = 1 << ENTRY_PERM_SHIFT;
+/// Physical memory whose every frame fits a leaf entry (512 GiB).
+pub const MAX_PHYS_BYTES: u64 = PTE_FRAMES << PAGE_SHIFT;
+
+/// Packed leaf-entry layout (one `u32` per PT slot): bits 0..27 the
+/// frame number, bits 27..30 the permission bits (R/W/X), bit 30 the
+/// shared bit, bit 31 the valid bit. An all-zero word is an unmapped
+/// slot.
+const ENTRY_PERM_SHIFT: u32 = 27;
+const ENTRY_SHARED: u32 = 1 << 30;
+const ENTRY_VALID: u32 = 1 << 31;
 
 impl Pte {
+    /// The packed entry; the caller has checked the frame is below
+    /// [`PTE_FRAMES`].
     #[inline]
-    fn pack(self) -> u64 {
+    fn pack(self) -> u32 {
         ENTRY_VALID
-            | self.frame.as_u64()
-            | (u64::from(self.perm.bits()) << ENTRY_PERM_SHIFT)
+            | self.frame.as_u64() as u32
+            | (u32::from(self.perm.bits()) << ENTRY_PERM_SHIFT)
             | if self.shared { ENTRY_SHARED } else { 0 }
     }
 
     #[inline]
-    fn unpack(entry: u64) -> Option<Pte> {
+    fn unpack(entry: u32) -> Option<Pte> {
         (entry & ENTRY_VALID != 0).then(|| Pte {
-            frame: PhysFrame::new(entry & ENTRY_FRAME_MASK),
+            frame: PhysFrame::new(u64::from(entry) & (PTE_FRAMES - 1)),
             perm: Permissions::from_bits((entry >> ENTRY_PERM_SHIFT) as u8),
             shared: entry & ENTRY_SHARED != 0,
         })
@@ -74,9 +82,11 @@ struct Node {
 
 /// One leaf (PT) node: its 512 packed entries, together with the path
 /// that leads to it, so a walk of a mapped page is one hash probe.
+/// The simulated node keeps the architectural 8-byte entry stride (see
+/// [`LeafNode::entry_addr`]); only the host copy is packed to 4 bytes.
 #[derive(Clone, Debug)]
 struct LeafNode {
-    entries: [u64; NODE_ENTRIES],
+    entries: [u32; NODE_ENTRIES],
     /// The PML4, PDPT and PD entry addresses above this node. Interior
     /// nodes are never freed, so the path cannot go stale.
     upper: [PhysAddr; PT_LEVELS - 1],
@@ -113,7 +123,7 @@ fn leaf_slot(vpage: VirtPage) -> usize {
 /// A 4-level radix page table for one address space.
 ///
 /// Interior nodes live in an arena; each leaf node is one boxed chunk of
-/// 512 packed 8-byte entries (see [`Pte`] for the fields) that also
+/// 512 packed 4-byte entries (see [`Pte`] for the fields) that also
 /// records its three upper entry addresses and its own frame. A walk of
 /// a mapped page is therefore one probe of the leaf map and one indexed
 /// word; [`PageTable::walk_path`] still walks node by node for pages
@@ -155,8 +165,14 @@ impl PageTable {
     /// # Errors
     ///
     /// Returns [`hvc_types::HvcError::OutOfMemory`] if a node cannot be
-    /// allocated.
+    /// allocated, and [`hvc_types::HvcError::BadConfig`] (leaving the
+    /// table unchanged) if `pte.frame` is at or beyond [`PTE_FRAMES`].
     pub fn map(&mut self, frames: &mut BuddyAllocator, vpage: VirtPage, pte: Pte) -> Result<()> {
+        if pte.frame.as_u64() >= PTE_FRAMES {
+            return Err(HvcError::BadConfig(
+                "frame beyond the 512 GiB a page-table entry can name",
+            ));
+        }
         let key = leaf_key(vpage);
         if !self.leaves.contains_key(&key) {
             let mut upper = [PhysAddr::new(0); PT_LEVELS - 1];
@@ -219,6 +235,10 @@ impl PageTable {
         let entry = &mut self.leaves.get_mut(&leaf_key(vpage))?.entries[leaf_slot(vpage)];
         let mut pte = Pte::unpack(*entry)?;
         let out = f(&mut pte);
+        assert!(
+            pte.frame.as_u64() < PTE_FRAMES,
+            "frame beyond the entry's range"
+        );
         *entry = pte.pack();
         Some(out)
     }

@@ -53,16 +53,26 @@ proptest! {
     }
 
     /// Packed leaf entries round-trip every field at its extremes: the
-    /// smallest and largest frame, every permission combination and both
-    /// values of the shared bit, through `map`, `walk`, `update` and
-    /// `unmap`.
+    /// smallest and largest representable frame, every permission
+    /// combination and both values of the shared bit, through `map`,
+    /// `walk`, `update` and `unmap`. One frame past the entry's range is
+    /// rejected by `map` with an error, never truncated.
     #[test]
     fn packed_page_table_entries_round_trip(vpn in 0u64..(1u64 << 36)) {
         let mut b = BuddyAllocator::new(1 << 30);
         let mut pt = hvc_os::PageTable::new(&mut b).unwrap();
         let vp = hvc_types::VirtPage::new(vpn);
-        let largest = hvc_types::PhysFrame::new(u64::MAX);
-        prop_assert_eq!(largest.base(), PhysAddr::MAX.frame_number().base());
+        let largest = hvc_types::PhysFrame::new(hvc_os::PTE_FRAMES - 1);
+        prop_assert_eq!(largest.base().as_u64() + PAGE_SIZE, hvc_os::MAX_PHYS_BYTES);
+        let beyond = hvc_os::Pte {
+            frame: hvc_types::PhysFrame::new(hvc_os::PTE_FRAMES),
+            perm: Permissions::RW,
+            shared: false,
+        };
+        let nodes = pt.node_frames();
+        prop_assert!(matches!(pt.map(&mut b, vp, beyond), Err(HvcError::BadConfig(_))));
+        prop_assert_eq!(pt.lookup(vp), None);
+        prop_assert_eq!((pt.mapped_pages(), pt.node_frames()), (0, nodes));
         for frame in [hvc_types::PhysFrame::new(0), hvc_types::PhysFrame::new(1), largest] {
             for bits in 0u8..8 {
                 for shared in [false, true] {

@@ -139,6 +139,16 @@ impl Experiment {
                 if self.replay.is_some() {
                     return Err(format!("guest-VM scheme '{s}' cannot replay a trace"));
                 }
+                let (_, machine) = params::vm_memory(self.mem);
+                if machine > hvc_os::MAX_PHYS_BYTES {
+                    return Err(format!(
+                        "guest-VM scheme '{s}' needs a {} GiB machine for mem = {} MiB, \
+                         beyond the {} GiB a page-table entry can name",
+                        machine >> 30,
+                        self.mem >> 20,
+                        hvc_os::MAX_PHYS_BYTES >> 30
+                    ));
+                }
             } else if params::parse_scheme(s).is_none() {
                 return Err(format!("unknown scheme '{s}'"));
             }
@@ -280,6 +290,32 @@ mod tests {
         let mut bad = Experiment::default();
         bad.seeds.clear();
         assert!(bad.validate().unwrap_err().contains("empty axis"));
+    }
+
+    #[test]
+    fn validation_rejects_a_vm_machine_beyond_the_entry_frame_range() {
+        let largest = (hvc_os::MAX_PHYS_BYTES - (1 << 30)) / 4;
+        let vm = Experiment {
+            schemes: vec!["vm:dtlb:1024".into()],
+            mem: largest,
+            ..Default::default()
+        };
+        assert!(vm.validate().is_ok());
+        let bad = Experiment {
+            mem: largest + (1 << 20),
+            ..vm.clone()
+        };
+        let err = bad.validate().unwrap_err();
+        assert!(
+            err.contains("vm:dtlb:1024") && err.contains("512 GiB"),
+            "{err}"
+        );
+        // Native kernels always boot 16 GiB, whatever `mem` is.
+        let native = Experiment {
+            schemes: vec!["baseline".into()],
+            ..bad
+        };
+        assert!(native.validate().is_ok());
     }
 
     #[test]

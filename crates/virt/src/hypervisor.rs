@@ -69,9 +69,14 @@ impl Hypervisor {
     /// # Panics
     ///
     /// Panics if `machine_bytes` is not larger than the 64 MiB metadata
-    /// reservation.
+    /// reservation, or beyond the [`hvc_os::MAX_PHYS_BYTES`] an EPT entry
+    /// can name.
     pub fn new(machine_bytes: u64) -> Self {
         assert!(machine_bytes > Self::META_BYTES, "machine memory too small");
+        assert!(
+            machine_bytes <= hvc_os::MAX_PHYS_BYTES,
+            "machine memory beyond the EPT entry's frame range"
+        );
         let user_base = PhysFrame::new(Self::META_BYTES >> PAGE_SHIFT);
         Hypervisor {
             machine: BuddyAllocator::with_base(user_base, machine_bytes - Self::META_BYTES),

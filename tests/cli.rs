@@ -61,6 +61,25 @@ fn more_than_32_cores_fail_cleanly_without_panicking() {
 }
 
 #[test]
+fn vm_machine_beyond_the_page_table_frame_range_fails_cleanly() {
+    // A guest VM runs on a machine of 4 × mem + 1 GiB; at 200G that is
+    // 801 GiB, past the 512 GiB a page-table entry can name.
+    let grid = "--workloads gups --schemes vm:dtlb:1024 --mem 200G --refs 100 --warm 0";
+    for (cmd, extra) in [("sweep", &[][..]), ("check", &["--seed-range", "0..1"][..])] {
+        let out = hvcsim()
+            .arg(cmd)
+            .args(grid.split(' '))
+            .args(extra)
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{cmd} should fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{cmd} panicked: {stderr}");
+        assert!(stderr.contains("512 GiB"), "{cmd}: {stderr}");
+    }
+}
+
+#[test]
 fn trace_options_with_multiple_cores_fail_cleanly() {
     let trace = std::env::temp_dir().join(format!("hvcsim-mc-trace-{}.json", std::process::id()));
     let trace = trace.to_string_lossy().into_owned();
