@@ -12,30 +12,52 @@ pub struct Victim {
     pub dirty: bool,
 }
 
+/// The line a [`Cache::fill_absent`] displaced, with the state the
+/// hierarchy needs to retire it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Evicted {
+    /// The displaced line and its dirty bit.
+    pub(crate) victim: Victim,
+    /// Its sharer bitmap (LLC lines).
+    pub(crate) sharers: u32,
+    /// The way its copy holds one level out (private lines).
+    pub(crate) parent: usize,
+}
+
 /// Per-line state other than the name and the recency rank, in unpacked
 /// form. In the slab it is packed into one state word per way (see the
 /// `STATE_*` layout constants); this struct is the working representation
 /// handed to `update_range` callbacks. `sharers` is used only by the LLC
 /// level of a multi-core [`crate::Hierarchy`] to track which private
-/// caches hold the block (MESI-style directory-in-LLC).
+/// caches hold the block (MESI-style directory-in-LLC); `parent` only by
+/// the private levels, for the way their line's copy holds one level out.
 #[derive(Clone, Copy, Debug)]
 struct Meta {
     dirty: bool,
     perm: Permissions,
+    parent: usize,
     sharers: u32,
 }
 
 /// State word layout (the store's one payload column): bit 0 the dirty
-/// flag, bits 8..16 the permission bits, bits 32..64 the sharer bitmap.
+/// flag, bits 8..16 the permission bits, bits 16..20 the parent way,
+/// bits 32..64 the sharer bitmap.
 const STATE_DIRTY: u64 = 1;
 const STATE_PERM_SHIFT: u32 = 8;
+const STATE_PARENT_SHIFT: u32 = 16;
+const STATE_PARENT_MASK: u64 = 0xF << STATE_PARENT_SHIFT;
 const STATE_SHARERS_SHIFT: u32 = 32;
 const STATE_SHARERS_MASK: u64 = (u32::MAX as u64) << STATE_SHARERS_SHIFT;
+
+/// The state bits a refill of a resident line keeps: everything but the
+/// permissions, which it replaces, and the dirty flag, which it ORs in.
+const STATE_KEPT: u64 = STATE_DIRTY | STATE_PARENT_MASK | STATE_SHARERS_MASK;
 
 #[inline]
 fn pack_meta(m: Meta) -> u64 {
     (m.dirty as u64)
         | ((m.perm.bits() as u64) << STATE_PERM_SHIFT)
+        | ((m.parent as u64) << STATE_PARENT_SHIFT)
         | ((m.sharers as u64) << STATE_SHARERS_SHIFT)
 }
 
@@ -44,6 +66,7 @@ fn unpack_meta(w: u64) -> Meta {
     Meta {
         dirty: (w & STATE_DIRTY) != 0,
         perm: state_perm(w),
+        parent: ((w & STATE_PARENT_MASK) >> STATE_PARENT_SHIFT) as usize,
         sharers: (w >> STATE_SHARERS_SHIFT) as u32,
     }
 }
@@ -51,6 +74,12 @@ fn unpack_meta(w: u64) -> Meta {
 #[inline]
 fn state_perm(w: u64) -> Permissions {
     Permissions::from_bits((w >> STATE_PERM_SHIFT) as u8)
+}
+
+/// The state word of a resident line refilled dirty or not with `perm`.
+#[inline]
+fn refilled(state: u64, dirty: bool, perm: Permissions) -> u64 {
+    (state & STATE_KEPT) | (dirty as u64) | ((perm.bits() as u64) << STATE_PERM_SHIFT)
 }
 
 /// State-word bit of `core` in the sharer bitmap.
@@ -131,15 +160,22 @@ fn name_of(key: u64) -> BlockName {
 /// The tags are one [`LruSets`] store with one payload column, so a row
 /// is `[key[ways] | state[ways] | occupancy | recency]`: the packed
 /// block-name keys a probe scans (see `key_of`), one packed
-/// dirty/permission/sharer state word per way, touched only on the way
-/// that hit, the occupancy bitmask that fills and sweeps read, and the
-/// set's recency word. A 16-way row is 320 B and a probe scans its first
-/// 128 B. At most 16 ways.
+/// dirty/permission/parent-way/sharer state word per way, touched only
+/// on the way that hit, the occupancy bitmask that fills and sweeps read,
+/// and the set's recency word. A 16-way row is 320 B and a probe scans
+/// its first 128 B. At most 16 ways.
+///
+/// A resident line never changes ways, so the way a hit reports
+/// ([`Cache::access_perm`], [`Cache::access_sharing`]) or a fill takes
+/// names the line until it leaves: the hierarchy stores it in the line's
+/// private copies and updates the line there without a scan.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
     tags: LruSets,
     stats: LevelStats,
+    /// Resident lines.
+    live: usize,
 }
 
 impl Cache {
@@ -153,6 +189,7 @@ impl Cache {
             tags: LruSets::new(config.sets(), config.ways, 1),
             config,
             stats: LevelStats::default(),
+            live: 0,
         }
     }
 
@@ -211,11 +248,11 @@ impl Cache {
         }
     }
 
-    /// [`Cache::access`] returning the cached permissions on a hit — one
-    /// way-scan where an `access` + [`Cache::permissions`] pair would do
-    /// two.
+    /// [`Cache::access`] returning the cached permissions and the way on
+    /// a hit — one way-scan where an `access` + [`Cache::permissions`]
+    /// pair would do two.
     #[inline]
-    pub fn access_perm(&mut self, name: BlockName, write: bool) -> Option<Permissions> {
+    pub fn access_perm(&mut self, name: BlockName, write: bool) -> Option<(Permissions, usize)> {
         if let Some((set, way)) = self.find(name) {
             let state = self.touch(set, way);
             if write {
@@ -223,7 +260,7 @@ impl Cache {
             }
             let perm = state_perm(*state);
             self.stats.hits += 1;
-            Some(perm)
+            Some((perm, way))
         } else {
             self.stats.misses += 1;
             None
@@ -231,8 +268,8 @@ impl Cache {
     }
 
     /// [`Cache::access`] that additionally records `core` in the sharer
-    /// set and returns the cached permissions — the LLC hit path in one
-    /// way-scan instead of three (`access` + `permissions` +
+    /// set and returns the cached permissions and the way — the LLC hit
+    /// path in one way-scan instead of three (`access` + `permissions` +
     /// [`Cache::add_sharer`]).
     #[inline]
     pub fn access_sharing(
@@ -240,13 +277,13 @@ impl Cache {
         name: BlockName,
         write: bool,
         core: usize,
-    ) -> Option<Permissions> {
+    ) -> Option<(Permissions, usize)> {
         if let Some((set, way)) = self.find(name) {
             let state = self.touch(set, way);
             *state |= (write as u64) | sharer_bit(core);
             let perm = state_perm(*state);
             self.stats.hits += 1;
-            Some(perm)
+            Some((perm, way))
         } else {
             self.stats.misses += 1;
             None
@@ -272,75 +309,28 @@ impl Cache {
     pub fn fill(&mut self, name: BlockName, dirty: bool, perm: Permissions) -> Option<Victim> {
         if let Some((set, way)) = self.find(name) {
             let state = self.touch(set, way);
-            *state = (*state & (STATE_SHARERS_MASK | STATE_DIRTY))
-                | (dirty as u64)
-                | ((perm.bits() as u64) << STATE_PERM_SHIFT);
+            *state = refilled(*state, dirty, perm);
             return None;
         }
-        self.insert_absent(name, dirty, perm, 0).map(|(v, _)| v)
+        self.fill_absent(name, dirty, perm, 0, 0)
+            .1
+            .map(|e| e.victim)
     }
 
-    /// Inserts `name` directly after a miss of the same name, skipping the
-    /// residency probe [`Cache::fill`] performs: the caller guarantees the
-    /// block is absent (it just missed this level and nothing filled it in
-    /// between), so the hierarchy does one way-scan per miss instead of
-    /// two.
-    pub fn fill_after_miss(
-        &mut self,
-        name: BlockName,
-        dirty: bool,
-        perm: Permissions,
-    ) -> Option<Victim> {
-        self.insert_absent(name, dirty, perm, 0).map(|(v, _)| v)
-    }
-
-    /// Merges a private-cache victim into its (inclusive-resident) LLC
-    /// line and removes `core` from its sharer set — one way-scan for
-    /// what would otherwise be a [`Cache::fill`] + [`Cache::remove_sharer`]
-    /// pair. Falls back to a plain insert if the line is somehow absent,
-    /// exactly as the unfused pair would.
-    pub fn fill_unshare(
-        &mut self,
-        name: BlockName,
-        dirty: bool,
-        perm: Permissions,
-        core: usize,
-    ) -> Option<Victim> {
-        if let Some((set, way)) = self.find(name) {
-            let state = self.touch(set, way);
-            *state = (*state & (STATE_SHARERS_MASK | STATE_DIRTY) & !sharer_bit(core))
-                | (dirty as u64)
-                | ((perm.bits() as u64) << STATE_PERM_SHIFT);
-            return None;
-        }
-        self.insert_absent(name, dirty, perm, 0).map(|(v, _)| v)
-    }
-
-    /// [`Cache::fill_after_miss`] for the directory-holding LLC: seeds the
-    /// new line's sharer set with `sharers` (saving the separate
-    /// `add_sharer` scan) and reports the evicted line's sharer bitmap, so
-    /// the hierarchy back-invalidates only private caches that actually
-    /// hold the victim.
-    pub fn fill_after_miss_tracked(
+    /// Places `name`, which the caller guarantees is absent (it just
+    /// missed this level and nothing filled it since), evicting the least
+    /// recently used line if its set is full: one insert and no residency
+    /// probe. The new line starts with `sharers` as its sharer set and
+    /// `parent` as its parent way. Returns the way it took and the
+    /// displaced line.
+    pub(crate) fn fill_absent(
         &mut self,
         name: BlockName,
         dirty: bool,
         perm: Permissions,
         sharers: u32,
-    ) -> Option<(Victim, u32)> {
-        self.insert_absent(name, dirty, perm, sharers)
-    }
-
-    /// Places the absent `name`, evicting the least recently used line
-    /// if its set is full. Returns the victim together with its sharer
-    /// bitmap.
-    fn insert_absent(
-        &mut self,
-        name: BlockName,
-        dirty: bool,
-        perm: Permissions,
-        sharers: u32,
-    ) -> Option<(Victim, u32)> {
+        parent: usize,
+    ) -> (usize, Option<Evicted>) {
         let (set, key) = self.locate(name);
         let (way, evicted) = self.tags.insert(set, key);
         let state = self.tags.payload_mut(set, way, 0);
@@ -348,20 +338,50 @@ impl Cache {
         *state = pack_meta(Meta {
             dirty,
             perm,
+            parent,
             sharers,
         });
-        let victim = evicted?;
+        let Some(victim) = evicted else {
+            self.live += 1;
+            return (way, None);
+        };
         self.stats.evictions += 1;
         if old.dirty {
             self.stats.writebacks += 1;
         }
-        Some((
-            Victim {
+        let evicted = Evicted {
+            victim: Victim {
                 name: name_of(victim),
                 dirty: old.dirty,
             },
-            old.sharers,
-        ))
+            sharers: old.sharers,
+            parent: old.parent,
+        };
+        (way, Some(evicted))
+    }
+
+    /// The set of the resident `name` held at `way`.
+    #[inline]
+    fn set_at(&self, name: BlockName, way: usize) -> usize {
+        let (set, key) = self.locate(name);
+        debug_assert_eq!(self.tags.key(set, way), key, "{name:?} is not at way {way}");
+        set
+    }
+
+    /// Writes a dirty child victim back into its resident copy `name` at
+    /// `way` (the parent way the child stored): a [`Cache::fill`] of
+    /// `name`, dirty, with `perm`, without the scan.
+    pub(crate) fn write_back_at(&mut self, name: BlockName, way: usize, perm: Permissions) {
+        let set = self.set_at(name, way);
+        let state = self.touch(set, way);
+        *state = refilled(*state, true, perm);
+    }
+
+    /// [`Cache::remove_sharer`] of the resident `name` that `way` holds.
+    /// No scan.
+    pub(crate) fn unshare_at(&mut self, name: BlockName, way: usize, core: usize) {
+        let set = self.set_at(name, way);
+        *self.tags.payload_mut(set, way, 0) &= !sharer_bit(core);
     }
 
     /// Removes `name` if present, returning its victim record (dirty state
@@ -370,6 +390,7 @@ impl Cache {
         if let Some((set, way)) = self.find(name) {
             let dirty = (self.tags.payload(set, way, 0) & STATE_DIRTY) != 0;
             self.tags.clear_way(set, way);
+            self.live -= 1;
             self.stats.invalidations += 1;
             Some(Victim { name, dirty })
         } else {
@@ -447,9 +468,15 @@ impl Cache {
         self.flush_range(virt_tag(asid), 0, u64::MAX, victims);
     }
 
-    /// Number of resident lines (for tests and occupancy reporting).
+    /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.tags.slots().count()
+        self.live
+    }
+
+    /// `true` if no line is resident.
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.live == 0
     }
 
     /// Iterates over resident block names (used by inclusion checks in
@@ -552,6 +579,7 @@ impl Cache {
             *self.tags.payload_mut(set, way, 0) = pack_meta(meta);
         } else {
             self.tags.clear_way(set, way);
+            self.live -= 1;
         }
     }
 }
@@ -584,11 +612,13 @@ mod tests {
         let m = Meta {
             dirty: true,
             perm: Permissions::RX,
+            parent: 15,
             sharers: 0xdead_beef,
         };
         let back = unpack_meta(pack_meta(m));
         assert_eq!(back.dirty, m.dirty);
         assert_eq!(back.perm, m.perm);
+        assert_eq!(back.parent, m.parent);
         assert_eq!(back.sharers, m.sharers);
     }
 
@@ -721,25 +751,76 @@ mod tests {
     }
 
     #[test]
-    fn fill_after_miss_inserts_and_evicts_like_fill() {
+    fn fill_absent_inserts_and_evicts_like_fill() {
         let mut c = tiny();
         assert!(!c.access(v(1, 0), false));
-        assert!(c.fill_after_miss(v(1, 0), false, Permissions::RW).is_none());
+        assert_eq!(
+            c.fill_absent(v(1, 0), false, Permissions::RW, 0, 0),
+            (0, None)
+        );
         assert!(c.access(v(1, 0), false));
         assert!(!c.access(v(1, 2), false));
-        c.fill_after_miss(v(1, 2), true, Permissions::RW);
+        assert_eq!(c.fill_absent(v(1, 2), true, Permissions::RW, 0, 3).0, 1);
         assert!(!c.access(v(1, 4), false));
-        let victim = c.fill_after_miss(v(1, 4), false, Permissions::RW).unwrap();
-        // Line 0's last touch predates line 2's fill, so 0 is the victim.
-        assert_eq!(victim.name, v(1, 0));
+        let (way, evicted) = c.fill_absent(v(1, 4), false, Permissions::RW, 0, 0);
+        // Line 0's last touch predates line 2's fill, so 0 is the victim
+        // and its way is reused.
+        assert_eq!(way, 0);
+        assert_eq!(evicted.unwrap().victim.name, v(1, 0));
         assert_eq!(c.occupancy(), 2);
+    }
+
+    #[test]
+    fn parent_way_survives_every_state_rewrite() {
+        let mut c = tiny();
+        let (way, _) = c.fill_absent(v(1, 0), false, Permissions::RW, 0, 9);
+        c.fill(v(1, 0), true, Permissions::READ);
+        c.write_back_at(v(1, 0), way, Permissions::RW);
+        c.downgrade_pages_read_only(Asid::new(1), 0, 1);
+        c.access(v(1, 0), true);
+        c.fill_absent(v(1, 2), false, Permissions::RW, 0, 0);
+        let (_, evicted) = c.fill_absent(v(1, 4), false, Permissions::RW, 0, 0);
+        let evicted = evicted.expect("set 0 is full");
+        assert_eq!(
+            evicted.victim,
+            Victim {
+                name: v(1, 0),
+                dirty: true
+            }
+        );
+        assert_eq!(evicted.parent, 9);
+    }
+
+    #[test]
+    fn updates_at_a_way_match_their_scanning_forms() {
+        let mut at = tiny();
+        let mut scanned = tiny();
+        for c in [&mut at, &mut scanned] {
+            c.fill_absent(p(0), false, Permissions::RW, 0b101, 0);
+            c.fill_absent(p(2), false, Permissions::RW, 0, 0);
+        }
+        at.write_back_at(p(0), 0, Permissions::READ);
+        at.unshare_at(p(0), 0, 2);
+        scanned.fill(p(0), true, Permissions::READ);
+        scanned.remove_sharer(p(0), 2);
+        assert_eq!(format!("{at:?}"), format!("{scanned:?}"));
+        assert_eq!(at.sharers(p(0)), 0b001);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not at way")]
+    #[cfg(debug_assertions)]
+    fn an_update_at_the_wrong_way_is_caught() {
+        let mut c = tiny();
+        c.fill_absent(p(0), false, Permissions::RW, 0, 0);
+        c.unshare_at(p(0), 1, 0);
     }
 
     #[test]
     fn access_perm_reports_hit_permissions() {
         let mut c = tiny();
         c.fill(v(1, 0), false, Permissions::READ);
-        assert_eq!(c.access_perm(v(1, 0), false), Some(Permissions::READ));
+        assert_eq!(c.access_perm(v(1, 0), false), Some((Permissions::READ, 0)));
         assert_eq!(c.access_perm(v(1, 2), false), None);
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
@@ -749,22 +830,23 @@ mod tests {
     fn access_sharing_records_core_and_returns_perm() {
         let mut c = tiny();
         c.fill(p(0), false, Permissions::RW);
-        assert_eq!(c.access_sharing(p(0), true, 2), Some(Permissions::RW));
+        assert_eq!(c.access_sharing(p(0), true, 2), Some((Permissions::RW, 0)));
         assert_eq!(c.sharers(p(0)), 0b100);
         assert!(c.invalidate(p(0)).unwrap().dirty, "write set the dirty bit");
         assert_eq!(c.access_sharing(p(0), false, 0), None, "gone after inval");
     }
 
     #[test]
-    fn tracked_fill_seeds_sharers_and_reports_victim_sharers() {
+    fn absent_fill_seeds_sharers_and_reports_victim_sharers() {
         let mut c = tiny();
-        let (_, vs) = {
-            c.fill_after_miss_tracked(v(1, 0), false, Permissions::RW, 0b01);
-            c.fill_after_miss_tracked(v(1, 2), false, Permissions::RW, 0b10);
-            c.fill_after_miss_tracked(v(1, 4), false, Permissions::RW, 0)
-                .expect("set 0 full, LRU victim evicted")
-        };
-        assert_eq!(vs, 0b01, "victim v(1,0) carried its seeded sharer set");
+        c.fill_absent(v(1, 0), false, Permissions::RW, 0b01, 0);
+        c.fill_absent(v(1, 2), false, Permissions::RW, 0b10, 0);
+        let (_, evicted) = c.fill_absent(v(1, 4), false, Permissions::RW, 0, 0);
+        let evicted = evicted.expect("set 0 full, LRU victim evicted");
+        assert_eq!(
+            evicted.sharers, 0b01,
+            "victim v(1,0) carried its seeded sharer set"
+        );
         assert_eq!(c.sharers(v(1, 2)), 0b10);
     }
 

@@ -1,6 +1,7 @@
 //! A multi-core cache hierarchy: private L1I/L1D/L2 per core, shared
 //! inclusive LLC, MESI-style coherence over hybrid block names.
 
+use crate::cache::Evicted;
 use crate::{Cache, CacheStats, HierarchyConfig, Victim};
 use hvc_obs::LatencyHistogram;
 use hvc_types::{AccessKind, Asid, BlockName, Cycles, Permissions, PAGE_SHIFT};
@@ -182,8 +183,8 @@ impl Hierarchy {
         latency += self.config.l2.latency;
         // Promote with the permissions already cached at L2 (read out by
         // the same scan that services the hit).
-        if let Some(perm) = self.l2[core].access_perm(name, write) {
-            self.fill_l1(core, kind, name, write, perm);
+        if let Some((perm, way)) = self.l2[core].access_perm(name, write) {
+            self.fill_l1(core, kind, name, write, perm, way);
             return AccessResult {
                 hit_level: Some(1),
                 latency,
@@ -191,8 +192,8 @@ impl Hierarchy {
             };
         }
         latency += self.config.llc.latency;
-        if let Some(perm) = self.llc.access_sharing(name, write, core) {
-            self.fill_private(core, kind, name, write, perm);
+        if let Some((perm, way)) = self.llc.access_sharing(name, write, core) {
+            self.fill_private(core, kind, name, write, perm, way);
             return AccessResult {
                 hit_level: Some(2),
                 latency,
@@ -218,8 +219,8 @@ impl Hierarchy {
         perm: Permissions,
     ) -> Option<Victim> {
         self.may_cache_readonly |= !perm.is_writable();
-        let victim = self.fill_llc(core, name, dirty, perm);
-        self.fill_private(core, kind, name, dirty, perm);
+        let (way, victim) = self.fill_llc(core, name, dirty, perm);
+        self.fill_private(core, kind, name, dirty, perm, way);
         victim
     }
 
@@ -239,12 +240,17 @@ impl Hierarchy {
     /// invariant sweeps to audit the single-name guarantee; not on any
     /// simulation fast path.
     pub fn resident_names(&self) -> impl Iterator<Item = BlockName> + '_ {
+        self.levels().flat_map(|c| c.resident_names())
+    }
+
+    /// Every level: each core's L1I, then each core's L1D, then each
+    /// core's L2, then the LLC.
+    pub fn levels(&self) -> impl Iterator<Item = &Cache> {
         self.l1i
             .iter()
             .chain(&self.l1d)
             .chain(&self.l2)
-            .flat_map(|c| c.resident_names())
-            .chain(self.llc.resident_names())
+            .chain(std::iter::once(&self.llc))
     }
 
     /// Probes the whole hierarchy for `name` without side effects.
@@ -357,7 +363,7 @@ impl Hierarchy {
         dirty
     }
 
-    /// Every level: the private caches of each core, then the LLC.
+    /// Every level, in the order of [`Hierarchy::levels`].
     fn caches_mut(&mut self) -> impl Iterator<Item = &mut Cache> {
         self.l1i
             .iter_mut()
@@ -405,7 +411,16 @@ impl Hierarchy {
     }
 
     // --- internals ---
+    //
+    // Every private line stores the way its copy holds one level out (an
+    // L1 line its L2 way, an L2 line its LLC way), so retiring it updates
+    // that copy in place. This is exact because the levels are inclusive
+    // (LLC ⊇ L2 ⊇ L1) and a line never changes ways while resident: every
+    // eviction, flush and coherence invalidation of a line removes its
+    // private copies before (or with) it, so the parent outlives the child.
 
+    /// Fills the absent `name` into L1 of `core` below its L2 copy at
+    /// `l2_way`; a dirty L1 victim is written back into its L2 copy.
     fn fill_l1(
         &mut self,
         core: usize,
@@ -413,22 +428,23 @@ impl Hierarchy {
         name: BlockName,
         dirty: bool,
         perm: Permissions,
+        l2_way: usize,
     ) {
         let l1 = if kind.is_fetch() {
             &mut self.l1i[core]
         } else {
             &mut self.l1d[core]
         };
-        // The caller just missed `name` in this L1, so skip the residency
-        // probe; the displaced victim's write-back uses the plain `fill`
-        // because the line *is* resident in the inclusive L2.
-        if let Some(v) = l1.fill_after_miss(name, dirty, perm) {
-            if v.dirty {
-                self.l2[core].fill(v.name, true, perm);
+        if let (_, Some(e)) = l1.fill_absent(name, dirty, perm, 0, l2_way) {
+            if e.victim.dirty {
+                self.l2[core].write_back_at(e.victim.name, e.parent, perm);
             }
         }
     }
 
+    /// Fills the absent `name` into L2 and L1 of `core` below its LLC
+    /// copy at `llc_way`. An L2 victim leaves the L1s (L2 ⊇ L1) and the
+    /// LLC's sharer set, and its dirty data merges into the LLC copy.
     fn fill_private(
         &mut self,
         core: usize,
@@ -436,32 +452,38 @@ impl Hierarchy {
         name: BlockName,
         dirty: bool,
         perm: Permissions,
+        llc_way: usize,
     ) {
-        if let Some(v) = self.l2[core].fill_after_miss(name, dirty, perm) {
-            // L2 victim: its dirty state merges into the (inclusive) LLC;
-            // also evict from L1s to keep L2⊇L1 inclusion simple.
+        let (way, evicted) = self.l2[core].fill_absent(name, dirty, perm, 0, llc_way);
+        if let Some(e) = evicted {
+            let v = e.victim;
             self.evict_from_l1s(core, v.name);
             if v.dirty {
-                self.llc.fill_unshare(v.name, true, perm, core);
-            } else {
-                self.llc.remove_sharer(v.name, core);
+                self.llc.write_back_at(v.name, e.parent, perm);
             }
+            self.llc.unshare_at(v.name, e.parent, core);
         }
-        self.fill_l1(core, kind, name, dirty, perm);
+        self.fill_l1(core, kind, name, dirty, perm, way);
     }
 
+    /// Fills the absent `name` into the LLC for `core`; returns its way
+    /// and the dirty victim needing a writeback, if any.
     fn fill_llc(
         &mut self,
         core: usize,
         name: BlockName,
         dirty: bool,
         perm: Permissions,
-    ) -> Option<Victim> {
+    ) -> (usize, Option<Victim>) {
         // The new line's sharer set is seeded with the filling core, so no
         // separate `add_sharer` scan is needed after the private fills.
-        let (victim, sharers) = self
-            .llc
-            .fill_after_miss_tracked(name, dirty, perm, 1 << core)?;
+        let (way, evicted) = self.llc.fill_absent(name, dirty, perm, 1 << core, 0);
+        let Some(Evicted {
+            victim, sharers, ..
+        }) = evicted
+        else {
+            return (way, None);
+        };
         // Inclusive LLC: back-invalidate the victim from the private
         // caches that hold it (the directory's sharer bits are exact —
         // every private fill sets them, every private eviction clears
@@ -483,16 +505,21 @@ impl Hierarchy {
         if victim.dirty {
             self.memory_writebacks += 1;
         }
-        victim.dirty.then_some(victim)
+        (way, victim.dirty.then_some(victim))
     }
 
+    /// Removes `name` from both L1s of `core`; returns whether either
+    /// copy was dirty. An empty L1 (the L1I when instruction fetches are
+    /// not modelled) is not probed.
     fn evict_from_l1s(&mut self, core: usize, name: BlockName) -> bool {
         let mut dirty = false;
-        if let Some(v) = self.l1i[core].invalidate(name) {
-            dirty |= v.dirty;
-        }
-        if let Some(v) = self.l1d[core].invalidate(name) {
-            dirty |= v.dirty;
+        for l1 in [&mut self.l1i[core], &mut self.l1d[core]] {
+            if l1.is_empty() {
+                continue;
+            }
+            if let Some(v) = l1.invalidate(name) {
+                dirty |= v.dirty;
+            }
         }
         dirty
     }

@@ -1,8 +1,13 @@
 //! Property tests for the cache hierarchy invariants, including a
 //! differential check of the flat slab storage against a naive
-//! `Vec<Vec<_>>` reference model.
+//! `Vec<Vec<_>>` reference model, and of the hierarchy against a model
+//! hierarchy built from it.
 
-use hvc_cache::{Cache, CacheConfig, FlushOp, Hierarchy, HierarchyConfig, Victim};
+use hvc_cache::{
+    AccessResult, Cache, CacheConfig, CacheStats, FlushOp, Hierarchy, HierarchyConfig, LevelStats,
+    Victim,
+};
+use hvc_obs::LatencyHistogram;
 use hvc_types::{
     AccessKind, Asid, BlockName, Cycles, LineAddr, Permissions, LINE_SHIFT, PAGE_SHIFT,
 };
@@ -111,6 +116,7 @@ struct RefCache {
     ways: usize,
     set_mask: usize,
     tick: u64,
+    stats: LevelStats,
 }
 
 impl RefCache {
@@ -120,6 +126,7 @@ impl RefCache {
             ways,
             set_mask: sets - 1,
             tick: 0,
+            stats: LevelStats::default(),
         }
     }
 
@@ -139,9 +146,13 @@ impl RefCache {
             Some(line) => {
                 line.lru = tick;
                 line.dirty |= write;
+                self.stats.hits += 1;
                 true
             }
-            None => false,
+            None => {
+                self.stats.misses += 1;
+                false
+            }
         }
     }
 
@@ -159,6 +170,18 @@ impl RefCache {
     }
 
     fn fill(&mut self, name: BlockName, dirty: bool, perm: Permissions) -> Option<Victim> {
+        self.fill_tracked(name, dirty, perm, 0).map(|(v, _)| v)
+    }
+
+    /// `fill` that gives an inserted line the sharer set `sharers` and
+    /// reports the victim's sharer set.
+    fn fill_tracked(
+        &mut self,
+        name: BlockName,
+        dirty: bool,
+        perm: Permissions,
+        sharers: u32,
+    ) -> Option<(Victim, u32)> {
         self.tick += 1;
         let tick = self.tick;
         if let Some(line) = self.find(name) {
@@ -175,32 +198,24 @@ impl RefCache {
                 .min_by_key(|&i| lines[i].lru)
                 .expect("full set");
             let v = lines.remove(at);
-            Victim {
-                name: v.name,
-                dirty: v.dirty,
-            }
+            (
+                Victim {
+                    name: v.name,
+                    dirty: v.dirty,
+                },
+                v.sharers,
+            )
         });
         lines.push(RefLine {
             name,
             dirty,
             perm,
             lru: tick,
-            sharers: 0,
+            sharers,
         });
-        victim
-    }
-
-    fn fill_unshare(
-        &mut self,
-        name: BlockName,
-        dirty: bool,
-        perm: Permissions,
-        core: usize,
-    ) -> Option<Victim> {
-        let resident = self.find(name).is_some();
-        let victim = self.fill(name, dirty, perm);
-        if resident {
-            self.find(name).unwrap().sharers &= !(1 << core);
+        if let Some((v, _)) = victim {
+            self.stats.evictions += 1;
+            self.stats.writebacks += v.dirty as u64;
         }
         victim
     }
@@ -209,10 +224,21 @@ impl RefCache {
         let set = self.set_of(name);
         let at = self.sets[set].iter().position(|l| l.name == name)?;
         let line = self.sets[set].remove(at);
+        self.stats.invalidations += 1;
         Some(Victim {
             name: line.name,
             dirty: line.dirty,
         })
+    }
+
+    fn sharers(&mut self, name: BlockName) -> u32 {
+        self.find(name).map_or(0, |l| l.sharers)
+    }
+
+    fn mark_dirty(&mut self, name: BlockName) {
+        if let Some(line) = self.find(name) {
+            line.dirty = true;
+        }
     }
 
     fn set_sharer(&mut self, name: BlockName, core: usize, present: bool) {
@@ -225,7 +251,8 @@ impl RefCache {
         }
     }
 
-    /// Removes every line matching `f`, returning the dirty ones.
+    /// Removes every line matching `f`, returning the dirty ones, which
+    /// count as invalidations.
     fn flush_matching(&mut self, f: impl Fn(BlockName) -> bool) -> Vec<Victim> {
         let mut victims = Vec::new();
         for lines in &mut self.sets {
@@ -243,6 +270,7 @@ impl RefCache {
                 }
             });
         }
+        self.stats.invalidations += victims.len() as u64;
         victims
     }
 
@@ -300,7 +328,6 @@ enum CacheOp {
     AccessPerm(BlockName, bool),
     AccessSharing(BlockName, bool, usize),
     Fill(BlockName, bool, Permissions),
-    FillUnshare(BlockName, bool, Permissions, usize),
     Invalidate(BlockName),
     AddSharer(BlockName, usize),
     RemoveSharer(BlockName, usize),
@@ -334,8 +361,6 @@ fn cache_op(pages: u64, max_count: u64) -> impl Strategy<Value = CacheOp> {
             .prop_map(|(n, w, c)| CacheOp::AccessSharing(n, w, c)),
         (model_name(pages), any::<bool>(), perm_strategy())
             .prop_map(|(n, d, p)| CacheOp::Fill(n, d, p)),
-        (model_name(pages), any::<bool>(), perm_strategy(), 0usize..4)
-            .prop_map(|(n, d, p, c)| CacheOp::FillUnshare(n, d, p, c)),
         model_name(pages).prop_map(CacheOp::Invalidate),
         (model_name(pages), 0usize..4).prop_map(|(n, c)| CacheOp::AddSharer(n, c)),
         (model_name(pages), 0usize..4).prop_map(|(n, c)| CacheOp::RemoveSharer(n, c)),
@@ -367,19 +392,19 @@ fn apply_op(flat: &mut Cache, model: &mut RefCache, scratch: &mut Vec<Victim>, o
             prop_assert_eq!(flat.access(n, w), model.access(n, w), "access {:?}", n);
         }
         CacheOp::AccessPerm(n, w) => {
-            prop_assert_eq!(flat.access_perm(n, w), model.access_perm(n, w));
+            prop_assert_eq!(
+                flat.access_perm(n, w).map(|(p, _)| p),
+                model.access_perm(n, w)
+            );
         }
         CacheOp::AccessSharing(n, w, c) => {
-            prop_assert_eq!(flat.access_sharing(n, w, c), model.access_sharing(n, w, c));
+            prop_assert_eq!(
+                flat.access_sharing(n, w, c).map(|(p, _)| p),
+                model.access_sharing(n, w, c)
+            );
         }
         CacheOp::Fill(n, d, p) => {
             prop_assert_eq!(flat.fill(n, d, p), model.fill(n, d, p), "fill {:?}", n);
-        }
-        CacheOp::FillUnshare(n, d, p, c) => {
-            prop_assert_eq!(
-                flat.fill_unshare(n, d, p, c),
-                model.fill_unshare(n, d, p, c)
-            );
         }
         CacheOp::Invalidate(n) => {
             prop_assert_eq!(flat.invalidate(n), model.invalidate(n));
@@ -431,6 +456,7 @@ fn assert_same_contents(flat: &mut Cache, model: &mut RefCache) {
     let mut flat_names: Vec<_> = flat.resident_names().collect();
     flat_names.sort_by_key(|n| name_key(*n));
     prop_assert_eq!(&flat_names, &model.resident(), "resident sets differ");
+    prop_assert_eq!(flat.stats(), &model.stats);
     prop_assert_eq!(flat.occupancy(), flat_names.len());
     for &n in &flat_names {
         let line = model.find(n).expect("model agrees on residency");
@@ -712,5 +738,296 @@ proptest! {
         batched.flush_phys_frame(1 << 40);
         stepped.flush_phys_frame(1 << 40);
         prop_assert_eq!(format!("{batched:?}"), format!("{stepped:?}"));
+    }
+}
+
+// --- Differential model: the hierarchy vs. one that re-finds by name ---
+
+/// The hierarchy's documented protocol over [`RefCache`] levels, with no
+/// stored ways: a retired private line re-finds its copy one level out
+/// by name (a dirty L1 victim refills its L2 copy; an L2 victim leaves
+/// the L1s, refills its LLC copy if dirty and leaves its sharer set),
+/// and a flush batch is applied one page at a time, in order.
+struct RefHierarchy {
+    config: HierarchyConfig,
+    l1i: Vec<RefCache>,
+    l1d: Vec<RefCache>,
+    l2: Vec<RefCache>,
+    llc: RefCache,
+    coherence_invalidations: u64,
+    memory_writebacks: u64,
+    lookup_latency: LatencyHistogram,
+}
+
+impl RefHierarchy {
+    fn new(config: HierarchyConfig) -> Self {
+        let level = |c: &CacheConfig| RefCache::new(c.sets(), c.ways);
+        let private = |c: &CacheConfig| (0..config.cores).map(|_| level(c)).collect();
+        RefHierarchy {
+            l1i: private(&config.l1i),
+            l1d: private(&config.l1d),
+            l2: private(&config.l2),
+            llc: level(&config.llc),
+            config,
+            coherence_invalidations: 0,
+            memory_writebacks: 0,
+            lookup_latency: LatencyHistogram::default(),
+        }
+    }
+
+    fn l1(&mut self, core: usize, kind: AccessKind) -> &mut RefCache {
+        if kind.is_fetch() {
+            &mut self.l1i[core]
+        } else {
+            &mut self.l1d[core]
+        }
+    }
+
+    fn lookup(&mut self, core: usize, name: BlockName, kind: AccessKind) -> AccessResult {
+        let write = kind.is_write();
+        if write && self.config.cores > 1 {
+            self.invalidate_other_sharers(core, name);
+        }
+        let l1 = if kind.is_fetch() {
+            &self.config.l1i
+        } else {
+            &self.config.l1d
+        };
+        let mut latency = l1.latency;
+        let mut hit_level = None;
+        if self.l1(core, kind).access(name, write) {
+            hit_level = Some(0);
+        } else {
+            latency += self.config.l2.latency;
+            if let Some(perm) = self.l2[core].access_perm(name, write) {
+                self.fill_l1(core, kind, name, write, perm);
+                hit_level = Some(1);
+            } else {
+                latency += self.config.llc.latency;
+                if let Some(perm) = self.llc.access_sharing(name, write, core) {
+                    self.fill_private(core, kind, name, write, perm);
+                    hit_level = Some(2);
+                }
+            }
+        }
+        self.lookup_latency.record(latency);
+        AccessResult {
+            hit_level,
+            latency,
+            llc_victim: None,
+        }
+    }
+
+    fn fill_miss(
+        &mut self,
+        core: usize,
+        kind: AccessKind,
+        name: BlockName,
+        dirty: bool,
+        perm: Permissions,
+    ) -> Option<Victim> {
+        let victim = self.llc.fill_tracked(name, dirty, perm, 1 << core);
+        let victim = victim.and_then(|(v, sharers)| {
+            let mut dirty = v.dirty;
+            for c in (0..self.config.cores).filter(|c| sharers >> c & 1 != 0) {
+                dirty |= self.evict_from_l1s(c, v.name);
+                dirty |= self.l2[c].invalidate(v.name).is_some_and(|v| v.dirty);
+            }
+            self.memory_writebacks += dirty as u64;
+            dirty.then_some(Victim {
+                name: v.name,
+                dirty,
+            })
+        });
+        self.fill_private(core, kind, name, dirty, perm);
+        victim
+    }
+
+    fn fill_l1(
+        &mut self,
+        core: usize,
+        kind: AccessKind,
+        name: BlockName,
+        dirty: bool,
+        perm: Permissions,
+    ) {
+        if let Some(v) = self.l1(core, kind).fill(name, dirty, perm) {
+            if v.dirty {
+                self.l2[core].fill(v.name, true, perm);
+            }
+        }
+    }
+
+    fn fill_private(
+        &mut self,
+        core: usize,
+        kind: AccessKind,
+        name: BlockName,
+        dirty: bool,
+        perm: Permissions,
+    ) {
+        if let Some(v) = self.l2[core].fill(name, dirty, perm) {
+            self.evict_from_l1s(core, v.name);
+            if v.dirty {
+                self.llc.fill(v.name, true, perm);
+            }
+            self.llc.set_sharer(v.name, core, false);
+        }
+        self.fill_l1(core, kind, name, dirty, perm);
+    }
+
+    fn evict_from_l1s(&mut self, core: usize, name: BlockName) -> bool {
+        let i = self.l1i[core].invalidate(name).is_some_and(|v| v.dirty);
+        let d = self.l1d[core].invalidate(name).is_some_and(|v| v.dirty);
+        i || d
+    }
+
+    fn invalidate_other_sharers(&mut self, core: usize, name: BlockName) {
+        let sharers = self.llc.sharers(name);
+        for other in (0..self.config.cores).filter(|&c| c != core && sharers >> c & 1 != 0) {
+            let mut dirty = self.evict_from_l1s(other, name);
+            dirty |= self.l2[other].invalidate(name).is_some_and(|v| v.dirty);
+            if dirty {
+                self.llc.mark_dirty(name);
+            }
+            self.llc.set_sharer(name, other, false);
+            self.coherence_invalidations += 1;
+        }
+    }
+
+    /// Every level, in the order of [`Hierarchy::levels`].
+    fn levels_mut(&mut self) -> impl Iterator<Item = &mut RefCache> {
+        self.l1i
+            .iter_mut()
+            .chain(&mut self.l1d)
+            .chain(&mut self.l2)
+            .chain(std::iter::once(&mut self.llc))
+    }
+
+    /// Applies one flush op to every level; returns the dirty count.
+    fn flush(&mut self, op: FlushOp) -> u64 {
+        let matches = move |n: BlockName| match op {
+            FlushOp::VirtPage(asid, page) => in_pages(n, asid, page, 1),
+            FlushOp::PhysFrame(base) => {
+                matches!(n, BlockName::Phys(line) if line.base_raw() >> PAGE_SHIFT == base >> PAGE_SHIFT)
+            }
+            FlushOp::Space(asid) => n.asid() == Some(asid),
+            FlushOp::DowngradeRo(..) => false,
+        };
+        if let FlushOp::DowngradeRo(asid, page) = op {
+            for c in self.levels_mut() {
+                c.downgrade_pages(asid, page, 1);
+            }
+        }
+        let dirty: u64 = self
+            .levels_mut()
+            .map(|c| c.flush_matching(matches).len() as u64)
+            .sum();
+        self.memory_writebacks += dirty;
+        dirty
+    }
+
+    fn stats(&self) -> CacheStats {
+        let of = |levels: &[RefCache]| levels.iter().map(|c| c.stats.clone()).collect();
+        CacheStats {
+            l1i: of(&self.l1i),
+            l1d: of(&self.l1d),
+            l2: of(&self.l2),
+            llc: self.llc.stats.clone(),
+            coherence_invalidations: self.coherence_invalidations,
+            memory_writebacks: self.memory_writebacks,
+            lookup_latency: self.lookup_latency.clone(),
+        }
+    }
+
+    fn level_names(&mut self) -> Vec<Vec<BlockName>> {
+        self.levels_mut().map(|c| c.resident()).collect()
+    }
+}
+
+/// Each level's resident names, sorted, in the order of
+/// [`Hierarchy::levels`].
+fn level_names(h: &Hierarchy) -> Vec<Vec<BlockName>> {
+    h.levels()
+        .map(|c| {
+            let mut names: Vec<_> = c.resident_names().collect();
+            names.sort_by_key(|n| name_key(*n));
+            names
+        })
+        .collect()
+}
+
+#[derive(Clone, Debug)]
+enum ModelOp {
+    /// A lookup and, on a complete miss, a fill with these permissions.
+    Access(usize, BlockName, AccessKind, Permissions),
+    /// One drained shootdown's flushes.
+    Batch(Vec<FlushOp>),
+}
+
+/// Mostly accesses from cores 0 and 1, over one page of each namespace,
+/// with one flush batch in eight.
+fn model_op() -> impl Strategy<Value = ModelOp> {
+    let kind = prop_oneof![
+        Just(AccessKind::Read),
+        Just(AccessKind::Write),
+        Just(AccessKind::Fetch)
+    ];
+    (
+        0u8..8,
+        (0usize..2, model_name(1), kind, perm_strategy()),
+        prop::collection::vec(batch_chunk(), 1..3),
+    )
+        .prop_map(|(pick, (core, name, kind, perm), chunks)| match pick {
+            0 => ModelOp::Batch(chunks.into_iter().flatten().collect()),
+            _ => ModelOp::Access(core, name, kind, perm),
+        })
+}
+
+proptest! {
+    /// The hierarchy, whose private lines store their parent's way, is
+    /// observationally equal to a model that re-finds every parent line
+    /// by name: after every op, the same lookup results and dirty LLC
+    /// victims, the same statistics, and the same resident names in
+    /// each level. The geometry is small (8-line L1s, 32-line L2s, a
+    /// 64-line LLC over 192 names), so every level evicts, and L2 and
+    /// the LLC have four ways, so a wrong stored way is usually a live
+    /// line's.
+    #[test]
+    fn hierarchy_matches_a_model_that_refinds_parents_by_name(
+        cores in 1usize..3,
+        ops in prop::collection::vec(model_op(), 1..400),
+    ) {
+        let config = HierarchyConfig {
+            cores,
+            l1i: CacheConfig::new(4 * 2 * 64, 2, Cycles::new(1)),
+            l1d: CacheConfig::new(4 * 2 * 64, 2, Cycles::new(1)),
+            l2: CacheConfig::new(8 * 4 * 64, 4, Cycles::new(3)),
+            llc: CacheConfig::new(16 * 4 * 64, 4, Cycles::new(9)),
+        };
+        let mut h = Hierarchy::new(config.clone());
+        let mut model = RefHierarchy::new(config);
+        for op in ops {
+            match op {
+                ModelOp::Access(core, name, kind, perm) => {
+                    let core = core % cores;
+                    let r = h.lookup(core, name, kind);
+                    prop_assert_eq!(&r, &model.lookup(core, name, kind), "lookup {:?}", name);
+                    if r.llc_miss() {
+                        prop_assert_eq!(
+                            h.fill_miss(core, kind, name, kind.is_write(), perm),
+                            model.fill_miss(core, kind, name, kind.is_write(), perm),
+                            "fill {:?}", name
+                        );
+                    }
+                }
+                ModelOp::Batch(mut batch) => {
+                    let expect: u64 = batch.iter().map(|&op| model.flush(op)).sum();
+                    prop_assert_eq!(h.apply_batch(&mut batch), expect);
+                }
+            }
+            prop_assert_eq!(h.stats(), model.stats());
+            prop_assert_eq!(level_names(&h), model.level_names());
+        }
     }
 }

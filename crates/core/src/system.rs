@@ -15,7 +15,7 @@ use crate::stats::{PerCoreStats, RunReport, TranslationCounters};
 use hvc_cache::{FlushOp, Hierarchy};
 use hvc_mem::Dram;
 use hvc_obs::{Component, EventTracer, ObsReport, TraceEvent};
-use hvc_os::{FlushRequest, Kernel, KernelStats, Pte, ShootdownModel};
+use hvc_os::{FlushRequest, Kernel, KernelStats, Pte, ShootdownModel, WalkPath};
 use hvc_segment::ManySegmentTranslator;
 use hvc_tlb::{PageWalker, Tlb, TwoLevelTlb};
 use hvc_types::{
@@ -890,24 +890,27 @@ impl SystemSim {
         }
     }
 
-    /// Walks the page table in hardware, charging PTE reads through the
+    /// Walks the page table in hardware along `path` (the entry addresses
+    /// of `vpage`'s mapped leaf), charging PTE reads through the
     /// (physically-addressed) cache hierarchy.
-    fn charged_walk(&mut self, core_idx: usize, asid: Asid, vaddr: VirtAddr) -> Cycles {
+    fn charged_walk(
+        &mut self,
+        core_idx: usize,
+        asid: Asid,
+        vpage: VirtPage,
+        path: &WalkPath,
+    ) -> Cycles {
         let now = self.now(core_idx);
         let Self {
             walker,
-            machine,
             hierarchy,
             dram,
             counters,
             ..
         } = self;
-        let lat = walker[core_idx]
-            .walk(machine.kernel(), asid, vaddr.page_number(), |addr| {
-                pte_read(hierarchy, dram, counters, core_idx, now, addr)
-            })
-            .map(|(_, lat)| lat)
-            .expect("page mapped by ensure_pte before walking");
+        let lat = walker[core_idx].walk_path(asid, vpage, path, |addr| {
+            pte_read(hierarchy, dram, counters, core_idx, now, addr)
+        });
         self.trace("page_walk", "translation", lat, core_idx);
         lat
     }

@@ -202,10 +202,9 @@ impl Translator for ManySegment {
                     .map(|(pte, _)| pte.frame)
             });
         }
-        // Not covered by any segment: fault to the OS, which maps the
-        // page without touching the segment table, and walk.
-        let pte = sim.ensure_pte::<Self>(core, miss.mref);
-        let lat = sim.charged_walk(core, asid, vaddr);
+        // Not covered by any segment: walk, faulting to the OS, which maps
+        // the page without touching the segment table.
+        let (pte, lat) = native_walk::<Self>(sim, core, miss.mref, None);
         let mut parts = CycleAttribution::default();
         parts.add(Component::DelayedWalk, lat);
         (phys_of(pte, vaddr), lat, pte.perm, parts)
@@ -410,19 +409,40 @@ fn segment_delayed(
     (pa, cost.total(), perm, parts)
 }
 
-/// The OS fault path plus a charged 1D walk: `known_pte` (a translation
-/// the front path resolved) skips the fault service but not the walk.
+/// A charged 1D walk with the OS fault path behind it, reading the page
+/// table once when the leaf allows the access: its path is charged as
+/// found. `known_pte` (a translation the front path resolved) skips the
+/// fault service but not the walk. Only a fault or a permission miss goes
+/// through the OS (`SystemSim::ensure_pte`: demand fill, COW break,
+/// flushes) and walks again. That is exact because the OS's fault
+/// service changes nothing for a leaf that allows the access, and no
+/// flush is queued between accesses.
 fn native_walk<T: Translator>(
     sim: &mut SystemSim,
     core: usize,
     mref: MemRef,
     known_pte: Option<Pte>,
 ) -> (Pte, Cycles) {
-    let pte = match known_pte {
-        Some(p) => p,
-        None => sim.ensure_pte::<T>(core, mref),
+    let MemRef { asid, vaddr, kind } = mref;
+    let vpage = vaddr.page_number();
+    let kernel = sim.machine.kernel();
+    let (pte, path) = match (known_pte, kernel.walk(asid, vpage)) {
+        (Some(known), Some((_, path))) => (known, path),
+        (None, Some((pte, path))) if pte.perm.allows(kind.required_permissions()) => {
+            debug_assert_eq!(kernel.pending_flush_requests(), 0, "flushes left queued");
+            (pte, path)
+        }
+        _ => {
+            let pte = known_pte.unwrap_or_else(|| sim.ensure_pte::<T>(core, mref));
+            let (_, path) = sim
+                .machine
+                .kernel()
+                .walk(asid, vpage)
+                .expect("page mapped by ensure_pte before walking");
+            (pte, path)
+        }
     };
-    (pte, sim.charged_walk(core, mref.asid, mref.vaddr))
+    (pte, sim.charged_walk(core, asid, vpage, &path))
 }
 
 /// Whether the synonym filter of `mref`'s process (in the guest kernel,
@@ -610,4 +630,111 @@ fn nested_flush(sim: &mut SystemSim, req: FlushRequest, home: Option<usize>) -> 
         }
     }
     Some(op)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{SystemConfig, TranslationScheme};
+    use hvc_os::{AllocPolicy, Kernel, MapIntent};
+    use hvc_types::{AccessKind, VirtAddr, PAGE_SIZE};
+
+    /// Two private pages, the first touched.
+    const PRIVATE: u64 = 0x1000_0000;
+    /// A touched page of a content-shared read-only object.
+    const CONTENT: u64 = 0x5000_0000;
+
+    /// A simulator under `scheme` over one process with the pages above.
+    fn sim_with_pages(scheme: TranslationScheme) -> (SystemSim, Asid) {
+        let mut k = Kernel::new(1 << 30, AllocPolicy::DemandPaging);
+        let a = k.create_process().unwrap();
+        let private = VirtAddr::new(PRIVATE);
+        k.mmap(
+            a,
+            private,
+            2 * PAGE_SIZE,
+            Permissions::RW,
+            MapIntent::Private,
+        )
+        .unwrap();
+        let shm = k.shm_create(PAGE_SIZE).unwrap();
+        let content = VirtAddr::new(CONTENT);
+        k.mmap(
+            a,
+            content,
+            PAGE_SIZE,
+            Permissions::RW,
+            MapIntent::SharedRo(shm),
+        )
+        .unwrap();
+        k.translate_touch(a, private).unwrap();
+        k.translate_touch(a, content).unwrap();
+        assert_eq!(k.pending_flush_requests(), 0);
+        (SystemSim::new(k, SystemConfig::isca2016(), scheme), a)
+    }
+
+    /// A native walk for an access of `kind` to `va` on core 0; returns
+    /// its leaf and the entry reads it charged.
+    fn walk<T: Translator>(sim: &mut SystemSim, a: Asid, va: u64, kind: AccessKind) -> (Pte, u64) {
+        let mref = MemRef {
+            asid: a,
+            vaddr: VirtAddr::new(va),
+            kind,
+        };
+        let pte_reads = sim.counters.pte_reads;
+        let (pte, lat) = native_walk::<T>(sim, 0, mref, None);
+        assert!(lat > Cycles::ZERO);
+        let leaf = sim
+            .kernel()
+            .walk(a, mref.vaddr.page_number())
+            .map(|(p, _)| p);
+        assert_eq!(leaf, Some(pte), "the walk returns the page table's leaf");
+        (pte, sim.counters.pte_reads - pte_reads)
+    }
+
+    /// Reads of mapped pages, the read-only one included, ask nothing of
+    /// the OS: its counters and flush queue stay as they were.
+    fn mapped_reads_leave_the_os_alone<T: Translator>(scheme: TranslationScheme) {
+        for va in [PRIVATE, CONTENT] {
+            let (mut sim, a) = sim_with_pages(scheme);
+            let stats = sim.kernel().stats().clone();
+            let (_, reads) = walk::<T>(&mut sim, a, va, AccessKind::Read);
+            assert_eq!(reads, 4, "a cold walk reads every level");
+            assert_eq!(sim.kernel().stats(), &stats, "{scheme:?} at {va:#x}");
+            assert_eq!(sim.kernel().pending_flush_requests(), 0);
+        }
+    }
+
+    /// A write to the content-shared page breaks COW through the walk
+    /// (the new private frame is what the walk returns, and the break's
+    /// flush is applied), and a touch of the unmapped private page is a
+    /// demand fault.
+    fn faults_go_through_the_os<T: Translator>(scheme: TranslationScheme) {
+        let (mut sim, a) = sim_with_pages(scheme);
+        let stats = sim.kernel().stats().clone();
+        let shared = sim.kernel().walk(a, VirtAddr::new(CONTENT).page_number());
+        let shared = shared.unwrap().0.frame;
+        let (pte, reads) = walk::<T>(&mut sim, a, CONTENT, AccessKind::Write);
+        assert_eq!(reads, 4, "the new leaf's path is charged once");
+        assert_ne!(pte.frame, shared, "{scheme:?}: a fresh frame");
+        assert!(pte.perm.is_writable());
+        assert_eq!(sim.kernel().stats().cow_breaks, stats.cow_breaks + 1);
+        assert_eq!(sim.kernel().pending_flush_requests(), 0, "flush applied");
+
+        let (_, reads) = walk::<T>(&mut sim, a, PRIVATE + PAGE_SIZE, AccessKind::Read);
+        assert!(reads >= 1);
+        assert_eq!(sim.kernel().stats().minor_faults, stats.minor_faults + 1);
+    }
+
+    #[test]
+    fn a_walk_of_a_mapped_page_leaves_the_os_alone() {
+        mapped_reads_leave_the_os_alone::<Baseline>(TranslationScheme::Baseline);
+        mapped_reads_leave_the_os_alone::<HybridTlb>(TranslationScheme::HybridDelayedTlb(1024));
+    }
+
+    #[test]
+    fn a_walk_that_faults_goes_through_the_os() {
+        faults_go_through_the_os::<Baseline>(TranslationScheme::Baseline);
+        faults_go_through_the_os::<HybridTlb>(TranslationScheme::HybridDelayedTlb(1024));
+    }
 }

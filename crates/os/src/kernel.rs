@@ -197,13 +197,6 @@ impl Kernel {
         self.filter_kind
     }
 
-    /// Boots with a custom segment-table capacity (index-tree studies).
-    pub fn with_segment_capacity(phys_bytes: u64, policy: AllocPolicy, capacity: usize) -> Self {
-        let mut k = Kernel::new(phys_bytes, policy);
-        k.segments = SegmentTable::new(capacity);
-        k
-    }
-
     /// Creates a new process and returns its ASID. The synonym filter
     /// pair starts cleared, as the paper specifies for address-space
     /// creation.

@@ -1,6 +1,7 @@
 //! Experiment grids and their cells.
 
 use crate::params;
+use hvc_types::PAGE_SIZE;
 
 /// A full experiment: the cartesian product of workloads × schemes ×
 /// synonym-filter strategies × base seeds × LLC capacities, with shared
@@ -139,7 +140,15 @@ impl Experiment {
                 if self.replay.is_some() {
                     return Err(format!("guest-VM scheme '{s}' cannot replay a trace"));
                 }
-                let (_, machine) = params::vm_memory(self.mem);
+                let (guest, machine) = params::vm_memory(self.mem);
+                if guest % PAGE_SIZE != 0 || machine % PAGE_SIZE != 0 {
+                    return Err(format!(
+                        "guest-VM scheme '{s}' needs a {guest}-byte guest on a \
+                         {machine}-byte machine for mem = {} bytes; both must be \
+                         multiples of the {PAGE_SIZE}-byte page",
+                        self.mem
+                    ));
+                }
                 if machine > hvc_os::MAX_PHYS_BYTES {
                     return Err(format!(
                         "guest-VM scheme '{s}' needs a {} GiB machine for mem = {} MiB, \
@@ -311,6 +320,36 @@ mod tests {
             "{err}"
         );
         // Native kernels always boot 16 GiB, whatever `mem` is.
+        let native = Experiment {
+            schemes: vec!["baseline".into()],
+            ..bad
+        };
+        assert!(native.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_a_vm_memory_that_is_not_a_page_multiple() {
+        let vm = Experiment {
+            schemes: vec!["vm:dtlb:1024".into()],
+            mem: 300 << 20,
+            ..Default::default()
+        };
+        assert!(vm.validate().is_ok(), "4 × mem is a page multiple");
+        let bad = Experiment {
+            mem: (300 << 20) + 1,
+            ..vm.clone()
+        };
+        let err = bad.validate().unwrap_err();
+        assert!(
+            err.contains("vm:dtlb:1024") && err.contains("4096-byte page"),
+            "{err}"
+        );
+        // The 1 GiB floor is a page multiple whatever `mem` is.
+        let small = Experiment {
+            mem: (64 << 20) + 1,
+            ..vm
+        };
+        assert!(small.validate().is_ok());
         let native = Experiment {
             schemes: vec!["baseline".into()],
             ..bad

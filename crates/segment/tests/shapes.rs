@@ -45,8 +45,7 @@ fn index_cache_hit_rates(
 /// Figure 7(a): `spec`'s segments broken into 10 pieces each, the index
 /// tree probed on the misses of a 2 MB LLC over `refs` references.
 fn app_hit_rates(spec: &WorkloadSpec, refs: usize) -> Vec<f64> {
-    let mut kernel =
-        Kernel::with_segment_capacity(16 << 30, AllocPolicy::EagerSegments { split: 10 }, 8192);
+    let mut kernel = Kernel::new(16 << 30, AllocPolicy::EagerSegments { split: 10 });
     let mut wl = spec.instantiate(&mut kernel, 53).expect("instantiate");
     let tree = IndexTree::build(kernel.segments(), PhysAddr::new(1 << 40));
     let mut llc = Cache::new(CacheConfig::l3_2m());

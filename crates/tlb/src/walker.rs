@@ -2,7 +2,7 @@
 
 use crate::WalkCache;
 use hvc_obs::LatencyHistogram;
-use hvc_os::{Kernel, Pte, PT_LEVELS};
+use hvc_os::{WalkPath, PT_LEVELS};
 use hvc_types::{Asid, Cycles, PhysAddr, VirtPage};
 
 /// Walker event counters.
@@ -22,10 +22,12 @@ pub struct WalkerStats {
 
 /// A hardware radix page walker with paging-structure caches.
 ///
-/// The walker does not own a memory hierarchy; every page-table entry
-/// read is charged through the `access` callback the caller passes, which
-/// routes it through caches + DRAM (baseline) or wherever the modelled
-/// microarchitecture sends walker traffic.
+/// The walker neither owns a memory hierarchy nor reads the page table:
+/// the caller walks the table ([`hvc_os::Kernel::walk`]) and hands over
+/// the entry addresses, and every entry read is charged through the
+/// `access` callback the caller passes, which routes it through caches +
+/// DRAM (baseline) or wherever the modelled microarchitecture sends
+/// walker traffic.
 #[derive(Clone, Debug, Default)]
 pub struct PageWalker {
     walk_cache: WalkCache,
@@ -38,20 +40,18 @@ impl PageWalker {
         PageWalker::default()
     }
 
-    /// Walks the page table of `asid` for `vpage`. Returns the leaf PTE
-    /// and the walk latency, or `None` on a true page fault (unmapped
-    /// page — the caller invokes the OS and retries).
-    ///
-    /// `access` is called once per page-table entry read with the entry's
-    /// physical address and must return the access latency.
-    pub fn walk(
+    /// Charges a walk of `vpage` in `asid` along `path`, the entry
+    /// addresses of its mapped leaf, root first. The walk caches skip the
+    /// upper levels they hold; `access` is called once per remaining
+    /// entry read with the entry's physical address and must return the
+    /// access latency. Returns the walk latency.
+    pub fn walk_path(
         &mut self,
-        kernel: &Kernel,
         asid: Asid,
         vpage: VirtPage,
+        path: &WalkPath,
         mut access: impl FnMut(PhysAddr) -> Cycles,
-    ) -> Option<(Pte, Cycles)> {
-        let (pte, path) = kernel.walk(asid, vpage)?;
+    ) -> Cycles {
         let skip = self.walk_cache.record_walk(asid, vpage).min(PT_LEVELS - 1);
         let mut latency = Cycles::ZERO;
         for addr in &path[skip..] {
@@ -62,7 +62,7 @@ impl PageWalker {
         self.stats.walks += 1;
         self.stats.walk_cycles += latency;
         self.stats.walk_latency.record(latency);
-        Some((pte, latency))
+        latency
     }
 
     /// Invalidate cached upper-level nodes of `asid` (shootdown).
@@ -84,7 +84,7 @@ impl PageWalker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hvc_os::{AllocPolicy, MapIntent};
+    use hvc_os::{AllocPolicy, Kernel, MapIntent};
     use hvc_types::{Permissions, VirtAddr};
 
     fn kernel_with_page() -> (Kernel, Asid) {
@@ -103,69 +103,50 @@ mod tests {
         (k, a)
     }
 
+    /// Walks `va` in `k` with `w`, charging 10 cycles per entry read;
+    /// returns the latency and the addresses read.
+    fn walk(w: &mut PageWalker, k: &Kernel, a: Asid, va: u64) -> (Cycles, Vec<PhysAddr>) {
+        let vpage = VirtAddr::new(va).page_number();
+        let (_, path) = k.walk(a, vpage).expect("mapped");
+        let mut reads = Vec::new();
+        let lat = w.walk_path(a, vpage, &path, |addr| {
+            reads.push(addr);
+            Cycles::new(10)
+        });
+        (lat, reads)
+    }
+
     #[test]
     fn cold_walk_reads_four_levels() {
         let (k, a) = kernel_with_page();
         let mut w = PageWalker::new();
-        let mut reads = 0;
-        let (pte, lat) = w
-            .walk(&k, a, VirtAddr::new(0x10000).page_number(), |_| {
-                reads += 1;
-                Cycles::new(10)
-            })
-            .unwrap();
-        assert_eq!(reads, 4);
+        let (lat, reads) = walk(&mut w, &k, a, 0x10000);
+        let (_, path) = k.walk(a, VirtAddr::new(0x10000).page_number()).unwrap();
+        assert_eq!(reads, path, "every level, root first");
         assert_eq!(lat, Cycles::new(40));
-        assert!(pte.perm.allows(Permissions::READ));
         assert_eq!(w.stats().pte_reads, 4);
+        assert_eq!(w.stats().walks, 1);
     }
 
     #[test]
     fn warm_walk_skips_upper_levels() {
         let (k, a) = kernel_with_page();
         let mut w = PageWalker::new();
-        w.walk(&k, a, VirtAddr::new(0x10000).page_number(), |_| {
-            Cycles::new(10)
-        })
-        .unwrap();
-        let mut reads = 0;
-        let (_, lat) = w
-            .walk(&k, a, VirtAddr::new(0x11000).page_number(), |_| {
-                reads += 1;
-                Cycles::new(10)
-            })
-            .unwrap();
-        assert_eq!(reads, 1, "only the leaf PT entry");
+        walk(&mut w, &k, a, 0x10000);
+        let (lat, reads) = walk(&mut w, &k, a, 0x11000);
+        let (_, path) = k.walk(a, VirtAddr::new(0x11000).page_number()).unwrap();
+        assert_eq!(reads, [path[3]], "only the leaf PT entry");
         assert_eq!(lat, Cycles::new(10));
         assert_eq!(w.stats().skipped_reads, 3);
-    }
-
-    #[test]
-    fn unmapped_page_faults() {
-        let (k, a) = kernel_with_page();
-        let mut w = PageWalker::new();
-        assert!(w
-            .walk(&k, a, VirtAddr::new(0xdead_0000).page_number(), |_| {
-                Cycles::new(1)
-            })
-            .is_none());
     }
 
     #[test]
     fn flush_asid_forces_full_walk() {
         let (k, a) = kernel_with_page();
         let mut w = PageWalker::new();
-        w.walk(&k, a, VirtAddr::new(0x10000).page_number(), |_| {
-            Cycles::new(1)
-        })
-        .unwrap();
+        walk(&mut w, &k, a, 0x10000);
         w.flush_asid(a);
-        let mut reads = 0;
-        w.walk(&k, a, VirtAddr::new(0x10000).page_number(), |_| {
-            reads += 1;
-            Cycles::new(1)
-        })
-        .unwrap();
-        assert_eq!(reads, 4);
+        let (_, reads) = walk(&mut w, &k, a, 0x10000);
+        assert_eq!(reads.len(), 4);
     }
 }

@@ -80,6 +80,24 @@ fn vm_machine_beyond_the_page_table_frame_range_fails_cleanly() {
 }
 
 #[test]
+fn vm_memory_that_is_not_a_page_multiple_fails_cleanly() {
+    // 4 × 300000001 bytes of guest memory is no whole number of pages.
+    let grid = "--workloads gups --schemes vm:dtlb:1024 --mem 300000001 --refs 100 --warm 0";
+    for (cmd, extra) in [("sweep", &[][..]), ("check", &["--seed-range", "0..1"][..])] {
+        let out = hvcsim()
+            .arg(cmd)
+            .args(grid.split(' '))
+            .args(extra)
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{cmd} should fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{cmd} panicked: {stderr}");
+        assert!(stderr.contains("4096-byte page"), "{cmd}: {stderr}");
+    }
+}
+
+#[test]
 fn trace_options_with_multiple_cores_fail_cleanly() {
     let trace = std::env::temp_dir().join(format!("hvcsim-mc-trace-{}.json", std::process::id()));
     let trace = trace.to_string_lossy().into_owned();
